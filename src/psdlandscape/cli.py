@@ -47,42 +47,63 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_config(path: str) -> dict:
+def _load_json(path: str, what: str = "config file") -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
-        raise InputContractError(f"config file not found: {path}")
+        raise InputContractError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
-        raise InputContractError(f"config file {path} is not valid JSON: {exc}")
+        raise InputContractError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise InputContractError(f"{what} {path} must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _section(parent: dict, name: str) -> dict:
+    section = parent.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise InputContractError(f"{name} must be a JSON object, not {type(section).__name__}")
+    return section
+
+
+def _number(section: dict, name: str, key: str, default, kind=float):
+    """``kind(section[key])`` (or of ``default``), reported as a usage error."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise InputContractError(f"{name}.{key} must be {what}, got {value!r}") from None
 
 
 def _problem_instance(cfg: dict) -> ProblemInstance:
     if "instance_file" in cfg and cfg["instance_file"]:
-        with open(cfg["instance_file"]) as fh:
-            return instance_from_document(json.load(fh))
+        return instance_from_document(_load_json(cfg["instance_file"], "instance file"))
     prob = cfg.get("problem")
     if not isinstance(prob, dict):
         raise InputContractError("config must contain a 'problem' object (or 'instance_file')")
     return make_instance(
         kind=prob.get("kind", "denoising"),
-        p=int(prob.get("p", 0)),
-        r=int(prob.get("r", 0)),
-        n=int(prob.get("n", 0)),
-        kappa_star=float(prob.get("kappa_star", 1.0)),
-        sigma_r_star=float(prob.get("sigma_r_star", 1.0)),
-        noise_sigma=float(prob.get("noise_sigma", 0.0)),
-        seed=int(prob.get("seed", 0)),
+        p=_number(prob, "problem", "p", 0, int),
+        r=_number(prob, "problem", "r", 0, int),
+        n=_number(prob, "problem", "n", 0, int),
+        kappa_star=_number(prob, "problem", "kappa_star", 1.0),
+        sigma_r_star=_number(prob, "problem", "sigma_r_star", 1.0),
+        noise_sigma=_number(prob, "problem", "noise_sigma", 0.0),
+        seed=_number(prob, "problem", "seed", 0, int),
     )
 
 
 def _region_params(cfg: dict) -> RegionParams:
-    rp = cfg.get("region_params", {})
+    rp = _section(cfg, "region_params")
     return RegionParams(
-        mu=float(rp.get("mu", 0.2)),
-        alpha=float(rp.get("alpha", 0.5)),
-        beta=float(rp.get("beta", 1.5)),
-        gamma=float(rp.get("gamma", 1.5)),
+        mu=_number(rp, "region_params", "mu", 0.2),
+        alpha=_number(rp, "region_params", "alpha", 0.5),
+        beta=_number(rp, "region_params", "beta", 1.5),
+        gamma=_number(rp, "region_params", "gamma", 1.5),
     )
 
 
@@ -106,17 +127,19 @@ def _threads(args) -> int:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
+    def override(name: str, key: str, value) -> None:
+        cfg[name] = {**_section(cfg, name), key: value}
+
     if getattr(args, "seed", None) is not None:
-        cfg.setdefault("problem", {})["seed"] = args.seed
-        cfg.setdefault("scan", {})["seed"] = args.seed
-        cfg.setdefault("optimizer", {})["seed"] = args.seed
+        for name in ("problem", "scan", "optimizer"):
+            override(name, "seed", args.seed)
     if getattr(args, "n_points", None) is not None:
-        cfg.setdefault("scan", {})["n_points"] = args.n_points
+        override("scan", "n_points", args.n_points)
     return cfg
 
 
 def cmd_generate(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _apply_overrides(_load_json(args.config), args)
     inst = _problem_instance(cfg)
     out = _out_dir(cfg, args)
     doc = inst.to_document()
@@ -132,16 +155,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _apply_overrides(_load_json(args.config), args)
     inst = _problem_instance(cfg)
     params = _region_params(cfg)
-    scan = cfg.get("scan", {})
-    n_points = int(scan.get("n_points", 100))
+    scan = _section(cfg, "scan")
+    n_points = _number(scan, "scan", "n_points", 100, int)
     samplers = list(scan.get("samplers", ["ball", "fiber", "scaled", "gaussian"]))
-    seed = int(scan.get("seed", 0))
+    seed = _number(scan, "scan", "seed", 0, int)
     ball_radius = scan.get("ball_radius")
     if ball_radius is not None:
-        ball_radius = float(ball_radius)
+        ball_radius = _number(scan, "scan", "ball_radius", None)
     out = _out_dir(cfg, args)
     threads = _threads(args)
 
@@ -156,7 +179,7 @@ def cmd_scan(args) -> int:
     gate_reason = None
     if inst.kind != "denoising":
         delta = rsc_rsm_estimate(
-            inst.objective, inst.r, int(scan.get("delta_samples", 200)), seed
+            inst.objective, inst.r, _number(scan, "scan", "delta_samples", 200, int), seed
         )
         thresholds_probe = compute_thresholds(inst.ground_truth, params, inst.r, delta=delta)
         if delta > thresholds_probe.delta_composite_bound:
@@ -213,26 +236,27 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _apply_overrides(_load_json(args.config), args)
     inst = _problem_instance(cfg)
     params = _region_params(cfg)
-    opt = cfg.get("optimizer", {})
-    pert = opt.get("perturbation")
+    opt = _section(cfg, "optimizer")
+    pert = _section(opt, "perturbation")
     pert_spec = (
         PerturbationSpec(
-            radius=float(pert["radius"]),
-            trigger_tol=float(pert["trigger_tol"]),
-            cooldown_iters=int(pert.get("cooldown_iters", 10)),
+            radius=_number(pert, "perturbation", "radius", None),
+            trigger_tol=_number(pert, "perturbation", "trigger_tol", None),
+            cooldown_iters=_number(pert, "perturbation", "cooldown_iters", 10, int),
         )
         if pert
         else None
     )
+    step_size = opt.get("step_size")
     gd_cfg = GDConfig(
-        step_size=opt.get("step_size"),
-        max_iters=int(opt.get("max_iters", 5000)),
-        grad_tol=float(opt.get("grad_tol", 1e-10)),
+        step_size=None if step_size is None else _number(opt, "optimizer", "step_size", None),
+        max_iters=_number(opt, "optimizer", "max_iters", 5000, int),
+        grad_tol=_number(opt, "optimizer", "grad_tol", 1e-10),
         perturbation=pert_spec,
-        seed=int(opt.get("seed", 0)),
+        seed=_number(opt, "optimizer", "seed", 0, int),
     )
     out = _out_dir(cfg, args)
 

@@ -63,4 +63,4 @@ class StepSearchError(NumericalFailure):
 
 
 class ResourceLimitError(LandscapeError):
-    """A dense computation exceeds its configured size cap."""
+    """A dense computation exceeds its size cap."""

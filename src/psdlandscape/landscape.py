@@ -22,7 +22,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
 from .geometry import (
     FactorPoint,
     HorizontalTangent,
+    horizontal_project,
     quotient_distance,
     vertical_project,
 )
@@ -43,7 +44,8 @@ from .kernels import sym_eig, thin_svd
 from .objectives import (
     GroundTruth,
     ObjectiveHandle,
-    _hess_quadform_cached,
+    _HessianForm,
+    random_orthonormal,
     riemannian_grad_lift,
     riemannian_hess_quadform,
 )
@@ -209,7 +211,17 @@ def horizontal_dim(p: int, r: int) -> int:
     return p * r - (r * r - r) // 2
 
 
-def horizontal_basis(Y: FactorPoint, cap: int = 4000) -> list[HorizontalTangent]:
+#: largest horizontal dimension whose Hessian is assembled densely; above
+#: it :func:`hess_extreme_eigs` runs Lanczos and :func:`horizontal_basis`
+#: refuses to build a basis
+DENSE_HESSIAN_CAP = 4000
+
+#: Ritz residual, relative to the largest Ritz value in magnitude, at which
+#: Lanczos accepts both ends of the spectrum
+_LANCZOS_RESIDUAL_TOL = 1e-8
+
+
+def horizontal_basis(Y: FactorPoint) -> list[HorizontalTangent]:
     """Orthonormal basis (Frobenius inner product) of the horizontal space.
 
     Built from ``Y (Y.T Y)^{-1} S`` over a symmetric-matrix basis plus
@@ -218,14 +230,13 @@ def horizontal_basis(Y: FactorPoint, cap: int = 4000) -> list[HorizontalTangent]
     Raises
     ------
     ResourceLimitError
-        If the dimension exceeds ``cap``; use the iterative spectrum path.
+        If the dimension exceeds :data:`DENSE_HESSIAN_CAP`.
     """
     p, r = Y.p, Y.r
     dim = horizontal_dim(p, r)
-    if dim > cap:
+    if dim > DENSE_HESSIAN_CAP:
         raise ResourceLimitError(
-            f"horizontal dimension {dim} exceeds cap {cap}; "
-            "use hess_extreme_eigs(..., method='iterative')"
+            f"horizontal dimension {dim} exceeds the dense cap {DENSE_HESSIAN_CAP}"
         )
     U, sigma, V = Y.svd
     # Y (Y.T Y)^{-1} = U diag(1/sigma) V.T
@@ -251,164 +262,87 @@ def horizontal_basis(Y: FactorPoint, cap: int = 4000) -> list[HorizontalTangent]
     return [HorizontalTangent(Qmat[:, k].reshape(p, r), Y) for k in range(dim)]
 
 
-def _assemble_dense_hessian(
-    obj: ObjectiveHandle, Y: FactorPoint, basis: Sequence[HorizontalTangent]
-) -> np.ndarray:
-    """Matrix of the Hessian form over ``basis`` via the polarization identity."""
-    X = Y.gram()
-    R = obj.euclid_grad(X)
-    R = (R + R.T) / 2.0
-    thetas = [b.theta for b in basis]
-    m = len(thetas)
-    q = np.array([_hess_quadform_cached(obj, Y.Y, X, R, th) for th in thetas])
-    M = np.zeros((m, m))
+def _dense_extremes(hess: _HessianForm, Y: FactorPoint) -> HessianSpectrumEstimate:
+    lifts = [hess.lift(b.theta) for b in horizontal_basis(Y)]
+    m = len(lifts)
+    M = np.empty((m, m))
     for k in range(m):
-        M[k, k] = q[k]
-        for l in range(k + 1, m):
-            qkl = _hess_quadform_cached(obj, Y.Y, X, R, thetas[k] + thetas[l])
-            M[k, l] = M[l, k] = 0.5 * (qkl - q[k] - q[l])
-    return M
+        for l in range(k, m):
+            M[k, l] = M[l, k] = hess(lifts[k], lifts[l])
+    _, lam = sym_eig(M, asym_tol=1e-6)
+    return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
 
 
-class _ProbeHessian:
-    """Matrix-free Hessian apply built from the scalar quadratic form.
+def _lanczos_extremes(hess: _HessianForm, Y: FactorPoint) -> HessianSpectrumEstimate:
+    p, r = Y.p, Y.r
+    dim = horizontal_dim(p, r)
 
-    Entry ``(i, j)`` of ``H v`` is the bilinear form of ``v`` against the
-    horizontally projected matrix unit ``E_ij``, recovered through the
-    polarization identity. Projected probes and their form values are
-    precomputed once.
-    """
+    def horizontal(Z: np.ndarray) -> np.ndarray:
+        return horizontal_project(Y, Z).theta
 
-    def __init__(self, obj: ObjectiveHandle, Y: FactorPoint):
-        self.Y = Y
-        self.obj = obj
-        self.X = Y.gram()
-        R = obj.euclid_grad(self.X)
-        self.R = (R + R.T) / 2.0
-        p, r = Y.p, Y.r
-        probes = []
+    def apply(v: np.ndarray) -> np.ndarray:
+        # entry (i, j) is b(v, E_ij); the horizontal part of that matrix is
+        # the Hessian applied to the horizontal v
+        lift_v = hess.lift(v)
+        Hv = np.empty((p, r))
         for i in range(p):
             for j in range(r):
                 E = np.zeros((p, r))
                 E[i, j] = 1.0
-                probes.append(E - vertical_project(Y, E))
-        self.probes = probes
-        self.q_probe = np.array(
-            [_hess_quadform_cached(obj, Y.Y, self.X, self.R, e) for e in probes]
-        )
+                Hv[i, j] = hess(lift_v, hess.lift(E))
+        return horizontal(Hv)
 
-    def quadform(self, v: np.ndarray) -> float:
-        return _hess_quadform_cached(self.obj, self.Y.Y, self.X, self.R, v)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        p, r = self.Y.p, self.Y.r
-        qv = self.quadform(v)
-        out = np.empty(p * r)
-        for m, e in enumerate(self.probes):
-            out[m] = 0.5 * (self.quadform(v + e) - qv - self.q_probe[m])
-        Hv = out.reshape(p, r)
-        return Hv - vertical_project(self.Y, Hv)
-
-
-def _power_extreme(
-    op: Callable[[np.ndarray], np.ndarray],
-    horizontalize: Callable[[np.ndarray], np.ndarray],
-    raw_apply: Callable[[np.ndarray], np.ndarray],
-    shift: float,
-    v0: np.ndarray,
-    max_iters: int,
-    tol: float,
-) -> tuple[float, np.ndarray, float, int]:
-    """Power iteration on ``op``; convergence measured on the unshifted apply."""
-    v = v0 / np.linalg.norm(v0)
-    lam = 0.0
-    residual = np.inf
-    for it in range(max_iters):
-        w = op(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return -shift, v, 0.0, it
-        v = horizontalize(w / nw)
-        v = v / np.linalg.norm(v)
-        Hv = raw_apply(v)
-        lam = float(np.vdot(v, Hv))
-        residual = float(np.linalg.norm(Hv - lam * v))
-        if residual <= tol * max(abs(lam), 1e-300):
-            return lam, v, residual, it + 1
+    # a fixed start keeps the result a function of (obj, Y) alone
+    q = horizontal(np.random.default_rng(0).standard_normal((p, r)))
+    basis = [q / np.linalg.norm(q)]
+    alphas: list[float] = []
+    betas: list[float] = []
+    for k in range(dim):
+        w = apply(basis[k])
+        alphas.append(float(np.vdot(basis[k], w)))
+        # full reorthogonalization, twice, then back onto the horizontal space
+        Q = np.stack(basis).reshape(k + 1, -1)
+        for _ in range(2):
+            w = w - (Q.T @ (Q @ w.ravel())).reshape(p, r)
+        w = horizontal(w)
+        beta = float(np.linalg.norm(w))
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, S = np.linalg.eigh(T)
+        # Ritz residuals of the two extreme pairs: beta |last eigenvector entry|
+        residual = beta * float(max(abs(S[-1, 0]), abs(S[-1, -1])))
+        if residual <= _LANCZOS_RESIDUAL_TOL * max(abs(ritz[0]), abs(ritz[-1])):
+            return HessianSpectrumEstimate(float(ritz[0]), float(ritz[-1]), "lanczos", residual)
+        betas.append(beta)
+        basis.append(w / beta)
     raise NumericalFailure(
-        f"power iteration did not converge in {max_iters} iterations "
-        f"(final residual {residual:.3e})"
+        f"Lanczos did not converge in {dim} steps (Ritz residual {residual:.3e})"
     )
 
 
-def hess_extreme_eigs(
-    obj: ObjectiveHandle,
-    Y: FactorPoint,
-    method: str = "dense",
-    cap: int = 4000,
-    max_iters: int = 5000,
-    residual_tol: float = 1e-8,
-    seed: int = 0,
-) -> HessianSpectrumEstimate:
+def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEstimate:
     """Extreme eigenvalues of the Riemannian Hessian on the horizontal space.
 
-    ``method='dense'`` assembles the full matrix of the quadratic form over
-    an orthonormal horizontal basis and factorizes it. ``method='iterative'``
-    runs shifted power iteration on the matrix-free Hessian apply, with a
-    horizontal projection each step; the Rayleigh residual of the returned
-    pair against the unshifted operator is reported.
+    Both paths evaluate the one bilinear form
+    ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
+    (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
+    Up to horizontal dimension :data:`DENSE_HESSIAN_CAP` the matrix of ``b``
+    over an orthonormal horizontal basis is filled entry by entry and
+    factorized (method ``"dense"``, residual 0). Above it, Lanczos with full
+    reorthogonalization runs on the apply ``v -> P_h[(b(v, E_ij))_ij]``,
+    every Lanczos vector is projected back onto the horizontal space, and
+    the larger Ritz residual of the two extreme pairs is reported
+    (method ``"lanczos"``).
+
+    Raises
+    ------
+    NumericalFailure
+        If Lanczos exhausts the horizontal dimension with a Ritz residual
+        above ``1e-8`` times the largest Ritz value in magnitude.
     """
-    if method == "dense":
-        basis = horizontal_basis(Y, cap=cap)
-        M = _assemble_dense_hessian(obj, Y, basis)
-        _, lam = sym_eig(M, asym_tol=1e-6)
-        return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
-    if method != "iterative":
-        raise InputContractError(f"unknown method {method!r}")
-
-    probe = _ProbeHessian(obj, Y)
-    p, r = Y.p, Y.r
-    rng = np.random.default_rng(seed)
-
-    def horizontalize(v: np.ndarray) -> np.ndarray:
-        return v - vertical_project(Y, v)
-
-    def raw(v: np.ndarray) -> np.ndarray:
-        return probe.apply(v)
-
-    # stage 1: rough largest-|eigenvalue| estimate (Rayleigh quotients never
-    # exceed it, so a small multiplicative margin keeps the shift safe)
-    v = horizontalize(rng.standard_normal((p, r)))
-    v /= np.linalg.norm(v)
-    lam_abs = 0.0
-    for _ in range(300):
-        w = raw(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return HessianSpectrumEstimate(0.0, 0.0, "iterative", 0.0)
-        lam_abs = max(lam_abs, abs(float(np.vdot(v, w))))
-        v = horizontalize(w / nw)
-        v /= np.linalg.norm(v)
-
-    # stage 2: top of the spectrum from the positively shifted operator; the
-    # shift sits just above lam_abs so the dominant gap stays as wide as possible
-    shift_up = 1.02 * lam_abs + 1e-12
-    v1 = horizontalize(rng.standard_normal((p, r)))
-    lam_max, _, res_max, _ = _power_extreme(
-        lambda v: raw(v) + shift_up * v,
-        horizontalize, raw, shift_up, v1, max_iters, residual_tol,
-    )
-    # stage 3: bottom of the spectrum from the reflected operator, shifted
-    # just above the computed top so the bottom eigenvalue dominates
-    shift_down = lam_max + 0.02 * (abs(lam_max) + lam_abs) + 1e-12
-    v2 = horizontalize(rng.standard_normal((p, r)))
-    lam_min, _, res_min, _ = _power_extreme(
-        lambda v: shift_down * v - raw(v),
-        horizontalize, raw, shift_down, v2, max_iters, residual_tol,
-    )
-    return HessianSpectrumEstimate(
-        float(lam_min), float(lam_max), "iterative", max(res_max, res_min)
-    )
+    hess = _HessianForm(obj, Y)
+    if horizontal_dim(Y.p, Y.r) <= DENSE_HESSIAN_CAP:
+        return _dense_extremes(hess, Y)
+    return _lanczos_extremes(hess, Y)
 
 
 def escape_direction(Y: FactorPoint, gt: GroundTruth) -> HorizontalTangent:
@@ -534,11 +468,6 @@ def random_ball_tangent(
     return HorizontalTangent(theta * (scale / nrm), base)
 
 
-def _haar_orthogonal(r: int, rng: np.random.Generator) -> np.ndarray:
-    Q, R = np.linalg.qr(rng.standard_normal((r, r)))
-    return Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))[None, :]
-
-
 def _sample_point(
     name: str,
     gt: GroundTruth,
@@ -552,7 +481,7 @@ def _sample_point(
         return FactorPoint(Ys.Y + theta.theta)
     if name == "fiber":
         theta = random_ball_tangent(Ys, ball_radius, rng)
-        O = _haar_orthogonal(Ys.r, rng)
+        O = random_orthonormal(Ys.r, Ys.r, rng)
         return FactorPoint((Ys.Y + theta.theta) @ O)
     if name == "scaled":
         c = np.sqrt(params.gamma) * (1.1 + 1.4 * rng.uniform())
@@ -581,7 +510,6 @@ def _certify_point(
     gt: GroundTruth,
     params: RegionParams,
     thresholds: ThresholdReport,
-    hess_cap: int,
 ) -> RegionReport:
     labels = classify_region(Y, gt, params)
     d = quotient_distance(Y, gt.Y_star)
@@ -596,8 +524,7 @@ def _certify_point(
     lam_max = np.nan
 
     if RegionLabel.R1 in labels:
-        method = "dense" if horizontal_dim(Y.p, Y.r) <= hess_cap else "iterative"
-        est = hess_extreme_eigs(obj, Y, method=method, cap=hess_cap)
+        est = hess_extreme_eigs(obj, Y)
         lam_min, lam_max = est.lambda_min, est.lambda_max
         m_lo = lam_min - (thresholds.r1_hess_lower - tol_curv)
         m_hi = (thresholds.r1_hess_upper + tol_curv) - lam_max
@@ -669,7 +596,6 @@ def certify_landscape(
     seed: int,
     delta: float = 0.0,
     ball_radius: float | None = None,
-    hess_cap: int = 4000,
     threads: int = 1,
 ) -> list[RegionReport]:
     """Sample points, classify them and check every applicable bound.
@@ -698,7 +624,7 @@ def certify_landscape(
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
         name = samplers[i % len(samplers)]
         Y = _sample_point(name, gt, params, rng, ball_radius)
-        return _certify_point(i, Y, obj, gt, params, thresholds, hess_cap)
+        return _certify_point(i, Y, obj, gt, params, thresholds)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -712,7 +638,6 @@ def strict_convexity_fosp_check(
     obj: ObjectiveHandle,
     Y_hat: FactorPoint,
     fosp_tol: float | None = None,
-    hess_cap: int = 4000,
 ) -> HessianSpectrumEstimate:
     """Horizontal Hessian spectrum at a first-order stationary point.
 
@@ -731,8 +656,7 @@ def strict_convexity_fosp_check(
     gnorm = riemannian_grad_lift(obj, Y_hat).norm
     if gnorm > fosp_tol:
         raise NotAFOSPError(gnorm, fosp_tol)
-    method = "dense" if horizontal_dim(Y_hat.p, Y_hat.r) <= hess_cap else "iterative"
-    return hess_extreme_eigs(obj, Y_hat, method=method, cap=hess_cap)
+    return hess_extreme_eigs(obj, Y_hat)
 
 
 # ---------------------------------------------------------------------------

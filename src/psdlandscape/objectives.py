@@ -214,18 +214,38 @@ def riemannian_hess_quadform(
         theta = HorizontalTangent(np.asarray(theta, dtype=float), Y)
     elif not same_base(theta, Y):
         raise InputContractError("tangent must be based at the given point")
-    X = Y.gram()
-    R = obj.euclid_grad(X)
-    R = (R + R.T) / 2.0
-    return _hess_quadform_cached(obj, Y.Y, X, R, theta.theta)
+    hess = _HessianForm(obj, Y)
+    lift = hess.lift(theta.theta)
+    return hess(lift, lift)
 
 
-def _hess_quadform_cached(
-    obj: ObjectiveHandle, Y_arr: np.ndarray, X: np.ndarray, R: np.ndarray, theta: np.ndarray
-) -> float:
-    # internal fast path: X and R precomputed by the caller, no validation
-    C = Y_arr @ theta.T + theta @ Y_arr.T
-    return float(obj.euclid_hess_form(X, C, C)) + 2.0 * float(np.vdot(R @ theta, theta))
+class _HessianForm:
+    """The Riemannian Hessian at ``Y`` as a bilinear form on lifts.
+
+    ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
+    with ``X = Y Y.T``, ``C(theta) = Y theta.T + theta Y.T`` and ``R`` the
+    symmetrized Euclidean gradient at ``X``. On horizontal directions this
+    is the Riemannian Hessian of the quotient; on all of ``R^{p x r}`` it is
+    the Euclidean Hessian of ``Y -> f(Y Y.T)``. Arguments are not validated:
+    callers pass arrays of the factor's shape.
+    """
+
+    def __init__(self, obj: ObjectiveHandle, Y: FactorPoint):
+        self.obj = obj
+        self.Y = Y.Y
+        self.X = Y.gram()
+        R = obj.euclid_grad(self.X)
+        self.R = (R + R.T) / 2.0
+
+    def lift(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(theta, C(theta))``: what :meth:`__call__` needs of one argument."""
+        return theta, self.Y @ theta.T + theta @ self.Y.T
+
+    def __call__(self, lift1: tuple[np.ndarray, np.ndarray], lift2: tuple[np.ndarray, np.ndarray]) -> float:
+        (theta1, C1), (theta2, C2) = lift1, lift2
+        return float(self.obj.euclid_hess_form(self.X, C1, C2)) + 2.0 * float(
+            np.vdot(self.R @ theta1, theta2)
+        )
 
 
 def embedded_hess_quadform(
@@ -394,10 +414,16 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     stored observations are used verbatim (the noise realization is data,
     not re-drawn).
     """
-    kind = doc["kind"]
-    p, r, n, seed = int(doc["p"]), int(doc["r"]), int(doc["n"]), int(doc["seed"])
-    noise_sigma = float(doc["noise_sigma"])
-    spectrum = np.asarray(doc["spectrum"], dtype=float)
+    try:
+        kind = doc["kind"]
+        p, r, n, seed = int(doc["p"]), int(doc["r"]), int(doc["n"]), int(doc["seed"])
+        noise_sigma = float(doc["noise_sigma"])
+        spectrum = np.asarray(doc["spectrum"], dtype=float)
+        y = np.asarray(doc["y"], dtype=float) if kind == "trace_regression" else None
+    except KeyError as exc:
+        raise InputContractError(f"instance document lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputContractError(f"malformed instance document: {exc}") from None
     if spectrum.shape != (r,):
         raise InputContractError(f"spectrum must have length r={r}")
     Y_star = _truth_from_seed(p, r, seed, spectrum)
@@ -409,7 +435,6 @@ def instance_from_document(doc: dict) -> ProblemInstance:
         return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt, denoising=den)
     if kind == "trace_regression":
         sensing = _sensing_from_seed(p, n, seed)
-        y = np.asarray(doc["y"], dtype=float)
         if y.shape != (n,):
             raise InputContractError(f"y must have length n={n}")
         reg = TraceRegressionObjective(sensing, y, r, noise_sigma)

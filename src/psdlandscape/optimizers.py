@@ -9,7 +9,6 @@ retraction machinery is needed beyond staying full rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -22,14 +21,13 @@ from .errors import (
     RankCollapseError,
     StepSearchError,
 )
-from .geometry import FactorPoint, quotient_distance, vertical_project
+from .geometry import FactorPoint, horizontal_project, quotient_distance
 from .kernels import sym_eig
 from .landscape import (
     RegionLabel,
     RegionParams,
     classify_region,
     hess_extreme_eigs,
-    horizontal_dim,
 )
 from .objectives import (
     GroundTruth,
@@ -131,12 +129,6 @@ def _full_rank(Y: np.ndarray) -> bool:
     return s[-1] > max(1e-10 * s[0], 1e-300)
 
 
-def _random_horizontal(base: FactorPoint, radius: float, rng: np.random.Generator) -> np.ndarray:
-    raw = rng.standard_normal(base.Y.shape)
-    theta = raw - vertical_project(base, raw)
-    return theta * (radius / np.linalg.norm(theta))
-
-
 def riemannian_gd(
     obj: ObjectiveHandle,
     Y0: FactorPoint,
@@ -190,9 +182,7 @@ def riemannian_gd(
         rec.perturbed.append(False)
 
         def negative_curvature() -> bool:
-            method = "dense" if horizontal_dim(Y.p, Y.r) <= 4000 else "iterative"
-            est = hess_extreme_eigs(obj, Y, method=method)
-            return est.lambda_min < -cfg.perturbation.trigger_tol
+            return hess_extreme_eigs(obj, Y).lambda_min < -cfg.perturbation.trigger_tol
 
         if gnorm <= cfg.grad_tol:
             # a strict saddle is not convergence when escape is enabled
@@ -208,8 +198,8 @@ def riemannian_gd(
             and (cooldown == 0 or gnorm <= cfg.grad_tol)
             and negative_curvature()
         ):
-            kick = _random_horizontal(Y, cfg.perturbation.radius, rng)
-            cand = Y.Y + kick
+            kick = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
+            cand = Y.Y + kick.theta * (cfg.perturbation.radius / kick.norm)
             if not _full_rank(cand):
                 raise RankCollapseError(
                     f"saddle-escape perturbation collapsed the rank at iterate {k}",
@@ -347,12 +337,3 @@ def error_bound_check(
         holds_mid=bool(lhs <= rhs_mid + slack),
     )
 
-
-def multistart_gd(
-    obj: ObjectiveHandle,
-    starts: Iterable[FactorPoint],
-    cfg: GDConfig,
-    gt: GroundTruth | None = None,
-) -> list[TrajectoryRecord]:
-    """Run independent descents from several starts (order-independent)."""
-    return [riemannian_gd(obj, Y0, cfg, gt=gt) for Y0 in starts]

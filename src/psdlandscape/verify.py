@@ -21,10 +21,10 @@ from .geometry import (
     HorizontalTangent,
     convexity_radius,
     exp_map,
+    horizontal_project,
     injectivity_radius,
     log_map,
     quotient_distance,
-    vertical_project,
 )
 from .kernels import procrustes_align, sym_eig, truncated_frob_norm
 from .landscape import random_ball_tangent
@@ -33,6 +33,7 @@ from .objectives import (
     lifted_value,
     make_denoising,
     make_trace_regression,
+    random_orthonormal,
     random_symmetric_low_rank,
     riemannian_grad_lift,
     riemannian_hess_quadform,
@@ -123,11 +124,6 @@ def brute_distance_rank1(y1: np.ndarray, y2: np.ndarray) -> float:
     return float(min(np.linalg.norm(y1 - y2), np.linalg.norm(y1 + y2)))
 
 
-def _haar(r: int, rng: np.random.Generator) -> np.ndarray:
-    Q, R = np.linalg.qr(rng.standard_normal((r, r)))
-    return Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))[None, :]
-
-
 def _cayley(K: np.ndarray) -> np.ndarray:
     r = K.shape[0]
     eye = np.eye(r)
@@ -153,7 +149,7 @@ def sampled_distance_upper_bound(
 
     n_global = max(1, n_samples // 4)
     for _ in range(n_global):
-        O = _haar(r, rng)
+        O = random_orthonormal(r, r, rng)
         val = float(np.linalg.norm(Y2 @ O - Y1))
         if val < best:
             best, best_O = val, O
@@ -327,17 +323,12 @@ def _random_factor(rng: np.random.Generator, p: int | None = None, r: int | None
             continue
 
 
-def _random_horizontal(Y: FactorPoint, rng: np.random.Generator) -> HorizontalTangent:
-    raw = rng.standard_normal(Y.Y.shape)
-    return HorizontalTangent(raw - vertical_project(Y, raw), Y)
-
-
 def _suite_norm_sandwich(rng: np.random.Generator) -> float:
     """Violation of ``2 s_r^2 ||th||^2 <= ||Y th' + th Y'||^2 <= 4 s_1^2 ||th||^2``."""
     Y = _random_factor(rng)
     worst = 0.0
     for _ in range(5):
-        th = _random_horizontal(Y, rng)
+        th = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
         lhs = np.linalg.norm(Y.Y @ th.theta.T + th.theta @ Y.Y.T) ** 2
         lo = 2.0 * Y.sigma_min**2 * th.norm**2
         hi = 4.0 * Y.sigma_max**2 * th.norm**2
@@ -540,7 +531,7 @@ def _fd_suite(order: int) -> Callable[[np.random.Generator], float]:
             reg, _ = make_trace_regression(5, 2, 60, noise_sigma=0.1, seed=seed)
             obj = reg.handle()
         Y = _random_factor(rng, 5, 2)
-        th = _random_horizontal(Y, rng)
+        th = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
         th = HorizontalTangent(th.theta / th.norm, Y)
         if order == 1:
             res = fd_gradient_check(obj, Y, th)
@@ -589,7 +580,7 @@ def _suite_objective_comparison(rng: np.random.Generator) -> float:
         cap = 2.0 * delta * Y.sigma_max * dX + 2.0 * Y.sigma_max * noise
         diff = np.linalg.norm(grad_H - grad_h)
         worst = max(worst, (diff - cap) / max(cap, 1e-300))
-        th = _random_horizontal(Y, rng)
+        th = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
         C = Y.Y @ th.theta.T + th.theta @ Y.Y.T
         quad_h = riemannian_hess_quadform(obj, Y, th)
         quad_H = float(np.linalg.norm(C) ** 2) + 2.0 * float(

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from psdlandscape import landscape
 from psdlandscape.geometry import (
     FactorPoint,
     HorizontalTangent,
@@ -97,7 +98,7 @@ def test_02_local_strong_convexity_brackets():
             th = random_ball_tangent(gt.Y_star, radius, rng)
             Y = FactorPoint(gt.Y_star.Y + th.theta)
             assert RegionLabel.R1 in classify_region(Y, gt, params)
-            est = hess_extreme_eigs(obj, Y, method="dense")
+            est = hess_extreme_eigs(obj, Y)
             assert est.lambda_min >= rep.r1_hess_lower - tol
             assert est.lambda_max <= rep.r1_hess_upper + tol
     _report(
@@ -252,7 +253,7 @@ def test_06_general_objective_landscape_and_recovery():
         th = random_ball_tangent(gt.Y_star, radius, rng)
         Y = FactorPoint(gt.Y_star.Y + th.theta)
         assert RegionLabel.R1 in classify_region(Y, gt, params)
-        est = hess_extreme_eigs(obj, Y, method="dense")
+        est = hess_extreme_eigs(obj, Y)
         worst = min(worst, est.lambda_min - rep.r1_hess_lower)
         assert est.lambda_min >= rep.r1_hess_lower - tol
 
@@ -302,7 +303,7 @@ def test_07_noisy_error_bound():
     _report("noisy error bound", f"bound holds on {holds}/20 seeded instances", t0)
 
 
-def test_08_derivative_correctness_and_spectrum_agreement():
+def test_08_derivative_correctness_and_spectrum_agreement(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(900)
 
@@ -317,17 +318,22 @@ def test_08_derivative_correctness_and_spectrum_agreement():
             h = fd_hessian_check(obj, Y, th)
             assert h.rel_err < 1e-5
 
-    # dense and iterative spectrum ends agree at two sizes (dim 19 and 57)
+    # dense and iterative (Lanczos) spectrum ends agree at two sizes (dim 19 and 57)
+    def iterative(obj, Y):
+        with monkeypatch.context() as m:
+            m.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
+            return hess_extreme_eigs(obj, Y)
+
     den10, gt10 = make_denoising(10, 2, kappa_star=2.0, seed=903)
     Yp = FactorPoint(gt10.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
-    dense = hess_extreme_eigs(den10.handle(), Yp, method="dense")
-    it = hess_extreme_eigs(den10.handle(), Yp, method="iterative", seed=1)
+    dense = hess_extreme_eigs(den10.handle(), Yp)
+    it = iterative(den10.handle(), Yp)
     assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
     assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
 
     den20, gt20 = make_denoising(20, 3, kappa_star=2.0, seed=904)
-    dense2 = hess_extreme_eigs(den20.handle(), gt20.Y_star, method="dense")
-    it2 = hess_extreme_eigs(den20.handle(), gt20.Y_star, method="iterative", seed=2)
+    dense2 = hess_extreme_eigs(den20.handle(), gt20.Y_star)
+    it2 = iterative(den20.handle(), gt20.Y_star)
     assert it2.lambda_min == pytest.approx(dense2.lambda_min, rel=1e-7)
     assert it2.lambda_max == pytest.approx(dense2.lambda_max, rel=1e-7)
     _report(

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -268,6 +270,51 @@ class TestExitCodes:
         assert main(["scan", "--config", str(cfg)]) == 0
         monkeypatch.setenv("LANDSCAPE_THREADS", "zebra")
         assert main(["scan", "--config", str(cfg)]) == 2
+
+
+def _instance_without_seed(tmp_path):
+    doc = {"kind": "denoising", "p": 4, "r": 1, "n": 0, "noise_sigma": 0.0, "spectrum": [1.0], "y": []}
+    (tmp_path / "instance.json").write_text(json.dumps(doc))
+    return write_config(tmp_path, instance_file=str(tmp_path / "instance.json"))
+
+
+def _instance_not_json(tmp_path):
+    (tmp_path / "instance.json").write_text("{not json")
+    return write_config(tmp_path, instance_file=str(tmp_path / "instance.json"))
+
+
+def _config_list(tmp_path):
+    cfile = tmp_path / "config.json"
+    cfile.write_text(json.dumps([{"problem": {"p": 4}}]))
+    return cfile
+
+
+@pytest.mark.parametrize(
+    "command, make_config",
+    [
+        (["generate"], _instance_without_seed),
+        (["generate"], _instance_not_json),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"p": "twenty"})),
+        (["generate"], _config_list),
+        (["scan"], lambda tmp_path: write_config(tmp_path, region_params={"mu": "x"})),
+        (["scan", "--seed", "3"], lambda tmp_path: write_config(tmp_path, scan=[1])),
+    ],
+    ids=[
+        "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
+        "mu-not-a-number", "overridden-section-is-a-list",
+    ],
+)
+def test_malformed_input_exits_two(tmp_path, command, make_config):
+    cfg = make_config(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdlandscape.cli", *command, "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestScanDeterminism:

@@ -11,6 +11,7 @@ from psdlandscape.geometry import (
     quotient_distance,
     vertical_project,
 )
+from psdlandscape import landscape
 from psdlandscape.kernels import thin_svd
 from psdlandscape.landscape import (
     RegionParams,
@@ -57,7 +58,7 @@ class TestSquareFactor:
         rng = np.random.default_rng(3)
         Ys = FactorPoint(rng.standard_normal((3, 3)) + 3 * np.eye(3))
         obj = DenoisingObjective(Ys.gram(), 3).handle()
-        est = hess_extreme_eigs(obj, Ys, method="dense")
+        est = hess_extreme_eigs(obj, Ys)
         assert est.lambda_min >= 2 * Ys.sigma_min**2 - 1e-8
         assert est.lambda_max <= 4 * Ys.sigma_max**2 + 1e-8
 
@@ -80,34 +81,30 @@ class TestRequestedK:
 
 
 class TestIterativeCertificationPath:
-    def test_small_cap_forces_iterative_r1_checks(self):
-        # a tiny ball keeps the Hessian's eigenvalue clusters effectively
-        # degenerate, where power iteration converges; generic nearby points
-        # split the clusters too finely for the 5000-iteration budget
+    def test_small_cap_forces_iterative_r1_checks(self, monkeypatch):
+        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 4)
         den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
         params = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
-        reports = certify_landscape(
-            den.handle(), gt, params, ["ball"], 3, seed=2, hess_cap=4,
-            ball_radius=1e-9,
-        )
+        reports = certify_landscape(den.handle(), gt, params, ["ball"], 3, seed=2)
         assert all(rep.passed for rep in reports)
         assert all(np.isfinite(rep.lambda_min) for rep in reports)
 
-    def test_clustered_spectrum_reports_nonconvergence(self):
-        # generic R1 points of this instance have bottom-eigenvalue gaps
-        # around 1e-2, beyond plain power iteration's budget; the failure
-        # must surface as a numerical error carrying the residual
+    def test_lanczos_nonconvergence_names_residual(self, monkeypatch):
+        # no residual meets a negative tolerance, so Lanczos runs through
+        # the whole horizontal space and must surface the failure as a
+        # numerical error carrying the residual
         from psdlandscape.errors import NumericalFailure
         from psdlandscape.landscape import random_ball_tangent
 
+        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
+        monkeypatch.setattr(landscape, "_LANCZOS_RESIDUAL_TOL", -1.0)
         den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
-        obj = den.handle()
         rng = np.random.default_rng(7)
         radius = 0.2 * gt.sigmar_star / gt.kappa_star
         th = random_ball_tangent(gt.Y_star, radius, rng)
         Y = FactorPoint(gt.Y_star.Y + th.theta)
         with pytest.raises(NumericalFailure, match="residual"):
-            hess_extreme_eigs(obj, Y, method="iterative", max_iters=200)
+            hess_extreme_eigs(den.handle(), Y)
 
 
 class TestCsvRoundTrip:

@@ -7,6 +7,7 @@ from psdlandscape.errors import (
     NotAFOSPError,
     ResourceLimitError,
 )
+from psdlandscape import landscape
 from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_project, quotient_distance
 from psdlandscape.landscape import (
     SQRT2M1_TIMES_2,
@@ -138,50 +139,60 @@ class TestHorizontalBasis:
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
 
     def test_cap(self):
+        # dimension 1000 * 5 - 10 = 4990 lies above the fixed dense cap
         rng = np.random.default_rng(11)
-        Y = FactorPoint(rng.standard_normal((30, 2)))
-        with pytest.raises(ResourceLimitError):
-            horizontal_basis(Y, cap=10)
+        Y = FactorPoint(rng.standard_normal((1000, 5)))
+        with pytest.raises(ResourceLimitError, match="4990"):
+            horizontal_basis(Y)
 
 
 class TestHessExtremes:
     def test_denoising_at_target_sandwich(self):
         den, gt = make_denoising(9, 2, kappa_star=2.0, seed=12)
-        est = hess_extreme_eigs(den.handle(), gt.Y_star, method="dense")
+        est = hess_extreme_eigs(den.handle(), gt.Y_star)
         assert est.lambda_min >= 2 * gt.sigmar_star**2 - 1e-9
         assert est.lambda_max <= 4 * gt.sigma1_star**2 + 1e-9
 
-    def test_dense_vs_iterative(self):
+    def test_dense_vs_iterative(self, monkeypatch):
         den, gt = make_denoising(10, 2, kappa_star=2.0, seed=13)
         obj = den.handle()
         rng = np.random.default_rng(14)
         Y = FactorPoint(gt.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
-        dense = hess_extreme_eigs(obj, Y, method="dense")
-        it = hess_extreme_eigs(obj, Y, method="iterative", seed=3)
+        dense = hess_extreme_eigs(obj, Y)
+        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
+        it = hess_extreme_eigs(obj, Y)
+        assert (dense.method, it.method) == ("dense", "lanczos")
         assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
         assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
         assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
 
     def test_polarization_matches_direct_bilinear_form(self):
-        # the assembled matrix must equal the closed-form bilinear expression
-        # <C_a, C_b> + <R, a b.T + b a.T> of the exact-factorization objective
-        from psdlandscape.landscape import _assemble_dense_hessian
+        # the Hessian form must equal the closed-form bilinear expression
+        # <C_a, C_b> + <R, a b.T + b a.T> of the exact-factorization
+        # objective, and the dense spectrum must be that matrix's spectrum
+        from psdlandscape.objectives import _HessianForm
 
         den, gt = make_denoising(7, 2, kappa_star=2.0, seed=32)
         obj = den.handle()
         rng = np.random.default_rng(33)
         Y = FactorPoint(gt.Y_star.Y + 0.3 * rng.standard_normal((7, 2)))
         basis = horizontal_basis(Y)
-        M = _assemble_dense_hessian(obj, Y, basis)
+        hess = _HessianForm(obj, Y)
         R = Y.gram() - gt.X_star
+        M = np.empty((len(basis), len(basis)))
         for a, ba in enumerate(basis):
             Ca = Y.Y @ ba.theta.T + ba.theta @ Y.Y.T
             for b, bb in enumerate(basis):
                 Cb = Y.Y @ bb.theta.T + bb.theta @ Y.Y.T
-                direct = float(np.vdot(Ca, Cb)) + float(
+                M[a, b] = float(np.vdot(Ca, Cb)) + float(
                     np.vdot(R, ba.theta @ bb.theta.T + bb.theta @ ba.theta.T)
                 )
-                assert M[a, b] == pytest.approx(direct, abs=1e-9)
+                form = hess(hess.lift(ba.theta), hess.lift(bb.theta))
+                assert form == pytest.approx(M[a, b], abs=1e-9)
+        lam = np.linalg.eigvalsh(M)
+        est = hess_extreme_eigs(obj, Y)
+        assert est.lambda_min == pytest.approx(lam[0], abs=1e-9)
+        assert est.lambda_max == pytest.approx(lam[-1], abs=1e-9)
 
     def test_orthogonal_point_has_negative_curvature(self):
         # rank-1 target along e1, point along e2: a near-saddle with an
@@ -192,8 +203,46 @@ class TestHessExtremes:
 
         obj = DenoisingObjective(X_star, 1).handle()
         Y = FactorPoint(np.array([[0.0], [0.9], [0.0], [0.0]]))
-        est = hess_extreme_eigs(obj, Y, method="dense")
+        est = hess_extreme_eigs(obj, Y)
         assert est.lambda_min < 0
+
+
+def _spectrum_points():
+    from psdlandscape.landscape import random_ball_tangent
+    from psdlandscape.objectives import DenoisingObjective
+
+    points = []
+    # a generic R1 point on which shifted power iteration ran out of budget
+    den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
+    th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(7))
+    points.append(pytest.param(den.handle(), FactorPoint(gt.Y_star.Y + th.theta), id="denoising-8-2-r1"))
+    den, gt = make_denoising(20, 3, kappa_star=2.0, seed=904)
+    points.append(pytest.param(den.handle(), gt.Y_star, id="denoising-20-3-target"))
+    rng = np.random.default_rng(905)
+    for k in range(3):
+        th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
+        Y = FactorPoint(gt.Y_star.Y + th.theta)
+        points.append(pytest.param(den.handle(), Y, id=f"denoising-20-3-ball{k}"))
+    X_star = np.zeros((4, 4))
+    X_star[0, 0] = 1.0
+    saddle = FactorPoint(np.array([[0.0], [0.9], [0.0], [0.0]]))
+    points.append(pytest.param(DenoisingObjective(X_star, 1).handle(), saddle, id="rank1-near-saddle"))
+    reg, _ = make_trace_regression(6, 2, 72, noise_sigma=0.05, seed=902)
+    Y = FactorPoint(np.random.default_rng(906).standard_normal((6, 2)))
+    points.append(pytest.param(reg.handle(), Y, id="trace-6-2-72"))
+    return points
+
+
+@pytest.mark.parametrize("obj, Y", _spectrum_points())
+def test_lanczos_matches_dense(obj, Y, monkeypatch):
+    dense = hess_extreme_eigs(obj, Y)
+    monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
+    lanczos = hess_extreme_eigs(obj, Y)
+    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
+    assert lanczos.method == "lanczos"
+    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
+    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+    assert lanczos.residual <= 1e-8 * scale
 
 
 class TestEscapeDirection:
