@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -70,13 +70,17 @@ def _section(parent: dict, name: str) -> dict:
 
 
 def _number(section: dict, name: str, key: str, default, kind=float):
-    """``kind(section[key])`` (or of ``default``), reported as a usage error."""
+    """``kind(section[key])`` (or of ``default``); a value that is not a
+    finite number is a usage error."""
     value = section.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise InputContractError(f"{name}.{key} must be {what}, got {value!r}") from None
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise InputContractError(f"{name}.{key} must be a finite {what}, got {value!r}")
 
 
 def _problem_instance(cfg: dict) -> ProblemInstance:
@@ -112,18 +116,6 @@ def _out_dir(cfg: dict, args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LANDSCAPE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputContractError(f"LANDSCAPE_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -166,7 +158,6 @@ def cmd_scan(args) -> int:
     if ball_radius is not None:
         ball_radius = _number(scan, "scan", "ball_radius", None)
     out = _out_dir(cfg, args)
-    threads = _threads(args)
 
     if params.mu == 0.0:
         print(
@@ -205,7 +196,7 @@ def cmd_scan(args) -> int:
         seed,
         delta=delta,
         ball_radius=ball_radius,
-        threads=threads,
+        threads=args.threads,
     )
 
     (out / "scan_report.csv").write_text(reports_to_csv(reports))
@@ -312,7 +303,7 @@ def cmd_verify(args) -> int:
         )
         return EXIT_USAGE
     summary = run_suite(
-        args.suite, seed=args.seed or 0, instances=args.instances, threads=_threads(args)
+        args.suite, seed=args.seed or 0, instances=args.instances, threads=args.threads
     )
     out = Path(args.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -351,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="certify landscape bounds on sampled points")
     common(s)
     s.add_argument("--n-points", type=int, default=None, help="override scan.n_points")
-    s.add_argument("--threads", type=int, default=None, help="worker threads (env LANDSCAPE_THREADS)")
+    s.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     s.set_defaults(func=cmd_scan)
 
     o = sub.add_parser("optimize", help="run factor gradient descent")
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--instances", type=int, default=100)
     v.add_argument("--output-dir", default=None)
-    v.add_argument("--threads", type=int, default=None, help="worker threads (env LANDSCAPE_THREADS)")
+    v.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     v.set_defaults(func=cmd_verify)
     return parser
 

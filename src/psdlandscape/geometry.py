@@ -222,15 +222,12 @@ def exp_map(base: FactorPoint, theta: HorizontalTangent, t: float = 1.0) -> Fact
     """
     if not same_base(theta, base):
         raise InputContractError("tangent must be based at the given point")
-    Ynew = base.Y + t * theta.theta
-    s = np.linalg.svd(Ynew, compute_uv=False)
-    if s[-1] <= max(RANK_TOL_REL * s[0], RANK_TOL_FLOOR):
-        raise RankCollapseError(
-            f"rank collapse along geodesic at t={t:.6g} "
-            f"(sigma_min = {s[-1]:.3e})",
-            t=t,
-        )
-    return FactorPoint(Ynew)
+    if not np.isfinite(t):
+        raise InputContractError(f"t must be finite, got {t}")
+    try:
+        return FactorPoint(base.Y + t * theta.theta)
+    except InputContractError as exc:
+        raise RankCollapseError(f"rank collapse along geodesic at t={t:.6g}: {exc}", t=t) from None
 
 
 def injectivity_radius(Y: FactorPoint) -> float:

@@ -163,8 +163,38 @@ class RegionReport:
     passed: bool
 
 
-def _grad_exact_factorization(Y: FactorPoint, gt: GroundTruth) -> np.ndarray:
-    return 2.0 * ((Y.gram() - gt.X_star) @ Y.Y)
+def _classify(
+    Y: FactorPoint, gt: GroundTruth, params: RegionParams
+) -> tuple[set[RegionLabel], tuple[float, float, float, float, float]]:
+    """The labels of :func:`classify_region` and what they were read from:
+    the quotient distance to the target, the norm of the exact-factorization
+    gradient, the spectral norm, the Gram norm and ``||X*||_F``."""
+    dist = quotient_distance(Y, gt.Y_star)
+    d = 0.0 if dist <= 1e-12 * gt.sigmar_star else dist
+    X = Y.gram()
+    grad_norm = float(np.linalg.norm(2.0 * ((X - gt.X_star) @ Y.Y)))
+    spec_norm = Y.sigma_max
+    gram_norm = float(np.linalg.norm(X))
+    xnorm = float(np.linalg.norm(gt.X_star))
+
+    r1_radius = params.mu * gt.sigmar_star / gt.kappa_star
+    grad_thresh = params.alpha * params.mu * gt.sigmar_star**3 / (4.0 * gt.kappa_star)
+    spec_cap = params.beta * gt.sigma1_star
+    gram_cap = params.gamma * xnorm
+
+    labels: set[RegionLabel] = set()
+    in_box = spec_norm <= spec_cap and gram_norm <= gram_cap
+    if d <= r1_radius:
+        labels.add(RegionLabel.R1)
+    if d > r1_radius and grad_norm <= grad_thresh and in_box:
+        labels.add(RegionLabel.R2)
+    if grad_norm > grad_thresh and in_box:
+        labels.add(RegionLabel.R3_PRIME)
+    if spec_norm > spec_cap and gram_norm <= gram_cap:
+        labels.add(RegionLabel.R3_DOUBLE_PRIME)
+    if gram_norm > gram_cap:
+        labels.add(RegionLabel.R3_TRIPLE_PRIME)
+    return labels, (dist, grad_norm, spec_norm, gram_norm, xnorm)
 
 
 def classify_region(
@@ -179,31 +209,7 @@ def classify_region(
     Distances below ``1e-12 sigma_r(Y*)`` are treated as exact zeros so that
     fiber points classify into R1 even when ``mu = 0``.
     """
-    d = quotient_distance(Y, gt.Y_star)
-    if d <= 1e-12 * gt.sigmar_star:
-        d = 0.0
-    grad_norm = float(np.linalg.norm(_grad_exact_factorization(Y, gt)))
-    spec_norm = Y.sigma_max
-    gram_norm = float(np.linalg.norm(Y.gram()))
-
-    r1_radius = params.mu * gt.sigmar_star / gt.kappa_star
-    grad_thresh = params.alpha * params.mu * gt.sigmar_star**3 / (4.0 * gt.kappa_star)
-    spec_cap = params.beta * gt.sigma1_star
-    gram_cap = params.gamma * float(np.linalg.norm(gt.X_star))
-
-    labels: set[RegionLabel] = set()
-    in_box = spec_norm <= spec_cap and gram_norm <= gram_cap
-    if d <= r1_radius:
-        labels.add(RegionLabel.R1)
-    if d > r1_radius and grad_norm <= grad_thresh and in_box:
-        labels.add(RegionLabel.R2)
-    if grad_norm > grad_thresh and in_box:
-        labels.add(RegionLabel.R3_PRIME)
-    if spec_norm > spec_cap and gram_norm <= gram_cap:
-        labels.add(RegionLabel.R3_DOUBLE_PRIME)
-    if gram_norm > gram_cap:
-        labels.add(RegionLabel.R3_TRIPLE_PRIME)
-    return labels
+    return _classify(Y, gt, params)[0]
 
 
 def horizontal_dim(p: int, r: int) -> int:
@@ -511,9 +517,7 @@ def _certify_point(
     params: RegionParams,
     thresholds: ThresholdReport,
 ) -> RegionReport:
-    labels = classify_region(Y, gt, params)
-    d = quotient_distance(Y, gt.Y_star)
-    grad_H = float(np.linalg.norm(_grad_exact_factorization(Y, gt)))
+    labels, (d, grad_H, spec_norm, gram_norm, xnorm) = _classify(Y, gt, params)
     grad_h = riemannian_grad_lift(obj, Y).norm
 
     tol_curv = 1e-8 * gt.sigmar_star**2
@@ -544,9 +548,6 @@ def _certify_point(
     noise = thresholds.noise_at_target
     mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
     s1, sr, kap = gt.sigma1_star, gt.sigmar_star, gt.kappa_star
-    xnorm = float(np.linalg.norm(gt.X_star))
-    spec_norm = Y.sigma_max
-    gram_norm = float(np.linalg.norm(Y.gram()))
     rr = Y.r
     floors = {
         RegionLabel.R3_PRIME: alpha * mu * sr**3 / (4.0 * kap)

@@ -106,6 +106,17 @@ class DenoisingObjective:
         return ObjectiveHandle(value, grad, hess_form, X_star.shape[0], self.r, "denoising")
 
 
+#: entries of ``n x p x p`` sample arrays that one chunk of samples may hold
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _sample_chunks(n: int, p: int) -> list[slice]:
+    """Slices of the ``n`` samples of ``p x p`` matrices, each at most
+    :data:`_CHUNK_ENTRIES` entries (one sample at least)."""
+    step = max(1, _CHUNK_ENTRIES // max(p * p, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 class TraceRegressionObjective:
     """``f(X) = 0.5 * ||A(X) - y||_2^2`` with symmetric sensing matrices."""
 
@@ -113,7 +124,12 @@ class TraceRegressionObjective:
         sensing = np.asarray(sensing, dtype=float)
         if sensing.ndim != 3 or sensing.shape[1] != sensing.shape[2]:
             raise InputContractError(f"sensing must be (n, p, p), got {sensing.shape}")
-        asym = np.linalg.norm(sensing - np.transpose(sensing, (0, 2, 1)))
+        asym = np.sqrt(
+            sum(
+                np.linalg.norm(sensing[c] - np.transpose(sensing[c], (0, 2, 1))) ** 2
+                for c in _sample_chunks(*sensing.shape[:2])
+            )
+        )
         if asym > 1e-12 * max(np.linalg.norm(sensing), 1e-300):
             raise InputContractError("sensing matrices must be symmetric")
         y = np.asarray(y, dtype=float)
@@ -354,9 +370,15 @@ def _truth_from_seed(p: int, r: int, seed: int, spectrum: np.ndarray) -> FactorP
 
 
 def _sensing_from_seed(p: int, n: int, seed: int) -> np.ndarray:
+    # drawn chunk by chunk into one array: consecutive draws of a generator
+    # equal one draw of their total size, and no second full-size copy exists
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    G = rng.standard_normal((n, p, p))
-    return (G + np.transpose(G, (0, 2, 1))) / (2.0 * np.sqrt(n))
+    sensing = np.empty((n, p, p))
+    for c in _sample_chunks(n, p):
+        G = rng.standard_normal((c.stop - c.start, p, p))
+        np.add(G, np.transpose(G, (0, 2, 1)), out=sensing[c])
+        sensing[c] /= 2.0 * np.sqrt(n)
+    return sensing
 
 
 def make_instance(

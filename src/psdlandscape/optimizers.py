@@ -26,7 +26,7 @@ from .kernels import sym_eig
 from .landscape import (
     RegionLabel,
     RegionParams,
-    classify_region,
+    _classify,
     hess_extreme_eigs,
 )
 from .objectives import (
@@ -124,9 +124,12 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
-def _full_rank(Y: np.ndarray) -> bool:
-    s = np.linalg.svd(Y, compute_uv=False)
-    return s[-1] > max(1e-10 * s[0], 1e-300)
+def _full_rank(Y: np.ndarray) -> FactorPoint | None:
+    """The step's factor as a point, or ``None`` if it is not a finite full-rank factor."""
+    try:
+        return FactorPoint(Y)
+    except InputContractError:
+        return None
 
 
 def riemannian_gd(
@@ -154,8 +157,10 @@ def riemannian_gd(
     """
     rec = TrajectoryRecord()
     track = gt is not None
+    pert = cfg.perturbation
     rng = np.random.default_rng(cfg.seed)
     Y = Y0
+    accepted_val = None  # an accepted trial's value is the next iterate's
     trial = None  # warm-started backtracking step
     cooldown = 0
 
@@ -168,45 +173,43 @@ def riemannian_gd(
                 f"gradient evaluation failed at iterate {k}: {exc}"
             ) from exc
         gnorm = grad.norm
-        val = lifted_value(obj, Y)
+        val = lifted_value(obj, Y) if accepted_val is None else accepted_val
+        accepted_val = None
         if not np.isfinite(val) or not np.isfinite(gnorm):
             raise NumericalFailure(f"iterates diverged at iterate {k}")
         rec.values.append(val)
         rec.grad_norms.append(gnorm)
-        if track:
+        if track and params is None:
             rec.dists.append(quotient_distance(Y, gt.Y_star))
-            if params is not None:
-                rec.regions.append(
-                    tuple(sorted(classify_region(Y, gt, params), key=lambda lb: lb.value))
-                )
+        elif track:
+            labels, (dist, *_) = _classify(Y, gt, params)
+            rec.dists.append(dist)
+            rec.regions.append(tuple(sorted(labels, key=lambda lb: lb.value)))
         rec.perturbed.append(False)
 
-        def negative_curvature() -> bool:
-            return hess_extreme_eigs(obj, Y).lambda_min < -cfg.perturbation.trigger_tol
-
-        if gnorm <= cfg.grad_tol:
-            # a strict saddle is not convergence when escape is enabled
-            if cfg.perturbation is None or not negative_curvature():
-                rec.converged = True
-                break
+        # a strict saddle is not convergence when escape is enabled; at most
+        # one spectrum, computed only when convergence or escape reads it
+        small = gnorm <= cfg.grad_tol
+        saddle = (
+            pert is not None
+            and (small or (k < cfg.max_iters and gnorm < pert.trigger_tol and cooldown == 0))
+            and hess_extreme_eigs(obj, Y).lambda_min < -pert.trigger_tol
+        )
+        if small and not saddle:
+            rec.converged = True
+            break
         if k == cfg.max_iters:
             break
 
-        if (
-            cfg.perturbation is not None
-            and gnorm < cfg.perturbation.trigger_tol
-            and (cooldown == 0 or gnorm <= cfg.grad_tol)
-            and negative_curvature()
-        ):
+        if saddle and gnorm < pert.trigger_tol:
             kick = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
-            cand = Y.Y + kick.theta * (cfg.perturbation.radius / kick.norm)
-            if not _full_rank(cand):
+            Y = _full_rank(Y.Y + kick.theta * (pert.radius / kick.norm))
+            if Y is None:
                 raise RankCollapseError(
                     f"saddle-escape perturbation collapsed the rank at iterate {k}",
                     iteration=k,
                 )
-            Y = FactorPoint(cand)
-            cooldown = cfg.perturbation.cooldown_iters
+            cooldown = pert.cooldown_iters
             rec.perturbed[-1] = True
             rec.steps.append(0.0)
             continue
@@ -215,32 +218,29 @@ def riemannian_gd(
 
         if cfg.step_size is not None:
             eta = cfg.step_size
-            cand = Y.Y - eta * grad.theta
-            if not _full_rank(cand):
+            Y = _full_rank(Y.Y - eta * grad.theta)
+            if Y is None:
                 raise RankCollapseError(
                     f"iterate {k + 1} left the full-rank set (step {eta:.3g})",
                     iteration=k + 1,
                 )
-            Y = FactorPoint(cand)
             rec.steps.append(eta)
             continue
 
         # Armijo backtracking; rank-collapsing trials count as rejected steps
         bt = cfg.backtracking
         eta = trial if trial is not None else 1.0 / (4.0 * Y.sigma_max**2)
-        accepted = False
         for _ in range(bt.max_backtracks):
-            cand = Y.Y - eta * grad.theta
-            if _full_rank(cand):
-                cand_val = float(obj.value(cand @ cand.T))
+            cand = _full_rank(Y.Y - eta * grad.theta)
+            if cand is not None:
+                cand_val = lifted_value(obj, cand)
                 if cand_val <= val - bt.c1 * eta * gnorm**2:
-                    Y = FactorPoint(cand)
+                    Y, accepted_val = cand, cand_val
                     rec.steps.append(eta)
                     trial = eta * 2.0
-                    accepted = True
                     break
             eta *= bt.shrink
-        if not accepted:
+        else:
             raise StepSearchError(
                 f"backtracking exhausted {bt.max_backtracks} trials at iterate {k} "
                 f"(gradient norm {gnorm:.3e})"

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -264,12 +265,12 @@ class TestExitCodes:
         )
         assert main(["optimize", "--config", str(cfg)]) == 3
 
-    def test_threads_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LANDSCAPE_THREADS", "2")
+    def test_two_threads_match_the_default(self, tmp_path):
         cfg = write_config(tmp_path, scan={"n_points": 4})
         assert main(["scan", "--config", str(cfg)]) == 0
-        monkeypatch.setenv("LANDSCAPE_THREADS", "zebra")
-        assert main(["scan", "--config", str(cfg)]) == 2
+        default = (tmp_path / "out" / "scan_report.csv").read_text()
+        assert main(["scan", "--config", str(cfg), "--threads", "2"]) == 0
+        assert (tmp_path / "out" / "scan_report.csv").read_text() == default
 
 
 def _instance_without_seed(tmp_path):
@@ -289,6 +290,13 @@ def _config_list(tmp_path):
     return cfile
 
 
+def _p_overflows(tmp_path):
+    # the JSON number 1e400 parses as an infinite float
+    cfile = write_config(tmp_path, problem={"p": "P"})
+    cfile.write_text(cfile.read_text().replace('"P"', "1e400"))
+    return cfile
+
+
 @pytest.mark.parametrize(
     "command, make_config",
     [
@@ -298,10 +306,16 @@ def _config_list(tmp_path):
         (["generate"], _config_list),
         (["scan"], lambda tmp_path: write_config(tmp_path, region_params={"mu": "x"})),
         (["scan", "--seed", "3"], lambda tmp_path: write_config(tmp_path, scan=[1])),
+        (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"max_iters": math.inf})),
+        (["generate"], _p_overflows),
+        (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"step_size": math.nan})),
+        (["scan"], lambda tmp_path: write_config(tmp_path, region_params={"beta": math.inf})),
+        (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"grad_tol": math.nan})),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
-        "mu-not-a-number", "overridden-section-is-a-list",
+        "mu-not-a-number", "overridden-section-is-a-list", "max-iters-infinite", "p-overflows",
+        "step-size-nan", "beta-infinite", "grad-tol-nan",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

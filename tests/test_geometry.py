@@ -188,6 +188,24 @@ class TestLogExp:
             exp_map(Y, th, 1.0)
         assert err.value.t == 1.0
 
+    def test_exp_map_is_one_svd(self, monkeypatch):
+        # the FactorPoint's own SVD is the rank check
+        rng = np.random.default_rng(14)
+        Y = factor(rng, 5, 2)
+        th = horizontal_project(Y, rng.standard_normal((5, 2)))
+        svd, calls = np.linalg.svd, []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        Yt = exp_map(Y, th, 0.3)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(Yt.Y, Y.Y + 0.3 * th.theta)
+        with pytest.raises(InputContractError):
+            exp_map(Y, th, float("nan"))
+
     def test_constant_speed(self):
         rng = np.random.default_rng(13)
         done = 0

@@ -332,6 +332,20 @@ class TestCertify:
         )
         assert reports_to_csv(a) == reports_to_csv(b)
 
+    def test_one_distance_per_certified_point(self, monkeypatch):
+        den, gt = make_denoising(20, 3, kappa_star=2.0, seed=28)
+        calls = []
+
+        def distance(Y1, Y2):
+            calls.append(Y1)
+            return quotient_distance(Y1, Y2)
+
+        monkeypatch.setattr(landscape, "quotient_distance", distance)
+        (rep,) = certify_landscape(den.handle(), gt, PARAMS, ["ball"], 1, seed=2)
+        assert RegionLabel.R1 in rep.region_labels and rep.passed
+        assert len(calls) == 1
+        assert rep.dist_to_star == quotient_distance(calls[0], gt.Y_star)
+
     def test_csv_shape(self):
         den, gt = make_denoising(8, 2, kappa_star=2.0, seed=26)
         reports = certify_landscape(den.handle(), gt, PARAMS, ["ball"], 5, seed=1)

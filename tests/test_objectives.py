@@ -160,6 +160,23 @@ class TestTraceRegression:
             reg.sensing, np.transpose(reg.sensing, (0, 2, 1)), atol=1e-15
         )
 
+    def test_chunked_sensing_equals_one_draw(self, monkeypatch):
+        from psdlandscape import objectives
+
+        p, n, seed = 4, 10, 11
+        # three samples per chunk, so the last chunk holds one
+        monkeypatch.setattr(objectives, "_CHUNK_ENTRIES", 3 * p * p + 1)
+        assert len(objectives._sample_chunks(n, p)) == 4
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        G = rng.standard_normal((n, p, p))
+        single = (G + np.transpose(G, (0, 2, 1))) / (2.0 * np.sqrt(n))
+        sensing = objectives._sensing_from_seed(p, n, seed)
+        np.testing.assert_array_equal(sensing, single)
+        # the chunked symmetry check still sees the last, partial chunk
+        sensing[-1, 0, 1] += 1.0
+        with pytest.raises(InputContractError, match="symmetric"):
+            objectives.TraceRegressionObjective(sensing, np.zeros(n), 2)
+
 
 class TestGroundTruth:
     def test_kappa_and_spectrum(self):

@@ -174,6 +174,60 @@ class TestGD:
         assert len(lines) == len(rec.values) + 1
 
 
+class TestEvaluatedOnce:
+    def test_value_once_per_trial_step(self, monkeypatch):
+        # the accepted trial's value is the next iterate's: obj.value runs at
+        # iterate 0 and once per full-rank trial, never again per iterate
+        import dataclasses
+
+        from psdlandscape import optimizers
+
+        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=17)
+        handle, full_rank = den.handle(), optimizers._full_rank
+        calls = {"value": 0, "trial": 0}
+
+        def counted_value(X):
+            calls["value"] += 1
+            return handle.value(X)
+
+        def counted_full_rank(Y):
+            calls["trial"] += 1
+            return full_rank(Y)
+
+        monkeypatch.setattr(optimizers, "_full_rank", counted_full_rank)
+        obj = dataclasses.replace(handle, value=counted_value)
+        Y0 = FactorPoint(np.random.default_rng(18).standard_normal((8, 2)))
+        rec = riemannian_gd(obj, Y0, GDConfig(max_iters=40, grad_tol=1e-14), gt=gt, params=PARAMS)
+        assert rec.iterations == 40 and calls["trial"] > rec.iterations
+        assert calls["value"] == 1 + calls["trial"]
+
+    def test_one_spectrum_per_iterate_at_a_saddle(self, monkeypatch):
+        # rank-1 target along e1; at 0.3 e2 the gradient (0.054) is below
+        # grad_tol and the Hessian has a negative eigenvalue, so iterate 0 is
+        # a strict saddle read by both the convergence and the escape test
+        from psdlandscape import optimizers
+        from psdlandscape.objectives import DenoisingObjective
+
+        X_star = np.zeros((4, 4))
+        X_star[0, 0] = 1.0
+        obj = DenoisingObjective(X_star, 1).handle()
+        y0 = np.zeros((4, 1))
+        y0[1, 0] = 0.3
+        spectrum, spectra = optimizers.hess_extreme_eigs, []
+
+        def counted_spectrum(obj, Y):
+            spectra.append(Y)
+            return spectrum(obj, Y)
+
+        monkeypatch.setattr(optimizers, "hess_extreme_eigs", counted_spectrum)
+        pert = PerturbationSpec(radius=0.01, trigger_tol=0.1)
+        rec = riemannian_gd(
+            obj, FactorPoint(y0), GDConfig(max_iters=1, grad_tol=0.06, perturbation=pert)
+        )
+        assert rec.perturbed == [True, False]
+        assert len(spectra) == 2
+
+
 class TestStepSearch:
     def test_exhaustion_raises(self):
         # a wrong-sign gradient points uphill, so every trial step increases

@@ -74,8 +74,6 @@ class TestFDChecks:
     def test_fdspec_validation(self):
         with pytest.raises(InputContractError):
             FDSpec(step=-1.0)
-        with pytest.raises(InputContractError):
-            FDSpec(scheme="forward")
 
 
 class TestBruteDistance:
