@@ -79,13 +79,23 @@ def _number(section: dict, name: str, key: str, default, kind=float):
             return number
     except (TypeError, ValueError, OverflowError):
         pass
-    what = "an integer" if kind is int else "a number"
-    raise InputContractError(f"{name}.{key} must be a finite {what}, got {value!r}")
+    what = "an integer" if kind is int else "a finite number"
+    raise InputContractError(f"{name}.{key} must be {what}, got {value!r}")
+
+
+def _seed(section: dict, name: str) -> int:
+    seed = _number(section, name, "seed", 0, int)
+    if seed < 0:
+        raise InputContractError(f"{name}.seed must be >= 0, got {seed}")
+    return seed
 
 
 def _problem_instance(cfg: dict) -> ProblemInstance:
-    if "instance_file" in cfg and cfg["instance_file"]:
-        return instance_from_document(_load_json(cfg["instance_file"], "instance file"))
+    source = cfg.get("instance_file")
+    if source is not None and not isinstance(source, str):
+        raise InputContractError(f"instance_file must be a path, got {source!r}")
+    if source:
+        return instance_from_document(_load_json(source, "instance file"))
     prob = cfg.get("problem")
     if not isinstance(prob, dict):
         raise InputContractError("config must contain a 'problem' object (or 'instance_file')")
@@ -152,8 +162,10 @@ def cmd_scan(args) -> int:
     params = _region_params(cfg)
     scan = _section(cfg, "scan")
     n_points = _number(scan, "scan", "n_points", 100, int)
-    samplers = list(scan.get("samplers", ["ball", "fiber", "scaled", "gaussian"]))
-    seed = _number(scan, "scan", "seed", 0, int)
+    samplers = scan.get("samplers", ["ball", "fiber", "scaled", "gaussian"])
+    if not isinstance(samplers, list) or not all(isinstance(s, str) for s in samplers):
+        raise InputContractError(f"scan.samplers must be a list of names, got {samplers!r}")
+    seed = _seed(scan, "scan")
     ball_radius = scan.get("ball_radius")
     if ball_radius is not None:
         ball_radius = _number(scan, "scan", "ball_radius", None)
@@ -247,7 +259,7 @@ def cmd_optimize(args) -> int:
         max_iters=_number(opt, "optimizer", "max_iters", 5000, int),
         grad_tol=_number(opt, "optimizer", "grad_tol", 1e-10),
         perturbation=pert_spec,
-        seed=_number(opt, "optimizer", "seed", 0, int),
+        seed=_seed(opt, "optimizer"),
     )
     out = _out_dir(cfg, args)
 

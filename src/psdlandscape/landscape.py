@@ -385,7 +385,7 @@ def compute_thresholds(
     ------
     HypothesisViolationError
         If ``(1 - mu/kappa*)^2 - 7 mu / 3 <= 0``, which voids the local
-        strong-convexity bracket.
+        strong-convexity bracket, or if a formula overflows or divides by zero.
     """
     mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
     kap = gt.kappa_star
@@ -400,45 +400,51 @@ def compute_thresholds(
             "the local strong-convexity bracket is void for these parameters"
         )
 
-    top = s1 + mu * sr / kap
-    correction = 4.0 * delta * top**2 + 14.0 * delta * mu * sr**2 / 3.0 + 2.0 * noise
-    r1_lower = (2.0 * (1.0 - mu / kap) ** 2 - 14.0 * mu / 3.0) * sr**2 - correction
-    r1_upper = 4.0 * top**2 + 14.0 * mu * sr**2 / 3.0 + correction
+    try:
+        top = s1 + mu * sr / kap
+        correction = 4.0 * delta * top**2 + 14.0 * delta * mu * sr**2 / 3.0 + 2.0 * noise
+        r1_lower = (2.0 * (1.0 - mu / kap) ** 2 - 14.0 * mu / 3.0) * sr**2 - correction
+        r1_upper = 4.0 * top**2 + 14.0 * mu * sr**2 / 3.0 + correction
 
-    r2_upper = (
-        (alpha - SQRT2M1_TIMES_2) * sr**2
-        + 2.0 * delta * (2.0 * beta**2 * s1**2 + (1.0 + gamma) * xnorm)
-        + 2.0 * noise
-    )
+        r2_upper = (
+            (alpha - SQRT2M1_TIMES_2) * sr**2
+            + 2.0 * delta * (2.0 * beta**2 * s1**2 + (1.0 + gamma) * xnorm)
+            + 2.0 * noise
+        )
 
-    r3_lowers = (
-        alpha * mu * sr**3 / (8.0 * kap),
-        (beta**3 - beta) * s1**3,
-        (gamma - 1.0) * np.sqrt(gamma) * xnorm**1.5 / np.sqrt(r),
-    )
+        r3_lowers = (
+            alpha * mu * sr**3 / (8.0 * kap),
+            (beta**3 - beta) * s1**3,
+            (gamma - 1.0) * np.sqrt(gamma) * xnorm**1.5 / np.sqrt(r),
+        )
 
-    delta_min = min(
-        alpha * mu * sr**2 / (32.0 * kap**2 * beta * (1.0 + gamma) * xnorm),
-        (beta**2 - 1.0) * s1**2 / (4.0 * (1.0 + gamma) * xnorm),
-        (gamma - 1.0) / (4.0 * (gamma + 1.0)),
-    )
-    psi = min(
-        alpha * mu * sr**2 / (32.0 * kap**2 * beta),
-        (beta**2 - 1.0) * s1**2 / 4.0,
-        (gamma - 1.0) * xnorm / 4.0,
-    )
+        delta_min = min(
+            alpha * mu * sr**2 / (32.0 * kap**2 * beta * (1.0 + gamma) * xnorm),
+            (beta**2 - 1.0) * s1**2 / (4.0 * (1.0 + gamma) * xnorm),
+            (gamma - 1.0) / (4.0 * (gamma + 1.0)),
+        )
+        psi = min(
+            alpha * mu * sr**2 / (32.0 * kap**2 * beta),
+            (beta**2 - 1.0) * s1**2 / 4.0,
+            (gamma - 1.0) * xnorm / 4.0,
+        )
 
-    delta_composite = min(
-        margin / (4.0 * (2.0 * (kap + mu / kap) ** 2 + 7.0 * mu / 3.0)),
-        (SQRT2M1_TIMES_2 - alpha) * sr**2
-        / (8.0 * (2.0 * beta**2 * s1**2 + (1.0 + gamma) * xnorm)),
-        delta_min,
-    )
-    noise_composite = min(
-        margin * sr**2 / 4.0,
-        (SQRT2M1_TIMES_2 - alpha) * sr**2 / 8.0,
-        psi,
-    )
+        delta_composite = min(
+            margin / (4.0 * (2.0 * (kap + mu / kap) ** 2 + 7.0 * mu / 3.0)),
+            (SQRT2M1_TIMES_2 - alpha) * sr**2
+            / (8.0 * (2.0 * beta**2 * s1**2 + (1.0 + gamma) * xnorm)),
+            delta_min,
+        )
+        noise_composite = min(
+            margin * sr**2 / 4.0,
+            (SQRT2M1_TIMES_2 - alpha) * sr**2 / 8.0,
+            psi,
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise HypothesisViolationError(
+            f"the threshold formulas leave the floating-point range for {params}, "
+            f"sigma_1* = {s1:.6g} and sigma_r* = {sr:.6g}"
+        ) from None
 
     return ThresholdReport(
         delta_min=float(delta_min),

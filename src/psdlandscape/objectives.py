@@ -15,7 +15,9 @@ bilinear form, nothing else.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,52 +119,127 @@ def _sample_chunks(n: int, p: int) -> list[slice]:
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+@functools.lru_cache(maxsize=16)
+def _triu(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions in a ``p x p`` matrix of its upper triangle (row by
+    row, the packed order) and of the mirrored entries, and the packed
+    positions of the diagonal."""
+    iu, ju = np.triu_indices(p)
+    index = (iu * p + ju, ju * p + iu, np.flatnonzero(iu == ju))
+    for a in index:
+        a.flags.writeable = False  # shared by every caller of the cache
+    return index
+
+
+def _apply_packed(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A(X)_i = <A_i, X>`` for symmetric ``A_i`` stored as packed upper
+    triangles: ``packed @ c(X)`` with ``c(X)`` the upper triangle of
+    ``X + X.T`` with the diagonal halved. Exact for any square ``X``."""
+    X = np.asarray(X, dtype=float)
+    upper, lower, diag = _triu(X.shape[0])
+    flat = X.reshape(-1)
+    c = flat[upper] + flat[lower]
+    c[diag] = flat[upper[diag]]
+    return packed @ c
+
+
 class TraceRegressionObjective:
-    """``f(X) = 0.5 * ||A(X) - y||_2^2`` with symmetric sensing matrices."""
+    """``f(X) = 0.5 * ||A(X) - y||_2^2`` with symmetric sensing matrices.
+
+    The map is stored once, as the ``(n, p(p+1)/2)`` array :attr:`packed`
+    whose row ``i`` is the upper triangle of ``A_i`` (row by row): ``n
+    p(p+1)/2`` doubles. The full ``(n, p, p)`` array :attr:`sensing` is
+    built from it on first access and then kept.
+    """
 
     def __init__(self, sensing: np.ndarray, y: np.ndarray, r: int, noise_sigma: float = 0.0):
         sensing = np.asarray(sensing, dtype=float)
         if sensing.ndim != 3 or sensing.shape[1] != sensing.shape[2]:
             raise InputContractError(f"sensing must be (n, p, p), got {sensing.shape}")
-        asym = np.sqrt(
-            sum(
-                np.linalg.norm(sensing[c] - np.transpose(sensing[c], (0, 2, 1))) ** 2
-                for c in _sample_chunks(*sensing.shape[:2])
-            )
-        )
-        if asym > 1e-12 * max(np.linalg.norm(sensing), 1e-300):
+        n, p = sensing.shape[:2]
+        upper = _triu(p)[0]
+        packed = np.empty((n, len(upper)))
+        asym = 0.0
+        for c in _sample_chunks(n, p):
+            S = sensing[c]
+            asym += np.linalg.norm(S - np.transpose(S, (0, 2, 1))) ** 2
+            packed[c] = S.reshape(len(S), p * p)[:, upper]
+        if np.sqrt(asym) > 1e-12 * max(np.linalg.norm(sensing), 1e-300):
             raise InputContractError("sensing matrices must be symmetric")
+        self._adopt(packed, y, r, noise_sigma)
+
+    @classmethod
+    def _from_packed(
+        cls, packed: np.ndarray, y: np.ndarray, r: int, noise_sigma: float
+    ) -> "TraceRegressionObjective":
+        obj = cls.__new__(cls)
+        obj._adopt(packed, y, r, noise_sigma)
+        return obj
+
+    def _adopt(self, packed: np.ndarray, y: np.ndarray, r: int, noise_sigma: float) -> None:
         y = np.asarray(y, dtype=float)
-        if y.shape != (sensing.shape[0],):
-            raise InputContractError(f"y must have shape ({sensing.shape[0]},)")
-        self.sensing = sensing
+        if y.shape != (packed.shape[0],):
+            raise InputContractError(f"y must have shape ({packed.shape[0]},)")
+        self.packed = packed
         self.y = y
         self.r = r
         self.noise_sigma = float(noise_sigma)
 
     @property
     def n(self) -> int:
-        return self.sensing.shape[0]
+        return self.packed.shape[0]
 
     @property
     def p(self) -> int:
-        return self.sensing.shape[1]
+        return (math.isqrt(8 * self.packed.shape[1] + 1) - 1) // 2
+
+    @functools.cached_property
+    def sensing(self) -> np.ndarray:
+        """The sensing matrices as a read-only ``(n, p, p)`` array."""
+        upper, lower, _ = _triu(self.p)
+        full = np.empty((self.n, self.p * self.p))
+        full[:, upper] = self.packed
+        full[:, lower] = self.packed
+        full = full.reshape(self.n, self.p, self.p)
+        full.flags.writeable = False
+        return full
 
     def apply_map(self, X: np.ndarray) -> np.ndarray:
         """Forward map ``A(X)_i = <A_i, X>``."""
-        return np.tensordot(self.sensing, X, axes=([1, 2], [0, 1]))
+        return _apply_packed(self.packed, X)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Adjoint map ``A.T(v) = sum_i v_i A_i``."""
-        return np.tensordot(v, self.sensing, axes=(0, 0))
+        p = self.p
+        upper, lower, _ = _triu(p)
+        u = np.asarray(v, dtype=float) @ self.packed
+        M = np.empty(p * p)
+        M[upper] = u
+        M[lower] = u
+        return M.reshape(p, p)
 
     def handle(self) -> ObjectiveHandle:
-        def value(X: np.ndarray) -> float:
+        # value and grad share the residual of the latest X either saw. The
+        # key is a private copy, so an X edited in place misses; the pair is
+        # replaced as one tuple, so threads sharing the handle never read a
+        # key with another X's residual
+        last = None
+
+        def residual(X: np.ndarray) -> np.ndarray:
+            nonlocal last
+            hit = last
+            if hit is not None and np.array_equal(hit[0], X):
+                return hit[1]
             res = self.apply_map(X) - self.y
+            last = (np.array(X, dtype=float), res)
+            return res
+
+        def value(X: np.ndarray) -> float:
+            res = residual(X)
             return 0.5 * float(res @ res)
 
         def grad(X: np.ndarray) -> np.ndarray:
-            return self.adjoint(self.apply_map(X) - self.y)
+            return self.adjoint(residual(X))
 
         def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
             return float(self.apply_map(G1) @ self.apply_map(G2))
@@ -370,15 +447,47 @@ def _truth_from_seed(p: int, r: int, seed: int, spectrum: np.ndarray) -> FactorP
 
 
 def _sensing_from_seed(p: int, n: int, seed: int) -> np.ndarray:
-    # drawn chunk by chunk into one array: consecutive draws of a generator
-    # equal one draw of their total size, and no second full-size copy exists
+    """The packed sensing map of ``(p, n, seed)`` (see
+    :class:`TraceRegressionObjective`). Each ``(n, p, p)`` Gaussian chunk
+    keeps only the upper triangle of its symmetrization: consecutive draws
+    of a generator equal one draw of their total size, so the entries are
+    those of one full draw, and no ``(n, p, p)`` array is built."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    sensing = np.empty((n, p, p))
-    for c in _sample_chunks(n, p):
-        G = rng.standard_normal((c.stop - c.start, p, p))
-        np.add(G, np.transpose(G, (0, 2, 1)), out=sensing[c])
-        sensing[c] /= 2.0 * np.sqrt(n)
-    return sensing
+    upper, lower, _ = _triu(p)
+    packed = np.empty((n, len(upper)))
+    chunks = _sample_chunks(n, p)
+    draw = np.empty((chunks[0].stop, p * p))
+    for c in chunks:
+        G = rng.standard_normal(out=draw[: c.stop - c.start])
+        packed[c] = G[:, upper]
+        packed[c] += G[:, lower]
+        packed[c] /= 2.0 * np.sqrt(n)
+    return packed
+
+
+#: bytes of the target matrix and the packed sensing map above which no
+#: instance is built
+MAX_INSTANCE_BYTES = 1 << 32
+
+
+def _check_problem(kind: str, p: int, r: int, n: int, seed: int) -> None:
+    """Reject a problem before anything of its size is allocated."""
+    if kind not in ("denoising", "trace_regression"):
+        raise InputContractError(f"unknown problem kind {kind!r}")
+    if p < 1 or r < 1 or r > p:
+        raise InputContractError(f"invalid dimensions p={p}, r={r}")
+    if seed < 0:
+        raise InputContractError(f"seed must be >= 0, got {seed}")
+    if kind == "denoising":
+        n = 0
+    elif n < 1:
+        raise InputContractError(f"trace regression needs n >= 1, got n={n}")
+    p, n = int(p), int(n)
+    size = 8 * (p * p + n * p * (p + 1) // 2)
+    if size > MAX_INSTANCE_BYTES:
+        raise InputContractError(
+            f"problem p={p}, n={n} needs {size} bytes, more than {MAX_INSTANCE_BYTES}"
+        )
 
 
 def make_instance(
@@ -397,10 +506,7 @@ def make_instance(
     map and the noise, so the sensing operator depends only on
     ``(p, n, seed)``.
     """
-    if kind not in ("denoising", "trace_regression"):
-        raise InputContractError(f"unknown problem kind {kind!r}")
-    if p < 1 or r < 1 or r > p:
-        raise InputContractError(f"invalid dimensions p={p}, r={r}")
+    _check_problem(kind, p, r, n, seed)
     if r == 1 and kappa_star != 1.0:
         raise InputContractError("a rank-1 factor always has kappa_star = 1")
     spectrum = np.linspace(kappa_star * sigma_r_star, sigma_r_star, r)
@@ -415,13 +521,12 @@ def make_instance(
             kind, p, r, 0, seed, 0.0, spectrum, obj, gt, denoising=den
         )
 
-    if n < 1:
-        raise InputContractError(f"trace regression needs n >= 1, got n={n}")
-    sensing = _sensing_from_seed(p, n, seed)
+    packed = _sensing_from_seed(p, n, seed)
     rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
     eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
-    y = np.tensordot(sensing, X_star, axes=([1, 2], [0, 1])) + eps
-    reg = TraceRegressionObjective(sensing, y, r, noise_sigma)
+    reg = TraceRegressionObjective._from_packed(
+        packed, _apply_packed(packed, X_star) + eps, r, noise_sigma
+    )
     obj = reg.handle()
     gt = GroundTruth.from_factor(Y_star, obj)
     return ProblemInstance(
@@ -444,8 +549,9 @@ def instance_from_document(doc: dict) -> ProblemInstance:
         y = np.asarray(doc["y"], dtype=float) if kind == "trace_regression" else None
     except KeyError as exc:
         raise InputContractError(f"instance document lacks {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputContractError(f"malformed instance document: {exc}") from None
+    _check_problem(kind, p, r, n, seed)
     if spectrum.shape != (r,):
         raise InputContractError(f"spectrum must have length r={r}")
     Y_star = _truth_from_seed(p, r, seed, spectrum)
@@ -455,17 +561,14 @@ def instance_from_document(doc: dict) -> ProblemInstance:
         obj = den.handle()
         gt = GroundTruth.from_factor(Y_star, obj)
         return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt, denoising=den)
-    if kind == "trace_regression":
-        sensing = _sensing_from_seed(p, n, seed)
-        if y.shape != (n,):
-            raise InputContractError(f"y must have length n={n}")
-        reg = TraceRegressionObjective(sensing, y, r, noise_sigma)
-        obj = reg.handle()
-        gt = GroundTruth.from_factor(Y_star, obj)
-        return ProblemInstance(
-            kind, p, r, n, seed, noise_sigma, spectrum, obj, gt, trace_regression=reg
-        )
-    raise InputContractError(f"unknown problem kind {kind!r}")
+    if y.shape != (n,):
+        raise InputContractError(f"y must have length n={n}")
+    reg = TraceRegressionObjective._from_packed(_sensing_from_seed(p, n, seed), y, r, noise_sigma)
+    obj = reg.handle()
+    gt = GroundTruth.from_factor(Y_star, obj)
+    return ProblemInstance(
+        kind, p, r, n, seed, noise_sigma, spectrum, obj, gt, trace_regression=reg
+    )
 
 
 def make_denoising(

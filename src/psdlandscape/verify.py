@@ -428,14 +428,18 @@ def _suite_singular_value_derivatives(rng: np.random.Generator) -> float:
     U0, _, Vt0 = np.linalg.svd(A0, full_matrices=False)
     V0 = Vt0.T
     worst = 0.0
-    h1 = 1e-5  # first-order step
-    _, s_p1, _ = svd_at(h1)
-    _, s_m1, _ = svd_at(-h1)
     h2 = 1e-4  # second-order step: the coarser default beats roundoff
     Up, s_p2, Vp = svd_at(h2)
     Um, s_m2, Vm = svd_at(-h2)
+    # first order: the central difference is D(h) = s1 + h^2 s3 / 6 + O(h^4)
+    # (s1, s3 the first and third derivatives), so the Richardson
+    # combination (4 D(h) - D(2h)) / 3 with 2h = h2 cancels the h^2 term
+    # that dominates the relative error of a near-zero derivative
+    h1 = h2 / 2.0
+    _, s_p1, _ = svd_at(h1)
+    _, s_m1, _ = svd_at(-h1)
     for i in range(len(s0)):
-        fd1 = (s_p1[i] - s_m1[i]) / (2.0 * h1)
+        fd1 = (4.0 * (s_p1[i] - s_m1[i]) / (2.0 * h1) - (s_p2[i] - s_m2[i]) / (2.0 * h2)) / 3.0
         an1 = float(U0[:, i] @ B @ V0[:, i])
         worst = max(worst, _rel_err(fd1, an1))
         fd2 = (s_p2[i] - 2.0 * s0[i] + s_m2[i]) / (h2 * h2)
@@ -635,6 +639,8 @@ def run_suite(
         raise InputContractError(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         )
+    if seed < 0:
+        raise InputContractError(f"seed must be >= 0, got {seed}")
     fn, tol = _SUITES[name]
 
     def one(i: int) -> float:

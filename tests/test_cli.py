@@ -203,6 +203,15 @@ class TestVerify:
         doc = json.loads((tmp_path / "verify_norm-sandwich.json").read_text())
         assert doc["passes"] == doc["instances"] == 10
 
+    def test_singular_value_derivatives_seed_nine(self, tmp_path):
+        # seed 9 holds an instance with a near-zero first derivative
+        argv = ["verify", "--suite", "singular-value-derivatives", "--seed", "9"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        argv = ["verify", "--suite", "norm-sandwich", "--seed", "-1"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+
     def test_unknown_suite_lists_options(self, tmp_path, capsys):
         code = main(["verify", "--suite", "nope", "--output-dir", str(tmp_path)])
         captured = capsys.readouterr()
@@ -272,6 +281,22 @@ class TestExitCodes:
         assert main(["scan", "--config", str(cfg), "--threads", "2"]) == 0
         assert (tmp_path / "out" / "scan_report.csv").read_text() == default
 
+    def test_two_threads_match_one_on_trace_regression(self, tmp_path):
+        # the scan's workers share one objective handle and its residual
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "trace_regression", "p": 6, "r": 2, "n": 72, "noise_sigma": 0.01},
+            scan={
+                "n_points": 8,
+                "samplers": ["ball", "fiber", "scaled", "gaussian"],
+                "delta_samples": 20,
+            },
+        )
+        assert main(["scan", "--config", str(cfg), "--threads", "1"]) in (0, 1)
+        one = (tmp_path / "out" / "scan_report.csv").read_text()
+        assert main(["scan", "--config", str(cfg), "--threads", "2"]) in (0, 1)
+        assert (tmp_path / "out" / "scan_report.csv").read_text() == one
+
 
 def _instance_without_seed(tmp_path):
     doc = {"kind": "denoising", "p": 4, "r": 1, "n": 0, "noise_sigma": 0.0, "spectrum": [1.0], "y": []}
@@ -297,6 +322,12 @@ def _p_overflows(tmp_path):
     return cfile
 
 
+def _target_underflows(tmp_path):
+    # ||X*||_F underflows to 0, so the threshold formulas divide by zero
+    problem = {"kind": "trace_regression", "n": 200, "sigma_r_star": 3e-161}
+    return write_config(tmp_path, problem=problem, scan={"delta_samples": 5})
+
+
 @pytest.mark.parametrize(
     "command, make_config",
     [
@@ -311,11 +342,19 @@ def _p_overflows(tmp_path):
         (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"step_size": math.nan})),
         (["scan"], lambda tmp_path: write_config(tmp_path, region_params={"beta": math.inf})),
         (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"grad_tol": math.nan})),
+        (["generate"], lambda tmp_path: write_config(tmp_path, instance_file=True)),
+        (["scan"], lambda tmp_path: write_config(tmp_path, scan={"samplers": None})),
+        (["scan"], lambda tmp_path: write_config(tmp_path, scan={"seed": -1})),
+        (["scan"], lambda tmp_path: write_config(tmp_path, region_params={"beta": 1e308})),
+        (["scan"], _target_underflows),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"p": 10**9})),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
         "mu-not-a-number", "overridden-section-is-a-list", "max-iters-infinite", "p-overflows",
-        "step-size-nan", "beta-infinite", "grad-tol-nan",
+        "step-size-nan", "beta-infinite", "grad-tol-nan", "instance-file-not-a-path",
+        "samplers-null", "scan-seed-negative", "beta-overflows", "target-underflows",
+        "p-too-large",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

@@ -8,6 +8,7 @@ from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_pro
 from psdlandscape.objectives import (
     DenoisingObjective,
     GroundTruth,
+    TraceRegressionObjective,
     embedded_hess_quadform,
     instance_from_document,
     lifted_value,
@@ -167,15 +168,138 @@ class TestTraceRegression:
         # three samples per chunk, so the last chunk holds one
         monkeypatch.setattr(objectives, "_CHUNK_ENTRIES", 3 * p * p + 1)
         assert len(objectives._sample_chunks(n, p)) == 4
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        G = rng.standard_normal((n, p, p))
-        single = (G + np.transpose(G, (0, 2, 1))) / (2.0 * np.sqrt(n))
-        sensing = objectives._sensing_from_seed(p, n, seed)
-        np.testing.assert_array_equal(sensing, single)
-        # the chunked symmetry check still sees the last, partial chunk
-        sensing[-1, 0, 1] += 1.0
+        single = _one_draw(p, n, seed)
+        iu, ju = np.triu_indices(p)
+        packed = objectives._sensing_from_seed(p, n, seed)
+        np.testing.assert_array_equal(packed, single[:, iu, ju])
+        # the chunked symmetry check of the constructor still sees the
+        # last, partial chunk
+        single[-1, 0, 1] += 1.0
         with pytest.raises(InputContractError, match="symmetric"):
-            objectives.TraceRegressionObjective(sensing, np.zeros(n), 2)
+            objectives.TraceRegressionObjective(single, np.zeros(n), 2)
+
+    def test_sensing_is_read_only_and_equals_one_draw(self):
+        p, n, seed = 5, 37, 3
+        reg, _ = make_trace_regression(p, 2, n, seed=seed)
+        assert reg.packed.shape == (n, p * (p + 1) // 2)
+        np.testing.assert_array_equal(reg.sensing, _one_draw(p, n, seed))
+        assert reg.sensing is reg.sensing
+        with pytest.raises(ValueError):
+            reg.sensing[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_packed_map_matches_full_array(self, symmetric):
+        p, n = 7, 53
+        reg, _ = make_trace_regression(p, 2, n, noise_sigma=0.1, seed=14)
+        full = _one_draw(p, n, 14)
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((p, p))
+        if symmetric:
+            X = X + X.T
+        expected = np.tensordot(full, X, axes=([1, 2], [0, 1]))
+        tol = 1e-13 * np.abs(expected).max()
+        np.testing.assert_allclose(reg.apply_map(X), expected, rtol=0, atol=tol)
+        v = rng.standard_normal(n)
+        expected = np.tensordot(v, full, axes=(0, 0))
+        tol = 1e-13 * np.abs(expected).max()
+        np.testing.assert_allclose(reg.adjoint(v), expected, rtol=0, atol=tol)
+
+    def test_full_array_constructor_packs_the_upper_triangle(self):
+        reg, _ = make_trace_regression(5, 2, 20, noise_sigma=0.1, seed=16)
+        rebuilt = TraceRegressionObjective(np.array(reg.sensing), reg.y, 2, 0.1)
+        np.testing.assert_array_equal(rebuilt.packed, reg.packed)
+
+    def test_make_instance_holds_no_full_array(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            inst = make_instance("trace_regression", 60, 2, n=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = inst.trace_regression.packed
+        assert packed.nbytes == 2000 * 60 * 61 // 2 * 8
+        # one full (n, p, p) array alone would be about twice the packed one
+        assert peak < 1.25 * packed.nbytes
+        assert "sensing" not in vars(inst.trace_regression)
+
+    def test_value_and_grad_share_the_residual(self):
+        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=17)
+        passes = _count_passes(reg)
+        obj = reg.handle()
+        X = np.random.default_rng(18).standard_normal((6, 6))
+        value = obj.value(X)
+        grad = obj.euclid_grad(X.copy())
+        assert passes == {"apply_map": 1, "adjoint": 1}
+        res = reg.apply_map(X) - reg.y
+        assert value == 0.5 * float(res @ res)
+        np.testing.assert_array_equal(grad, reg.adjoint(res))
+
+    def test_residual_recomputed_after_in_place_edit(self):
+        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=19)
+        passes = _count_passes(reg)
+        obj = reg.handle()
+        X = np.random.default_rng(20).standard_normal((6, 6))
+        before = obj.value(X)
+        X[0, 1] += 1.0
+        after = obj.value(X)
+        assert passes["apply_map"] == 2
+        res = reg.apply_map(X) - reg.y
+        assert after == 0.5 * float(res @ res) and after != before
+
+    def test_shared_residual_under_thread_switches(self):
+        import sys
+        import threading
+
+        reg, _ = make_trace_regression(5, 2, 30, noise_sigma=0.1, seed=21)
+        obj = reg.handle()
+        rng = np.random.default_rng(22)
+        points = [rng.standard_normal((5, 5)) for _ in range(6)]
+        residuals = [reg.apply_map(X) - reg.y for X in points]
+        expected = [(0.5 * float(r @ r), reg.adjoint(r)) for r in residuals]
+        wrong = []
+
+        def work(k):
+            X = points[k]
+            for _ in range(200):
+                value, grad = obj.value(X), obj.euclid_grad(X)
+                if value != expected[k][0] or not np.array_equal(grad, expected[k][1]):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def _one_draw(p, n, seed):
+    """The sensing map as one Gaussian draw, symmetrized in one step."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    G = rng.standard_normal((n, p, p))
+    return (G + np.transpose(G, (0, 2, 1))) / (2.0 * np.sqrt(n))
+
+
+def _count_passes(reg):
+    """Count the calls of ``reg``'s forward and adjoint maps from now on."""
+    passes = {"apply_map": 0, "adjoint": 0}
+    for name in passes:
+        method = getattr(reg, name)
+
+        def counted(arg, name=name, method=method):
+            passes[name] += 1
+            return method(arg)
+
+        setattr(reg, name, counted)
+    return passes
 
 
 class TestGroundTruth:
