@@ -24,7 +24,6 @@ from .errors import (
 )
 from .geometry import (
     FactorPoint,
-    GeodesicSegment,
     HorizontalTangent,
     convexity_radius,
     exp_map,

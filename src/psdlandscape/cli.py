@@ -71,11 +71,13 @@ def _section(parent: dict, name: str) -> dict:
 
 def _number(section: dict, name: str, key: str, default, kind=float):
     """``kind(section[key])`` (or of ``default``); a value that is not a
-    finite number is a usage error."""
+    finite number, a boolean, or for ``kind=int`` a non-integral number, is a
+    usage error."""
     value = section.get(key, default)
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
     try:
         number = kind(value)
-        if math.isfinite(number):
+        if math.isfinite(number) and not isinstance(value, bool) and not fractional:
             return number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -178,27 +180,26 @@ def cmd_scan(args) -> int:
             file=sys.stderr,
         )
 
+    sampled = inst.kind != "denoising"
     delta = 0.0
-    gate_reason = None
-    if inst.kind != "denoising":
+    if sampled:
         delta = rsc_rsm_estimate(
             inst.objective, inst.r, _number(scan, "scan", "delta_samples", 200, int), seed
         )
-        thresholds_probe = compute_thresholds(inst.ground_truth, params, inst.r, delta=delta)
-        if delta > thresholds_probe.delta_composite_bound:
-            gate_reason = (
-                f"sampled constant delta-hat = {delta:.4g} exceeds the composite "
-                f"bound {thresholds_probe.delta_composite_bound:.4g}; checks use "
-                "the substituted formulas and count as statistical evidence only"
-            )
-        elif inst.ground_truth.grad_at_star_trunc > thresholds_probe.noise_composite_bound:
-            gate_reason = (
-                f"noise level {inst.ground_truth.grad_at_star_trunc:.4g} exceeds the "
-                f"composite bound {thresholds_probe.noise_composite_bound:.4g}; "
-                "checks count as statistical evidence only"
-            )
-
     thresholds = compute_thresholds(inst.ground_truth, params, inst.r, delta=delta)
+    gate_reason = None
+    if sampled and delta > thresholds.delta_composite_bound:
+        gate_reason = (
+            f"sampled constant delta-hat = {delta:.4g} exceeds the composite "
+            f"bound {thresholds.delta_composite_bound:.4g}; checks use "
+            "the substituted formulas and count as statistical evidence only"
+        )
+    elif sampled and inst.ground_truth.grad_at_star_trunc > thresholds.noise_composite_bound:
+        gate_reason = (
+            f"noise level {inst.ground_truth.grad_at_star_trunc:.4g} exceeds the "
+            f"composite bound {thresholds.noise_composite_bound:.4g}; "
+            "checks count as statistical evidence only"
+        )
     reports = certify_landscape(
         inst.objective,
         inst.ground_truth,

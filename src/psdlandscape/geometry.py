@@ -16,17 +16,16 @@ metric, which makes everything here closed-form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputContractError, NonUniqueAlignmentError, RankCollapseError
-from .kernels import check_matrix, procrustes_align, thin_svd
+from .kernels import _align, check_matrix, procrustes_align, thin_svd
 
 __all__ = [
     "FactorPoint",
     "HorizontalTangent",
-    "GeodesicSegment",
     "same_base",
     "vertical_project",
     "horizontal_project",
@@ -45,8 +44,9 @@ RANK_TOL_FLOOR = 1e-300
 class FactorPoint:
     """A full-column-rank ``p x r`` factor representing the class ``[Y]``.
 
-    The thin SVD of ``Y`` is computed once at construction and cached;
-    instances are immutable and safe to share across threads.
+    The thin SVD of ``Y`` is computed once at construction and the Gram
+    matrix once on first use; both are cached read-only, and instances are
+    immutable and safe to share across threads.
 
     Raises
     ------
@@ -55,7 +55,7 @@ class FactorPoint:
         ``sigma_r(Y) <= max(1e-10 * sigma_1(Y), 1e-300)``.
     """
 
-    __slots__ = ("Y", "svd", "sigma_max", "sigma_min")
+    __slots__ = ("Y", "svd", "sigma_max", "sigma_min", "_gram")
 
     def __init__(self, Y: np.ndarray):
         Y = check_matrix(Y, "factor").copy()
@@ -74,6 +74,7 @@ class FactorPoint:
         object.__setattr__(self, "svd", svd)
         object.__setattr__(self, "sigma_max", sigma_max)
         object.__setattr__(self, "sigma_min", sigma_min)
+        object.__setattr__(self, "_gram", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FactorPoint is immutable")
@@ -87,8 +88,12 @@ class FactorPoint:
         return self.Y.shape[1]
 
     def gram(self) -> np.ndarray:
-        """The represented PSD matrix ``Y @ Y.T``."""
-        return self.Y @ self.Y.T
+        """The represented PSD matrix ``Y @ Y.T`` (read-only, formed once)."""
+        if self._gram is None:
+            X = self.Y @ self.Y.T
+            X.setflags(write=False)
+            object.__setattr__(self, "_gram", X)
+        return self._gram
 
     def __repr__(self) -> str:
         return f"FactorPoint(p={self.p}, r={self.r}, sigma_min={self.sigma_min:.3g})"
@@ -129,23 +134,6 @@ class HorizontalTangent:
 def same_base(tangent: HorizontalTangent, base: FactorPoint) -> bool:
     """Whether a tangent is anchored at ``base`` (by identity or by value)."""
     return tangent.base is base or np.array_equal(tangent.base.Y, base.Y)
-
-
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """The geodesic ``t -> [start.Y + t * direction.theta]`` for ``t`` in [0, 1]."""
-
-    start: FactorPoint
-    direction: HorizontalTangent
-    length: float = field(init=False)
-
-    def __post_init__(self):
-        if not same_base(self.direction, self.start):
-            raise InputContractError("direction must be based at the start point")
-        object.__setattr__(self, "length", self.direction.norm)
-
-    def point(self, t: float) -> FactorPoint:
-        return exp_map(self.start, self.direction, t)
 
 
 def vertical_project(base: FactorPoint, Z: np.ndarray) -> np.ndarray:
@@ -200,12 +188,9 @@ def log_map(Y1: FactorPoint, Y2: FactorPoint) -> HorizontalTangent:
     """
     if Y1.Y.shape != Y2.Y.shape:
         raise InputContractError(f"shape mismatch: {Y1.Y.shape} vs {Y2.Y.shape}")
-    cross = Y1.Y.T @ Y2.Y
-    QU, s, QV = thin_svd(cross)
-    smin = float(s[-1])
-    if smin <= max(RANK_TOL_REL * float(s[0]), RANK_TOL_FLOOR):
-        raise NonUniqueAlignmentError(smin)
-    Q = QV @ QU.T
+    Q, s, unique = _align(Y1.Y, Y2.Y)
+    if not unique:
+        raise NonUniqueAlignmentError(float(s[-1]))
     return HorizontalTangent(Y2.Y @ Q - Y1.Y, Y1)
 
 

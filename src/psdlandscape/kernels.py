@@ -124,6 +124,17 @@ def truncated_frob_norm(A: np.ndarray, r: int) -> float:
     return float(np.sqrt(np.sum(s[:r] ** 2)))
 
 
+def _align(Y1: np.ndarray, Y2: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The orthogonal ``Q`` minimizing ``||Y2 @ Q - Y1||_F``, from the one SVD
+    of the cross-Gram ``Y1.T @ Y2``: returns ``Q``, the singular values of
+    the cross-Gram and whether ``Q`` is unique (the cross-Gram is
+    nonsingular: its smallest singular value exceeds
+    ``max(1e-10 sigma_1, 1e-300)``). A non-unique ``Q`` is the
+    deterministic one of the canonicalized SVD."""
+    QU, s, QV = thin_svd(Y1.T @ Y2)
+    return QV @ QU.T, s, bool(s[-1] > max(1e-10 * float(s[0]), 1e-300))
+
+
 def procrustes_align(Y1: np.ndarray, Y2: np.ndarray) -> tuple[np.ndarray, float]:
     """Best orthogonal alignment of ``Y2`` onto ``Y1``.
 
@@ -136,7 +147,6 @@ def procrustes_align(Y1: np.ndarray, Y2: np.ndarray) -> tuple[np.ndarray, float]
     Y2 = check_matrix(Y2, "Y2")
     if Y1.shape != Y2.shape:
         raise InputContractError(f"shape mismatch: {Y1.shape} vs {Y2.shape}")
-    QU, _, QV = thin_svd(Y1.T @ Y2)
-    Q = QV @ QU.T
+    Q, _, _ = _align(Y1, Y2)
     residual = float(np.linalg.norm(Y2 @ Q - Y1))
     return Q, residual

@@ -33,14 +33,8 @@ from .errors import (
     NumericalFailure,
     ResourceLimitError,
 )
-from .geometry import (
-    FactorPoint,
-    HorizontalTangent,
-    horizontal_project,
-    quotient_distance,
-    vertical_project,
-)
-from .kernels import sym_eig, thin_svd
+from .geometry import FactorPoint, HorizontalTangent, horizontal_project, vertical_project
+from .kernels import _align, sym_eig
 from .objectives import (
     GroundTruth,
     ObjectiveHandle,
@@ -165,11 +159,15 @@ class RegionReport:
 
 def _classify(
     Y: FactorPoint, gt: GroundTruth, params: RegionParams
-) -> tuple[set[RegionLabel], tuple[float, float, float, float, float]]:
+) -> tuple[set[RegionLabel], tuple[float, float, float, float, float], tuple[np.ndarray, bool]]:
     """The labels of :func:`classify_region` and what they were read from:
     the quotient distance to the target, the norm of the exact-factorization
-    gradient, the spectral norm, the Gram norm and ``||X*||_F``."""
-    dist = quotient_distance(Y, gt.Y_star)
+    gradient, the spectral norm, the Gram norm and ``||X*||_F``; and the
+    aligned difference ``Y - Y* Q``, whose norm is that distance, with
+    whether the alignment ``Q`` of the target onto ``Y`` is unique."""
+    Q, _, unique = _align(Y.Y, gt.Y_star.Y)
+    aligned = Y.Y - gt.Y_star.Y @ Q
+    dist = float(np.linalg.norm(aligned))
     d = 0.0 if dist <= 1e-12 * gt.sigmar_star else dist
     X = Y.gram()
     grad_norm = float(np.linalg.norm(2.0 * ((X - gt.X_star) @ Y.Y)))
@@ -194,7 +192,7 @@ def _classify(
         labels.add(RegionLabel.R3_DOUBLE_PRIME)
     if gram_norm > gram_cap:
         labels.add(RegionLabel.R3_TRIPLE_PRIME)
-    return labels, (dist, grad_norm, spec_norm, gram_norm, xnorm)
+    return labels, (dist, grad_norm, spec_norm, gram_norm, xnorm), (aligned, unique)
 
 
 def classify_region(
@@ -227,11 +225,14 @@ DENSE_HESSIAN_CAP = 4000
 _LANCZOS_RESIDUAL_TOL = 1e-8
 
 
-def horizontal_basis(Y: FactorPoint) -> list[HorizontalTangent]:
-    """Orthonormal basis (Frobenius inner product) of the horizontal space.
+def horizontal_basis(Y: FactorPoint) -> np.ndarray:
+    """Orthonormal basis (Frobenius inner product) of the horizontal space,
+    as a read-only ``(m, p, r)`` array of its ``m = horizontal_dim(p, r)``
+    lifts.
 
-    Built from ``Y (Y.T Y)^{-1} S`` over a symmetric-matrix basis plus
-    ``U_perp E`` over matrix units, then orthonormalized by a QR pass.
+    Built from ``Y (Y.T Y)^{-1} S`` over the symmetric matrices
+    ``S = E_ij + E_ji`` (``i <= j``, ``E_ii`` once) plus ``U_perp E`` over
+    matrix units, then orthonormalized by a QR pass.
 
     Raises
     ------
@@ -247,29 +248,23 @@ def horizontal_basis(Y: FactorPoint) -> list[HorizontalTangent]:
     U, sigma, V = Y.svd
     # Y (Y.T Y)^{-1} = U diag(1/sigma) V.T
     Ypinv_t = (U / sigma[None, :]) @ V.T
-    cols = []
-    for i in range(r):
-        for j in range(i, r):
-            S = np.zeros((r, r))
-            S[i, j] = S[j, i] = 1.0
-            cols.append((Ypinv_t @ S).ravel())
-    if p > r:
-        Q_full, _ = np.linalg.qr(U, mode="complete")
-        U_perp = Q_full[:, r:]
-        for i in range(p - r):
-            for j in range(r):
-                E = np.zeros((p, r))
-                E[:, j] = U_perp[:, i]
-                cols.append(E.ravel())
-    A = np.stack(cols, axis=1)
+    i, j = np.triu_indices(r)
+    k = np.arange(len(i))
+    S = np.zeros((len(k), r, r))
+    S[k, i, j] = S[k, j, i] = 1.0
+    U_perp = np.linalg.qr(U, mode="complete")[0][:, r:]
+    # column (a, b) of the kron is U_perp[:, a] in column b of a p x r matrix
+    A = np.hstack([(Ypinv_t @ S).reshape(len(k), p * r).T, np.kron(U_perp, np.eye(r))])
     Qmat, R = np.linalg.qr(A)
     if np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(np.diag(R))):
         raise NumericalFailure("horizontal basis candidates are numerically dependent")
-    return [HorizontalTangent(Qmat[:, k].reshape(p, r), Y) for k in range(dim)]
+    basis = np.ascontiguousarray(Qmat.T).reshape(dim, p, r)
+    basis.flags.writeable = False
+    return basis
 
 
 def _dense_extremes(hess: _HessianForm, Y: FactorPoint) -> HessianSpectrumEstimate:
-    lifts = [hess.lift(b.theta) for b in horizontal_basis(Y)]
+    lifts = [hess.lift(b) for b in horizontal_basis(Y)]
     m = len(lifts)
     M = np.empty((m, m))
     for k in range(m):
@@ -284,7 +279,7 @@ def _lanczos_extremes(hess: _HessianForm, Y: FactorPoint) -> HessianSpectrumEsti
     dim = horizontal_dim(p, r)
 
     def horizontal(Z: np.ndarray) -> np.ndarray:
-        return horizontal_project(Y, Z).theta
+        return Z - vertical_project(Y, Z)
 
     def apply(v: np.ndarray) -> np.ndarray:
         # entry (i, j) is b(v, E_ij); the horizontal part of that matrix is
@@ -359,17 +354,20 @@ def escape_direction(Y: FactorPoint, gt: GroundTruth) -> HorizontalTangent:
     target. When the alignment is not unique the deterministic minimizer
     of the canonicalized SVD is used and a warning is emitted.
     """
-    cross = Y.Y.T @ gt.Y_star.Y
-    QU, s, QV = thin_svd(cross)
-    if s[-1] <= 1e-10 * max(float(s[0]), 1e-300):
+    Q, _, unique = _align(Y.Y, gt.Y_star.Y)
+    return _escape_tangent(Y, Y.Y - gt.Y_star.Y @ Q, unique)
+
+
+def _escape_tangent(Y: FactorPoint, aligned: np.ndarray, unique: bool) -> HorizontalTangent:
+    """The escape direction from the aligned difference of :func:`_classify`."""
+    if not unique:
         warnings.warn(
             "alignment of the target onto Y is not unique; using the "
             "deterministic canonicalized minimizer",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    Q = QV @ QU.T
-    return HorizontalTangent(Y.Y - gt.Y_star.Y @ Q, Y)
+    return HorizontalTangent(aligned, Y)
 
 
 def compute_thresholds(
@@ -470,14 +468,11 @@ def random_ball_tangent(
 ) -> HorizontalTangent:
     """Horizontal direction with norm distributed as uniform-in-ball."""
     dim = horizontal_dim(base.p, base.r)
-    raw = rng.standard_normal(base.Y.shape)
-    theta = raw - vertical_project(base, raw)
-    nrm = np.linalg.norm(theta)
-    if nrm == 0.0:  # pragma: no cover - measure zero
-        theta = base.Y.copy()
-        nrm = np.linalg.norm(theta)
+    theta = horizontal_project(base, rng.standard_normal(base.Y.shape))
+    if theta.norm == 0.0:  # pragma: no cover - measure zero
+        theta = HorizontalTangent(base.Y, base)
     scale = radius * rng.uniform() ** (1.0 / dim)
-    return HorizontalTangent(theta * (scale / nrm), base)
+    return HorizontalTangent(theta.theta * (scale / theta.norm), base)
 
 
 def _sample_point(
@@ -523,7 +518,7 @@ def _certify_point(
     params: RegionParams,
     thresholds: ThresholdReport,
 ) -> RegionReport:
-    labels, (d, grad_H, spec_norm, gram_norm, xnorm) = _classify(Y, gt, params)
+    labels, (d, grad_H, spec_norm, gram_norm, xnorm), escape = _classify(Y, gt, params)
     grad_h = riemannian_grad_lift(obj, Y).norm
 
     tol_curv = 1e-8 * gt.sigmar_star**2
@@ -542,7 +537,7 @@ def _certify_point(
         checks.append((thresholds.r1_hess_upper, m_hi, m_hi >= 0.0))
 
     if RegionLabel.R2 in labels:
-        theta = escape_direction(Y, gt)
+        theta = _escape_tangent(Y, *escape)
         quad = riemannian_hess_quadform(obj, Y, theta) / theta.norm**2
         m = (thresholds.r2_curvature_upper + tol_curv) - quad
         checks.append((thresholds.r2_curvature_upper, m, m >= 0.0))

@@ -38,7 +38,6 @@ __all__ = [
     "riemannian_hess_quadform",
     "embedded_hess_quadform",
     "random_orthonormal",
-    "ground_truth_factor",
     "make_denoising",
     "make_trace_regression",
     "make_instance",
@@ -387,24 +386,6 @@ def random_orthonormal(p: int, r: int, rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))[None, :]
 
 
-def ground_truth_factor(
-    p: int, r: int, kappa_star: float, sigma_r_star: float, rng: np.random.Generator
-) -> FactorPoint:
-    """Draw a target factor with the prescribed extreme singular values.
-
-    The interior spectrum interpolates linearly between
-    ``kappa_star * sigma_r_star`` and ``sigma_r_star``.
-    """
-    if kappa_star < 1.0:
-        raise InputContractError(f"kappa_star must be >= 1, got {kappa_star}")
-    if sigma_r_star <= 0.0:
-        raise InputContractError(f"sigma_r_star must be > 0, got {sigma_r_star}")
-    if r == 1 and kappa_star != 1.0:
-        raise InputContractError("a rank-1 factor always has kappa_star = 1")
-    spectrum = np.linspace(kappa_star * sigma_r_star, sigma_r_star, r)
-    return FactorPoint(random_orthonormal(p, r, rng) * spectrum[None, :])
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """A fully realized problem: objective handle, ground truth, raw data."""
@@ -510,28 +491,7 @@ def make_instance(
     if r == 1 and kappa_star != 1.0:
         raise InputContractError("a rank-1 factor always has kappa_star = 1")
     spectrum = np.linspace(kappa_star * sigma_r_star, sigma_r_star, r)
-    Y_star = _truth_from_seed(p, r, seed, spectrum)
-    X_star = Y_star.gram()
-
-    if kind == "denoising":
-        den = DenoisingObjective(X_star, r)
-        obj = den.handle()
-        gt = GroundTruth.from_factor(Y_star, obj)
-        return ProblemInstance(
-            kind, p, r, 0, seed, 0.0, spectrum, obj, gt, denoising=den
-        )
-
-    packed = _sensing_from_seed(p, n, seed)
-    rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
-    eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
-    reg = TraceRegressionObjective._from_packed(
-        packed, _apply_packed(packed, X_star) + eps, r, noise_sigma
-    )
-    obj = reg.handle()
-    gt = GroundTruth.from_factor(Y_star, obj)
-    return ProblemInstance(
-        kind, p, r, n, seed, noise_sigma, spectrum, obj, gt, trace_regression=reg
-    )
+    return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, None)
 
 
 def instance_from_document(doc: dict) -> ProblemInstance:
@@ -554,6 +514,23 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     _check_problem(kind, p, r, n, seed)
     if spectrum.shape != (r,):
         raise InputContractError(f"spectrum must have length r={r}")
+    if kind == "trace_regression" and y.shape != (n,):
+        raise InputContractError(f"y must have length n={n}")
+    return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, y)
+
+
+def _build_instance(
+    kind: str,
+    p: int,
+    r: int,
+    n: int,
+    seed: int,
+    noise_sigma: float,
+    spectrum: np.ndarray,
+    y: np.ndarray | None,
+) -> ProblemInstance:
+    """The instance of checked parameters. Trace-regression observations
+    ``y`` are drawn from the seed when ``None``, else used verbatim."""
     Y_star = _truth_from_seed(p, r, seed, spectrum)
     X_star = Y_star.gram()
     if kind == "denoising":
@@ -561,9 +538,12 @@ def instance_from_document(doc: dict) -> ProblemInstance:
         obj = den.handle()
         gt = GroundTruth.from_factor(Y_star, obj)
         return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt, denoising=den)
-    if y.shape != (n,):
-        raise InputContractError(f"y must have length n={n}")
-    reg = TraceRegressionObjective._from_packed(_sensing_from_seed(p, n, seed), y, r, noise_sigma)
+    packed = _sensing_from_seed(p, n, seed)
+    if y is None:
+        rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
+        eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
+        y = _apply_packed(packed, X_star) + eps
+    reg = TraceRegressionObjective._from_packed(packed, y, r, noise_sigma)
     obj = reg.handle()
     gt = GroundTruth.from_factor(Y_star, obj)
     return ProblemInstance(

@@ -182,7 +182,7 @@ def riemannian_gd(
         if track and params is None:
             rec.dists.append(quotient_distance(Y, gt.Y_star))
         elif track:
-            labels, (dist, *_) = _classify(Y, gt, params)
+            labels, (dist, *_), _ = _classify(Y, gt, params)
             rec.dists.append(dist)
             rec.regions.append(tuple(sorted(labels, key=lambda lb: lb.value)))
         rec.perturbed.append(False)

@@ -183,18 +183,26 @@ def sampled_distance_upper_bound(
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_basis(p: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(p):
-        E = np.zeros((p, p))
-        E[i, i] = 1.0
-        basis.append(E)
-    for i in range(p):
-        for j in range(i + 1, p):
-            E = np.zeros((p, p))
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(E)
+def _symmetric_basis(p: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric ``p x p`` matrices as a ``(q, p, p)``
+    array: the ``p`` diagonal units, then ``(E_ij + E_ji) / sqrt 2`` for
+    ``i < j`` row by row."""
+    i, j = np.triu_indices(p, 1)
+    d, k = np.arange(p), np.arange(p, p + len(i))
+    basis = np.zeros((p + len(i), p, p))
+    basis[d, d, d] = 1.0
+    basis[k, i, j] = basis[k, j, i] = 1.0 / np.sqrt(2.0)
     return basis
+
+
+def _form_matrix(obj: ObjectiveHandle, X: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The matrix of the Hessian form at ``X`` over ``basis``."""
+    q = len(basis)
+    M = np.zeros((q, q))
+    for a in range(q):
+        for b in range(a, q):
+            M[a, b] = M[b, a] = float(obj.euclid_hess_form(X, basis[a], basis[b]))
+    return M
 
 
 def _project_rank_unit(G: np.ndarray, max_rank: int) -> np.ndarray:
@@ -222,29 +230,17 @@ def dense_delta_certificate(
         raise InputContractError(f"dense certificate requires p <= 8, got p={p}")
     rng = np.random.default_rng(seed)
     basis = _symmetric_basis(p)
-    q = len(basis)
-
-    def form_matrix(X: np.ndarray) -> np.ndarray:
-        M = np.zeros((q, q))
-        for a in range(q):
-            for b in range(a, q):
-                M[a, b] = M[b, a] = float(obj.euclid_hess_form(X, basis[a], basis[b]))
-        return M
 
     def grad_matrix(X: np.ndarray, G: np.ndarray) -> np.ndarray:
         coeffs = np.array([float(obj.euclid_hess_form(X, G, B)) for B in basis])
-        out = np.zeros((p, p))
-        for c, B in zip(coeffs, basis):
-            out += c * B
-        return out
+        return np.tensordot(coeffs, basis, 1)
 
     best = 0.0
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     X0 = random_symmetric_low_rank(p, 2 * r, rng)
-    M0 = form_matrix(X0)
-    U0, lam0 = sym_eig(M0, asym_tol=1e-6)
-    for idx in (0, q - 1):
-        G = sum(c * B for c, B in zip(U0[:, idx], basis))
+    U0, _ = sym_eig(_form_matrix(obj, X0, basis), asym_tol=1e-6)
+    for idx in (0, -1):
+        G = np.tensordot(U0[:, idx], basis, 1)
         starts.append((X0, _project_rank_unit(G, 4 * r)))
     for _ in range(max(0, restarts - len(starts))):
         X = random_symmetric_low_rank(p, 2 * r, rng)
@@ -278,13 +274,7 @@ def symmetric_delta_upper(obj: ObjectiveHandle, X: np.ndarray | None = None) -> 
         raise InputContractError(f"dense extremum requires p <= 8, got p={p}")
     if X is None:
         X = np.zeros((p, p))
-    basis = _symmetric_basis(p)
-    q = len(basis)
-    M = np.zeros((q, q))
-    for a in range(q):
-        for b in range(a, q):
-            M[a, b] = M[b, a] = float(obj.euclid_hess_form(X, basis[a], basis[b]))
-    _, lam = sym_eig(M, asym_tol=1e-6)
+    _, lam = sym_eig(_form_matrix(obj, X, _symmetric_basis(p)), asym_tol=1e-6)
     return float(max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0)))
 
 
@@ -641,6 +631,8 @@ def run_suite(
         )
     if seed < 0:
         raise InputContractError(f"seed must be >= 0, got {seed}")
+    if instances < 1:
+        raise InputContractError(f"instances must be >= 1, got {instances}")
     fn, tol = _SUITES[name]
 
     def one(i: int) -> float:

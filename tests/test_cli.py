@@ -212,6 +212,12 @@ class TestVerify:
         argv = ["verify", "--suite", "norm-sandwich", "--seed", "-1"]
         assert main(argv + ["--output-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("instances", ["-3", "0"])
+    def test_instances_below_one_is_usage_error(self, tmp_path, instances):
+        argv = ["verify", "--suite", "norm-sandwich", "--instances", instances]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "verify_norm-sandwich.json").exists()
+
     def test_unknown_suite_lists_options(self, tmp_path, capsys):
         code = main(["verify", "--suite", "nope", "--output-dir", str(tmp_path)])
         captured = capsys.readouterr()
@@ -348,13 +354,18 @@ def _target_underflows(tmp_path):
         (["scan"], lambda tmp_path: write_config(tmp_path, region_params={"beta": 1e308})),
         (["scan"], _target_underflows),
         (["generate"], lambda tmp_path: write_config(tmp_path, problem={"p": 10**9})),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"p": 4.7})),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"r": True, "kappa_star": 1.0})),
+        (["scan"], lambda tmp_path: write_config(tmp_path, scan={"n_points": 2.5})),
+        (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"max_iters": True})),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
         "mu-not-a-number", "overridden-section-is-a-list", "max-iters-infinite", "p-overflows",
         "step-size-nan", "beta-infinite", "grad-tol-nan", "instance-file-not-a-path",
         "samplers-null", "scan-seed-negative", "beta-overflows", "target-underflows",
-        "p-too-large",
+        "p-too-large", "p-fractional", "r-boolean", "n-points-fractional",
+        "max-iters-boolean",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

@@ -38,7 +38,7 @@ class TestSquareFactor:
         assert len(basis) == 6
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
-                ip = float(np.vdot(bi.theta, bj.theta))
+                ip = float(np.vdot(bi, bj))
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
         Z = rng.standard_normal((3, 3))
         h = horizontal_project(Y, Z)

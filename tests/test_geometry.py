@@ -215,7 +215,7 @@ class TestLogExp:
             scale = 0.9 * Y.sigma_min / raw.norm
             th = HorizontalTangent(raw.theta * scale, Y)
             done += 1
-            for t in np.arange(0.1, 1.0, 0.1):
+            for t in [*np.arange(0.1, 1.0, 0.1), 1.0]:
                 d = quotient_distance(exp_map(Y, th, t), Y)
                 assert d == pytest.approx(t * th.norm, rel=1e-8)
 
@@ -274,28 +274,18 @@ class TestHorizontalTangent:
             HorizontalTangent(Y.Y @ Om, Y)
 
 
-class TestGeodesicSegment:
-    def test_length_and_endpoints(self):
-        from psdlandscape.geometry import GeodesicSegment
-
-        rng = np.random.default_rng(18)
-        Y1 = factor(rng, 7, 2)
-        raw = horizontal_project(Y1, rng.standard_normal((7, 2)))
-        th = HorizontalTangent(raw.theta * (0.5 * Y1.sigma_min / raw.norm), Y1)
-        seg = GeodesicSegment(Y1, th)
-        assert seg.length == pytest.approx(th.norm)
-        np.testing.assert_allclose(seg.point(0.0).Y, Y1.Y)
-        end = seg.point(1.0)
-        assert quotient_distance(end, Y1) == pytest.approx(seg.length, rel=1e-9)
-
+class TestTangentBase:
     def test_requires_matching_base(self):
-        from psdlandscape.geometry import GeodesicSegment
+        from psdlandscape.objectives import make_denoising, riemannian_hess_quadform
 
         rng = np.random.default_rng(19)
         Y1, Y2 = factor(rng, 6, 2), factor(rng, 6, 2)
         th = horizontal_project(Y2, rng.standard_normal((6, 2)))
-        with pytest.raises(InputContractError):
-            GeodesicSegment(Y1, th)
+        with pytest.raises(InputContractError, match="based at the given point"):
+            exp_map(Y1, th, 0.5)
+        den, _ = make_denoising(6, 2, seed=19)
+        with pytest.raises(InputContractError, match="based at the given point"):
+            riemannian_hess_quadform(den.handle(), Y1, th)
 
     def test_value_equal_base_accepted(self):
         # a distinct FactorPoint object holding the same factor works

@@ -131,11 +131,12 @@ class TestHorizontalBasis:
         rng = np.random.default_rng(10)
         Y = FactorPoint(rng.standard_normal((7, 3)))
         basis = horizontal_basis(Y)
+        assert basis.shape == (horizontal_dim(7, 3), 7, 3) and not basis.flags.writeable
         for i, bi in enumerate(basis):
-            M = Y.Y.T @ bi.theta
+            M = Y.Y.T @ bi
             assert np.linalg.norm(M - M.T) < 1e-10
             for j, bj in enumerate(basis):
-                ip = float(np.vdot(bi.theta, bj.theta))
+                ip = float(np.vdot(bi, bj))
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
 
     def test_cap(self):
@@ -181,13 +182,11 @@ class TestHessExtremes:
         R = Y.gram() - gt.X_star
         M = np.empty((len(basis), len(basis)))
         for a, ba in enumerate(basis):
-            Ca = Y.Y @ ba.theta.T + ba.theta @ Y.Y.T
+            Ca = Y.Y @ ba.T + ba @ Y.Y.T
             for b, bb in enumerate(basis):
-                Cb = Y.Y @ bb.theta.T + bb.theta @ Y.Y.T
-                M[a, b] = float(np.vdot(Ca, Cb)) + float(
-                    np.vdot(R, ba.theta @ bb.theta.T + bb.theta @ ba.theta.T)
-                )
-                form = hess(hess.lift(ba.theta), hess.lift(bb.theta))
+                Cb = Y.Y @ bb.T + bb @ Y.Y.T
+                M[a, b] = float(np.vdot(Ca, Cb)) + float(np.vdot(R, ba @ bb.T + bb @ ba.T))
+                form = hess(hess.lift(ba), hess.lift(bb))
                 assert form == pytest.approx(M[a, b], abs=1e-9)
         lam = np.linalg.eigvalsh(M)
         est = hess_extreme_eigs(obj, Y)
@@ -205,6 +204,21 @@ class TestHessExtremes:
         Y = FactorPoint(np.array([[0.0], [0.9], [0.0], [0.0]]))
         est = hess_extreme_eigs(obj, Y)
         assert est.lambda_min < 0
+
+    def test_dense_builds_no_tangent(self, monkeypatch):
+        # the basis is one array; no per-column tangent is built or validated
+        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=12)
+        built = []
+        post_init = HorizontalTangent.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(HorizontalTangent, "__post_init__", counted)
+        Y = FactorPoint(gt.Y_star.Y + 0.01 * np.random.default_rng(3).standard_normal((8, 2)))
+        assert hess_extreme_eigs(den.handle(), Y).method == "dense"
+        assert built == []
 
 
 def _spectrum_points():
@@ -257,6 +271,21 @@ class TestEscapeDirection:
             Y = FactorPoint(rng.standard_normal((7, 2)))
             th = escape_direction(Y, gt)
             assert th.norm == pytest.approx(quotient_distance(Y, gt.Y_star), abs=1e-10)
+
+    def test_non_unique_alignment_warns_here_and_raises_in_log(self):
+        # columns of Y orthogonal to those of Y*: the cross-Gram is zero
+        from psdlandscape.errors import NonUniqueAlignmentError
+        from psdlandscape.geometry import log_map
+        from psdlandscape.objectives import DenoisingObjective, GroundTruth
+
+        Y_star = FactorPoint(np.eye(5)[:, :2] * [2.0, 1.0])
+        gt = GroundTruth.from_factor(Y_star, DenoisingObjective(Y_star.gram(), 2).handle())
+        Y = FactorPoint(np.eye(5)[:, 2:4] * 0.5)
+        with pytest.warns(RuntimeWarning, match="not unique"):
+            th = escape_direction(Y, gt)
+        assert th.norm == pytest.approx(quotient_distance(Y, Y_star), abs=1e-12)
+        with pytest.raises(NonUniqueAlignmentError):
+            log_map(Y, Y_star)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_r2_curvature_bound(self):
@@ -334,17 +363,38 @@ class TestCertify:
 
     def test_one_distance_per_certified_point(self, monkeypatch):
         den, gt = make_denoising(20, 3, kappa_star=2.0, seed=28)
-        calls = []
+        align, calls = landscape._align, []
 
-        def distance(Y1, Y2):
+        def counted_align(Y1, Y2):
             calls.append(Y1)
-            return quotient_distance(Y1, Y2)
+            return align(Y1, Y2)
 
-        monkeypatch.setattr(landscape, "quotient_distance", distance)
+        monkeypatch.setattr(landscape, "_align", counted_align)
         (rep,) = certify_landscape(den.handle(), gt, PARAMS, ["ball"], 1, seed=2)
         assert RegionLabel.R1 in rep.region_labels and rep.passed
         assert len(calls) == 1
-        assert rep.dist_to_star == quotient_distance(calls[0], gt.Y_star)
+        assert rep.dist_to_star == quotient_distance(FactorPoint(calls[0]), gt.Y_star)
+
+    def test_one_cross_gram_svd_per_r2_point(self, monkeypatch):
+        # the distance and the escape direction share one alignment: the
+        # only r x r SVD of an R2 point is that of the cross-Gram Y.T Y*
+        den, gt = make_denoising(10, 3, kappa_star=2.0, seed=18)
+        Y = r2_point(gt, np.random.default_rng(19), PARAMS)
+        thresholds = compute_thresholds(gt, PARAMS, 3)
+        svd, square = np.linalg.svd, []
+
+        def counted_svd(A, *args, **kwargs):
+            if A.shape == (3, 3):
+                square.append(A)
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        # this R2 point drops a target direction, so its alignment is not unique
+        with pytest.warns(RuntimeWarning, match="not unique"):
+            rep = landscape._certify_point(0, Y, den.handle(), gt, PARAMS, thresholds)
+        assert RegionLabel.R2 in rep.region_labels and rep.passed
+        assert len(square) == 1
+        np.testing.assert_array_equal(square[0], Y.Y.T @ gt.Y_star.Y)
 
     def test_csv_shape(self):
         den, gt = make_denoising(8, 2, kappa_star=2.0, seed=26)

@@ -201,6 +201,26 @@ class TestEvaluatedOnce:
         assert rec.iterations == 40 and calls["trial"] > rec.iterations
         assert calls["value"] == 1 + calls["trial"]
 
+    def test_gram_formed_once_per_iterate(self, monkeypatch):
+        # the trial's value, the gradient lift and the region labels of a
+        # tracked iterate all read the one Gram its point keeps
+        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=17)
+        gram, grams = FactorPoint.gram, {}
+
+        def recorded_gram(self):
+            X = gram(self)
+            grams.setdefault(id(self), (self, []))[1].append(X)
+            return X
+
+        monkeypatch.setattr(FactorPoint, "gram", recorded_gram)
+        Y0 = FactorPoint(np.random.default_rng(18).standard_normal((8, 2)))
+        rec = riemannian_gd(den.handle(), Y0, GDConfig(max_iters=10, grad_tol=1e-14), gt=gt, params=PARAMS)
+        assert rec.iterations == 10
+        assert len(grams[id(rec.final)][1]) == 3
+        for _, formed in grams.values():
+            assert all(X is formed[0] for X in formed)
+        assert not rec.final.gram().flags.writeable
+
     def test_one_spectrum_per_iterate_at_a_saddle(self, monkeypatch):
         # rank-1 target along e1; at 0.3 e2 the gradient (0.054) is below
         # grad_tol and the Hessian has a negative eigenvalue, so iterate 0 is
