@@ -58,6 +58,7 @@ from .landscape import (
 from .objectives import (
     DenoisingObjective,
     GroundTruth,
+    LeastSquaresMap,
     ObjectiveHandle,
     ProblemInstance,
     TraceRegressionObjective,

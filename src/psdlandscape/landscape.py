@@ -33,7 +33,7 @@ from .errors import (
     NumericalFailure,
     ResourceLimitError,
 )
-from .geometry import FactorPoint, HorizontalTangent, horizontal_project, vertical_project
+from .geometry import FactorPoint, HorizontalTangent, vertical_project
 from .kernels import _align, sym_eig
 from .objectives import (
     GroundTruth,
@@ -468,11 +468,13 @@ def random_ball_tangent(
 ) -> HorizontalTangent:
     """Horizontal direction with norm distributed as uniform-in-ball."""
     dim = horizontal_dim(base.p, base.r)
-    theta = horizontal_project(base, rng.standard_normal(base.Y.shape))
-    if theta.norm == 0.0:  # pragma: no cover - measure zero
-        theta = HorizontalTangent(base.Y, base)
+    Z = rng.standard_normal(base.Y.shape)
+    theta = Z - vertical_project(base, Z)
+    norm = float(np.linalg.norm(theta))
+    if norm == 0.0:  # pragma: no cover - measure zero
+        theta, norm = base.Y, float(np.linalg.norm(base.Y))
     scale = radius * rng.uniform() ** (1.0 / dim)
-    return HorizontalTangent(theta.theta * (scale / theta.norm), base)
+    return HorizontalTangent(theta * (scale / norm), base)
 
 
 def _sample_point(

@@ -10,7 +10,8 @@ Two concrete problem families are provided:
 
 Everything downstream consumes an :class:`ObjectiveHandle`, which exposes
 the value, the (symmetric) Euclidean gradient and the Euclidean Hessian
-bilinear form, nothing else.
+bilinear form, and, for the two least-squares families, the residual and
+the images of its linear map (:class:`LeastSquaresMap`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .kernels import check_matrix, sym_eig, truncated_frob_norm
 
 __all__ = [
     "ObjectiveHandle",
+    "LeastSquaresMap",
     "DenoisingObjective",
     "TraceRegressionObjective",
     "GroundTruth",
@@ -49,6 +51,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class LeastSquaresMap:
+    """The linear structure of ``f(X) = 0.5 ||A(X) - y||^2``.
+
+    Because ``A`` is linear, the residual and the gradient of ``f`` along
+    ``X + sum_j t_j G_j`` follow from their values at ``X`` and the images
+    of the ``G_j``, with no further evaluation of ``f``.
+
+    Attributes
+    ----------
+    residual : callable
+        ``X -> A(X) - y``, an array of any shape; ``f(X)`` is half its
+        squared norm and ``grad f(X) = A.T(A(X) - y)``.
+    images : callable
+        ``Gs -> (F, N)`` for a ``(k, p, p)`` stack ``Gs``: ``F[j] = A(Gs[j])``
+        and ``N[j] = A.T(A(Gs[j]))``, a symmetric ``p x p`` matrix.
+    """
+
+    residual: Callable[[np.ndarray], np.ndarray]
+    images: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True)
 class ObjectiveHandle:
     """Black-box objective ``f`` on symmetric ``p x p`` matrices.
 
@@ -65,6 +89,9 @@ class ObjectiveHandle:
         Ambient dimension and target rank of the problem.
     kind : str
         Problem family tag ("denoising", "trace_regression", or custom).
+    least_squares : LeastSquaresMap or None
+        The least-squares structure of the same ``f``, for objectives that
+        have one; ``None`` for custom handles.
     """
 
     value: Callable[[np.ndarray], float]
@@ -73,6 +100,7 @@ class ObjectiveHandle:
     p: int
     r: int
     kind: str = "custom"
+    least_squares: LeastSquaresMap | None = None
 
 
 class DenoisingObjective:
@@ -104,7 +132,13 @@ class DenoisingObjective:
         def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
             return float(np.vdot(G1, G2))
 
-        return ObjectiveHandle(value, grad, hess_form, X_star.shape[0], self.r, "denoising")
+        def images(Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return Gs, Gs
+
+        return ObjectiveHandle(
+            value, grad, hess_form, X_star.shape[0], self.r, "denoising",
+            LeastSquaresMap(grad, images),
+        )
 
 
 #: entries of ``n x p x p`` sample arrays that one chunk of samples may hold
@@ -130,16 +164,36 @@ def _triu(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index
 
 
-def _apply_packed(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``A(X)_i = <A_i, X>`` for symmetric ``A_i`` stored as packed upper
-    triangles: ``packed @ c(X)`` with ``c(X)`` the upper triangle of
-    ``X + X.T`` with the diagonal halved. Exact for any square ``X``."""
+def _packed_coefficients(X: np.ndarray) -> np.ndarray:
+    """``c(X)``, the upper triangle of ``X + X.T`` with the diagonal halved:
+    ``<A_i, X> = packed_i @ c(X)`` for symmetric ``A_i``, exact for any
+    square ``X``."""
     X = np.asarray(X, dtype=float)
     upper, lower, diag = _triu(X.shape[0])
     flat = X.reshape(-1)
     c = flat[upper] + flat[lower]
     c[diag] = flat[upper[diag]]
-    return packed @ c
+    return c
+
+
+def _unpacked(u: np.ndarray, p: int) -> np.ndarray:
+    """The symmetric ``p x p`` matrix whose upper triangle is ``u``."""
+    upper, lower, _ = _triu(p)
+    M = np.empty(p * p)
+    M[upper] = u
+    M[lower] = u
+    return M.reshape(p, p)
+
+
+def _apply_packed(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A(X)_i = <A_i, X>`` for symmetric ``A_i`` stored as packed upper
+    triangles."""
+    return packed @ _packed_coefficients(X)
+
+
+#: bytes of the packed map that :meth:`TraceRegressionObjective.images`
+#: reads per block; each block is read twice while it is still in cache
+_SWEEP_BYTES = 1 << 20
 
 
 class TraceRegressionObjective:
@@ -209,13 +263,25 @@ class TraceRegressionObjective:
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Adjoint map ``A.T(v) = sum_i v_i A_i``."""
-        p = self.p
-        upper, lower, _ = _triu(p)
-        u = np.asarray(v, dtype=float) @ self.packed
-        M = np.empty(p * p)
-        M[upper] = u
-        M[lower] = u
-        return M.reshape(p, p)
+        return _unpacked(np.asarray(v, dtype=float) @ self.packed, self.p)
+
+    def images(self, Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(A(G_j))_j`` as a ``(k, n)`` array and ``(A.T(A(G_j)))_j`` as a
+        ``(k, p, p)`` array, for a ``(k, p, p)`` stack ``Gs``, from one sweep
+        over the map: each row block gives its forward images ``x = blk @ c``
+        and adds ``x.T @ blk`` to the normal images before the next block is
+        read."""
+        c = np.stack([_packed_coefficients(G) for G in Gs], axis=1)
+        n, q = self.packed.shape
+        forward = np.empty((c.shape[1], n))
+        normal = np.zeros((c.shape[1], q))
+        rows = max(1, _SWEEP_BYTES // (8 * q))
+        for i in range(0, n, rows):
+            blk = self.packed[i : i + rows]
+            x = blk @ c
+            forward[:, i : i + rows] = x.T
+            normal += x.T @ blk
+        return forward, np.stack([_unpacked(u, self.p) for u in normal])
 
     def handle(self) -> ObjectiveHandle:
         # value and grad share the residual of the latest X either saw. The
@@ -241,9 +307,13 @@ class TraceRegressionObjective:
             return self.adjoint(residual(X))
 
         def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
-            return float(self.apply_map(G1) @ self.apply_map(G2))
+            image = self.apply_map(G1)
+            return float(image @ (image if G2 is G1 else self.apply_map(G2)))
 
-        return ObjectiveHandle(value, grad, hess_form, self.p, self.r, "trace_regression")
+        return ObjectiveHandle(
+            value, grad, hess_form, self.p, self.r, "trace_regression",
+            LeastSquaresMap(residual, self.images),
+        )
 
 
 @dataclass(frozen=True)
@@ -290,8 +360,13 @@ def riemannian_grad_lift(obj: ObjectiveHandle, Y: FactorPoint) -> HorizontalTang
     and Riemannian.
     """
     G = obj.euclid_grad(Y.gram())
-    G = (G + G.T) / 2.0
-    return HorizontalTangent(2.0 * (G @ Y.Y), Y)
+    return _grad_lift_of((G + G.T) / 2.0, Y)
+
+
+def _grad_lift_of(R: np.ndarray, Y: FactorPoint) -> HorizontalTangent:
+    """``2 R Y``, the horizontal lift at ``Y`` of the symmetric Euclidean
+    gradient ``R`` at ``Y Y.T``."""
+    return HorizontalTangent(2.0 * (R @ Y.Y), Y)
 
 
 def riemannian_hess_quadform(

@@ -21,7 +21,7 @@ from .errors import (
     RankCollapseError,
     StepSearchError,
 )
-from .geometry import FactorPoint, horizontal_project, quotient_distance
+from .geometry import FactorPoint, HorizontalTangent, horizontal_project, quotient_distance
 from .kernels import sym_eig
 from .landscape import (
     RegionLabel,
@@ -33,6 +33,7 @@ from .objectives import (
     GroundTruth,
     ObjectiveHandle,
     TraceRegressionObjective,
+    _grad_lift_of,
     lifted_value,
     riemannian_grad_lift,
 )
@@ -132,6 +133,32 @@ def _full_rank(Y: np.ndarray) -> FactorPoint | None:
         return None
 
 
+def _evaluate(obj: ObjectiveHandle, Y: FactorPoint, k: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The residual (``None`` without least-squares structure) and the
+    symmetrized Euclidean gradient at iterate ``k``, evaluated directly."""
+    X = Y.gram()
+    try:
+        res = None if obj.least_squares is None else obj.least_squares.residual(X)
+        R = obj.euclid_grad(X)
+    except InputContractError as exc:
+        # non-finite intermediates mid-run mean the iterates diverged
+        raise NumericalFailure(f"gradient evaluation failed at iterate {k}: {exc}") from exc
+    return res, (R + R.T) / 2.0
+
+
+def _lifted_gradient(R: np.ndarray, Y: FactorPoint, k: int) -> HorizontalTangent:
+    """The lift of the symmetric gradient ``R`` at iterate ``k``."""
+    try:
+        return _grad_lift_of(R, Y)
+    except InputContractError as exc:
+        raise NumericalFailure(f"gradient evaluation failed at iterate {k}: {exc}") from exc
+
+
+def _half_squared_norm(res: np.ndarray) -> float:
+    """``0.5 ||res||^2``, the least-squares value of a residual."""
+    return 0.5 * float(np.vdot(res, res))
+
+
 def riemannian_gd(
     obj: ObjectiveHandle,
     Y0: FactorPoint,
@@ -147,6 +174,17 @@ def riemannian_gd(
     gradient is small but the horizontal Hessian has an eigenvalue below
     ``-trigger_tol`` (a strict saddle).
 
+    On a least-squares objective (``obj.least_squares`` set) the step
+    ``Y - eta G`` moves ``X = Y Y.T`` to ``X - eta C + eta^2 D`` with
+    ``C = Y G.T + G Y.T`` and ``D = G G.T``, so one call of ``images`` on
+    ``[C, D]`` gives the residual and the gradient at every trial step. The
+    accepted step's residual and gradient are carried to the next iterate;
+    they are evaluated directly at iterate 0, after a perturbation, at the
+    last iterate and wherever the carried gradient is within
+    ``cfg.grad_tol``, so a run ends on a directly evaluated iterate. Other
+    handles evaluate the value at each trial and the gradient at each
+    iterate.
+
     Raises
     ------
     RankCollapseError
@@ -154,27 +192,34 @@ def riemannian_gd(
         backtracking treats rank-collapsing trials as failed steps).
     StepSearchError
         If backtracking cannot find an acceptable step.
+    NumericalFailure
+        If the iterates diverge.
     """
     rec = TrajectoryRecord()
     track = gt is not None
     pert = cfg.perturbation
+    ls = obj.least_squares
     rng = np.random.default_rng(cfg.seed)
     Y = Y0
-    accepted_val = None  # an accepted trial's value is the next iterate's
+    val = None  # an accepted trial's value is the next iterate's
+    carried = None  # least squares: the accepted trial's residual and gradient
     trial = None  # warm-started backtracking step
     cooldown = 0
 
     for k in range(cfg.max_iters + 1):
-        try:
-            grad = riemannian_grad_lift(obj, Y)
-        except InputContractError as exc:
-            # non-finite intermediates mid-run mean the iterates diverged
-            raise NumericalFailure(
-                f"gradient evaluation failed at iterate {k}: {exc}"
-            ) from exc
+        grad = None if carried is None else _lifted_gradient(carried[1], Y, k)
+        if grad is None or grad.norm <= cfg.grad_tol or k == cfg.max_iters:
+            # a run ends only on a directly evaluated iterate
+            res, R = _evaluate(obj, Y, k)
+            grad = _lifted_gradient(R, Y, k)
+            if ls is not None:
+                val = _half_squared_norm(res)
+            elif val is None:
+                val = lifted_value(obj, Y)
+        else:
+            res, R = carried
+        carried = None
         gnorm = grad.norm
-        val = lifted_value(obj, Y) if accepted_val is None else accepted_val
-        accepted_val = None
         if not np.isfinite(val) or not np.isfinite(gnorm):
             raise NumericalFailure(f"iterates diverged at iterate {k}")
         rec.values.append(val)
@@ -209,6 +254,7 @@ def riemannian_gd(
                     f"saddle-escape perturbation collapsed the rank at iterate {k}",
                     iteration=k,
                 )
+            val = None
             cooldown = pert.cooldown_iters
             rec.perturbed[-1] = True
             rec.steps.append(0.0)
@@ -216,14 +262,24 @@ def riemannian_gd(
         if cooldown > 0:
             cooldown -= 1
 
+        G = grad.theta
+        if ls is not None:
+            YG = Y.Y @ G.T
+            (fC, fD), (nC, nD) = ls.images(np.stack([YG + YG.T, G @ G.T]))
+
         if cfg.step_size is not None:
             eta = cfg.step_size
-            Y = _full_rank(Y.Y - eta * grad.theta)
+            Y = _full_rank(Y.Y - eta * G)
             if Y is None:
                 raise RankCollapseError(
                     f"iterate {k + 1} left the full-rank set (step {eta:.3g})",
                     iteration=k + 1,
                 )
+            if ls is None:
+                val = None
+            else:
+                carried = (res - eta * fC + eta**2 * fD, R - eta * nC + eta**2 * nD)
+                val = _half_squared_norm(carried[0])
             rec.steps.append(eta)
             continue
 
@@ -231,11 +287,17 @@ def riemannian_gd(
         bt = cfg.backtracking
         eta = trial if trial is not None else 1.0 / (4.0 * Y.sigma_max**2)
         for _ in range(bt.max_backtracks):
-            cand = _full_rank(Y.Y - eta * grad.theta)
+            cand = _full_rank(Y.Y - eta * G)
             if cand is not None:
-                cand_val = lifted_value(obj, cand)
+                if ls is not None:
+                    cand_res = res - eta * fC + eta**2 * fD
+                    cand_val = _half_squared_norm(cand_res)
+                else:
+                    cand_val = lifted_value(obj, cand)
                 if cand_val <= val - bt.c1 * eta * gnorm**2:
-                    Y, accepted_val = cand, cand_val
+                    Y, val = cand, cand_val
+                    if ls is not None:
+                        carried = (cand_res, R - eta * nC + eta**2 * nD)
                     rec.steps.append(eta)
                     trial = eta * 2.0
                     break

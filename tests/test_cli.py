@@ -280,6 +280,16 @@ class TestExitCodes:
         )
         assert main(["optimize", "--config", str(cfg)]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_numerical_failure_exits_three_on_trace_regression(self, tmp_path):
+        # the carried residual and gradient of a least-squares run overflow
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "trace_regression", "p": 6, "r": 2, "n": 72, "noise_sigma": 0.0},
+            optimizer={"step_size": 1e9, "max_iters": 50, "grad_tol": 1e-16, "init": "spectral"},
+        )
+        assert main(["optimize", "--config", str(cfg)]) == 3
+
     def test_two_threads_match_the_default(self, tmp_path):
         cfg = write_config(tmp_path, scan={"n_points": 4})
         assert main(["scan", "--config", str(cfg)]) == 0

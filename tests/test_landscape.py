@@ -147,6 +147,31 @@ class TestHorizontalBasis:
             horizontal_basis(Y)
 
 
+class TestRandomBallTangent:
+    def test_one_tangent_per_call_with_the_projected_draw(self, monkeypatch):
+        # the scaled projection is built and checked once, and equals the
+        # tangent of horizontal_project scaled to the drawn radius bit for bit
+        Y = FactorPoint(np.random.default_rng(12).standard_normal((7, 3)))
+        expected = []
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            theta = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
+            scale = 0.3 * rng.uniform() ** (1.0 / horizontal_dim(7, 3))
+            expected.append(theta.theta * (scale / theta.norm))
+        post_init, built = HorizontalTangent.__post_init__, []
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(HorizontalTangent, "__post_init__", counted)
+        rng = np.random.default_rng(13)
+        for want in expected:
+            got = landscape.random_ball_tangent(Y, 0.3, rng)
+            np.testing.assert_array_equal(got.theta, want)
+        assert len(built) == len(expected)
+
+
 class TestHessExtremes:
     def test_denoising_at_target_sandwich(self):
         den, gt = make_denoising(9, 2, kappa_star=2.0, seed=12)

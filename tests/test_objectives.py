@@ -248,6 +248,48 @@ class TestTraceRegression:
         res = reg.apply_map(X) - reg.y
         assert after == 0.5 * float(res @ res) and after != before
 
+    @pytest.mark.parametrize("p, k", [(7, 2), (7, 1), (1, 2), (1, 1)])
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    def test_images_match_the_forward_and_normal_maps(self, monkeypatch, p, k, block_rows):
+        # one sweep gives A(G_j) and A.T(A(G_j)); 53 samples are not a
+        # multiple of a 3-row block, and the default block holds them all
+        from psdlandscape import objectives
+
+        n = 53
+        reg, _ = make_trace_regression(p, 1, n, noise_sigma=0.1, seed=23)
+        if block_rows is not None:
+            monkeypatch.setattr(objectives, "_SWEEP_BYTES", block_rows * 8 * reg.packed.shape[1])
+        Gs = np.random.default_rng(24).standard_normal((k, p, p))
+        Gs = Gs + np.transpose(Gs, (0, 2, 1))
+        forward, normal = reg.images(Gs)
+        assert forward.shape == (k, n) and normal.shape == (k, p, p)
+        for j in range(k):
+            image = reg.apply_map(Gs[j])
+            tol = 1e-13 * np.abs(image).max()
+            np.testing.assert_allclose(forward[j], image, rtol=0, atol=tol)
+            expected = reg.adjoint(image)
+            tol = 1e-13 * np.abs(expected).max()
+            np.testing.assert_allclose(normal[j], expected, rtol=0, atol=tol)
+        np.testing.assert_array_equal(normal, np.transpose(normal, (0, 2, 1)))
+
+    def test_least_squares_structure_of_the_handles(self):
+        # f = 0.5 ||r||^2, A.T A(X) = grad f(X) - grad f(0) and the Hessian
+        # form is ||A(G)||^2, on both problem families
+        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=25)
+        den, _ = make_denoising(6, 2, kappa_star=2.0, seed=25)
+        X = np.random.default_rng(26).standard_normal((6, 6))
+        X = X + X.T
+        for obj in (reg.handle(), den.handle()):
+            res = obj.least_squares.residual(X)
+            assert obj.value(X) == pytest.approx(0.5 * float(np.vdot(res, res)), rel=1e-14)
+            forward, normal = obj.least_squares.images(X[None])
+            np.testing.assert_allclose(
+                normal[0], obj.euclid_grad(X) - obj.euclid_grad(np.zeros((6, 6))), atol=1e-12
+            )
+            assert obj.euclid_hess_form(X, X, X) == pytest.approx(
+                float(np.vdot(forward[0], forward[0])), rel=1e-12
+            )
+
     def test_shared_residual_under_thread_switches(self):
         import sys
         import threading
@@ -407,6 +449,17 @@ class TestRscDiagnostics:
         obj = reg.handle()
         values = [rsc_rsm_estimate(obj, 2, n, seed=5) for n in (10, 20, 40, 80)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_hess_form_applies_the_map_once_on_one_argument(self):
+        reg, _ = make_trace_regression(6, 2, 30, seed=22)
+        passes = _count_passes(reg)
+        obj = reg.handle()
+        rsc_rsm_estimate(obj, 2, 10, seed=5)
+        assert passes["apply_map"] == 10
+        # the same array twice gives the bits of two equal arrays
+        rng = np.random.default_rng(6)
+        X, G = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
+        assert obj.euclid_hess_form(X, G, G) == obj.euclid_hess_form(X, G, G.copy())
 
     def test_strict_convexity_probe(self):
         den, _ = make_denoising(6, 2, kappa_star=2.0, seed=23)

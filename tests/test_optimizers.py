@@ -5,6 +5,7 @@ from psdlandscape.errors import (
     HypothesisViolationError,
     InitializationFailure,
     NotAFOSPError,
+    NumericalFailure,
     RankCollapseError,
 )
 from psdlandscape.geometry import FactorPoint, quotient_distance
@@ -16,9 +17,12 @@ from psdlandscape.landscape import (
     strict_convexity_fosp_check,
 )
 from psdlandscape.objectives import (
+    LeastSquaresMap,
     TraceRegressionObjective,
+    lifted_value,
     make_denoising,
     make_trace_regression,
+    riemannian_grad_lift,
 )
 from psdlandscape.optimizers import (
     GDConfig,
@@ -176,8 +180,9 @@ class TestGD:
 
 class TestEvaluatedOnce:
     def test_value_once_per_trial_step(self, monkeypatch):
-        # the accepted trial's value is the next iterate's: obj.value runs at
-        # iterate 0 and once per full-rank trial, never again per iterate
+        # on a handle without least-squares structure the accepted trial's
+        # value is the next iterate's: obj.value runs at iterate 0 and once
+        # per full-rank trial, never again per iterate
         import dataclasses
 
         from psdlandscape import optimizers
@@ -195,15 +200,16 @@ class TestEvaluatedOnce:
             return full_rank(Y)
 
         monkeypatch.setattr(optimizers, "_full_rank", counted_full_rank)
-        obj = dataclasses.replace(handle, value=counted_value)
+        obj = dataclasses.replace(handle, value=counted_value, least_squares=None)
         Y0 = FactorPoint(np.random.default_rng(18).standard_normal((8, 2)))
         rec = riemannian_gd(obj, Y0, GDConfig(max_iters=40, grad_tol=1e-14), gt=gt, params=PARAMS)
         assert rec.iterations == 40 and calls["trial"] > rec.iterations
         assert calls["value"] == 1 + calls["trial"]
 
     def test_gram_formed_once_per_iterate(self, monkeypatch):
-        # the trial's value, the gradient lift and the region labels of a
-        # tracked iterate all read the one Gram its point keeps
+        # the direct evaluation and the region labels of the last tracked
+        # iterate read the one Gram its point keeps; trial values come from
+        # the carried residual and read none
         den, gt = make_denoising(8, 2, kappa_star=2.0, seed=17)
         gram, grams = FactorPoint.gram, {}
 
@@ -216,7 +222,7 @@ class TestEvaluatedOnce:
         Y0 = FactorPoint(np.random.default_rng(18).standard_normal((8, 2)))
         rec = riemannian_gd(den.handle(), Y0, GDConfig(max_iters=10, grad_tol=1e-14), gt=gt, params=PARAMS)
         assert rec.iterations == 10
-        assert len(grams[id(rec.final)][1]) == 3
+        assert len(grams[id(rec.final)][1]) == 2
         for _, formed in grams.values():
             assert all(X is formed[0] for X in formed)
         assert not rec.final.gram().flags.writeable
@@ -246,6 +252,77 @@ class TestEvaluatedOnce:
         )
         assert rec.perturbed == [True, False]
         assert len(spectra) == 2
+
+
+def _least_squares_problem(kind):
+    """A handle with least-squares structure and a start away from the target."""
+    if kind == "trace_regression":
+        reg, _ = make_trace_regression(8, 2, 120, noise_sigma=0.0, seed=30)
+        return reg.handle(), spectral_init(reg, 2)
+    den, _ = make_denoising(8, 2, kappa_star=2.0, seed=31)
+    return den.handle(), FactorPoint(np.random.default_rng(32).standard_normal((8, 2)))
+
+
+class TestLeastSquaresCarry:
+    @pytest.mark.parametrize("kind", ["trace_regression", "denoising"])
+    @pytest.mark.parametrize("fixed_step", [False, True])
+    def test_carried_path_matches_direct_evaluation(self, kind, fixed_step):
+        # the residual and gradient carried along the step reproduce the run
+        # that evaluates the objective at every trial and iterate
+        import dataclasses
+
+        obj, Y0 = _least_squares_problem(kind)
+        step = 0.5 / (4.0 * Y0.sigma_max**2) if fixed_step else None
+        cfg = GDConfig(step_size=step, max_iters=3000, grad_tol=1e-8)
+        carried = riemannian_gd(obj, Y0, cfg)
+        direct = riemannian_gd(dataclasses.replace(obj, least_squares=None), Y0, cfg)
+        assert carried.converged and direct.converged
+        assert carried.iterations == direct.iterations > 10
+        assert carried.steps == direct.steps
+        np.testing.assert_allclose(carried.values, direct.values, rtol=1e-5, atol=0)
+        np.testing.assert_allclose(carried.grad_norms, direct.grad_norms, rtol=1e-5, atol=0)
+
+    @pytest.mark.parametrize("kind", ["trace_regression", "denoising"])
+    def test_images_once_per_iteration(self, kind):
+        import dataclasses
+
+        obj, Y0 = _least_squares_problem(kind)
+        ls, calls = obj.least_squares, []
+
+        def counted_images(Gs):
+            calls.append(Gs.shape)
+            return ls.images(Gs)
+
+        obj = dataclasses.replace(obj, least_squares=LeastSquaresMap(ls.residual, counted_images))
+        rec = riemannian_gd(obj, Y0, GDConfig(max_iters=3000, grad_tol=1e-10))
+        assert rec.converged
+        assert len(calls) == rec.iterations > 10
+        assert set(calls) == {(2, 8, 8)}
+
+    @pytest.mark.parametrize("kind", ["trace_regression", "denoising"])
+    @pytest.mark.parametrize("max_iters", [5, 3000])
+    def test_run_ends_on_a_directly_evaluated_iterate(self, kind, max_iters):
+        # stopped by max_iters or converged, the last row is the objective's
+        # own value and gradient at the final factor
+        obj, Y0 = _least_squares_problem(kind)
+        rec = riemannian_gd(obj, Y0, GDConfig(max_iters=max_iters, grad_tol=1e-10))
+        assert rec.converged == (max_iters > 5)
+        assert rec.grad_norms[-1] == riemannian_grad_lift(obj, rec.final).norm
+        res = obj.least_squares.residual(rec.final.gram())
+        assert rec.values[-1] == 0.5 * float(np.vdot(res, res))
+        assert rec.values[-1] == pytest.approx(lifted_value(obj, rec.final), rel=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_is_a_numerical_failure(self):
+        # a huge fixed step makes the carried residual and gradient overflow;
+        # the run must end as a numerical failure, not as bad input
+        reg, _ = make_trace_regression(6, 2, 72, noise_sigma=0.0, seed=33)
+        with pytest.raises((NumericalFailure, RankCollapseError)):
+            riemannian_gd(
+                reg.handle(),
+                spectral_init(reg, 2),
+                GDConfig(step_size=1e9, max_iters=50, grad_tol=1e-16),
+            )
 
 
 class TestStepSearch:
