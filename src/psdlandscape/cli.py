@@ -207,7 +207,7 @@ def cmd_scan(args) -> int:
         samplers,
         n_points,
         seed,
-        delta=delta,
+        thresholds=thresholds,
         ball_radius=ball_radius,
         threads=args.threads,
     )

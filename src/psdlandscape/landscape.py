@@ -38,7 +38,9 @@ from .kernels import _align, sym_eig
 from .objectives import (
     GroundTruth,
     ObjectiveHandle,
-    _HessianForm,
+    _form_matrix,
+    _lift,
+    _sym_grad,
     random_orthonormal,
     riemannian_grad_lift,
     riemannian_hess_quadform,
@@ -263,20 +265,19 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
     return basis
 
 
-def _dense_extremes(hess: _HessianForm, Y: FactorPoint) -> HessianSpectrumEstimate:
-    lifts = [hess.lift(b) for b in horizontal_basis(Y)]
-    m = len(lifts)
-    M = np.empty((m, m))
-    for k in range(m):
-        for l in range(k, m):
-            M[k, l] = M[l, k] = hess(lifts[k], lifts[l])
+def _dense_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> HessianSpectrumEstimate:
+    basis = horizontal_basis(Y)
+    m = len(basis)
+    M = _form_matrix(obj, Y.gram(), _lift(Y, basis))
+    M += 2.0 * (basis.reshape(m, -1) @ (R @ basis).reshape(m, -1).T)
     _, lam = sym_eig(M, asym_tol=1e-6)
     return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
 
 
-def _lanczos_extremes(hess: _HessianForm, Y: FactorPoint) -> HessianSpectrumEstimate:
+def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> HessianSpectrumEstimate:
     p, r = Y.p, Y.r
     dim = horizontal_dim(p, r)
+    X = Y.gram()
 
     def horizontal(Z: np.ndarray) -> np.ndarray:
         return Z - vertical_project(Y, Z)
@@ -284,13 +285,13 @@ def _lanczos_extremes(hess: _HessianForm, Y: FactorPoint) -> HessianSpectrumEsti
     def apply(v: np.ndarray) -> np.ndarray:
         # entry (i, j) is b(v, E_ij); the horizontal part of that matrix is
         # the Hessian applied to the horizontal v
-        lift_v = hess.lift(v)
-        Hv = np.empty((p, r))
+        Cv = _lift(Y, v)
+        Hv = 2.0 * (R @ v)
         for i in range(p):
             for j in range(r):
                 E = np.zeros((p, r))
                 E[i, j] = 1.0
-                Hv[i, j] = hess(lift_v, hess.lift(E))
+                Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
         return horizontal(Hv)
 
     # a fixed start keeps the result a function of (obj, Y) alone
@@ -327,12 +328,15 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
     (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
     Up to horizontal dimension :data:`DENSE_HESSIAN_CAP` the matrix of ``b``
-    over an orthonormal horizontal basis is filled entry by entry and
-    factorized (method ``"dense"``, residual 0). Above it, Lanczos with full
-    reorthogonalization runs on the apply ``v -> P_h[(b(v, E_ij))_ij]``,
-    every Lanczos vector is projected back onto the horizontal space, and
-    the larger Ritz residual of the two extreme pairs is reported
-    (method ``"lanczos"``).
+    over an orthonormal horizontal basis ``B`` is the matrix of the
+    Euclidean form over the lifts ``C(B_k)`` plus the gradient term
+    ``2 <B_k, R B_l>``, taken as one product, and is factorized (method
+    ``"dense"``, residual 0). Above it, Lanczos with full
+    reorthogonalization runs on the apply
+    ``v -> P_h[2 R v + (hess f(X)[C(v), C(E_ij)])_ij]``, with ``C(v)``
+    formed once per step; every Lanczos vector is projected back onto the
+    horizontal space, and the larger Ritz residual of the two extreme pairs
+    is reported (method ``"lanczos"``).
 
     Raises
     ------
@@ -340,10 +344,10 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
         If Lanczos exhausts the horizontal dimension with a Ritz residual
         above ``1e-8`` times the largest Ritz value in magnitude.
     """
-    hess = _HessianForm(obj, Y)
+    R = _sym_grad(obj, Y.gram())
     if horizontal_dim(Y.p, Y.r) <= DENSE_HESSIAN_CAP:
-        return _dense_extremes(hess, Y)
-    return _lanczos_extremes(hess, Y)
+        return _dense_extremes(obj, Y, R)
+    return _lanczos_extremes(obj, Y, R)
 
 
 def escape_direction(Y: FactorPoint, gt: GroundTruth) -> HorizontalTangent:
@@ -598,7 +602,7 @@ def certify_landscape(
     samplers: Sequence[str],
     n_points: int,
     seed: int,
-    delta: float = 0.0,
+    thresholds: ThresholdReport | None = None,
     ball_radius: float | None = None,
     threads: int = 1,
 ) -> list[RegionReport]:
@@ -606,14 +610,17 @@ def certify_landscape(
 
     Points are drawn by cycling through ``samplers`` ("ball", "fiber",
     "scaled", "gaussian"); the ball radius defaults to the R1 radius
-    ``mu sigma_r(Y*) / kappa*``. Per-point seeds are derived from
-    ``(seed, point index)`` so results do not depend on scheduling.
+    ``mu sigma_r(Y*) / kappa*``. The bounds are those of ``thresholds``,
+    by default :func:`compute_thresholds` of ``(gt, params)`` at
+    ``delta = 0``. Per-point seeds are derived from ``(seed, point index)``
+    so results do not depend on scheduling.
     """
     if n_points < 1:
         raise InputContractError("n_points must be >= 1")
     if not samplers:
         raise InputContractError("need at least one sampler")
-    thresholds = compute_thresholds(gt, params, gt.Y_star.r, delta=delta)
+    if thresholds is None:
+        thresholds = compute_thresholds(gt, params, gt.Y_star.r)
     if ball_radius is None:
         ball_radius = params.mu * gt.sigmar_star / gt.kappa_star
     if ball_radius == 0.0 and any(s in ("ball", "fiber") for s in samplers):

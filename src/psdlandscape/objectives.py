@@ -351,6 +351,31 @@ def lifted_value(obj: ObjectiveHandle, Y: FactorPoint) -> float:
     return float(obj.value(Y.gram()))
 
 
+def _sym_grad(obj: ObjectiveHandle, X: np.ndarray) -> np.ndarray:
+    """``R``, the symmetrized Euclidean gradient at ``X``."""
+    G = obj.euclid_grad(X)
+    return (G + G.T) / 2.0
+
+
+def _lift(Y: FactorPoint, theta: np.ndarray) -> np.ndarray:
+    """``C(theta) = Y theta.T + theta Y.T`` for one ``(p, r)`` array, or the
+    ``(m, p, p)`` stack of them for an ``(m, p, r)`` stack."""
+    T = Y.Y @ np.swapaxes(theta, -1, -2)
+    return T + np.swapaxes(T, -1, -2)
+
+
+def _form_matrix(obj: ObjectiveHandle, X: np.ndarray, Gs: np.ndarray) -> np.ndarray:
+    """The matrix ``<hess f(X)[G_a], G_b>`` of the Euclidean Hessian form at
+    ``X`` over the stack ``Gs``, from one form call per pair ``a <= b``."""
+    Gs = list(Gs)  # a diagonal call passes one object twice
+    q = len(Gs)
+    M = np.empty((q, q))
+    for a in range(q):
+        for b in range(a, q):
+            M[a, b] = M[b, a] = float(obj.euclid_hess_form(X, Gs[a], Gs[b]))
+    return M
+
+
 def riemannian_grad_lift(obj: ObjectiveHandle, Y: FactorPoint) -> HorizontalTangent:
     """Horizontal lift of the Riemannian gradient: ``2 grad f(Y Y.T) @ Y``.
 
@@ -359,8 +384,7 @@ def riemannian_grad_lift(obj: ObjectiveHandle, Y: FactorPoint) -> HorizontalTang
     objective, so factor-space gradient descent is simultaneously Euclidean
     and Riemannian.
     """
-    G = obj.euclid_grad(Y.gram())
-    return _grad_lift_of((G + G.T) / 2.0, Y)
+    return _grad_lift_of(_sym_grad(obj, Y.gram()), Y)
 
 
 def _grad_lift_of(R: np.ndarray, Y: FactorPoint) -> HorizontalTangent:
@@ -381,38 +405,10 @@ def riemannian_hess_quadform(
         theta = HorizontalTangent(np.asarray(theta, dtype=float), Y)
     elif not same_base(theta, Y):
         raise InputContractError("tangent must be based at the given point")
-    hess = _HessianForm(obj, Y)
-    lift = hess.lift(theta.theta)
-    return hess(lift, lift)
-
-
-class _HessianForm:
-    """The Riemannian Hessian at ``Y`` as a bilinear form on lifts.
-
-    ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
-    with ``X = Y Y.T``, ``C(theta) = Y theta.T + theta Y.T`` and ``R`` the
-    symmetrized Euclidean gradient at ``X``. On horizontal directions this
-    is the Riemannian Hessian of the quotient; on all of ``R^{p x r}`` it is
-    the Euclidean Hessian of ``Y -> f(Y Y.T)``. Arguments are not validated:
-    callers pass arrays of the factor's shape.
-    """
-
-    def __init__(self, obj: ObjectiveHandle, Y: FactorPoint):
-        self.obj = obj
-        self.Y = Y.Y
-        self.X = Y.gram()
-        R = obj.euclid_grad(self.X)
-        self.R = (R + R.T) / 2.0
-
-    def lift(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(theta, C(theta))``: what :meth:`__call__` needs of one argument."""
-        return theta, self.Y @ theta.T + theta @ self.Y.T
-
-    def __call__(self, lift1: tuple[np.ndarray, np.ndarray], lift2: tuple[np.ndarray, np.ndarray]) -> float:
-        (theta1, C1), (theta2, C2) = lift1, lift2
-        return float(self.obj.euclid_hess_form(self.X, C1, C2)) + 2.0 * float(
-            np.vdot(self.R @ theta1, theta2)
-        )
+    th = theta.theta
+    X = Y.gram()
+    C = _lift(Y, th)
+    return float(obj.euclid_hess_form(X, C, C)) + 2.0 * float(np.vdot(_sym_grad(obj, X) @ th, th))
 
 
 def embedded_hess_quadform(

@@ -34,12 +34,13 @@ from .objectives import (
     ObjectiveHandle,
     TraceRegressionObjective,
     _grad_lift_of,
+    _lift,
+    _sym_grad,
     lifted_value,
     riemannian_grad_lift,
 )
 
 __all__ = [
-    "BacktrackingSpec",
     "PerturbationSpec",
     "GDConfig",
     "TrajectoryRecord",
@@ -50,13 +51,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BacktrackingSpec:
-    """Armijo line-search parameters."""
-
-    c1: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 50
+#: Armijo sufficient-decrease constant, step shrink factor and trial cap of
+#: the backtracking search
+_ARMIJO_C1 = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class GDConfig:
     step_size: float | None = None
     max_iters: int = 1000
     grad_tol: float = 1e-8
-    backtracking: BacktrackingSpec = field(default_factory=BacktrackingSpec)
     perturbation: PerturbationSpec | None = None
     seed: int = 0
 
@@ -139,11 +137,10 @@ def _evaluate(obj: ObjectiveHandle, Y: FactorPoint, k: int) -> tuple[np.ndarray 
     X = Y.gram()
     try:
         res = None if obj.least_squares is None else obj.least_squares.residual(X)
-        R = obj.euclid_grad(X)
+        return res, _sym_grad(obj, X)
     except InputContractError as exc:
         # non-finite intermediates mid-run mean the iterates diverged
         raise NumericalFailure(f"gradient evaluation failed at iterate {k}: {exc}") from exc
-    return res, (R + R.T) / 2.0
 
 
 def _lifted_gradient(R: np.ndarray, Y: FactorPoint, k: int) -> HorizontalTangent:
@@ -264,8 +261,7 @@ def riemannian_gd(
 
         G = grad.theta
         if ls is not None:
-            YG = Y.Y @ G.T
-            (fC, fD), (nC, nD) = ls.images(np.stack([YG + YG.T, G @ G.T]))
+            (fC, fD), (nC, nD) = ls.images(np.stack([_lift(Y, G), G @ G.T]))
 
         if cfg.step_size is not None:
             eta = cfg.step_size
@@ -284,9 +280,8 @@ def riemannian_gd(
             continue
 
         # Armijo backtracking; rank-collapsing trials count as rejected steps
-        bt = cfg.backtracking
         eta = trial if trial is not None else 1.0 / (4.0 * Y.sigma_max**2)
-        for _ in range(bt.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = _full_rank(Y.Y - eta * G)
             if cand is not None:
                 if ls is not None:
@@ -294,17 +289,17 @@ def riemannian_gd(
                     cand_val = _half_squared_norm(cand_res)
                 else:
                     cand_val = lifted_value(obj, cand)
-                if cand_val <= val - bt.c1 * eta * gnorm**2:
+                if cand_val <= val - _ARMIJO_C1 * eta * gnorm**2:
                     Y, val = cand, cand_val
                     if ls is not None:
                         carried = (cand_res, R - eta * nC + eta**2 * nD)
                     rec.steps.append(eta)
                     trial = eta * 2.0
                     break
-            eta *= bt.shrink
+            eta *= _SHRINK
         else:
             raise StepSearchError(
-                f"backtracking exhausted {bt.max_backtracks} trials at iterate {k} "
+                f"backtracking exhausted {_MAX_BACKTRACKS} trials at iterate {k} "
                 f"(gradient norm {gnorm:.3e})"
             )
 
@@ -313,11 +308,11 @@ def riemannian_gd(
     return rec
 
 
-def spectral_init(obj: TraceRegressionObjective, r: int, eig_floor_rel: float = 1e-8) -> FactorPoint:
+def spectral_init(obj: TraceRegressionObjective, r: int) -> FactorPoint:
     """Spectral initialization from the back-projected observations.
 
     Forms ``M = sum_i y_i A_i``, takes its top-``r`` eigenpairs with
-    eigenvalues clipped below at ``eig_floor_rel * lambda_1`` and returns
+    eigenvalues clipped below at ``1e-8 * lambda_1`` and returns
     ``U_r diag(lambda_r)^{1/2}``.
 
     Raises
@@ -329,7 +324,7 @@ def spectral_init(obj: TraceRegressionObjective, r: int, eig_floor_rel: float = 
     U, lam = sym_eig(M)
     if lam[0] <= 0.0:
         raise InitializationFailure("back-projected observations have no positive spectrum")
-    floor = eig_floor_rel * float(lam[0])
+    floor = 1e-8 * float(lam[0])
     if int(np.sum(lam > floor)) < r:
         raise InitializationFailure(
             f"only {int(np.sum(lam > floor))} eigenvalues exceed the floor, need {r}"
@@ -355,7 +350,6 @@ def error_bound_check(
     mu: float,
     obj: ObjectiveHandle,
     fosp_tol: float | None = None,
-    slack: float | None = None,
 ) -> ErrorBoundResult:
     """Check the certified distance bound at a stationary point in R1.
 
@@ -364,7 +358,7 @@ def error_bound_check(
     ``2 ||Y*|| ||(grad f(X*))_max(r)||_F / (((1-mu/k)^2 - 7mu/3) sigma_r^2)``
     and ``rhs_mid`` the tighter intermediate bound with
     ``||grad f(X*) Y*||_F`` in the numerator. ``holds`` compares with an
-    absolute slack (default ``1e-7 sigma_r(Y*)``) because the noiseless rhs
+    absolute slack of ``1e-7 sigma_r(Y*)`` because the noiseless rhs
     is exactly zero while a numerically converged point sits at a tiny
     positive distance.
     """
@@ -389,8 +383,7 @@ def error_bound_check(
     rhs = 2.0 * gt.sigma1_star * gt.grad_at_star_trunc / denom
     grad_star = obj.euclid_grad(gt.X_star)
     rhs_mid = 2.0 * float(np.linalg.norm(grad_star @ gt.Y_star.Y)) / denom
-    if slack is None:
-        slack = 1e-7 * sr
+    slack = 1e-7 * sr
     return ErrorBoundResult(
         lhs=float(lhs),
         rhs=float(rhs),

@@ -30,6 +30,7 @@ from .kernels import procrustes_align, sym_eig, truncated_frob_norm
 from .landscape import random_ball_tangent
 from .objectives import (
     ObjectiveHandle,
+    _form_matrix,
     lifted_value,
     make_denoising,
     make_trace_regression,
@@ -195,16 +196,6 @@ def _symmetric_basis(p: int) -> np.ndarray:
     return basis
 
 
-def _form_matrix(obj: ObjectiveHandle, X: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The matrix of the Hessian form at ``X`` over ``basis``."""
-    q = len(basis)
-    M = np.zeros((q, q))
-    for a in range(q):
-        for b in range(a, q):
-            M[a, b] = M[b, a] = float(obj.euclid_hess_form(X, basis[a], basis[b]))
-    return M
-
-
 def _project_rank_unit(G: np.ndarray, max_rank: int) -> np.ndarray:
     U, lam = sym_eig(G, asym_tol=1e-6)
     order = np.argsort(-np.abs(lam))[:max_rank]
@@ -214,10 +205,11 @@ def _project_rank_unit(G: np.ndarray, max_rank: int) -> np.ndarray:
 
 
 def dense_delta_certificate(
-    obj: ObjectiveHandle, r: int, restarts: int = 8, seed: int = 0, n_steps: int = 60
+    obj: ObjectiveHandle, r: int, restarts: int = 8, seed: int = 0
 ) -> float:
     """Lower bound for the restricted convexity/smoothness constant by
-    multi-restart projected ascent at small sizes (``p <= 8``).
+    multi-restart projected ascent, 60 steps per restart, at small sizes
+    (``p <= 8``).
 
     Maximizes ``|hess_form(X)[G, G] - 1|`` over unit-norm symmetric ``G``
     of rank at most ``4r`` (evaluation points ``X`` of rank at most ``2r``
@@ -251,7 +243,7 @@ def dense_delta_certificate(
         step = 0.5
         val = float(obj.euclid_hess_form(X, G, G)) - 1.0
         best = max(best, abs(val))
-        for _ in range(n_steps):
+        for _ in range(60):
             direction = np.sign(val) if val != 0.0 else 1.0
             G_new = _project_rank_unit(G + step * direction * grad_matrix(X, G), 4 * r)
             val_new = float(obj.euclid_hess_form(X, G_new, G_new)) - 1.0

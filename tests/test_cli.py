@@ -127,6 +127,24 @@ class TestScan:
         csv = (tmp_path / "out" / "scan_report.csv").read_text()
         assert all(line.endswith(",true") for line in csv.strip().split("\n")[1:])
 
+    def test_thresholds_are_computed_once(self, tmp_path, monkeypatch):
+        # the gate, thresholds.json and the certified bounds share one report
+        import psdlandscape.cli as cli_mod
+        import psdlandscape.landscape as landscape_mod
+
+        calls = []
+        original = landscape_mod.compute_thresholds
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "compute_thresholds", counted)
+        monkeypatch.setattr(landscape_mod, "compute_thresholds", counted)
+        cfg = write_config(tmp_path, scan={"n_points": 4})
+        assert main(["scan", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+
     def test_finite_sample_gate_downgrades_to_statistical(self, tmp_path, capsys):
         # the sampled constant exceeds the composite bound at desk scale, so
         # the run is flagged statistical-only while the substituted checks run

@@ -192,27 +192,35 @@ class TestHessExtremes:
         assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
         assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
 
-    def test_polarization_matches_direct_bilinear_form(self):
-        # the Hessian form must equal the closed-form bilinear expression
-        # <C_a, C_b> + <R, a b.T + b a.T> of the exact-factorization
-        # objective, and the dense spectrum must be that matrix's spectrum
-        from psdlandscape.objectives import _HessianForm
+    @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
+    def test_polarization_matches_direct_bilinear_form(self, kind):
+        # the form matrix over the lifted basis plus the gradient term must
+        # equal the closed-form bilinear expression
+        # <A(C_a), A(C_b)> + <A.T(A(X) - y), a b.T + b a.T> (A the identity
+        # and y = X* for denoising), and the dense spectrum must be that
+        # matrix's spectrum
+        from psdlandscape.objectives import _form_matrix, _lift
 
-        den, gt = make_denoising(7, 2, kappa_star=2.0, seed=32)
-        obj = den.handle()
+        if kind == "denoising":
+            den, gt = make_denoising(7, 2, kappa_star=2.0, seed=32)
+            obj, forward = den.handle(), np.ravel
+        else:
+            reg, gt = make_trace_regression(6, 2, 72, seed=32)
+            obj, forward = reg.handle(), reg.apply_map
         rng = np.random.default_rng(33)
-        Y = FactorPoint(gt.Y_star.Y + 0.3 * rng.standard_normal((7, 2)))
+        Y = FactorPoint(gt.Y_star.Y + 0.3 * rng.standard_normal(gt.Y_star.Y.shape))
+        X = Y.gram()
+        R = X - gt.X_star if kind == "denoising" else reg.adjoint(reg.apply_map(X) - reg.y)
         basis = horizontal_basis(Y)
-        hess = _HessianForm(obj, Y)
-        R = Y.gram() - gt.X_star
-        M = np.empty((len(basis), len(basis)))
+        form = _form_matrix(obj, X, _lift(Y, basis))
+        M = np.empty_like(form)
         for a, ba in enumerate(basis):
             Ca = Y.Y @ ba.T + ba @ Y.Y.T
             for b, bb in enumerate(basis):
                 Cb = Y.Y @ bb.T + bb @ Y.Y.T
-                M[a, b] = float(np.vdot(Ca, Cb)) + float(np.vdot(R, ba @ bb.T + bb @ ba.T))
-                form = hess(hess.lift(ba), hess.lift(bb))
-                assert form == pytest.approx(M[a, b], abs=1e-9)
+                M[a, b] = float(forward(Ca) @ forward(Cb)) + float(np.vdot(R, ba @ bb.T + bb @ ba.T))
+                got = form[a, b] + 2.0 * float(np.vdot(R @ ba, bb))
+                assert got == pytest.approx(M[a, b], abs=1e-9)
         lam = np.linalg.eigvalsh(M)
         est = hess_extreme_eigs(obj, Y)
         assert est.lambda_min == pytest.approx(lam[0], abs=1e-9)
