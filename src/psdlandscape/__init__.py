@@ -83,7 +83,6 @@ from .optimizers import (
     spectral_init,
 )
 from .verify import (
-    FDSpec,
     SuiteSummary,
     brute_distance_rank1,
     dense_delta_certificate,

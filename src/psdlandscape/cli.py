@@ -18,12 +18,11 @@ import numpy as np
 
 from . import __version__
 from .errors import InputContractError, LandscapeError, NumericalFailure
-from .geometry import FactorPoint
 from .landscape import (
     RegionParams,
+    _sample_point,
     certify_landscape,
     compute_thresholds,
-    random_ball_tangent,
     reports_to_csv,
 )
 from .objectives import (
@@ -271,13 +270,8 @@ def cmd_optimize(args) -> int:
         if inst.trace_regression is None:
             raise InputContractError("spectral initialization needs a trace-regression instance")
         Y0 = spectral_init(inst.trace_regression, inst.r)
-    elif init_kind == "gaussian":
-        scale = gt.sigma1_star / np.sqrt(inst.p)
-        Y0 = FactorPoint(scale * rng.standard_normal((inst.p, inst.r)))
-    elif init_kind == "ball":
-        radius = params.mu * gt.sigmar_star / gt.kappa_star
-        theta = random_ball_tangent(gt.Y_star, radius, rng)
-        Y0 = FactorPoint(gt.Y_star.Y + theta.theta)
+    elif init_kind in ("gaussian", "ball"):
+        Y0 = _sample_point(init_kind, gt, params, rng, params.mu * gt.sigmar_star / gt.kappa_star)
     elif init_kind == "target":
         Y0 = gt.Y_star
     else:

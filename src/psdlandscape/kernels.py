@@ -49,7 +49,7 @@ def check_matrix(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def thin_svd(A: np.ndarray, k: int | None = None) -> SvdResult:
+def thin_svd(A: np.ndarray) -> SvdResult:
     """Thin singular value decomposition with deterministic signs.
 
     Each left singular vector is flipped so that its largest-magnitude
@@ -60,32 +60,25 @@ def thin_svd(A: np.ndarray, k: int | None = None) -> SvdResult:
     ----------
     A : ndarray of shape (p1, p2)
         Matrix to factorize; must be finite.
-    k : int, optional
-        Number of leading singular triplets to keep. Defaults to
-        ``min(p1, p2)``.
 
     Returns
     -------
     SvdResult
-        ``U`` (p1, k), ``sigma`` (k,) non-increasing, ``V`` (p2, k).
+        ``U`` (p1, k), ``sigma`` (k,) non-increasing, ``V`` (p2, k), with
+        ``k = min(p1, p2)``.
     """
     A = check_matrix(A, "svd input")
-    kmax = min(A.shape)
-    if k is None:
-        k = kmax
-    if not 1 <= k <= kmax:
-        raise InputContractError(f"k={k} out of range [1, {kmax}]")
     try:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge for shape {A.shape}") from exc
-    V = Vt.T
+    V = Vt.T.copy()
     for j in range(U.shape[1]):
         i = int(np.argmax(np.abs(U[:, j])))
         if U[i, j] < 0:
             U[:, j] = -U[:, j]
             V[:, j] = -V[:, j]
-    return SvdResult(U[:, :k].copy(), s[:k].copy(), V[:, :k].copy())
+    return SvdResult(U, s, V)
 
 
 def sym_eig(S: np.ndarray, asym_tol: float = 1e-10) -> EigResult:

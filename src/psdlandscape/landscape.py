@@ -36,6 +36,7 @@ from .errors import (
 from .geometry import FactorPoint, HorizontalTangent, vertical_project
 from .kernels import _align, sym_eig
 from .objectives import (
+    MAX_INSTANCE_BYTES,
     GroundTruth,
     ObjectiveHandle,
     _form_matrix,
@@ -327,11 +328,13 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     Both paths evaluate the one bilinear form
     ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
     (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
-    Up to horizontal dimension :data:`DENSE_HESSIAN_CAP` the matrix of ``b``
-    over an orthonormal horizontal basis ``B`` is the matrix of the
-    Euclidean form over the lifts ``C(B_k)`` plus the gradient term
+    Up to horizontal dimension :data:`DENSE_HESSIAN_CAP`, and while the
+    stack of the ``m`` lifts ``C(B_k)`` (``8 m p^2`` bytes) fits the memory
+    budget :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`, the matrix of
+    ``b`` over an orthonormal horizontal basis ``B`` is the matrix of the
+    Euclidean form over the lifts plus the gradient term
     ``2 <B_k, R B_l>``, taken as one product, and is factorized (method
-    ``"dense"``, residual 0). Above it, Lanczos with full
+    ``"dense"``, residual 0). Otherwise Lanczos with full
     reorthogonalization runs on the apply
     ``v -> P_h[2 R v + (hess f(X)[C(v), C(E_ij)])_ij]``, with ``C(v)``
     formed once per step; every Lanczos vector is projected back onto the
@@ -345,7 +348,8 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
         above ``1e-8`` times the largest Ritz value in magnitude.
     """
     R = _sym_grad(obj, Y.gram())
-    if horizontal_dim(Y.p, Y.r) <= DENSE_HESSIAN_CAP:
+    m = horizontal_dim(Y.p, Y.r)
+    if m <= DENSE_HESSIAN_CAP and 8 * m * Y.p**2 <= MAX_INSTANCE_BYTES:
         return _dense_extremes(obj, Y, R)
     return _lanczos_extremes(obj, Y, R)
 

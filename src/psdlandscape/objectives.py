@@ -87,8 +87,6 @@ class ObjectiveHandle:
         ``(G1, G2)``.
     p, r : int
         Ambient dimension and target rank of the problem.
-    kind : str
-        Problem family tag ("denoising", "trace_regression", or custom).
     least_squares : LeastSquaresMap or None
         The least-squares structure of the same ``f``, for objectives that
         have one; ``None`` for custom handles.
@@ -99,7 +97,6 @@ class ObjectiveHandle:
     euclid_hess_form: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     p: int
     r: int
-    kind: str = "custom"
     least_squares: LeastSquaresMap | None = None
 
 
@@ -136,8 +133,7 @@ class DenoisingObjective:
             return Gs, Gs
 
         return ObjectiveHandle(
-            value, grad, hess_form, X_star.shape[0], self.r, "denoising",
-            LeastSquaresMap(grad, images),
+            value, grad, hess_form, X_star.shape[0], self.r, LeastSquaresMap(grad, images)
         )
 
 
@@ -311,8 +307,7 @@ class TraceRegressionObjective:
             return float(image @ (image if G2 is G1 else self.apply_map(G2)))
 
         return ObjectiveHandle(
-            value, grad, hess_form, self.p, self.r, "trace_regression",
-            LeastSquaresMap(residual, self.images),
+            value, grad, hess_form, self.p, self.r, LeastSquaresMap(residual, self.images)
         )
 
 
@@ -384,13 +379,7 @@ def riemannian_grad_lift(obj: ObjectiveHandle, Y: FactorPoint) -> HorizontalTang
     objective, so factor-space gradient descent is simultaneously Euclidean
     and Riemannian.
     """
-    return _grad_lift_of(_sym_grad(obj, Y.gram()), Y)
-
-
-def _grad_lift_of(R: np.ndarray, Y: FactorPoint) -> HorizontalTangent:
-    """``2 R Y``, the horizontal lift at ``Y`` of the symmetric Euclidean
-    gradient ``R`` at ``Y Y.T``."""
-    return HorizontalTangent(2.0 * (R @ Y.Y), Y)
+    return HorizontalTangent(2.0 * (_sym_grad(obj, Y.gram()) @ Y.Y), Y)
 
 
 def riemannian_hess_quadform(

@@ -21,7 +21,7 @@ from .errors import (
     RankCollapseError,
     StepSearchError,
 )
-from .geometry import FactorPoint, HorizontalTangent, horizontal_project, quotient_distance
+from .geometry import FactorPoint, quotient_distance, vertical_project
 from .kernels import sym_eig
 from .landscape import (
     RegionLabel,
@@ -33,7 +33,6 @@ from .objectives import (
     GroundTruth,
     ObjectiveHandle,
     TraceRegressionObjective,
-    _grad_lift_of,
     _lift,
     _sym_grad,
     lifted_value,
@@ -131,29 +130,45 @@ def _full_rank(Y: np.ndarray) -> FactorPoint | None:
         return None
 
 
-def _evaluate(obj: ObjectiveHandle, Y: FactorPoint, k: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """The residual (``None`` without least-squares structure) and the
-    symmetrized Euclidean gradient at iterate ``k``, evaluated directly."""
+def _evaluate(
+    obj: ObjectiveHandle, Y: FactorPoint, k: int, val: float | None
+) -> tuple[float, np.ndarray | None, np.ndarray]:
+    """The value, the residual (``None`` without least-squares structure) and
+    the symmetrized Euclidean gradient at iterate ``k``, evaluated directly;
+    without least-squares structure a known value ``val`` is kept."""
     X = Y.gram()
     try:
-        res = None if obj.least_squares is None else obj.least_squares.residual(X)
-        return res, _sym_grad(obj, X)
+        if obj.least_squares is None:
+            R = _sym_grad(obj, X)
+            return (lifted_value(obj, Y) if val is None else val), None, R
+        res = obj.least_squares.residual(X)
+        return 0.5 * float(np.vdot(res, res)), res, _sym_grad(obj, X)
     except InputContractError as exc:
         # non-finite intermediates mid-run mean the iterates diverged
         raise NumericalFailure(f"gradient evaluation failed at iterate {k}: {exc}") from exc
 
 
-def _lifted_gradient(R: np.ndarray, Y: FactorPoint, k: int) -> HorizontalTangent:
-    """The lift of the symmetric gradient ``R`` at iterate ``k``."""
-    try:
-        return _grad_lift_of(R, Y)
-    except InputContractError as exc:
-        raise NumericalFailure(f"gradient evaluation failed at iterate {k}: {exc}") from exc
+def _trials(
+    obj: ObjectiveHandle, Y: FactorPoint, G: np.ndarray, res: np.ndarray | None, R: np.ndarray
+):
+    """``(eta, cand) -> (value, carried)`` for the trial ``cand = Y - eta G``.
 
+    On a least-squares handle the step moves ``X = Y Y.T`` to
+    ``X - eta C + eta^2 D`` with ``C = Y G.T + G Y.T`` and ``D = G G.T``, so
+    the one ``images`` call on ``[C, D]`` gives the value from the residual
+    ``res`` at every trial, and the trial's residual and gradient are carried.
+    Any other handle evaluates the value and carries nothing.
+    """
+    ls = obj.least_squares
+    if ls is None:
+        return lambda eta, cand: (lifted_value(obj, cand), None)
+    (fC, fD), (nC, nD) = ls.images(np.stack([_lift(Y, G), G @ G.T]))
 
-def _half_squared_norm(res: np.ndarray) -> float:
-    """``0.5 ||res||^2``, the least-squares value of a residual."""
-    return 0.5 * float(np.vdot(res, res))
+    def trial(eta: float, cand: FactorPoint) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        r = res - eta * fC + eta**2 * fD
+        return 0.5 * float(np.vdot(r, r)), (r, R - eta * nC + eta**2 * nD)
+
+    return trial
 
 
 def riemannian_gd(
@@ -171,16 +186,14 @@ def riemannian_gd(
     gradient is small but the horizontal Hessian has an eigenvalue below
     ``-trigger_tol`` (a strict saddle).
 
-    On a least-squares objective (``obj.least_squares`` set) the step
-    ``Y - eta G`` moves ``X = Y Y.T`` to ``X - eta C + eta^2 D`` with
-    ``C = Y G.T + G Y.T`` and ``D = G G.T``, so one call of ``images`` on
-    ``[C, D]`` gives the residual and the gradient at every trial step. The
-    accepted step's residual and gradient are carried to the next iterate;
-    they are evaluated directly at iterate 0, after a perturbation, at the
-    last iterate and wherever the carried gradient is within
-    ``cfg.grad_tol``, so a run ends on a directly evaluated iterate. Other
-    handles evaluate the value at each trial and the gradient at each
-    iterate.
+    Each iteration runs one trial loop: a fixed step is a single trial that
+    is always accepted, and backtracking halves a warm-started Armijo step.
+    The accepted trial's value is the next iterate's; on a least-squares
+    objective (``obj.least_squares`` set) its residual and gradient are
+    carried as well (see :func:`_trials`). They are evaluated directly at
+    iterate 0, after a perturbation, at the last iterate and wherever the
+    carried gradient is within ``cfg.grad_tol``, so a run ends on a directly
+    evaluated iterate. Other handles evaluate the gradient at each iterate.
 
     Raises
     ------
@@ -195,28 +208,24 @@ def riemannian_gd(
     rec = TrajectoryRecord()
     track = gt is not None
     pert = cfg.perturbation
-    ls = obj.least_squares
+    fixed = cfg.step_size is not None
     rng = np.random.default_rng(cfg.seed)
     Y = Y0
     val = None  # an accepted trial's value is the next iterate's
     carried = None  # least squares: the accepted trial's residual and gradient
-    trial = None  # warm-started backtracking step
+    warm = None  # warm-started backtracking step
     cooldown = 0
 
     for k in range(cfg.max_iters + 1):
-        grad = None if carried is None else _lifted_gradient(carried[1], Y, k)
-        if grad is None or grad.norm <= cfg.grad_tol or k == cfg.max_iters:
+        G = None if carried is None else 2.0 * (carried[1] @ Y.Y)
+        if G is None or np.linalg.norm(G) <= cfg.grad_tol or k == cfg.max_iters:
             # a run ends only on a directly evaluated iterate
-            res, R = _evaluate(obj, Y, k)
-            grad = _lifted_gradient(R, Y, k)
-            if ls is not None:
-                val = _half_squared_norm(res)
-            elif val is None:
-                val = lifted_value(obj, Y)
+            val, res, R = _evaluate(obj, Y, k, val)
+            G = 2.0 * (R @ Y.Y)
         else:
             res, R = carried
         carried = None
-        gnorm = grad.norm
+        gnorm = float(np.linalg.norm(G))
         if not np.isfinite(val) or not np.isfinite(gnorm):
             raise NumericalFailure(f"iterates diverged at iterate {k}")
         rec.values.append(val)
@@ -244,8 +253,9 @@ def riemannian_gd(
             break
 
         if saddle and gnorm < pert.trigger_tol:
-            kick = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
-            Y = _full_rank(Y.Y + kick.theta * (pert.radius / kick.norm))
+            Z = rng.standard_normal(Y.Y.shape)
+            kick = Z - vertical_project(Y, Z)
+            Y = _full_rank(Y.Y + kick * (pert.radius / np.linalg.norm(kick)))
             if Y is None:
                 raise RankCollapseError(
                     f"saddle-escape perturbation collapsed the rank at iterate {k}",
@@ -259,49 +269,32 @@ def riemannian_gd(
         if cooldown > 0:
             cooldown -= 1
 
-        G = grad.theta
-        if ls is not None:
-            (fC, fD), (nC, nD) = ls.images(np.stack([_lift(Y, G), G @ G.T]))
-
-        if cfg.step_size is not None:
+        # rank-collapsing trials count as rejected steps when backtracking
+        trial = _trials(obj, Y, G, res, R)
+        if fixed:
             eta = cfg.step_size
-            Y = _full_rank(Y.Y - eta * G)
-            if Y is None:
+        else:
+            eta = warm if warm is not None else 1.0 / (4.0 * Y.sigma_max**2)
+        for _ in range(1 if fixed else _MAX_BACKTRACKS):
+            cand = _full_rank(Y.Y - eta * G)
+            if cand is not None:
+                cand_val, cand_carried = trial(eta, cand)
+                if fixed or cand_val <= val - _ARMIJO_C1 * eta * gnorm**2:
+                    break
+            elif fixed:
                 raise RankCollapseError(
                     f"iterate {k + 1} left the full-rank set (step {eta:.3g})",
                     iteration=k + 1,
                 )
-            if ls is None:
-                val = None
-            else:
-                carried = (res - eta * fC + eta**2 * fD, R - eta * nC + eta**2 * nD)
-                val = _half_squared_norm(carried[0])
-            rec.steps.append(eta)
-            continue
-
-        # Armijo backtracking; rank-collapsing trials count as rejected steps
-        eta = trial if trial is not None else 1.0 / (4.0 * Y.sigma_max**2)
-        for _ in range(_MAX_BACKTRACKS):
-            cand = _full_rank(Y.Y - eta * G)
-            if cand is not None:
-                if ls is not None:
-                    cand_res = res - eta * fC + eta**2 * fD
-                    cand_val = _half_squared_norm(cand_res)
-                else:
-                    cand_val = lifted_value(obj, cand)
-                if cand_val <= val - _ARMIJO_C1 * eta * gnorm**2:
-                    Y, val = cand, cand_val
-                    if ls is not None:
-                        carried = (cand_res, R - eta * nC + eta**2 * nD)
-                    rec.steps.append(eta)
-                    trial = eta * 2.0
-                    break
             eta *= _SHRINK
         else:
             raise StepSearchError(
                 f"backtracking exhausted {_MAX_BACKTRACKS} trials at iterate {k} "
                 f"(gradient norm {gnorm:.3e})"
             )
+        Y, val, carried = cand, cand_val, cand_carried
+        rec.steps.append(eta)
+        warm = eta * 2.0
 
     rec.iterations = len(rec.values) - 1
     rec.final = Y

@@ -41,7 +41,6 @@ from .objectives import (
 )
 
 __all__ = [
-    "FDSpec",
     "FDCheckResult",
     "fd_gradient_check",
     "fd_hessian_check",
@@ -52,17 +51,6 @@ __all__ = [
     "run_suite",
     "suite_names",
 ]
-
-
-@dataclass(frozen=True)
-class FDSpec:
-    """Central finite-difference settings."""
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise InputContractError("step must be positive")
 
 
 class FDCheckResult(NamedTuple):
@@ -80,11 +68,11 @@ def fd_gradient_check(
     obj: ObjectiveHandle,
     Y: FactorPoint,
     theta: HorizontalTangent,
-    spec: FDSpec = FDSpec(),
 ) -> FDCheckResult:
-    """Directional derivative of the lifted objective vs the gradient lift."""
+    """Directional derivative of the lifted objective, by a central
+    difference at step ``1e-5``, vs the gradient lift."""
     analytic = float(np.vdot(riemannian_grad_lift(obj, Y).theta, theta.theta))
-    t = spec.step
+    t = 1e-5
     fp = float(obj.value((Y.Y + t * theta.theta) @ (Y.Y + t * theta.theta).T))
     fm = float(obj.value((Y.Y - t * theta.theta) @ (Y.Y - t * theta.theta).T))
     numeric = (fp - fm) / (2.0 * t)
@@ -95,7 +83,6 @@ def fd_hessian_check(
     obj: ObjectiveHandle,
     Y: FactorPoint,
     theta: HorizontalTangent,
-    spec: FDSpec = FDSpec(step=1e-2),
 ) -> FDCheckResult:
     """Second difference of the lifted objective vs the Hessian quadratic form.
 
@@ -106,7 +93,7 @@ def fd_hessian_check(
     central second difference is ``D(t) = g2 + t^2 g4 / 12`` (``g2``, ``g4``
     the second and fourth derivatives at 0) and the Richardson combination
     ``(4 D(t) - D(2t)) / 3`` equals ``g2`` up to roundoff. That lets the step
-    be large enough for the cancellation in ``D`` to stay small.
+    be large enough for the cancellation in ``D`` to stay small: ``t = 1e-2``.
     """
     analytic = riemannian_hess_quadform(obj, Y, theta)
     f0 = lifted_value(obj, Y)
@@ -116,7 +103,7 @@ def fd_hessian_check(
         fm = float(obj.value((Y.Y - t * theta.theta) @ (Y.Y - t * theta.theta).T))
         return (fp - 2.0 * f0 + fm) / (t * t)
 
-    t = spec.step
+    t = 1e-2
     numeric = (4.0 * second_difference(t) - second_difference(2.0 * t)) / 3.0
     return FDCheckResult(analytic, numeric, _rel_err(analytic, numeric))
 
@@ -257,16 +244,16 @@ def dense_delta_certificate(
     return best
 
 
-def symmetric_delta_upper(obj: ObjectiveHandle, X: np.ndarray | None = None) -> float:
-    """Exact extremum of ``|hess_form(X)[G, G] - 1|`` over all unit symmetric
+def symmetric_delta_upper(obj: ObjectiveHandle) -> float:
+    """Exact extremum of ``|hess_form(0)[G, G] - 1|`` over all unit symmetric
     ``G`` (no rank restriction): an upper bound for every rank-restricted
-    constant, suitable for the favorable side of comparison inequalities."""
+    constant, suitable for the favorable side of comparison inequalities.
+    Both objective families have a constant Hessian, so ``X = 0`` stands
+    for every ``X``."""
     p = obj.p
     if p > 8:
         raise InputContractError(f"dense extremum requires p <= 8, got p={p}")
-    if X is None:
-        X = np.zeros((p, p))
-    _, lam = sym_eig(_form_matrix(obj, X, _symmetric_basis(p)), asym_tol=1e-6)
+    _, lam = sym_eig(_form_matrix(obj, np.zeros((p, p)), _symmetric_basis(p)), asym_tol=1e-6)
     return float(max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0)))
 
 

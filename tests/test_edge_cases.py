@@ -12,7 +12,6 @@ from psdlandscape.geometry import (
     vertical_project,
 )
 from psdlandscape import landscape
-from psdlandscape.kernels import thin_svd
 from psdlandscape.landscape import (
     RegionParams,
     certify_landscape,
@@ -61,23 +60,6 @@ class TestSquareFactor:
         est = hess_extreme_eigs(obj, Ys)
         assert est.lambda_min >= 2 * Ys.sigma_min**2 - 1e-8
         assert est.lambda_max <= 4 * Ys.sigma_max**2 + 1e-8
-
-
-class TestRequestedK:
-    def test_truncated_factorization(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((8, 5))
-        full = thin_svd(A)
-        part = thin_svd(A, k=2)
-        np.testing.assert_allclose(part.sigma, full.sigma[:2])
-        np.testing.assert_allclose(part.U, full.U[:, :2])
-        np.testing.assert_allclose(part.V, full.V[:, :2])
-
-    def test_k_out_of_range(self):
-        from psdlandscape.errors import InputContractError
-
-        with pytest.raises(InputContractError):
-            thin_svd(np.eye(3), k=4)
 
 
 class TestIterativeCertificationPath:

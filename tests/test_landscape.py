@@ -185,12 +185,16 @@ class TestHessExtremes:
         rng = np.random.default_rng(14)
         Y = FactorPoint(gt.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
         dense = hess_extreme_eigs(obj, Y)
-        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
-        it = hess_extreme_eigs(obj, Y)
-        assert (dense.method, it.method) == ("dense", "lanczos")
-        assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
-        assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
-        assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
+        # Lanczos runs above the dimension cap, and below it wherever the
+        # 8 m p^2 bytes of lifted basis matrices (m = 19) exceed the budget
+        for name, limit in [("DENSE_HESSIAN_CAP", 0), ("MAX_INSTANCE_BYTES", 8 * 19 * 10**2 - 1)]:
+            with monkeypatch.context() as patched:
+                patched.setattr(landscape, name, limit)
+                it = hess_extreme_eigs(obj, Y)
+            assert (dense.method, it.method) == ("dense", "lanczos")
+            assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
+            assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
+            assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
     def test_polarization_matches_direct_bilinear_form(self, kind):

@@ -84,7 +84,6 @@ class TestDenoising:
             euclid_hess_form=lambda X, G1, G2: float(np.vdot(G1, G2)),
             p=5,
             r=2,
-            kind="denoising",
         )
         th = HorizontalTangent(Y.Y, Y)
         got = riemannian_hess_quadform(handle, Y, th)

@@ -40,6 +40,18 @@ def haar(rng, r):
     return Q * np.sign(np.diag(R))[None, :]
 
 
+def _saddle_problem():
+    """Rank-1 denoising target ``4 e1 e1.T`` and the start ``1e-4 e2`` near
+    the strict saddle at the origin."""
+    from psdlandscape.objectives import DenoisingObjective
+
+    X_star = np.zeros((6, 6))
+    X_star[0, 0] = 4.0
+    y0 = np.zeros((6, 1))
+    y0[1, 0] = 1e-4
+    return DenoisingObjective(X_star, 1).handle(), FactorPoint(y0), X_star
+
+
 class TestGD:
     def test_immediate_convergence_at_target(self):
         den, gt = make_denoising(8, 2, kappa_star=2.0, seed=1)
@@ -148,20 +160,13 @@ class TestGD:
             )
         assert err.value.iteration == 1
 
-    def test_perturbation_escapes_near_saddle(self):
+    @pytest.mark.parametrize("step_size", [None, 0.05])
+    def test_perturbation_escapes_near_saddle(self, step_size):
         # rank-1 target along e1; a point near the orthogonal saddle has a
         # tiny gradient, so plain GD stalls long while perturbed GD escapes
-        from psdlandscape.objectives import DenoisingObjective
-
-        p = 6
-        X_star = np.zeros((p, p))
-        X_star[0, 0] = 4.0
-        obj = DenoisingObjective(X_star, 1).handle()
-        y0 = np.zeros((p, 1))
-        y0[1, 0] = 1e-4  # near the strict saddle at the origin-ish scale
-        Y0 = FactorPoint(y0)
+        obj, Y0, X_star = _saddle_problem()
         pert = PerturbationSpec(radius=0.05, trigger_tol=1e-2, cooldown_iters=20)
-        cfg = GDConfig(max_iters=4000, grad_tol=1e-10, perturbation=pert, seed=3)
+        cfg = GDConfig(step_size=step_size, max_iters=4000, grad_tol=1e-10, perturbation=pert, seed=3)
         rec = riemannian_gd(obj, Y0, cfg)
         assert any(rec.perturbed)
         assert rec.converged
@@ -179,10 +184,12 @@ class TestGD:
 
 
 class TestEvaluatedOnce:
-    def test_value_once_per_trial_step(self, monkeypatch):
+    @pytest.mark.parametrize("step_size", [None, 0.01])
+    def test_value_once_per_trial_step(self, monkeypatch, step_size):
         # on a handle without least-squares structure the accepted trial's
         # value is the next iterate's: obj.value runs at iterate 0 and once
-        # per full-rank trial, never again per iterate
+        # per full-rank trial, never again per iterate. A fixed step is one
+        # trial per iteration; backtracking rejects some trials
         import dataclasses
 
         from psdlandscape import optimizers
@@ -202,9 +209,37 @@ class TestEvaluatedOnce:
         monkeypatch.setattr(optimizers, "_full_rank", counted_full_rank)
         obj = dataclasses.replace(handle, value=counted_value, least_squares=None)
         Y0 = FactorPoint(np.random.default_rng(18).standard_normal((8, 2)))
-        rec = riemannian_gd(obj, Y0, GDConfig(max_iters=40, grad_tol=1e-14), gt=gt, params=PARAMS)
-        assert rec.iterations == 40 and calls["trial"] > rec.iterations
+        cfg = GDConfig(step_size=step_size, max_iters=40, grad_tol=1e-14)
+        rec = riemannian_gd(obj, Y0, cfg, gt=gt, params=PARAMS)
+        assert rec.iterations == 40
+        if step_size is None:
+            assert calls["trial"] > rec.iterations
+        else:
+            assert calls["trial"] == rec.iterations
         assert calls["value"] == 1 + calls["trial"]
+
+    @pytest.mark.parametrize("least_squares", [True, False])
+    def test_gd_builds_no_tangent(self, monkeypatch, least_squares):
+        # the step 2 R Y and the saddle kick are horizontal by construction,
+        # so a run validates no HorizontalTangent, on either handle kind
+        import dataclasses
+
+        from psdlandscape.geometry import HorizontalTangent
+
+        post_init, built = HorizontalTangent.__post_init__, []
+
+        def counted_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(HorizontalTangent, "__post_init__", counted_post_init)
+        obj, Y0, _ = _saddle_problem()
+        if not least_squares:
+            obj = dataclasses.replace(obj, least_squares=None)
+        pert = PerturbationSpec(radius=0.05, trigger_tol=1e-2, cooldown_iters=20)
+        rec = riemannian_gd(obj, Y0, GDConfig(max_iters=4000, grad_tol=1e-10, perturbation=pert, seed=3))
+        assert rec.converged and any(rec.perturbed)
+        assert built == []
 
     def test_gram_formed_once_per_iterate(self, monkeypatch):
         # the direct evaluation and the region labels of the last tracked

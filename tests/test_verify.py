@@ -5,7 +5,6 @@ from psdlandscape.errors import InputContractError
 from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_project, quotient_distance
 from psdlandscape.objectives import make_denoising, make_trace_regression
 from psdlandscape.verify import (
-    FDSpec,
     brute_distance_rank1,
     dense_delta_certificate,
     fd_gradient_check,
@@ -63,17 +62,12 @@ class TestFDChecks:
             euclid_hess_form=lambda X, G1, G2: float(np.vdot(G1, G2)),
             p=5,
             r=2,
-            kind="denoising",
         )
         th = HorizontalTangent(Y.Y, Y)
         res = fd_gradient_check(handle, Y, th)
         assert res.rel_err < 1e-6
         analytic_expected = float(np.vdot(2.0 * Y.gram() @ Y.Y, Y.Y))
         assert res.analytic == pytest.approx(analytic_expected, rel=1e-12)
-
-    def test_fdspec_validation(self):
-        with pytest.raises(InputContractError):
-            FDSpec(step=-1.0)
 
 
 class TestBruteDistance:
