@@ -20,6 +20,7 @@ from . import __version__
 from .errors import InputContractError, LandscapeError, NumericalFailure
 from .landscape import (
     RegionParams,
+    _r1_radius,
     _sample_point,
     certify_landscape,
     compute_thresholds,
@@ -38,7 +39,7 @@ from .optimizers import (
     riemannian_gd,
     spectral_init,
 )
-from .verify import run_suite, suite_names
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -129,6 +130,10 @@ def _out_dir(cfg: dict, args) -> Path:
     return path
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     def override(name: str, key: str, value) -> None:
         cfg[name] = {**_section(cfg, name), key: value}
@@ -152,7 +157,7 @@ def cmd_generate(args) -> int:
         "config": cfg,
     }
     path = out / "instance.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(path, doc)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -171,13 +176,6 @@ def cmd_scan(args) -> int:
     if ball_radius is not None:
         ball_radius = _number(scan, "scan", "ball_radius", None)
     out = _out_dir(cfg, args)
-
-    if params.mu == 0.0:
-        print(
-            "warning: mu = 0 makes the R1 ball a single fiber; "
-            "ball/fiber samples all coincide with the target",
-            file=sys.stderr,
-        )
 
     sampled = inst.kind != "denoising"
     delta = 0.0
@@ -218,7 +216,7 @@ def cmd_scan(args) -> int:
         print(f"warning: {gate_reason}", file=sys.stderr)
     else:
         tdoc["gate"] = {"certified": True}
-    (out / "thresholds.json").write_text(json.dumps(tdoc, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "thresholds.json", tdoc)
 
     failures = [rep for rep in reports if not rep.passed]
     print(
@@ -271,7 +269,7 @@ def cmd_optimize(args) -> int:
             raise InputContractError("spectral initialization needs a trace-regression instance")
         Y0 = spectral_init(inst.trace_regression, inst.r)
     elif init_kind in ("gaussian", "ball"):
-        Y0 = _sample_point(init_kind, gt, params, rng, params.mu * gt.sigmar_star / gt.kappa_star)
+        Y0 = _sample_point(init_kind, gt, params, rng, _r1_radius(gt, params.mu))
     elif init_kind == "target":
         Y0 = gt.Y_star
     else:
@@ -293,7 +291,7 @@ def cmd_optimize(args) -> int:
     except LandscapeError as exc:
         final["error_bound"] = None
         final["error_bound_skipped"] = str(exc)
-    (out / "final_report.json").write_text(json.dumps(final, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "final_report.json", final)
     print(
         f"converged={rec.converged} iterations={rec.iterations} "
         f"grad_norm={rec.grad_norms[-1]:.3e}; wrote {out / 'trajectory.csv'}"
@@ -302,20 +300,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in suite_names():
-        print(
-            f"unknown suite {args.suite!r}; available suites:\n  "
-            + "\n  ".join(suite_names()),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    summary = run_suite(
-        args.suite, seed=args.seed or 0, instances=args.instances, threads=args.threads
-    )
+    summary = run_suite(args.suite, seed=args.seed, instances=args.instances, threads=args.threads)
     out = Path(args.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"verify_{args.suite}.json"
-    path.write_text(json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_json(path, summary.to_dict())
     status = "green" if summary.green else "RED"
     print(
         f"suite {summary.suite}: {summary.passes}/{summary.instances} instances, "

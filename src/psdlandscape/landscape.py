@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -130,18 +130,7 @@ class ThresholdReport:
     noise_at_target: float
 
     def to_dict(self) -> dict:
-        return {
-            "delta_min": self.delta_min,
-            "psi": self.psi,
-            "r1_hess_lower": self.r1_hess_lower,
-            "r1_hess_upper": self.r1_hess_upper,
-            "r2_curvature_upper": self.r2_curvature_upper,
-            "r3_grad_lowers": list(self.r3_grad_lowers),
-            "delta_composite_bound": self.delta_composite_bound,
-            "noise_composite_bound": self.noise_composite_bound,
-            "delta_used": self.delta_used,
-            "noise_at_target": self.noise_at_target,
-        }
+        return {**asdict(self), "r3_grad_lowers": list(self.r3_grad_lowers)}
 
 
 @dataclass(frozen=True)
@@ -158,6 +147,35 @@ class RegionReport:
     bound_value: float
     margin: float
     passed: bool
+
+
+def _r1_radius(gt: GroundTruth, mu: float) -> float:
+    """The radius ``mu sigma_r(Y*) / kappa*`` of R1."""
+    return mu * gt.sigmar_star / gt.kappa_star
+
+
+def _grad_threshold(gt: GroundTruth, params: RegionParams) -> float:
+    """The gradient norm ``alpha mu sigma_r(Y*)^3 / (4 kappa*)`` splitting R2 from R3'."""
+    return params.alpha * params.mu * gt.sigmar_star**3 / (4.0 * gt.kappa_star)
+
+
+def _margin(gt: GroundTruth, mu: float) -> float:
+    """``(1 - mu/kappa*)^2 - 7 mu/3``; a margin <= 0 voids the local
+    strong-convexity bracket and raises :class:`HypothesisViolationError`."""
+    margin = (1.0 - mu / gt.kappa_star) ** 2 - 7.0 * mu / 3.0
+    if margin <= 0.0:
+        raise HypothesisViolationError(
+            f"(1 - mu/kappa*)^2 - 7 mu/3 = {margin:.6g} <= 0; "
+            "the local strong-convexity bracket is void for these parameters"
+        )
+    return margin
+
+
+def _check_stationary(obj: ObjectiveHandle, Y: FactorPoint, fosp_tol: float) -> None:
+    """Raise :class:`NotAFOSPError` if the gradient norm at ``Y`` exceeds ``fosp_tol``."""
+    gnorm = riemannian_grad_lift(obj, Y).norm
+    if gnorm > fosp_tol:
+        raise NotAFOSPError(gnorm, fosp_tol)
 
 
 def _classify(
@@ -178,8 +196,8 @@ def _classify(
     gram_norm = float(np.linalg.norm(X))
     xnorm = float(np.linalg.norm(gt.X_star))
 
-    r1_radius = params.mu * gt.sigmar_star / gt.kappa_star
-    grad_thresh = params.alpha * params.mu * gt.sigmar_star**3 / (4.0 * gt.kappa_star)
+    r1_radius = _r1_radius(gt, params.mu)
+    grad_thresh = _grad_threshold(gt, params)
     spec_cap = params.beta * gt.sigma1_star
     gram_cap = params.gamma * xnorm
 
@@ -399,17 +417,12 @@ def compute_thresholds(
     xnorm = float(np.linalg.norm(gt.X_star))
     noise = gt.grad_at_star_trunc
 
-    margin = (1.0 - mu / kap) ** 2 - 7.0 * mu / 3.0
-    if margin <= 0.0:
-        raise HypothesisViolationError(
-            f"(1 - mu/kappa*)^2 - 7 mu/3 = {margin:.6g} <= 0; "
-            "the local strong-convexity bracket is void for these parameters"
-        )
+    margin = _margin(gt, mu)
 
     try:
-        top = s1 + mu * sr / kap
+        top = s1 + _r1_radius(gt, mu)
         correction = 4.0 * delta * top**2 + 14.0 * delta * mu * sr**2 / 3.0 + 2.0 * noise
-        r1_lower = (2.0 * (1.0 - mu / kap) ** 2 - 14.0 * mu / 3.0) * sr**2 - correction
+        r1_lower = 2.0 * margin * sr**2 - correction
         r1_upper = 4.0 * top**2 + 14.0 * mu * sr**2 / 3.0 + correction
 
         r2_upper = (
@@ -557,11 +570,11 @@ def _certify_point(
     # are the sharp exact-factorization floors
     delta = thresholds.delta_used
     noise = thresholds.noise_at_target
-    mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
-    s1, sr, kap = gt.sigma1_star, gt.sigmar_star, gt.kappa_star
+    beta, gamma = params.beta, params.gamma
+    s1 = gt.sigma1_star
     rr = Y.r
     floors = {
-        RegionLabel.R3_PRIME: alpha * mu * sr**3 / (4.0 * kap)
+        RegionLabel.R3_PRIME: _grad_threshold(gt, params)
         - 2.0 * delta * beta * (1.0 + gamma) * s1 * xnorm
         - 2.0 * beta * s1 * noise,
         RegionLabel.R3_DOUBLE_PRIME: 2.0 * (spec_norm**3 - spec_norm * s1**2)
@@ -613,8 +626,8 @@ def certify_landscape(
     """Sample points, classify them and check every applicable bound.
 
     Points are drawn by cycling through ``samplers`` ("ball", "fiber",
-    "scaled", "gaussian"); the ball radius defaults to the R1 radius
-    ``mu sigma_r(Y*) / kappa*``. The bounds are those of ``thresholds``,
+    "scaled", "gaussian"); the ball radius, at least 0, defaults to the R1
+    radius ``mu sigma_r(Y*) / kappa*``. The bounds are those of ``thresholds``,
     by default :func:`compute_thresholds` of ``(gt, params)`` at
     ``delta = 0``. Per-point seeds are derived from ``(seed, point index)``
     so results do not depend on scheduling.
@@ -626,7 +639,9 @@ def certify_landscape(
     if thresholds is None:
         thresholds = compute_thresholds(gt, params, gt.Y_star.r)
     if ball_radius is None:
-        ball_radius = params.mu * gt.sigmar_star / gt.kappa_star
+        ball_radius = _r1_radius(gt, params.mu)
+    elif not ball_radius >= 0.0:
+        raise InputContractError(f"ball_radius must be >= 0, got {ball_radius}")
     if ball_radius == 0.0 and any(s in ("ball", "fiber") for s in samplers):
         warnings.warn(
             "ball radius is zero (mu = 0): ball/fiber samples collapse onto "
@@ -666,11 +681,7 @@ def strict_convexity_fosp_check(
         If the gradient norm exceeds ``fosp_tol``
         (default ``1e-8 * sigma_r(Y_hat)^3``).
     """
-    if fosp_tol is None:
-        fosp_tol = 1e-8 * Y_hat.sigma_min**3
-    gnorm = riemannian_grad_lift(obj, Y_hat).norm
-    if gnorm > fosp_tol:
-        raise NotAFOSPError(gnorm, fosp_tol)
+    _check_stationary(obj, Y_hat, 1e-8 * Y_hat.sigma_min**3 if fosp_tol is None else fosp_tol)
     return hess_extreme_eigs(obj, Y_hat)
 
 

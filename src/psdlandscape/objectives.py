@@ -100,6 +100,41 @@ class ObjectiveHandle:
     least_squares: LeastSquaresMap | None = None
 
 
+def _least_squares_handle(
+    p: int, r: int, y: np.ndarray, forward: Callable, adjoint: Callable, images: Callable
+) -> ObjectiveHandle:
+    """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``forward`` (``A``),
+    ``adjoint`` (``A.T``, returning a fresh array) and ``images`` (see
+    :class:`LeastSquaresMap`)."""
+    # value and grad share the residual of the latest X either saw. The key
+    # is a private copy, so an X edited in place misses; the pair is
+    # replaced as one tuple, so threads sharing the handle never read a key
+    # with another X's residual
+    last = None
+
+    def residual(X: np.ndarray) -> np.ndarray:
+        nonlocal last
+        hit = last
+        if hit is not None and np.array_equal(hit[0], X):
+            return hit[1]
+        res = forward(X) - y
+        last = (np.array(X, dtype=float), res)
+        return res
+
+    def value(X: np.ndarray) -> float:
+        res = residual(X)
+        return 0.5 * float(np.vdot(res, res))
+
+    def grad(X: np.ndarray) -> np.ndarray:
+        return adjoint(residual(X))
+
+    def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
+        image = forward(G1)
+        return float(np.vdot(image, image if G2 is G1 else forward(G2)))
+
+    return ObjectiveHandle(value, grad, hess_form, p, r, LeastSquaresMap(residual, images))
+
+
 class DenoisingObjective:
     """``f(X) = 0.5 * ||X - X*||_F^2`` for a PSD rank-``r`` target ``X*``."""
 
@@ -118,22 +153,9 @@ class DenoisingObjective:
         self.r = r
 
     def handle(self) -> ObjectiveHandle:
-        X_star = self.X_star
-
-        def value(X: np.ndarray) -> float:
-            return 0.5 * float(np.linalg.norm(X - X_star) ** 2)
-
-        def grad(X: np.ndarray) -> np.ndarray:
-            return X - X_star
-
-        def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
-            return float(np.vdot(G1, G2))
-
-        def images(Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return Gs, Gs
-
-        return ObjectiveHandle(
-            value, grad, hess_form, X_star.shape[0], self.r, LeastSquaresMap(grad, images)
+        # A is the identity; its adjoint copies, so a gradient is never the cached residual
+        return _least_squares_handle(
+            self.X_star.shape[0], self.r, self.X_star, np.asarray, np.copy, lambda Gs: (Gs, Gs)
         )
 
 
@@ -280,34 +302,8 @@ class TraceRegressionObjective:
         return forward, np.stack([_unpacked(u, self.p) for u in normal])
 
     def handle(self) -> ObjectiveHandle:
-        # value and grad share the residual of the latest X either saw. The
-        # key is a private copy, so an X edited in place misses; the pair is
-        # replaced as one tuple, so threads sharing the handle never read a
-        # key with another X's residual
-        last = None
-
-        def residual(X: np.ndarray) -> np.ndarray:
-            nonlocal last
-            hit = last
-            if hit is not None and np.array_equal(hit[0], X):
-                return hit[1]
-            res = self.apply_map(X) - self.y
-            last = (np.array(X, dtype=float), res)
-            return res
-
-        def value(X: np.ndarray) -> float:
-            res = residual(X)
-            return 0.5 * float(res @ res)
-
-        def grad(X: np.ndarray) -> np.ndarray:
-            return self.adjoint(residual(X))
-
-        def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
-            image = self.apply_map(G1)
-            return float(image @ (image if G2 is G1 else self.apply_map(G2)))
-
-        return ObjectiveHandle(
-            value, grad, hess_form, self.p, self.r, LeastSquaresMap(residual, self.images)
+        return _least_squares_handle(
+            self.p, self.r, self.y, self.apply_map, self.adjoint, self.images
         )
 
 
@@ -511,7 +507,7 @@ def _sensing_from_seed(p: int, n: int, seed: int) -> np.ndarray:
 MAX_INSTANCE_BYTES = 1 << 32
 
 
-def _check_problem(kind: str, p: int, r: int, n: int, seed: int) -> None:
+def _check_problem(kind: str, p: int, r: int, n: int, seed: int, noise_sigma: float) -> None:
     """Reject a problem before anything of its size is allocated."""
     if kind not in ("denoising", "trace_regression"):
         raise InputContractError(f"unknown problem kind {kind!r}")
@@ -519,6 +515,8 @@ def _check_problem(kind: str, p: int, r: int, n: int, seed: int) -> None:
         raise InputContractError(f"invalid dimensions p={p}, r={r}")
     if seed < 0:
         raise InputContractError(f"seed must be >= 0, got {seed}")
+    if not noise_sigma >= 0.0:
+        raise InputContractError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if kind == "denoising":
         n = 0
     elif n < 1:
@@ -547,7 +545,11 @@ def make_instance(
     map and the noise, so the sensing operator depends only on
     ``(p, n, seed)``.
     """
-    _check_problem(kind, p, r, n, seed)
+    _check_problem(kind, p, r, n, seed, noise_sigma)
+    if not kappa_star >= 1.0:
+        raise InputContractError(f"kappa_star must be >= 1, got {kappa_star}")
+    if not sigma_r_star > 0.0:
+        raise InputContractError(f"sigma_r_star must be > 0, got {sigma_r_star}")
     if r == 1 and kappa_star != 1.0:
         raise InputContractError("a rank-1 factor always has kappa_star = 1")
     spectrum = np.linspace(kappa_star * sigma_r_star, sigma_r_star, r)
@@ -571,9 +573,11 @@ def instance_from_document(doc: dict) -> ProblemInstance:
         raise InputContractError(f"instance document lacks {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputContractError(f"malformed instance document: {exc}") from None
-    _check_problem(kind, p, r, n, seed)
+    _check_problem(kind, p, r, n, seed, noise_sigma)
     if spectrum.shape != (r,):
         raise InputContractError(f"spectrum must have length r={r}")
+    if not np.all(spectrum > 0.0):
+        raise InputContractError(f"spectrum entries must be > 0, got {spectrum.tolist()}")
     if kind == "trace_regression" and y.shape != (n,):
         raise InputContractError(f"y must have length n={n}")
     return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, y)
@@ -666,14 +670,18 @@ def rsc_rsm_estimate(obj: ObjectiveHandle, r: int, n_samples: int, seed: int) ->
     """
     if n_samples < 1:
         raise InputContractError("n_samples must be >= 1")
+    return max(0.0, *(abs(q - 1.0) for q in _probe_forms(obj, 2 * r, n_samples, seed)))
+
+
+def _probe_forms(obj: ObjectiveHandle, rank: int, n_samples: int, seed: int):
+    """``hess_form(X)[G, G]`` at ``n_samples`` seeded probes, drawn in turn:
+    a symmetric ``X`` of rank <= ``rank`` and a unit-norm symmetric ``G`` of
+    rank <= ``2 rank``."""
     rng = np.random.default_rng(seed)
-    p = obj.p
-    worst = 0.0
     for _ in range(n_samples):
-        X = random_symmetric_low_rank(p, 2 * r, rng)
-        G = random_symmetric_low_rank(p, 4 * r, rng, unit=True)
-        worst = max(worst, abs(float(obj.euclid_hess_form(X, G, G)) - 1.0))
-    return worst
+        X = random_symmetric_low_rank(obj.p, rank, rng)
+        G = random_symmetric_low_rank(obj.p, 2 * rank, rng, unit=True)
+        yield float(obj.euclid_hess_form(X, G, G))
 
 
 def restricted_strict_convexity_check(
@@ -685,11 +693,4 @@ def restricted_strict_convexity_check(
     rank <= 2r; returns ``True`` iff the form was strictly positive on
     every sample (a necessary-condition probe, not a proof).
     """
-    rng = np.random.default_rng(seed)
-    p = obj.p
-    for _ in range(max(1, n_samples)):
-        X = random_symmetric_low_rank(p, r, rng)
-        G = random_symmetric_low_rank(p, 2 * r, rng, unit=True)
-        if float(obj.euclid_hess_form(X, G, G)) <= 0.0:
-            return False
-    return True
+    return not any(q <= 0.0 for q in _probe_forms(obj, r, max(1, n_samples), seed))

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    HypothesisViolationError,
     InitializationFailure,
     InputContractError,
-    NotAFOSPError,
     NumericalFailure,
     RankCollapseError,
     StepSearchError,
@@ -26,7 +24,11 @@ from .kernels import sym_eig
 from .landscape import (
     RegionLabel,
     RegionParams,
+    _check_stationary,
     _classify,
+    _fmt,
+    _margin,
+    _r1_radius,
     hess_extreme_eigs,
 )
 from .objectives import (
@@ -36,7 +38,6 @@ from .objectives import (
     _lift,
     _sym_grad,
     lifted_value,
-    riemannian_grad_lift,
 )
 
 __all__ = [
@@ -65,6 +66,14 @@ class PerturbationSpec:
     radius: float
     trigger_tol: float
     cooldown_iters: int = 10
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise InputContractError(f"perturbation radius must be > 0, got {self.radius}")
+        if not self.trigger_tol > 0:
+            raise InputContractError(f"trigger_tol must be > 0, got {self.trigger_tol}")
+        if self.cooldown_iters < 0:
+            raise InputContractError(f"cooldown_iters must be >= 0, got {self.cooldown_iters}")
 
 
 @dataclass(frozen=True)
@@ -105,18 +114,15 @@ class TrajectoryRecord:
     final: FactorPoint | None = None
 
     def to_csv(self) -> str:
-        def fmt(x: float) -> str:
-            return format(float(x), ".17g")
-
         lines = ["iter,obj,grad_norm,dist_to_star,step,regions,perturbed_flag"]
         for k in range(len(self.values)):
-            dist = fmt(self.dists[k]) if self.dists else ""
+            dist = _fmt(self.dists[k]) if self.dists else ""
             regions = ";".join(lb.value for lb in self.regions[k]) if self.regions else ""
-            step = fmt(self.steps[k]) if k < len(self.steps) else ""
+            step = _fmt(self.steps[k]) if k < len(self.steps) else ""
             pert = "true" if (self.perturbed and self.perturbed[k]) else "false"
             lines.append(
                 ",".join(
-                    [str(k), fmt(self.values[k]), fmt(self.grad_norms[k]), dist, step, regions, pert]
+                    [str(k), _fmt(self.values[k]), _fmt(self.grad_norms[k]), dist, step, regions, pert]
                 )
             )
         return "\n".join(lines) + "\n"
@@ -355,19 +361,11 @@ def error_bound_check(
     is exactly zero while a numerically converged point sits at a tiny
     positive distance.
     """
-    kap, sr = gt.kappa_star, gt.sigmar_star
-    denom_margin = (1.0 - mu / kap) ** 2 - 7.0 * mu / 3.0
-    if denom_margin <= 0.0:
-        raise HypothesisViolationError(
-            f"(1 - mu/kappa*)^2 - 7 mu/3 = {denom_margin:.6g} <= 0"
-        )
-    if fosp_tol is None:
-        fosp_tol = 1e-6 * sr**3
-    gnorm = riemannian_grad_lift(obj, Y_hat).norm
-    if gnorm > fosp_tol:
-        raise NotAFOSPError(gnorm, fosp_tol)
+    sr = gt.sigmar_star
+    denom_margin = _margin(gt, mu)
+    _check_stationary(obj, Y_hat, 1e-6 * sr**3 if fosp_tol is None else fosp_tol)
     lhs = quotient_distance(Y_hat, gt.Y_star)
-    r1_radius = mu * sr / kap
+    r1_radius = _r1_radius(gt, mu)
     if lhs > r1_radius * (1.0 + 1e-9):
         raise InputContractError(
             f"stationary point lies outside R1: distance {lhs:.3e} > {r1_radius:.3e}"

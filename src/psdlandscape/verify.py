@@ -10,7 +10,7 @@ CLI exposes and the tests assert on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -275,13 +275,7 @@ class SuiteSummary:
         return self.passes == self.instances
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instances": self.instances,
-            "passes": self.passes,
-            "worst_rel_err": self.worst_rel_err,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _random_factor(rng: np.random.Generator, p: int | None = None, r: int | None = None) -> FactorPoint:

@@ -92,12 +92,19 @@ class TestScan:
         cfg = write_config(tmp_path, region_params={"alpha": 1.0})
         assert main(["scan", "--config", str(cfg)]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_mu_zero_warns_and_runs(self, tmp_path, capsys):
+    def test_mu_zero_warns_and_runs(self, tmp_path):
         cfg = write_config(tmp_path, region_params={"mu": 0.0}, scan={"n_points": 3})
+        with pytest.warns(RuntimeWarning, match="mu = 0"):
+            code = main(["scan", "--config", str(cfg)])
+        assert code == 0
+
+    def test_mu_zero_with_a_ball_radius_does_not_warn(self, tmp_path, capsys):
+        # the ball has the configured radius, so its samples do not collapse
+        cfg = write_config(
+            tmp_path, region_params={"mu": 0.0}, scan={"n_points": 3, "ball_radius": 0.1}
+        )
         code = main(["scan", "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert "mu = 0" in captured.err
+        assert "mu = 0" not in capsys.readouterr().err
         assert code == 0
 
     def test_scan_from_instance_file(self, tmp_path):
@@ -356,6 +363,18 @@ def _p_overflows(tmp_path):
     return cfile
 
 
+def _instance_negative_spectrum(tmp_path):
+    doc = {"kind": "denoising", "p": 4, "r": 2, "n": 0, "seed": 0, "noise_sigma": 0.0,
+           "spectrum": [1.0, -0.5], "y": []}
+    (tmp_path / "instance.json").write_text(json.dumps(doc))
+    return write_config(tmp_path, instance_file=str(tmp_path / "instance.json"))
+
+
+def _perturbation(tmp_path, **spec):
+    spec = {"radius": 0.1, "trigger_tol": 1e-3, **spec}
+    return write_config(tmp_path, optimizer={"max_iters": 20, "perturbation": spec})
+
+
 def _target_underflows(tmp_path):
     # ||X*||_F underflows to 0, so the threshold formulas divide by zero
     problem = {"kind": "trace_regression", "n": 200, "sigma_r_star": 3e-161}
@@ -386,6 +405,16 @@ def _target_underflows(tmp_path):
         (["generate"], lambda tmp_path: write_config(tmp_path, problem={"r": True, "kappa_star": 1.0})),
         (["scan"], lambda tmp_path: write_config(tmp_path, scan={"n_points": 2.5})),
         (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"max_iters": True})),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"kappa_star": -2, "r": 3})),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"kappa_star": 0.5})),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"sigma_r_star": -1.0})),
+        (["generate"], lambda tmp_path: write_config(
+            tmp_path, problem={"kind": "trace_regression", "n": 200, "noise_sigma": -0.5})),
+        (["generate"], _instance_negative_spectrum),
+        (["optimize"], lambda tmp_path: _perturbation(tmp_path, radius=0)),
+        (["optimize"], lambda tmp_path: _perturbation(tmp_path, trigger_tol=-1)),
+        (["optimize"], lambda tmp_path: _perturbation(tmp_path, cooldown_iters=-3)),
+        (["scan"], lambda tmp_path: write_config(tmp_path, scan={"ball_radius": -0.3})),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -393,7 +422,9 @@ def _target_underflows(tmp_path):
         "step-size-nan", "beta-infinite", "grad-tol-nan", "instance-file-not-a-path",
         "samplers-null", "scan-seed-negative", "beta-overflows", "target-underflows",
         "p-too-large", "p-fractional", "r-boolean", "n-points-fractional",
-        "max-iters-boolean",
+        "max-iters-boolean", "kappa-negative", "kappa-below-one", "sigma-r-negative",
+        "noise-negative", "instance-spectrum-negative", "perturbation-radius-zero",
+        "trigger-tol-negative", "cooldown-negative", "ball-radius-negative",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

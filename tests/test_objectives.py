@@ -289,6 +289,18 @@ class TestTraceRegression:
                 float(np.vdot(forward[0], forward[0])), rel=1e-12
             )
 
+    def test_gradient_is_a_fresh_array(self):
+        # value and grad share a cached residual, which an in-place edit of a
+        # returned gradient must leave intact
+        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=27)
+        den, _ = make_denoising(6, 2, kappa_star=2.0, seed=27)
+        X = np.random.default_rng(28).standard_normal((6, 6))
+        for obj in (reg.handle(), den.handle()):
+            before = obj.value(X)
+            grad = obj.euclid_grad(X)
+            grad += 1.0
+            assert obj.value(X) == before
+
     def test_shared_residual_under_thread_switches(self):
         import sys
         import threading
