@@ -124,8 +124,10 @@ def _region_params(cfg: dict) -> RegionParams:
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    out = args.output_dir or cfg.get("output_dir", ".")
-    path = Path(out)
+    out = args.output_dir or cfg.get("output_dir")
+    if out is not None and not isinstance(out, str):
+        raise InputContractError(f"output_dir must be a path, got {out!r}")
+    path = Path(out or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -301,9 +303,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     summary = run_suite(args.suite, seed=args.seed, instances=args.instances, threads=args.threads)
-    out = Path(args.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"verify_{args.suite}.json"
+    path = _out_dir({}, args) / f"verify_{args.suite}.json"
     _write_json(path, summary.to_dict())
     status = "green" if summary.green else "RED"
     print(

@@ -87,9 +87,9 @@ class RegionParams:
                 f"alpha must lie in [0, 2(sqrt(2)-1)) = [0, {SQRT2M1_TIMES_2:.6f}), "
                 f"got {self.alpha}"
             )
-        if self.beta <= 1.0:
+        if not self.beta > 1.0:
             raise InputContractError(f"beta must exceed 1, got {self.beta}")
-        if self.gamma <= 1.0:
+        if not self.gamma > 1.0:
             raise InputContractError(f"gamma must exceed 1, got {self.gamma}")
 
 
@@ -163,7 +163,7 @@ def _margin(gt: GroundTruth, mu: float) -> float:
     """``(1 - mu/kappa*)^2 - 7 mu/3``; a margin <= 0 voids the local
     strong-convexity bracket and raises :class:`HypothesisViolationError`."""
     margin = (1.0 - mu / gt.kappa_star) ** 2 - 7.0 * mu / 3.0
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise HypothesisViolationError(
             f"(1 - mu/kappa*)^2 - 7 mu/3 = {margin:.6g} <= 0; "
             "the local strong-convexity bracket is void for these parameters"
@@ -401,9 +401,9 @@ def compute_thresholds(
 ) -> ThresholdReport:
     """Evaluate every certified-bound quantity for the given target.
 
-    ``delta`` is the restricted convexity/smoothness constant substituted
-    into the general-objective bounds; zero reproduces the exact-
-    factorization forms.
+    ``delta >= 0`` is the restricted convexity/smoothness constant
+    substituted into the general-objective bounds; zero reproduces the
+    exact-factorization forms.
 
     Raises
     ------
@@ -411,6 +411,8 @@ def compute_thresholds(
         If ``(1 - mu/kappa*)^2 - 7 mu / 3 <= 0``, which voids the local
         strong-convexity bracket, or if a formula overflows or divides by zero.
     """
+    if not delta >= 0.0:
+        raise InputContractError(f"delta must be >= 0, got {delta}")
     mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
     kap = gt.kappa_star
     s1, sr = gt.sigma1_star, gt.sigmar_star

@@ -72,7 +72,7 @@ class PerturbationSpec:
             raise InputContractError(f"perturbation radius must be > 0, got {self.radius}")
         if not self.trigger_tol > 0:
             raise InputContractError(f"trigger_tol must be > 0, got {self.trigger_tol}")
-        if self.cooldown_iters < 0:
+        if not self.cooldown_iters >= 0:
             raise InputContractError(f"cooldown_iters must be >= 0, got {self.cooldown_iters}")
 
 
@@ -91,11 +91,11 @@ class GDConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise InputContractError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise InputContractError("grad_tol must be > 0")
-        if self.step_size is not None and self.step_size <= 0:
+        if self.step_size is not None and not self.step_size > 0:
             raise InputContractError("step_size must be > 0")
 
 

@@ -30,7 +30,6 @@ from .kernels import procrustes_align, sym_eig, truncated_frob_norm
 from .landscape import random_ball_tangent
 from .objectives import (
     ObjectiveHandle,
-    _form_matrix,
     lifted_value,
     make_denoising,
     make_trace_regression,
@@ -183,12 +182,19 @@ def _symmetric_basis(p: int) -> np.ndarray:
     return basis
 
 
-def _project_rank_unit(G: np.ndarray, max_rank: int) -> np.ndarray:
-    U, lam = sym_eig(G, asym_tol=1e-6)
-    order = np.argsort(-np.abs(lam))[:max_rank]
-    Gp = (U[:, order] * lam[order][None, :]) @ U[:, order].T
-    nrm = np.linalg.norm(Gp)
-    return Gp / nrm if nrm > 0 else Gp
+def _least_squares_gram(obj: ObjectiveHandle) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of :func:`_symmetric_basis` as ``(q, p * p)`` rows ``B_k``,
+    and ``M = F F.T`` with ``F[k] = A(B_k)`` from one sweep over the map of a
+    least-squares handle, whose Hessian ``A.T A`` is the same at every ``X``:
+    ``M[a, b] = <hess f[B_a], B_b>``. Small sizes only (``p <= 8``)."""
+    p = obj.p
+    if p > 8:
+        raise InputContractError(f"dense delta oracles require p <= 8, got p={p}")
+    if obj.least_squares is None:
+        raise InputContractError("dense delta oracles need a least-squares handle")
+    basis = _symmetric_basis(p)
+    F = obj.least_squares.images(basis)[0].reshape(len(basis), -1)
+    return basis.reshape(len(basis), -1), F @ F.T
 
 
 def dense_delta_certificate(
@@ -196,46 +202,40 @@ def dense_delta_certificate(
 ) -> float:
     """Lower bound for the restricted convexity/smoothness constant by
     multi-restart projected ascent, 60 steps per restart, at small sizes
-    (``p <= 8``).
+    (``p <= 8``) on a least-squares handle.
 
-    Maximizes ``|hess_form(X)[G, G] - 1|`` over unit-norm symmetric ``G``
-    of rank at most ``4r`` (evaluation points ``X`` of rank at most ``2r``
-    are redrawn per restart). One restart starts from the extremal
-    eigenvector of the form assembled densely on the symmetric-matrix
-    space, which makes the certificate exact whenever ``4r >= p``.
+    Maximizes ``|hess_form[G, G] - 1| = |c . M c - 1|`` over unit-norm
+    symmetric ``G = sum_k c_k B_k`` of rank at most ``4r`` (see
+    :func:`_least_squares_gram`). Two restarts start from the extremal
+    eigenvectors of ``M``, which makes the certificate exact whenever
+    ``4r >= p``.
     """
+    flat, M = _least_squares_gram(obj)
     p = obj.p
-    if p > 8:
-        raise InputContractError(f"dense certificate requires p <= 8, got p={p}")
-    rng = np.random.default_rng(seed)
-    basis = _symmetric_basis(p)
 
-    def grad_matrix(X: np.ndarray, G: np.ndarray) -> np.ndarray:
-        coeffs = np.array([float(obj.euclid_hess_form(X, G, B)) for B in basis])
-        return np.tensordot(coeffs, basis, 1)
+    def project(c: np.ndarray) -> np.ndarray:
+        """Coordinates of the unit-norm rank-``4r`` truncation of ``sum_k c_k B_k``."""
+        U, lam = sym_eig((c @ flat).reshape(p, p), asym_tol=1e-6)
+        top = np.argsort(-np.abs(lam))[: 4 * r]
+        c = flat @ ((U[:, top] * lam[top]) @ U[:, top].T).ravel()
+        return c / (np.linalg.norm(c) or 1.0)
+
+    rng = np.random.default_rng(seed)
+    U, _ = sym_eig(M, asym_tol=1e-6)
+    starts = [project(U[:, 0]), project(U[:, -1])]
+    starts += [project(flat @ random_symmetric_low_rank(p, 4 * r, rng).ravel())
+               for _ in range(restarts - len(starts))]
 
     best = 0.0
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    X0 = random_symmetric_low_rank(p, 2 * r, rng)
-    U0, _ = sym_eig(_form_matrix(obj, X0, basis), asym_tol=1e-6)
-    for idx in (0, -1):
-        G = np.tensordot(U0[:, idx], basis, 1)
-        starts.append((X0, _project_rank_unit(G, 4 * r)))
-    for _ in range(max(0, restarts - len(starts))):
-        X = random_symmetric_low_rank(p, 2 * r, rng)
-        G = random_symmetric_low_rank(p, 4 * r, rng, unit=True)
-        starts.append((X, _project_rank_unit(G, 4 * r)))
-
-    for X, G in starts:
+    for c in starts:
         step = 0.5
-        val = float(obj.euclid_hess_form(X, G, G)) - 1.0
+        val = float(c @ M @ c) - 1.0
         best = max(best, abs(val))
         for _ in range(60):
-            direction = np.sign(val) if val != 0.0 else 1.0
-            G_new = _project_rank_unit(G + step * direction * grad_matrix(X, G), 4 * r)
-            val_new = float(obj.euclid_hess_form(X, G_new, G_new)) - 1.0
+            c_new = project(c + np.copysign(step, val) * (M @ c))
+            val_new = float(c_new @ M @ c_new) - 1.0
             if abs(val_new) >= abs(val):
-                G, val = G_new, val_new
+                c, val = c_new, val_new
                 best = max(best, abs(val))
             else:
                 step *= 0.5
@@ -245,15 +245,11 @@ def dense_delta_certificate(
 
 
 def symmetric_delta_upper(obj: ObjectiveHandle) -> float:
-    """Exact extremum of ``|hess_form(0)[G, G] - 1|`` over all unit symmetric
-    ``G`` (no rank restriction): an upper bound for every rank-restricted
-    constant, suitable for the favorable side of comparison inequalities.
-    Both objective families have a constant Hessian, so ``X = 0`` stands
-    for every ``X``."""
-    p = obj.p
-    if p > 8:
-        raise InputContractError(f"dense extremum requires p <= 8, got p={p}")
-    _, lam = sym_eig(_form_matrix(obj, np.zeros((p, p)), _symmetric_basis(p)), asym_tol=1e-6)
+    """Exact extremum of ``|hess_form[G, G] - 1|`` over all unit symmetric
+    ``G`` (no rank restriction), from the eigenvalues of ``M`` of
+    :func:`_least_squares_gram`: an upper bound for every rank-restricted
+    constant, for the favorable side of comparison inequalities."""
+    _, lam = sym_eig(_least_squares_gram(obj)[1], asym_tol=1e-6)
     return float(max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0)))
 
 

@@ -76,6 +76,13 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg)]) == 2
         assert "i/o error" in capsys.readouterr().err
 
+    def test_null_output_dir_is_the_default(self, tmp_path, monkeypatch):
+        # like instance_file, a JSON null stands for an absent key
+        cfg = write_config(tmp_path, output_dir=None)
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "instance.json").exists()
+
 
 class TestScan:
     def test_denoising_scan_green(self, tmp_path):
@@ -415,6 +422,9 @@ def _target_underflows(tmp_path):
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, trigger_tol=-1)),
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, cooldown_iters=-3)),
         (["scan"], lambda tmp_path: write_config(tmp_path, scan={"ball_radius": -0.3})),
+        (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=5)),
+        (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=True)),
+        (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=["a"])),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -425,6 +435,7 @@ def _target_underflows(tmp_path):
         "max-iters-boolean", "kappa-negative", "kappa-below-one", "sigma-r-negative",
         "noise-negative", "instance-spectrum-negative", "perturbation-radius-zero",
         "trigger-tol-negative", "cooldown-negative", "ball-radius-negative",
+        "output-dir-number", "output-dir-boolean", "output-dir-list",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

@@ -72,6 +72,10 @@ class TestRegionParams:
             RegionParams(mu=0.2, alpha=0.5, beta=1.0, gamma=1.5)
         with pytest.raises(InputContractError):
             RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=0.9)
+        with pytest.raises(InputContractError):
+            RegionParams(mu=0.2, alpha=0.5, beta=float("nan"), gamma=1.5)
+        with pytest.raises(InputContractError):
+            RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=float("nan"))
 
 
 class TestClassifyRegion:

@@ -4,6 +4,7 @@ import pytest
 from psdlandscape.errors import (
     HypothesisViolationError,
     InitializationFailure,
+    InputContractError,
     NotAFOSPError,
     NumericalFailure,
     RankCollapseError,
@@ -33,6 +34,38 @@ from psdlandscape.optimizers import (
 )
 
 PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
+
+
+def _error_bound_at_target(mu):
+    den, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
+    return error_bound_check(gt.Y_star, gt, mu, den.handle())
+
+
+def _thresholds(delta):
+    _, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
+    return compute_thresholds(gt, PARAMS, 2, delta=delta)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GDConfig(grad_tol=np.nan),
+        lambda: GDConfig(step_size=np.nan),
+        lambda: GDConfig(max_iters=np.nan),
+        lambda: PerturbationSpec(radius=0.1, trigger_tol=1e-3, cooldown_iters=np.nan),
+        lambda: _error_bound_at_target(np.nan),
+        lambda: _thresholds(np.nan),
+        lambda: _thresholds(-0.1),
+    ],
+    ids=[
+        "grad-tol-nan", "step-size-nan", "max-iters-nan", "cooldown-nan",
+        "error-bound-mu-nan", "thresholds-delta-nan", "thresholds-delta-negative",
+    ],
+)
+def test_out_of_range_inputs_are_rejected(build):
+    # every range check must also reject NaN, which compares false with anything
+    with pytest.raises(InputContractError):
+        build()
 
 
 def haar(rng, r):

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from psdlandscape.errors import InputContractError
 from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_project, quotient_distance
-from psdlandscape.objectives import make_denoising, make_trace_regression
+from psdlandscape.objectives import make_denoising, make_trace_regression, rsc_rsm_estimate
 from psdlandscape.verify import (
     brute_distance_rank1,
     dense_delta_certificate,
@@ -14,6 +16,10 @@ from psdlandscape.verify import (
     suite_names,
     symmetric_delta_upper,
 )
+
+
+ORACLES = [symmetric_delta_upper, lambda obj: dense_delta_certificate(obj, 1, restarts=4)]
+ORACLE_IDS = ["symmetric_delta_upper", "dense_delta_certificate"]
 
 
 def unit_horizontal(rng, Y):
@@ -161,6 +167,55 @@ class TestDeltaCertificate:
         reg, _ = make_trace_regression(9, 2, 20, seed=15)
         with pytest.raises(InputContractError):
             dense_delta_certificate(reg.handle(), 2)
+
+    def test_gram_matches_the_hessian_form(self):
+        # reference: one Hessian-form call per basis pair, at a point the
+        # constant Hessian ignores; only the summation order differs
+        from psdlandscape.objectives import _form_matrix, random_symmetric_low_rank
+        from psdlandscape.verify import _least_squares_gram
+
+        obj = make_trace_regression(5, 2, 40, seed=18)[0].handle()
+        flat, M = _least_squares_gram(obj)
+        X = random_symmetric_low_rank(5, 4, np.random.default_rng(0))
+        ref = _form_matrix(obj, X, flat.reshape(-1, 5, 5))
+        np.testing.assert_allclose(M, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
+    def test_oracle_reads_the_map_once(self, oracle):
+        obj = make_trace_regression(6, 2, 40, seed=16)[0].handle()
+        images, forms = [], []
+
+        def counted_images(Gs):
+            images.append(len(Gs))
+            return obj.least_squares.images(Gs)
+
+        def counted_form(X, G1, G2):
+            forms.append(1)
+            return obj.euclid_hess_form(X, G1, G2)
+
+        counted = dataclasses.replace(
+            obj,
+            euclid_hess_form=counted_form,
+            least_squares=dataclasses.replace(obj.least_squares, images=counted_images),
+        )
+        oracle(counted)
+        # one sweep over the 21 basis matrices of the symmetric 6 x 6 space
+        assert (images, len(forms)) == ([21], 0)
+
+    @pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
+    def test_oracle_needs_a_least_squares_handle(self, oracle):
+        # the oracles rest on a constant Hessian, which a custom handle need not have
+        obj = make_trace_regression(5, 2, 40, seed=17)[0].handle()
+        with pytest.raises(InputContractError):
+            oracle(dataclasses.replace(obj, least_squares=None))
+        with pytest.raises(InputContractError):
+            oracle(make_trace_regression(9, 2, 20, seed=15)[0].handle())
+
+    @pytest.mark.parametrize("p", range(4, 9))
+    def test_sampled_delta_hat_stays_below_the_exact_bound(self, p):
+        # scan gates on the sampled estimate; no probe may exceed the exact extremum
+        obj = make_trace_regression(p, 2, 12 * p, seed=40 + p)[0].handle()
+        assert rsc_rsm_estimate(obj, 2, 200, seed=p) <= symmetric_delta_upper(obj)
 
 
 class TestSuites:
