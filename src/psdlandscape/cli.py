@@ -250,7 +250,7 @@ def cmd_optimize(args) -> int:
             trigger_tol=_number(pert, "perturbation", "trigger_tol", None),
             cooldown_iters=_number(pert, "perturbation", "cooldown_iters", 10, int),
         )
-        if pert
+        if opt.get("perturbation") is not None
         else None
     )
     step_size = opt.get("step_size")

@@ -7,6 +7,7 @@ sign canonicalization, symmetric-input guards, descending eigenvalue order).
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,13 @@ def check_matrix(A: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InputContractError(f"{name} contains non-finite entries")
     return A
+
+
+def _check_int(value, name: str, low: int) -> int:
+    """Validate a count or seed: an integer, not a boolean, at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InputContractError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def thin_svd(A: np.ndarray) -> SvdResult:

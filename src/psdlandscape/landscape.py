@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .geometry import FactorPoint, HorizontalTangent, vertical_project
-from .kernels import _align, sym_eig
+from .kernels import _align, _check_int, sym_eig
 from .objectives import (
     MAX_INSTANCE_BYTES,
     GroundTruth,
@@ -251,9 +251,10 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
     as a read-only ``(m, p, r)`` array of its ``m = horizontal_dim(p, r)``
     lifts.
 
-    Built from ``Y (Y.T Y)^{-1} S`` over the symmetric matrices
-    ``S = E_ij + E_ji`` (``i <= j``, ``E_ii`` once) plus ``U_perp E`` over
-    matrix units, then orthonormalized by a QR pass.
+    Written down from the SVD ``Y = U diag(sigma) V.T``: the normalized
+    ``U diag(1/sigma) (E_ij + E_ji) V.T`` for ``i <= j``, then ``U_perp E``
+    over the matrix units ``E``. ``Y.T`` times either is symmetric, and the
+    two parts are orthogonal, each within itself and to each other.
 
     Raises
     ------
@@ -267,19 +268,20 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
             f"horizontal dimension {dim} exceeds the dense cap {DENSE_HESSIAN_CAP}"
         )
     U, sigma, V = Y.svd
-    # Y (Y.T Y)^{-1} = U diag(1/sigma) V.T
-    Ypinv_t = (U / sigma[None, :]) @ V.T
     i, j = np.triu_indices(r)
     k = np.arange(len(i))
+    # diag(1/sigma) (E_ij + E_ji) over its norm: sigma_j / hypot(sigma_i, sigma_j)
+    # at (i, j), sigma_i / hypot(sigma_i, sigma_j) at (j, i), and 1 if i = j
+    norm = np.where(i == j, sigma[i], np.hypot(sigma[i], sigma[j]))
     S = np.zeros((len(k), r, r))
-    S[k, i, j] = S[k, j, i] = 1.0
+    S[k, i, j] = sigma[j] / norm
+    S[k, j, i] = sigma[i] / norm
     U_perp = np.linalg.qr(U, mode="complete")[0][:, r:]
-    # column (a, b) of the kron is U_perp[:, a] in column b of a p x r matrix
-    A = np.hstack([(Ypinv_t @ S).reshape(len(k), p * r).T, np.kron(U_perp, np.eye(r))])
-    Qmat, R = np.linalg.qr(A)
-    if np.min(np.abs(np.diag(R))) < 1e-12 * np.max(np.abs(np.diag(R))):
-        raise NumericalFailure("horizontal basis candidates are numerically dependent")
-    basis = np.ascontiguousarray(Qmat.T).reshape(dim, p, r)
+    basis = np.zeros((dim, p, r))
+    basis[: len(k)] = U @ S @ V.T
+    # element (a, b) of the second part is U_perp[:, a] in column b
+    b = np.arange(r)
+    basis[len(k) :].reshape(p - r, r, p, r)[:, b, :, b] = U_perp.T
     basis.flags.writeable = False
     return basis
 
@@ -411,8 +413,8 @@ def compute_thresholds(
         If ``(1 - mu/kappa*)^2 - 7 mu / 3 <= 0``, which voids the local
         strong-convexity bracket, or if a formula overflows or divides by zero.
     """
-    if not delta >= 0.0:
-        raise InputContractError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise InputContractError(f"delta must be finite and >= 0, got {delta}")
     mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
     kap = gt.kappa_star
     s1, sr = gt.sigma1_star, gt.sigmar_star
@@ -490,6 +492,8 @@ def random_ball_tangent(
     base: FactorPoint, radius: float, rng: np.random.Generator
 ) -> HorizontalTangent:
     """Horizontal direction with norm distributed as uniform-in-ball."""
+    if not 0.0 <= radius < np.inf:
+        raise InputContractError(f"radius must be finite and >= 0, got {radius}")
     dim = horizontal_dim(base.p, base.r)
     Z = rng.standard_normal(base.Y.shape)
     theta = Z - vertical_project(base, Z)
@@ -634,8 +638,8 @@ def certify_landscape(
     ``delta = 0``. Per-point seeds are derived from ``(seed, point index)``
     so results do not depend on scheduling.
     """
-    if n_points < 1:
-        raise InputContractError("n_points must be >= 1")
+    _check_int(n_points, "n_points", 1)
+    _check_int(seed, "seed", 0)
     if not samplers:
         raise InputContractError("need at least one sampler")
     if thresholds is None:

@@ -11,7 +11,7 @@ Two concrete problem families are provided:
 Everything downstream consumes an :class:`ObjectiveHandle`, which exposes
 the value, the (symmetric) Euclidean gradient and the Euclidean Hessian
 bilinear form, and, for the two least-squares families, the residual and
-the images of its linear map (:class:`LeastSquaresMap`).
+the adjoint and images of its linear map (:class:`LeastSquaresMap`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputContractError
 from .geometry import FactorPoint, HorizontalTangent, same_base
-from .kernels import check_matrix, sym_eig, truncated_frob_norm
+from .kernels import _check_int, check_matrix, sym_eig, truncated_frob_norm
 
 __all__ = [
     "ObjectiveHandle",
@@ -62,13 +62,17 @@ class LeastSquaresMap:
     ----------
     residual : callable
         ``X -> A(X) - y``, an array of any shape; ``f(X)`` is half its
-        squared norm and ``grad f(X) = A.T(A(X) - y)``.
+        squared norm.
+    adjoint : callable
+        ``v -> A.T(v)``, a fresh ``p x p`` array; ``grad f(X)`` is the
+        adjoint of the residual.
     images : callable
         ``Gs -> (F, N)`` for a ``(k, p, p)`` stack ``Gs``: ``F[j] = A(Gs[j])``
         and ``N[j] = A.T(A(Gs[j]))``, a symmetric ``p x p`` matrix.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
     images: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -106,20 +110,9 @@ def _least_squares_handle(
     """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``forward`` (``A``),
     ``adjoint`` (``A.T``, returning a fresh array) and ``images`` (see
     :class:`LeastSquaresMap`)."""
-    # value and grad share the residual of the latest X either saw. The key
-    # is a private copy, so an X edited in place misses; the pair is
-    # replaced as one tuple, so threads sharing the handle never read a key
-    # with another X's residual
-    last = None
 
     def residual(X: np.ndarray) -> np.ndarray:
-        nonlocal last
-        hit = last
-        if hit is not None and np.array_equal(hit[0], X):
-            return hit[1]
-        res = forward(X) - y
-        last = (np.array(X, dtype=float), res)
-        return res
+        return forward(X) - y
 
     def value(X: np.ndarray) -> float:
         res = residual(X)
@@ -132,7 +125,7 @@ def _least_squares_handle(
         image = forward(G1)
         return float(np.vdot(image, image if G2 is G1 else forward(G2)))
 
-    return ObjectiveHandle(value, grad, hess_form, p, r, LeastSquaresMap(residual, images))
+    return ObjectiveHandle(value, grad, hess_form, p, r, LeastSquaresMap(residual, adjoint, images))
 
 
 class DenoisingObjective:
@@ -153,7 +146,7 @@ class DenoisingObjective:
         self.r = r
 
     def handle(self) -> ObjectiveHandle:
-        # A is the identity; its adjoint copies, so a gradient is never the cached residual
+        # A is the identity; its adjoint copies, so a gradient never aliases the residual
         return _least_squares_handle(
             self.X_star.shape[0], self.r, self.X_star, np.asarray, np.copy, lambda Gs: (Gs, Gs)
         )
@@ -511,17 +504,13 @@ def _check_problem(kind: str, p: int, r: int, n: int, seed: int, noise_sigma: fl
     """Reject a problem before anything of its size is allocated."""
     if kind not in ("denoising", "trace_regression"):
         raise InputContractError(f"unknown problem kind {kind!r}")
-    if p < 1 or r < 1 or r > p:
+    p, r = _check_int(p, "p", 1), _check_int(r, "r", 1)
+    if r > p:
         raise InputContractError(f"invalid dimensions p={p}, r={r}")
-    if seed < 0:
-        raise InputContractError(f"seed must be >= 0, got {seed}")
+    _check_int(seed, "seed", 0)
     if not noise_sigma >= 0.0:
         raise InputContractError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if kind == "denoising":
-        n = 0
-    elif n < 1:
-        raise InputContractError(f"trace regression needs n >= 1, got n={n}")
-    p, n = int(p), int(n)
+    n = 0 if kind == "denoising" else _check_int(n, "trace regression n", 1)
     size = 8 * (p * p + n * p * (p + 1) // 2)
     if size > MAX_INSTANCE_BYTES:
         raise InputContractError(
@@ -668,8 +657,7 @@ def rsc_rsm_estimate(obj: ObjectiveHandle, r: int, n_samples: int, seed: int) ->
     ``|hess_form(X)[G, G] - 1|``. This under-estimates the true constant;
     objectives on a different scale must be pre-normalized by the caller.
     """
-    if n_samples < 1:
-        raise InputContractError("n_samples must be >= 1")
+    _check_int(n_samples, "n_samples", 1)
     return max(0.0, *(abs(q - 1.0) for q in _probe_forms(obj, 2 * r, n_samples, seed)))
 
 
@@ -693,4 +681,5 @@ def restricted_strict_convexity_check(
     rank <= 2r; returns ``True`` iff the form was strictly positive on
     every sample (a necessary-condition probe, not a proof).
     """
-    return not any(q <= 0.0 for q in _probe_forms(obj, r, max(1, n_samples), seed))
+    _check_int(n_samples, "n_samples", 1)
+    return not any(q <= 0.0 for q in _probe_forms(obj, r, n_samples, seed))

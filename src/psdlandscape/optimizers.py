@@ -20,7 +20,7 @@ from .errors import (
     StepSearchError,
 )
 from .geometry import FactorPoint, quotient_distance, vertical_project
-from .kernels import sym_eig
+from .kernels import _check_int, sym_eig
 from .landscape import (
     RegionLabel,
     RegionParams,
@@ -72,8 +72,7 @@ class PerturbationSpec:
             raise InputContractError(f"perturbation radius must be > 0, got {self.radius}")
         if not self.trigger_tol > 0:
             raise InputContractError(f"trigger_tol must be > 0, got {self.trigger_tol}")
-        if not self.cooldown_iters >= 0:
-            raise InputContractError(f"cooldown_iters must be >= 0, got {self.cooldown_iters}")
+        _check_int(self.cooldown_iters, "cooldown_iters", 0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ class GDConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.max_iters >= 1:
-            raise InputContractError("max_iters must be >= 1")
+        _check_int(self.max_iters, "max_iters", 1)
+        _check_int(self.seed, "seed", 0)
         if not self.grad_tol > 0:
             raise InputContractError("grad_tol must be > 0")
         if self.step_size is not None and not self.step_size > 0:
@@ -141,14 +140,16 @@ def _evaluate(
 ) -> tuple[float, np.ndarray | None, np.ndarray]:
     """The value, the residual (``None`` without least-squares structure) and
     the symmetrized Euclidean gradient at iterate ``k``, evaluated directly;
-    without least-squares structure a known value ``val`` is kept."""
+    a least-squares gradient is the adjoint of the residual, and without
+    least-squares structure a known value ``val`` is kept."""
     X = Y.gram()
     try:
         if obj.least_squares is None:
             R = _sym_grad(obj, X)
             return (lifted_value(obj, Y) if val is None else val), None, R
         res = obj.least_squares.residual(X)
-        return 0.5 * float(np.vdot(res, res)), res, _sym_grad(obj, X)
+        G = obj.least_squares.adjoint(res)
+        return 0.5 * float(np.vdot(res, res)), res, (G + G.T) / 2.0
     except InputContractError as exc:
         # non-finite intermediates mid-run mean the iterates diverged
         raise NumericalFailure(f"gradient evaluation failed at iterate {k}: {exc}") from exc

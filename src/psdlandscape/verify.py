@@ -26,7 +26,7 @@ from .geometry import (
     log_map,
     quotient_distance,
 )
-from .kernels import procrustes_align, sym_eig, truncated_frob_norm
+from .kernels import _check_int, procrustes_align, sym_eig, truncated_frob_norm
 from .landscape import random_ball_tangent
 from .objectives import (
     ObjectiveHandle,
@@ -598,10 +598,8 @@ def run_suite(
         raise InputContractError(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         )
-    if seed < 0:
-        raise InputContractError(f"seed must be >= 0, got {seed}")
-    if instances < 1:
-        raise InputContractError(f"instances must be >= 1, got {instances}")
+    _check_int(seed, "seed", 0)
+    _check_int(instances, "instances", 1)
     fn, tol = _SUITES[name]
 
     def one(i: int) -> float:

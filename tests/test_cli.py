@@ -425,6 +425,7 @@ def _target_underflows(tmp_path):
         (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=5)),
         (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=True)),
         (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=["a"])),
+        (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"perturbation": {}})),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -435,7 +436,7 @@ def _target_underflows(tmp_path):
         "max-iters-boolean", "kappa-negative", "kappa-below-one", "sigma-r-negative",
         "noise-negative", "instance-spectrum-negative", "perturbation-radius-zero",
         "trigger-tol-negative", "cooldown-negative", "ball-radius-negative",
-        "output-dir-number", "output-dir-boolean", "output-dir-list",
+        "output-dir-number", "output-dir-boolean", "output-dir-list", "perturbation-empty",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

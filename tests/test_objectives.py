@@ -223,19 +223,21 @@ class TestTraceRegression:
         assert peak < 1.25 * packed.nbytes
         assert "sensing" not in vars(inst.trace_regression)
 
-    def test_value_and_grad_share_the_residual(self):
+    def test_handle_keeps_no_state_between_calls(self):
+        # a gradient after a value at the same X makes its own forward pass
         reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=17)
         passes = _count_passes(reg)
         obj = reg.handle()
         X = np.random.default_rng(18).standard_normal((6, 6))
         value = obj.value(X)
-        grad = obj.euclid_grad(X.copy())
-        assert passes == {"apply_map": 1, "adjoint": 1}
+        grad = obj.euclid_grad(X)
+        assert passes == {"apply_map": 2, "adjoint": 1}
         res = reg.apply_map(X) - reg.y
         assert value == 0.5 * float(res @ res)
         np.testing.assert_array_equal(grad, reg.adjoint(res))
 
     def test_residual_recomputed_after_in_place_edit(self):
+        # each value reads the X it is given, also one edited in place
         reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=19)
         passes = _count_passes(reg)
         obj = reg.handle()
@@ -290,8 +292,8 @@ class TestTraceRegression:
             )
 
     def test_gradient_is_a_fresh_array(self):
-        # value and grad share a cached residual, which an in-place edit of a
-        # returned gradient must leave intact
+        # an in-place edit of a returned gradient leaves the handle's data,
+        # the target of denoising included, intact
         reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=27)
         den, _ = make_denoising(6, 2, kappa_star=2.0, seed=27)
         X = np.random.default_rng(28).standard_normal((6, 6))
@@ -302,6 +304,8 @@ class TestTraceRegression:
             assert obj.value(X) == before
 
     def test_shared_residual_under_thread_switches(self):
+        # threads sharing one handle each get their own point's value and
+        # gradient under frequent switches
         import sys
         import threading
 

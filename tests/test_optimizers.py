@@ -13,8 +13,10 @@ from psdlandscape.geometry import FactorPoint, quotient_distance
 from psdlandscape.landscape import (
     RegionLabel,
     RegionParams,
+    certify_landscape,
     classify_region,
     compute_thresholds,
+    random_ball_tangent,
     strict_convexity_fosp_check,
 )
 from psdlandscape.objectives import (
@@ -22,8 +24,11 @@ from psdlandscape.objectives import (
     TraceRegressionObjective,
     lifted_value,
     make_denoising,
+    make_instance,
     make_trace_regression,
+    restricted_strict_convexity_check,
     riemannian_grad_lift,
+    rsc_rsm_estimate,
 )
 from psdlandscape.optimizers import (
     GDConfig,
@@ -32,6 +37,7 @@ from psdlandscape.optimizers import (
     riemannian_gd,
     spectral_init,
 )
+from psdlandscape.verify import run_suite
 
 PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 
@@ -46,6 +52,16 @@ def _thresholds(delta):
     return compute_thresholds(gt, PARAMS, 2, delta=delta)
 
 
+def _denoising_problem():
+    den, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
+    return den.handle(), gt
+
+
+def _certify(n_points=4, seed=0):
+    obj, gt = _denoising_problem()
+    return certify_landscape(obj, gt, PARAMS, ["ball"], n_points, seed)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -56,14 +72,34 @@ def _thresholds(delta):
         lambda: _error_bound_at_target(np.nan),
         lambda: _thresholds(np.nan),
         lambda: _thresholds(-0.1),
+        lambda: _thresholds(np.inf),
+        lambda: GDConfig(max_iters=2.5),
+        lambda: GDConfig(max_iters=True),
+        lambda: GDConfig(seed=1.5),
+        lambda: PerturbationSpec(radius=0.1, trigger_tol=1e-3, cooldown_iters=2.5),
+        lambda: _certify(n_points=2.5),
+        lambda: _certify(seed=1.5),
+        lambda: run_suite("norm-sandwich", instances=2.5),
+        lambda: run_suite("norm-sandwich", seed=1.5),
+        lambda: rsc_rsm_estimate(_denoising_problem()[0], 2, 2.5, seed=0),
+        lambda: restricted_strict_convexity_check(_denoising_problem()[0], 2, 2.5, seed=0),
+        lambda: make_instance("denoising", 2.5, 1),
+        lambda: make_instance("denoising", 4, 1, seed=1.5),
+        lambda: random_ball_tangent(_denoising_problem()[1].Y_star, -1.0, np.random.default_rng(0)),
     ],
     ids=[
         "grad-tol-nan", "step-size-nan", "max-iters-nan", "cooldown-nan",
         "error-bound-mu-nan", "thresholds-delta-nan", "thresholds-delta-negative",
+        "thresholds-delta-infinite", "max-iters-fractional", "max-iters-boolean",
+        "gd-seed-fractional", "cooldown-fractional", "n-points-fractional",
+        "scan-seed-fractional", "instances-fractional", "suite-seed-fractional",
+        "rsc-samples-fractional", "convexity-check-samples-fractional", "p-fractional",
+        "instance-seed-fractional", "tangent-radius-negative",
     ],
 )
 def test_out_of_range_inputs_are_rejected(build):
-    # every range check must also reject NaN, which compares false with anything
+    # every range check must also reject NaN, which compares false with
+    # anything, and a count or seed must be an integer, not a boolean
     with pytest.raises(InputContractError):
         build()
 
@@ -361,11 +397,40 @@ class TestLeastSquaresCarry:
             calls.append(Gs.shape)
             return ls.images(Gs)
 
-        obj = dataclasses.replace(obj, least_squares=LeastSquaresMap(ls.residual, counted_images))
+        obj = dataclasses.replace(
+            obj, least_squares=LeastSquaresMap(ls.residual, ls.adjoint, counted_images)
+        )
         rec = riemannian_gd(obj, Y0, GDConfig(max_iters=3000, grad_tol=1e-10))
         assert rec.converged
         assert len(calls) == rec.iterations > 10
         assert set(calls) == {(2, 8, 8)}
+
+    def test_direct_evaluation_reads_the_map_once_each_way(self, monkeypatch):
+        # each direct evaluation takes the gradient as the adjoint of the
+        # residual it already holds: one forward and one adjoint pass, and
+        # no call of the handle's own gradient
+        import dataclasses
+
+        from psdlandscape import optimizers
+
+        reg, _ = make_trace_regression(8, 2, 120, noise_sigma=0.0, seed=30)
+        Y0 = spectral_init(reg, 2)
+        calls = {"apply_map": 0, "adjoint": 0, "euclid_grad": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("apply_map", "adjoint"):
+            monkeypatch.setattr(reg, name, counted(name, getattr(reg, name)))
+        monkeypatch.setattr(optimizers, "_evaluate", counted("evaluate", optimizers._evaluate))
+        obj = reg.handle()
+        obj = dataclasses.replace(obj, euclid_grad=counted("euclid_grad", obj.euclid_grad))
+        riemannian_gd(obj, Y0, GDConfig(max_iters=5, grad_tol=1e-14))
+        assert calls == {"apply_map": 2, "adjoint": 2, "euclid_grad": 0, "evaluate": 2}
 
     @pytest.mark.parametrize("kind", ["trace_regression", "denoising"])
     @pytest.mark.parametrize("max_iters", [5, 3000])
