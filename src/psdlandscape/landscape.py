@@ -36,7 +36,6 @@ from .errors import (
 from .geometry import FactorPoint, HorizontalTangent, vertical_project
 from .kernels import _align, _check_int, sym_eig
 from .objectives import (
-    MAX_INSTANCE_BYTES,
     GroundTruth,
     ObjectiveHandle,
     _form_matrix,
@@ -237,13 +236,24 @@ def horizontal_dim(p: int, r: int) -> int:
 
 
 #: largest horizontal dimension whose Hessian is assembled densely; above
-#: it :func:`hess_extreme_eigs` runs Lanczos and :func:`horizontal_basis`
-#: refuses to build a basis
-DENSE_HESSIAN_CAP = 4000
+#: it :func:`hess_extreme_eigs` runs Lanczos. At R1 points Lanczos was
+#: measured no slower from dimension 45 on denoising of rank 3 and from about
+#: 15 on trace regression of rank 2: the dense matrix takes ``m (m + 1) / 2``
+#: form calls, while Lanczos takes one map sweep per step
+DENSE_HESSIAN_CAP = 44
+
+#: largest horizontal dimension for which :func:`horizontal_basis` builds a basis
+_BASIS_CAP = 4000
 
 #: Ritz residual, relative to the largest Ritz value in magnitude, at which
 #: Lanczos accepts both ends of the spectrum
 _LANCZOS_RESIDUAL_TOL = 1e-8
+
+#: seed of the Lanczos start vector. A start with no component along an
+#: extreme eigenvector misses that eigenvalue with a zero residual: seed 0,
+#: whose first normal draw is many callers' first draw too, did so at a ball
+#: point ``Y* + theta`` whose ``theta`` came from that draw
+_LANCZOS_START_SEED = 0x4C414E43
 
 
 def horizontal_basis(Y: FactorPoint) -> np.ndarray:
@@ -259,14 +269,12 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
     Raises
     ------
     ResourceLimitError
-        If the dimension exceeds :data:`DENSE_HESSIAN_CAP`.
+        If the dimension exceeds 4000.
     """
     p, r = Y.p, Y.r
     dim = horizontal_dim(p, r)
-    if dim > DENSE_HESSIAN_CAP:
-        raise ResourceLimitError(
-            f"horizontal dimension {dim} exceeds the dense cap {DENSE_HESSIAN_CAP}"
-        )
+    if dim > _BASIS_CAP:
+        raise ResourceLimitError(f"horizontal dimension {dim} exceeds the basis cap {_BASIS_CAP}")
     U, sigma, V = Y.svd
     i, j = np.triu_indices(r)
     k = np.arange(len(i))
@@ -298,35 +306,48 @@ def _dense_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> Hess
 def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> HessianSpectrumEstimate:
     p, r = Y.p, Y.r
     dim = horizontal_dim(p, r)
-    X = Y.gram()
 
     def horizontal(Z: np.ndarray) -> np.ndarray:
         return Z - vertical_project(Y, Z)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        # entry (i, j) is b(v, E_ij); the horizontal part of that matrix is
-        # the Hessian applied to the horizontal v
-        Cv = _lift(Y, v)
-        Hv = 2.0 * (R @ v)
-        for i in range(p):
-            for j in range(r):
-                E = np.zeros((p, r))
-                E[i, j] = 1.0
-                Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
-        return horizontal(Hv)
+    if obj.least_squares is not None:
+        images = obj.least_squares.images
 
-    # a fixed start keeps the result a function of (obj, Y) alone
-    q = horizontal(np.random.default_rng(0).standard_normal((p, r)))
-    basis = [q / np.linalg.norm(q)]
+        def apply(v: np.ndarray) -> np.ndarray:
+            # b(v, w) = <N, C(w)> + 2 <R v, w> = <2 N Y + 2 R v, w> for the
+            # symmetric N = hess f(X)[C(v)], read from one sweep of the map
+            N = images(_lift(Y, v)[None])[1][0]
+            return horizontal(2.0 * (N @ Y.Y + R @ v))
+
+    else:
+        X = Y.gram()
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            # entry (i, j) is b(v, E_ij); the horizontal part of that matrix
+            # is the Hessian applied to the horizontal v
+            Cv = _lift(Y, v)
+            Hv = 2.0 * (R @ v)
+            for i in range(p):
+                for j in range(r):
+                    E = np.zeros((p, r))
+                    E[i, j] = 1.0
+                    Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
+            return horizontal(Hv)
+
+    # the Lanczos vectors are the rows of Q; a fixed start keeps the result
+    # a function of (obj, Y) alone
+    Q = np.empty((dim + 1, p * r))
+    q = horizontal(np.random.default_rng(_LANCZOS_START_SEED).standard_normal((p, r)))
+    Q[0] = (q / np.linalg.norm(q)).ravel()
     alphas: list[float] = []
     betas: list[float] = []
     for k in range(dim):
-        w = apply(basis[k])
-        alphas.append(float(np.vdot(basis[k], w)))
+        v = Q[k].reshape(p, r)
+        w = apply(v)
+        alphas.append(float(np.vdot(v, w)))
         # full reorthogonalization, twice, then back onto the horizontal space
-        Q = np.stack(basis).reshape(k + 1, -1)
         for _ in range(2):
-            w = w - (Q.T @ (Q @ w.ravel())).reshape(p, r)
+            w = w - (Q[: k + 1].T @ (Q[: k + 1] @ w.ravel())).reshape(p, r)
         w = horizontal(w)
         beta = float(np.linalg.norm(w))
         T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
@@ -336,7 +357,7 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
         if residual <= _LANCZOS_RESIDUAL_TOL * max(abs(ritz[0]), abs(ritz[-1])):
             return HessianSpectrumEstimate(float(ritz[0]), float(ritz[-1]), "lanczos", residual)
         betas.append(beta)
-        basis.append(w / beta)
+        Q[k + 1] = (w / beta).ravel()
     raise NumericalFailure(
         f"Lanczos did not converge in {dim} steps (Ritz residual {residual:.3e})"
     )
@@ -348,18 +369,21 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     Both paths evaluate the one bilinear form
     ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
     (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
-    Up to horizontal dimension :data:`DENSE_HESSIAN_CAP`, and while the
-    stack of the ``m`` lifts ``C(B_k)`` (``8 m p^2`` bytes) fits the memory
-    budget :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`, the matrix of
-    ``b`` over an orthonormal horizontal basis ``B`` is the matrix of the
-    Euclidean form over the lifts plus the gradient term
-    ``2 <B_k, R B_l>``, taken as one product, and is factorized (method
-    ``"dense"``, residual 0). Otherwise Lanczos with full
-    reorthogonalization runs on the apply
-    ``v -> P_h[2 R v + (hess f(X)[C(v), C(E_ij)])_ij]``, with ``C(v)``
-    formed once per step; every Lanczos vector is projected back onto the
+    Up to horizontal dimension :data:`DENSE_HESSIAN_CAP` (the measured
+    point where Lanczos becomes the faster path), the matrix of ``b`` over
+    an orthonormal horizontal basis ``B`` is the matrix of the Euclidean
+    form over the lifts ``C(B_k)``, one form call per pair, plus the
+    gradient term ``2 <B_k, R B_l>``, taken as one product, and is
+    factorized (method ``"dense"``, residual 0). Above it Lanczos with full
+    reorthogonalization runs on the Hessian apply (method ``"lanczos"``).
+    A handle with a :class:`~psdlandscape.objectives.LeastSquaresMap`
+    applies it as ``v -> P_h(2 N Y + 2 R v)``, with ``N = hess f(X)[C(v)]``
+    from one ``images`` call, so one sweep of the map per step; any other
+    handle as ``v -> P_h[2 R v + (hess f(X)[C(v), C(E_ij)])_ij]`` over the
+    matrix units ``E_ij``, ``p r`` form calls per step. ``P_h`` is the
+    horizontal projection; every Lanczos vector is projected back onto the
     horizontal space, and the larger Ritz residual of the two extreme pairs
-    is reported (method ``"lanczos"``).
+    is reported.
 
     Raises
     ------
@@ -369,7 +393,7 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     """
     R = _sym_grad(obj, Y.gram())
     m = horizontal_dim(Y.p, Y.r)
-    if m <= DENSE_HESSIAN_CAP and 8 * m * Y.p**2 <= MAX_INSTANCE_BYTES:
+    if m <= DENSE_HESSIAN_CAP:
         return _dense_extremes(obj, Y, R)
     return _lanczos_extremes(obj, Y, R)
 

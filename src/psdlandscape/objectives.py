@@ -554,7 +554,7 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     """
     try:
         kind = doc["kind"]
-        p, r, n, seed = int(doc["p"]), int(doc["r"]), int(doc["n"]), int(doc["seed"])
+        p, r, n, seed = doc["p"], doc["r"], doc["n"], doc["seed"]
         noise_sigma = float(doc["noise_sigma"])
         spectrum = np.asarray(doc["spectrum"], dtype=float)
         y = np.asarray(doc["y"], dtype=float) if kind == "trace_regression" else None

@@ -29,6 +29,7 @@ from psdlandscape.landscape import (
     compute_thresholds,
     escape_direction,
     hess_extreme_eigs,
+    horizontal_dim,
     random_ball_tangent,
 )
 from psdlandscape.objectives import (
@@ -103,7 +104,7 @@ def test_02_local_strong_convexity_brackets():
             assert est.lambda_max <= rep.r1_hess_upper + tol
     _report(
         "local strong convexity",
-        "dense Hessian brackets hold on 100 ball points per condition number "
+        "Hessian brackets hold on 100 ball points per condition number "
         "kappa in {1, 2, 5}",
         t0,
     )
@@ -319,21 +320,24 @@ def test_08_derivative_correctness_and_spectrum_agreement(monkeypatch):
             assert h.rel_err < 1e-5
 
     # dense and iterative (Lanczos) spectrum ends agree at two sizes (dim 19 and 57)
-    def iterative(obj, Y):
+    def spectrum(obj, Y, cap, method):
         with monkeypatch.context() as m:
-            m.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
-            return hess_extreme_eigs(obj, Y)
+            m.setattr(landscape, "DENSE_HESSIAN_CAP", cap)
+            est = hess_extreme_eigs(obj, Y)
+        assert est.method == method
+        return est
+
+    def dense_and_iterative(obj, Y):
+        return spectrum(obj, Y, horizontal_dim(Y.p, Y.r), "dense"), spectrum(obj, Y, 0, "lanczos")
 
     den10, gt10 = make_denoising(10, 2, kappa_star=2.0, seed=903)
     Yp = FactorPoint(gt10.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
-    dense = hess_extreme_eigs(den10.handle(), Yp)
-    it = iterative(den10.handle(), Yp)
+    dense, it = dense_and_iterative(den10.handle(), Yp)
     assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
     assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
 
     den20, gt20 = make_denoising(20, 3, kappa_star=2.0, seed=904)
-    dense2 = hess_extreme_eigs(den20.handle(), gt20.Y_star)
-    it2 = iterative(den20.handle(), gt20.Y_star)
+    dense2, it2 = dense_and_iterative(den20.handle(), gt20.Y_star)
     assert it2.lambda_min == pytest.approx(dense2.lambda_min, rel=1e-7)
     assert it2.lambda_max == pytest.approx(dense2.lambda_max, rel=1e-7)
     _report(

@@ -370,9 +370,9 @@ def _p_overflows(tmp_path):
     return cfile
 
 
-def _instance_negative_spectrum(tmp_path):
+def _instance(tmp_path, **fields):
     doc = {"kind": "denoising", "p": 4, "r": 2, "n": 0, "seed": 0, "noise_sigma": 0.0,
-           "spectrum": [1.0, -0.5], "y": []}
+           "spectrum": [1.0, 0.5], "y": [], **fields}
     (tmp_path / "instance.json").write_text(json.dumps(doc))
     return write_config(tmp_path, instance_file=str(tmp_path / "instance.json"))
 
@@ -417,7 +417,12 @@ def _target_underflows(tmp_path):
         (["generate"], lambda tmp_path: write_config(tmp_path, problem={"sigma_r_star": -1.0})),
         (["generate"], lambda tmp_path: write_config(
             tmp_path, problem={"kind": "trace_regression", "n": 200, "noise_sigma": -0.5})),
-        (["generate"], _instance_negative_spectrum),
+        (["generate"], lambda tmp_path: _instance(tmp_path, spectrum=[1.0, -0.5])),
+        (["generate"], lambda tmp_path: _instance(tmp_path, p=4.7)),
+        (["generate"], lambda tmp_path: _instance(tmp_path, r=1.9, spectrum=[1.0])),
+        (["generate"], lambda tmp_path: _instance(tmp_path, seed=2.5)),
+        (["generate"], lambda tmp_path: _instance(
+            tmp_path, kind="trace_regression", n=3.5, y=[0.0, 0.0, 0.0])),
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, radius=0)),
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, trigger_tol=-1)),
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, cooldown_iters=-3)),
@@ -434,8 +439,9 @@ def _target_underflows(tmp_path):
         "samplers-null", "scan-seed-negative", "beta-overflows", "target-underflows",
         "p-too-large", "p-fractional", "r-boolean", "n-points-fractional",
         "max-iters-boolean", "kappa-negative", "kappa-below-one", "sigma-r-negative",
-        "noise-negative", "instance-spectrum-negative", "perturbation-radius-zero",
-        "trigger-tol-negative", "cooldown-negative", "ball-radius-negative",
+        "noise-negative", "instance-spectrum-negative", "instance-p-fractional",
+        "instance-r-fractional", "instance-seed-fractional", "instance-n-fractional",
+        "perturbation-radius-zero", "trigger-tol-negative", "cooldown-negative", "ball-radius-negative",
         "output-dir-number", "output-dir-boolean", "output-dir-list", "perturbation-empty",
     ],
 )

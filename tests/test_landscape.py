@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdlandscape.errors import (
     HypothesisViolationError,
@@ -144,7 +148,7 @@ class TestHorizontalBasis:
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
 
     def test_cap(self):
-        # dimension 1000 * 5 - 10 = 4990 lies above the fixed dense cap
+        # dimension 1000 * 5 - 10 = 4990 lies above the fixed basis cap
         rng = np.random.default_rng(11)
         Y = FactorPoint(rng.standard_normal((1000, 5)))
         with pytest.raises(ResourceLimitError, match="4990"):
@@ -189,16 +193,13 @@ class TestHessExtremes:
         rng = np.random.default_rng(14)
         Y = FactorPoint(gt.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
         dense = hess_extreme_eigs(obj, Y)
-        # Lanczos runs above the dimension cap, and below it wherever the
-        # 8 m p^2 bytes of lifted basis matrices (m = 19) exceed the budget
-        for name, limit in [("DENSE_HESSIAN_CAP", 0), ("MAX_INSTANCE_BYTES", 8 * 19 * 10**2 - 1)]:
-            with monkeypatch.context() as patched:
-                patched.setattr(landscape, name, limit)
-                it = hess_extreme_eigs(obj, Y)
-            assert (dense.method, it.method) == ("dense", "lanczos")
-            assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
-            assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
-            assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
+        # Lanczos runs above the dimension cap
+        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
+        it = hess_extreme_eigs(obj, Y)
+        assert (dense.method, it.method) == ("dense", "lanczos")
+        assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
+        assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
+        assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
     def test_polarization_matches_direct_bilinear_form(self, kind):
@@ -271,6 +272,10 @@ def _spectrum_points():
     den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
     th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(7))
     points.append(pytest.param(den.handle(), FactorPoint(gt.Y_star.Y + th.theta), id="denoising-8-2-r1"))
+    # a ball point whose tangent is the first normal draw of seed 0
+    den, gt = make_denoising(10, 2, kappa_star=2.0, seed=0)
+    th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(0))
+    points.append(pytest.param(den.handle(), FactorPoint(gt.Y_star.Y + th.theta), id="denoising-10-2-seed0"))
     den, gt = make_denoising(20, 3, kappa_star=2.0, seed=904)
     points.append(pytest.param(den.handle(), gt.Y_star, id="denoising-20-3-target"))
     rng = np.random.default_rng(905)
@@ -290,14 +295,124 @@ def _spectrum_points():
 
 @pytest.mark.parametrize("obj, Y", _spectrum_points())
 def test_lanczos_matches_dense(obj, Y, monkeypatch):
+    # the dense matrix is the reference at every size, above the cap too
+    monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", horizontal_dim(Y.p, Y.r))
     dense = hess_extreme_eigs(obj, Y)
     monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
     lanczos = hess_extreme_eigs(obj, Y)
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
-    assert lanczos.method == "lanczos"
+    assert (dense.method, lanczos.method) == ("dense", "lanczos")
     assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
     assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
     assert lanczos.residual <= 1e-8 * scale
+
+
+def _sized_objective(kind, p, r, seed):
+    kappa = 2.0 if r > 1 else 1.0
+    if kind == "denoising":
+        return make_denoising(p, r, kappa_star=kappa, seed=seed)
+    return make_trace_regression(p, r, 200, kappa_star=kappa, noise_sigma=0.05, seed=seed)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    kind=st.sampled_from(["denoising", "trace_regression"]),
+    keep_map=st.booleans(),
+    r=st.integers(min_value=1, max_value=3),
+    above_cap=st.booleans(),
+    extra=st.integers(min_value=0, max_value=3),
+    point=st.sampled_from(["ball", "random", "near-saddle"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, point, seed):
+    # the least p whose dimension is above the cap, plus extra; or the
+    # greatest p at or under it, minus extra
+    p = next(q for q in range(r, 10**4) if horizontal_dim(q, r) > landscape.DENSE_HESSIAN_CAP)
+    p = p + extra if above_cap else max(r, p - 1 - extra)
+    h, gt = _sized_objective(kind, p, r, seed)
+    obj = h.handle() if keep_map else dataclasses.replace(h.handle(), least_squares=None)
+    rng = np.random.default_rng(seed)
+    if point == "ball":
+        th = landscape.random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
+        Y = FactorPoint(gt.Y_star.Y + th.theta)
+    elif point == "random":
+        Y = FactorPoint(gt.sigma1_star / np.sqrt(p) * rng.standard_normal((p, r)))
+    else:
+        # the target with its last column (orthogonal to the others) shrunk:
+        # near the saddle where that column vanishes
+        Y = FactorPoint(gt.Y_star.Y * np.r_[np.ones(r - 1), 0.05])
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(landscape, "DENSE_HESSIAN_CAP", horizontal_dim(p, r))
+        dense = hess_extreme_eigs(obj, Y)
+        patched.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
+        lanczos = hess_extreme_eigs(obj, Y)
+    assert (dense.method, lanczos.method) == ("dense", "lanczos")
+    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
+    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
+    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+
+
+def test_lanczos_at_the_target_of_a_large_denoising_problem():
+    # horizontal dimension 990, where the dense matrix takes seconds; at Y*
+    # the extremes are 2 sigma_r^2 and 4 sigma_1^2
+    den, gt = make_denoising(200, 5, kappa_star=2.0, seed=40)
+    est = hess_extreme_eigs(den.handle(), gt.Y_star)
+    assert est.method == "lanczos"
+    assert est.lambda_min == pytest.approx(2.0 * gt.sigmar_star**2, rel=1e-10)
+    assert est.lambda_max == pytest.approx(4.0 * gt.sigma1_star**2, rel=1e-10)
+
+
+class TestWorkPerSpectrum:
+    @staticmethod
+    def counted_spectrum(obj, Y, monkeypatch):
+        """The estimate with its map sweeps (the stacks passed to
+        ``images``), its form calls and its Lanczos steps (one
+        factorization of the tridiagonal matrix each)."""
+        sweeps, forms, steps = [], [], []
+
+        def count(log, f):
+            def counted(*args):
+                log.append(args[0])
+                return f(*args)
+
+            return counted
+
+        ls = obj.least_squares
+        obj = dataclasses.replace(
+            obj,
+            euclid_hess_form=count(forms, obj.euclid_hess_form),
+            least_squares=ls and dataclasses.replace(ls, images=count(sweeps, ls.images)),
+        )
+        monkeypatch.setattr(np.linalg, "eigh", count(steps, np.linalg.eigh))
+        est = hess_extreme_eigs(obj, Y)
+        monkeypatch.undo()
+        return est, sweeps, len(forms), len(steps)
+
+    @pytest.mark.parametrize("kind, p, r", [("denoising", 20, 3), ("trace_regression", 24, 2)])
+    def test_one_map_sweep_per_lanczos_step(self, kind, p, r, monkeypatch):
+        h, gt = _sized_objective(kind, p, r, 41)
+        assert horizontal_dim(p, r) > landscape.DENSE_HESSIAN_CAP
+        Y = FactorPoint(gt.Y_star.Y + 0.05 * np.random.default_rng(42).standard_normal((p, r)))
+        est, sweeps, forms, steps = self.counted_spectrum(h.handle(), Y, monkeypatch)
+        assert est.method == "lanczos" and steps > 0
+        assert len(sweeps) == steps and forms == 0
+        assert all(G.shape == (1, p, p) for G in sweeps)
+
+    def test_handle_without_a_map_makes_pr_forms_per_step(self, monkeypatch):
+        den, gt = make_denoising(20, 3, kappa_star=2.0, seed=41)
+        obj = dataclasses.replace(den.handle(), least_squares=None)
+        est, _, forms, steps = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
+        assert est.method == "lanczos" and steps > 0
+        assert forms == 20 * 3 * steps
+
+    @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
+    def test_dense_path_makes_one_form_per_pair(self, kind, monkeypatch):
+        p = 44  # r = 1: the dimension is p, at the cap
+        assert p <= landscape.DENSE_HESSIAN_CAP
+        h, gt = _sized_objective(kind, p, 1, 43)
+        est, sweeps, forms, _ = self.counted_spectrum(h.handle(), gt.Y_star, monkeypatch)
+        assert est.method == "dense"
+        assert forms == p * (p + 1) // 2 and sweeps == []
 
 
 class TestEscapeDirection:
