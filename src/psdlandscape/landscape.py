@@ -36,6 +36,7 @@ from .errors import (
 from .geometry import FactorPoint, HorizontalTangent, vertical_project
 from .kernels import _align, _check_int, sym_eig
 from .objectives import (
+    MAX_INSTANCE_BYTES,
     GroundTruth,
     ObjectiveHandle,
     _form_matrix,
@@ -235,25 +236,24 @@ def horizontal_dim(p: int, r: int) -> int:
     return p * r - (r * r - r) // 2
 
 
-#: largest horizontal dimension whose Hessian is assembled densely; above
-#: it :func:`hess_extreme_eigs` runs Lanczos. At R1 points Lanczos was
-#: measured no slower from dimension 45 on denoising of rank 3 and from about
-#: 15 on trace regression of rank 2: the dense matrix takes ``m (m + 1) / 2``
-#: form calls, while Lanczos takes one map sweep per step
+#: largest horizontal dimension whose Hessian is assembled densely for a
+#: handle with a least-squares map; above it :func:`hess_extreme_eigs` runs
+#: Lanczos there, at one map sweep per step against ``m (m + 1) / 2`` form
+#: calls for the dense matrix. At R1 points Lanczos was measured no slower
+#: from dimension 45 on denoising of rank 3 and from about 15 on trace
+#: regression of rank 2; rank 5 stayed faster dense up to 60, the largest
+#: dimension measured there
 DENSE_HESSIAN_CAP = 44
 
-#: largest horizontal dimension for which :func:`horizontal_basis` builds a basis
+#: largest horizontal dimension for which :func:`horizontal_basis` builds a
+#: basis, and up to which the Hessian of a handle without a least-squares
+#: map, whose Lanczos step takes ``p r`` form calls, is assembled densely
+#: while its lifts fit the memory budget
 _BASIS_CAP = 4000
 
 #: Ritz residual, relative to the largest Ritz value in magnitude, at which
 #: Lanczos accepts both ends of the spectrum
 _LANCZOS_RESIDUAL_TOL = 1e-8
-
-#: seed of the Lanczos start vector. A start with no component along an
-#: extreme eigenvector misses that eigenvalue with a zero residual: seed 0,
-#: whose first normal draw is many callers' first draw too, did so at a ball
-#: point ``Y* + theta`` whose ``theta`` came from that draw
-_LANCZOS_START_SEED = 0x4C414E43
 
 
 def horizontal_basis(Y: FactorPoint) -> np.ndarray:
@@ -334,10 +334,18 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
                     Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
             return horizontal(Hv)
 
-    # the Lanczos vectors are the rows of Q; a fixed start keeps the result
-    # a function of (obj, Y) alone
-    Q = np.empty((dim + 1, p * r))
-    q = horizontal(np.random.default_rng(_LANCZOS_START_SEED).standard_normal((p, r)))
+    # The start is drawn from a generator seeded by the bits of Y. It must
+    # not lie in an invariant subspace of the Hessian, or Lanczos breaks
+    # down there and misses the extremes outside it with a zero residual.
+    # A fixed seed fails on a point built from that seed's own draws: the
+    # target and the ball tangent of make_denoising(20, 3, seed=s) and
+    # default_rng(s) both lie in the column space of its first draw, and so
+    # does the start. A start seeded by Y itself cannot be chosen that way,
+    # so a breakdown means the Krylov space holds every distinct eigenvalue.
+    rng = np.random.default_rng(Y.Y.view(np.uint32).ravel())
+    q = horizontal(rng.standard_normal((p, r)))
+    # the Lanczos vectors are the rows of Q, which doubles when it fills
+    Q = np.empty((min(dim + 1, 64), p * r))
     Q[0] = (q / np.linalg.norm(q)).ravel()
     alphas: list[float] = []
     betas: list[float] = []
@@ -356,6 +364,8 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
         residual = beta * float(max(abs(S[-1, 0]), abs(S[-1, -1])))
         if residual <= _LANCZOS_RESIDUAL_TOL * max(abs(ritz[0]), abs(ritz[-1])):
             return HessianSpectrumEstimate(float(ritz[0]), float(ritz[-1]), "lanczos", residual)
+        if k + 1 == len(Q):
+            Q = np.concatenate([Q, np.empty_like(Q)])
         betas.append(beta)
         Q[k + 1] = (w / beta).ravel()
     raise NumericalFailure(
@@ -369,21 +379,26 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     Both paths evaluate the one bilinear form
     ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
     (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
-    Up to horizontal dimension :data:`DENSE_HESSIAN_CAP` (the measured
-    point where Lanczos becomes the faster path), the matrix of ``b`` over
-    an orthonormal horizontal basis ``B`` is the matrix of the Euclidean
-    form over the lifts ``C(B_k)``, one form call per pair, plus the
-    gradient term ``2 <B_k, R B_l>``, taken as one product, and is
-    factorized (method ``"dense"``, residual 0). Above it Lanczos with full
-    reorthogonalization runs on the Hessian apply (method ``"lanczos"``).
-    A handle with a :class:`~psdlandscape.objectives.LeastSquaresMap`
-    applies it as ``v -> P_h(2 N Y + 2 R v)``, with ``N = hess f(X)[C(v)]``
-    from one ``images`` call, so one sweep of the map per step; any other
-    handle as ``v -> P_h[2 R v + (hess f(X)[C(v), C(E_ij)])_ij]`` over the
-    matrix units ``E_ij``, ``p r`` form calls per step. ``P_h`` is the
-    horizontal projection; every Lanczos vector is projected back onto the
-    horizontal space, and the larger Ritz residual of the two extreme pairs
-    is reported.
+    The matrix of ``b`` over an orthonormal horizontal basis ``B`` is the
+    matrix of the Euclidean form over the lifts ``C(B_k)``, one form call
+    per pair, plus the gradient term ``2 <B_k, R B_l>``, taken as one
+    product, and is factorized (method ``"dense"``, residual 0). A handle
+    with a :class:`~psdlandscape.objectives.LeastSquaresMap` takes that path
+    up to horizontal dimension :data:`DENSE_HESSIAN_CAP`, the crossover
+    measured at ranks 2 and 3, and above it runs Lanczos with full
+    reorthogonalization (method ``"lanczos"``) on the apply
+    ``v -> P_h(2 N Y + 2 R v)``, with ``N = hess f(X)[C(v)]`` from one
+    ``images`` call, so one sweep of the map per step. Any other handle is
+    assembled densely up to dimension 4000, and above it runs Lanczos on
+    ``v -> P_h[2 R v + (hess f(X)[C(v), C(E_ij)])_ij]`` over the matrix
+    units ``E_ij``, ``p r`` form calls per step, which was measured two to
+    four times slower than the dense matrix up to dimension 69; it also
+    runs Lanczos where the ``8 m p^2`` bytes of the lifts exceed the memory
+    budget :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`. ``P_h`` is
+    the horizontal projection; every Lanczos vector is projected back onto
+    the horizontal space, the start is drawn from a generator seeded by the
+    bits of ``Y``, and the larger Ritz residual of the two extreme pairs is
+    reported.
 
     Raises
     ------
@@ -393,7 +408,12 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     """
     R = _sym_grad(obj, Y.gram())
     m = horizontal_dim(Y.p, Y.r)
-    if m <= DENSE_HESSIAN_CAP:
+    if obj.least_squares is None:
+        # the dense matrix holds the m lifts C(B_k), 8 m p^2 bytes
+        dense = m <= _BASIS_CAP and 8 * m * Y.p**2 <= MAX_INSTANCE_BYTES
+    else:
+        dense = m <= DENSE_HESSIAN_CAP
+    if dense:
         return _dense_extremes(obj, Y, R)
     return _lanczos_extremes(obj, Y, R)
 

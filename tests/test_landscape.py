@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,13 +194,22 @@ class TestHessExtremes:
         rng = np.random.default_rng(14)
         Y = FactorPoint(gt.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
         dense = hess_extreme_eigs(obj, Y)
-        # Lanczos runs above the dimension cap
-        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
-        it = hess_extreme_eigs(obj, Y)
-        assert (dense.method, it.method) == ("dense", "lanczos")
-        assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
-        assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
-        assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
+        # Lanczos runs above the dimension cap, and for a handle without a
+        # map wherever the 8 m p^2 bytes of lifted basis matrices (m = 19)
+        # exceed the budget
+        no_map = dataclasses.replace(obj, least_squares=None)
+        for handle, name, limit in [
+            (obj, "DENSE_HESSIAN_CAP", 0),
+            (no_map, "MAX_INSTANCE_BYTES", 8 * 19 * 10**2 - 1),
+        ]:
+            with monkeypatch.context() as patched:
+                patched.setattr(landscape, name, limit)
+                it = hess_extreme_eigs(handle, Y)
+            assert (dense.method, it.method) == ("dense", "lanczos")
+            assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
+            assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
+            assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
+        assert hess_extreme_eigs(no_map, Y).method == "dense"
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
     def test_polarization_matches_direct_bilinear_form(self, kind):
@@ -272,10 +282,14 @@ def _spectrum_points():
     den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
     th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(7))
     points.append(pytest.param(den.handle(), FactorPoint(gt.Y_star.Y + th.theta), id="denoising-8-2-r1"))
-    # a ball point whose tangent is the first normal draw of seed 0
-    den, gt = make_denoising(10, 2, kappa_star=2.0, seed=0)
-    th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(0))
-    points.append(pytest.param(den.handle(), FactorPoint(gt.Y_star.Y + th.theta), id="denoising-10-2-seed0"))
+    # ball points whose target and tangent both come from the first normal
+    # draw of one seed; a Lanczos start drawn from that seed (0 and
+    # 0x4C414E43 were both used) lies in their common invariant subspace
+    for p, r, seed in [(10, 2, 0), (20, 3, 0x4C414E43)]:
+        den, gt = make_denoising(p, r, kappa_star=2.0, seed=seed)
+        th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(seed))
+        Y = FactorPoint(gt.Y_star.Y + th.theta)
+        points.append(pytest.param(den.handle(), Y, id=f"denoising-{p}-{r}-seed{seed}"))
     den, gt = make_denoising(20, 3, kappa_star=2.0, seed=904)
     points.append(pytest.param(den.handle(), gt.Y_star, id="denoising-20-3-target"))
     rng = np.random.default_rng(905)
@@ -293,15 +307,25 @@ def _spectrum_points():
     return points
 
 
+def _forced_spectrum(obj, Y, method):
+    """The estimate of :func:`hess_extreme_eigs` on the given path; the
+    dense matrix is the reference at every size, above the caps too."""
+    with pytest.MonkeyPatch.context() as patched:
+        if method == "dense":
+            patched.setattr(landscape, "DENSE_HESSIAN_CAP", horizontal_dim(Y.p, Y.r))
+        else:
+            patched.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
+            patched.setattr(landscape, "_BASIS_CAP", 0)
+        est = hess_extreme_eigs(obj, Y)
+    assert est.method == method
+    return est
+
+
 @pytest.mark.parametrize("obj, Y", _spectrum_points())
-def test_lanczos_matches_dense(obj, Y, monkeypatch):
-    # the dense matrix is the reference at every size, above the cap too
-    monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", horizontal_dim(Y.p, Y.r))
-    dense = hess_extreme_eigs(obj, Y)
-    monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
-    lanczos = hess_extreme_eigs(obj, Y)
+def test_lanczos_matches_dense(obj, Y):
+    dense = _forced_spectrum(obj, Y, "dense")
+    lanczos = _forced_spectrum(obj, Y, "lanczos")
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
-    assert (dense.method, lanczos.method) == ("dense", "lanczos")
     assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
     assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
     assert lanczos.residual <= 1e-8 * scale
@@ -341,15 +365,28 @@ def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, p
         # the target with its last column (orthogonal to the others) shrunk:
         # near the saddle where that column vanishes
         Y = FactorPoint(gt.Y_star.Y * np.r_[np.ones(r - 1), 0.05])
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(landscape, "DENSE_HESSIAN_CAP", horizontal_dim(p, r))
-        dense = hess_extreme_eigs(obj, Y)
-        patched.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
-        lanczos = hess_extreme_eigs(obj, Y)
-    assert (dense.method, lanczos.method) == ("dense", "lanczos")
+    dense = _forced_spectrum(obj, Y, "dense")
+    lanczos = _forced_spectrum(obj, Y, "lanczos")
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
     assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
     assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x4C414E43])
+def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
+    # point 0 of a scan with seed s is drawn from SeedSequence([s, 0]), the
+    # generator of default_rng(s) and of the target of an instance with
+    # seed s, so both come from one draw
+    den, gt = make_denoising(20, 3, kappa_star=2.0, seed=seed)
+    (report,) = certify_landscape(den.handle(), gt, PARAMS, ["ball"], 1, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    Y = landscape._sample_point("ball", gt, PARAMS, rng, landscape._r1_radius(gt, PARAMS.mu))
+    assert RegionLabel.R1 in report.region_labels
+    assert horizontal_dim(20, 3) > landscape.DENSE_HESSIAN_CAP
+    dense = _forced_spectrum(den.handle(), Y, "dense")
+    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
+    assert abs(report.lambda_min - dense.lambda_min) <= 1e-10 * scale
+    assert abs(report.lambda_max - dense.lambda_max) <= 1e-10 * scale
 
 
 def test_lanczos_at_the_target_of_a_large_denoising_problem():
@@ -398,12 +435,40 @@ class TestWorkPerSpectrum:
         assert len(sweeps) == steps and forms == 0
         assert all(G.shape == (1, p, p) for G in sweeps)
 
+    def test_handle_without_a_map_is_dense_under_the_basis_cap(self, monkeypatch):
+        den, gt = make_denoising(20, 3, kappa_star=2.0, seed=41)
+        obj = dataclasses.replace(den.handle(), least_squares=None)
+        m = horizontal_dim(20, 3)
+        assert landscape.DENSE_HESSIAN_CAP < m <= landscape._BASIS_CAP
+        est, _, forms, _ = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
+        assert est.method == "dense"
+        assert forms == m * (m + 1) // 2
+
     def test_handle_without_a_map_makes_pr_forms_per_step(self, monkeypatch):
         den, gt = make_denoising(20, 3, kappa_star=2.0, seed=41)
         obj = dataclasses.replace(den.handle(), least_squares=None)
+        monkeypatch.setattr(landscape, "_BASIS_CAP", 0)
         est, _, forms, steps = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
         assert est.method == "lanczos" and steps > 0
         assert forms == 20 * 3 * steps
+
+    def test_lanczos_memory_follows_the_steps_taken(self, monkeypatch):
+        # dimension 1365 and p r = 1800: a (m + 1, p r) array of Lanczos
+        # vectors would take 19.7 MB; the rows held stay within a small
+        # multiple of the steps taken (about 100)
+        den, gt = make_denoising(60, 30, kappa_star=2.0, seed=44)
+        Y = FactorPoint(gt.Y_star.Y + 0.05 * np.random.default_rng(45).standard_normal((60, 30)))
+        steps = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda T: steps.append(len(T)) or eigh(T))
+        tracemalloc.start()
+        try:
+            est = hess_extreme_eigs(den.handle(), Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.method == "lanczos" and steps == list(range(1, len(steps) + 1))
+        assert peak <= 4 * (len(steps) + 1) * 60 * 30 * 8
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
     def test_dense_path_makes_one_form_per_pair(self, kind, monkeypatch):
