@@ -307,9 +307,6 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
     p, r = Y.p, Y.r
     dim = horizontal_dim(p, r)
 
-    def horizontal(Z: np.ndarray) -> np.ndarray:
-        return Z - vertical_project(Y, Z)
-
     if obj.least_squares is not None:
         images = obj.least_squares.images
 
@@ -317,14 +314,13 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
             # b(v, w) = <N, C(w)> + 2 <R v, w> = <2 N Y + 2 R v, w> for the
             # symmetric N = hess f(X)[C(v)], read from one sweep of the map
             N = images(_lift(Y, v)[None])[1][0]
-            return horizontal(2.0 * (N @ Y.Y + R @ v))
+            return 2.0 * (N @ Y.Y + R @ v)
 
     else:
         X = Y.gram()
 
         def apply(v: np.ndarray) -> np.ndarray:
-            # entry (i, j) is b(v, E_ij); the horizontal part of that matrix
-            # is the Hessian applied to the horizontal v
+            # entry (i, j) is b(v, E_ij)
             Cv = _lift(Y, v)
             Hv = 2.0 * (R @ v)
             for i in range(p):
@@ -332,7 +328,7 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
                     E = np.zeros((p, r))
                     E[i, j] = 1.0
                     Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
-            return horizontal(Hv)
+            return Hv
 
     # The start is drawn from a generator seeded by the bits of Y. It must
     # not lie in an invariant subspace of the Hessian, or Lanczos breaks
@@ -343,30 +339,33 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
     # does the start. A start seeded by Y itself cannot be chosen that way,
     # so a breakdown means the Krylov space holds every distinct eigenvalue.
     rng = np.random.default_rng(Y.Y.view(np.uint32).ravel())
-    q = horizontal(rng.standard_normal((p, r)))
-    # the Lanczos vectors are the rows of Q, which doubles when it fills
+    q = rng.standard_normal((p, r))
+    q -= vertical_project(Y, q)
+    # the Lanczos vectors are the rows of Q and T is their tridiagonal
+    # matrix; both double when Q fills
     Q = np.empty((min(dim + 1, 64), p * r))
+    T = np.zeros((len(Q), len(Q)))
     Q[0] = (q / np.linalg.norm(q)).ravel()
-    alphas: list[float] = []
-    betas: list[float] = []
     for k in range(dim):
         v = Q[k].reshape(p, r)
         w = apply(v)
-        alphas.append(float(np.vdot(v, w)))
-        # full reorthogonalization, twice, then back onto the horizontal space
+        T[k, k] = np.vdot(v, w)
+        # w is the ambient gradient of b(v, .): reorthogonalize it fully, twice,
+        # then project it onto the horizontal space, once; the rows of Q are
+        # horizontal, so its vertical part moves neither T[k, k] nor the rest
         for _ in range(2):
             w = w - (Q[: k + 1].T @ (Q[: k + 1] @ w.ravel())).reshape(p, r)
-        w = horizontal(w)
+        w -= vertical_project(Y, w)
         beta = float(np.linalg.norm(w))
-        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ritz, S = np.linalg.eigh(T)
+        ritz, S = np.linalg.eigh(T[: k + 1, : k + 1])
         # Ritz residuals of the two extreme pairs: beta |last eigenvector entry|
         residual = beta * float(max(abs(S[-1, 0]), abs(S[-1, -1])))
         if residual <= _LANCZOS_RESIDUAL_TOL * max(abs(ritz[0]), abs(ritz[-1])):
             return HessianSpectrumEstimate(float(ritz[0]), float(ritz[-1]), "lanczos", residual)
         if k + 1 == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])
-        betas.append(beta)
+            T = np.pad(T, (0, len(T)))
+        T[k, k + 1] = T[k + 1, k] = beta
         Q[k + 1] = (w / beta).ravel()
     raise NumericalFailure(
         f"Lanczos did not converge in {dim} steps (Ritz residual {residual:.3e})"
@@ -387,18 +386,18 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     up to horizontal dimension :data:`DENSE_HESSIAN_CAP`, the crossover
     measured at ranks 2 and 3, and above it runs Lanczos with full
     reorthogonalization (method ``"lanczos"``) on the apply
-    ``v -> P_h(2 N Y + 2 R v)``, with ``N = hess f(X)[C(v)]`` from one
+    ``v -> 2 N Y + 2 R v``, with ``N = hess f(X)[C(v)]`` from one
     ``images`` call, so one sweep of the map per step. Any other handle is
     assembled densely up to dimension 4000, and above it runs Lanczos on
-    ``v -> P_h[2 R v + (hess f(X)[C(v), C(E_ij)])_ij]`` over the matrix
-    units ``E_ij``, ``p r`` form calls per step, which was measured two to
-    four times slower than the dense matrix up to dimension 69; it also
-    runs Lanczos where the ``8 m p^2`` bytes of the lifts exceed the memory
-    budget :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`. ``P_h`` is
-    the horizontal projection; every Lanczos vector is projected back onto
-    the horizontal space, the start is drawn from a generator seeded by the
-    bits of ``Y``, and the larger Ritz residual of the two extreme pairs is
-    reported.
+    ``v -> 2 R v + (hess f(X)[C(v), C(E_ij)])_ij`` over the matrix units
+    ``E_ij``, ``p r`` form calls per step, which was measured two to four
+    times slower than the dense matrix up to dimension 69; it also runs
+    Lanczos where the ``8 m p^2`` bytes of the lifts exceed the memory
+    budget :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`. Either apply
+    is the ambient gradient of ``b(v, .)``; each step projects it once onto
+    the horizontal space, after reorthogonalization. The start is drawn
+    from a generator seeded by the bits of ``Y``, and the larger Ritz
+    residual of the two extreme pairs is reported.
 
     Raises
     ------

@@ -226,6 +226,8 @@ class TraceRegressionObjective:
         asym = 0.0
         for c in _sample_chunks(n, p):
             S = sensing[c]
+            if not np.all(np.isfinite(S)):
+                raise InputContractError("sensing contains non-finite entries")
             asym += np.linalg.norm(S - np.transpose(S, (0, 2, 1))) ** 2
             packed[c] = S.reshape(len(S), p * p)[:, upper]
         if np.sqrt(asym) > 1e-12 * max(np.linalg.norm(sensing), 1e-300):
@@ -244,6 +246,8 @@ class TraceRegressionObjective:
         y = np.asarray(y, dtype=float)
         if y.shape != (packed.shape[0],):
             raise InputContractError(f"y must have shape ({packed.shape[0]},)")
+        if not np.all(np.isfinite(y)):
+            raise InputContractError("y contains non-finite entries")
         self.packed = packed
         self.y = y
         self.r = r

@@ -377,6 +377,10 @@ def _instance(tmp_path, **fields):
     return write_config(tmp_path, instance_file=str(tmp_path / "instance.json"))
 
 
+def _instance_y_nan(tmp_path):
+    return _instance(tmp_path, kind="trace_regression", n=3, y=[0.0, math.nan, 0.0])
+
+
 def _perturbation(tmp_path, **spec):
     spec = {"radius": 0.1, "trigger_tol": 1e-3, **spec}
     return write_config(tmp_path, optimizer={"max_iters": 20, "perturbation": spec})
@@ -423,6 +427,7 @@ def _target_underflows(tmp_path):
         (["generate"], lambda tmp_path: _instance(tmp_path, seed=2.5)),
         (["generate"], lambda tmp_path: _instance(
             tmp_path, kind="trace_regression", n=3.5, y=[0.0, 0.0, 0.0])),
+        (["generate"], _instance_y_nan),
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, radius=0)),
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, trigger_tol=-1)),
         (["optimize"], lambda tmp_path: _perturbation(tmp_path, cooldown_iters=-3)),
@@ -441,7 +446,8 @@ def _target_underflows(tmp_path):
         "max-iters-boolean", "kappa-negative", "kappa-below-one", "sigma-r-negative",
         "noise-negative", "instance-spectrum-negative", "instance-p-fractional",
         "instance-r-fractional", "instance-seed-fractional", "instance-n-fractional",
-        "perturbation-radius-zero", "trigger-tol-negative", "cooldown-negative", "ball-radius-negative",
+        "instance-y-nan", "perturbation-radius-zero", "trigger-tol-negative", "cooldown-negative",
+        "ball-radius-negative",
         "output-dir-number", "output-dir-boolean", "output-dir-list", "perturbation-empty",
     ],
 )
@@ -456,6 +462,8 @@ def test_malformed_input_exits_two(tmp_path, command, make_config):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    if make_config is _instance_y_nan:
+        assert proc.stderr == "error: y contains non-finite entries\n"
 
 
 class TestScanDeterminism:

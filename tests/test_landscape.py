@@ -403,9 +403,10 @@ class TestWorkPerSpectrum:
     @staticmethod
     def counted_spectrum(obj, Y, monkeypatch):
         """The estimate with its map sweeps (the stacks passed to
-        ``images``), its form calls and its Lanczos steps (one
-        factorization of the tridiagonal matrix each)."""
-        sweeps, forms, steps = [], [], []
+        ``images``), its form calls, its Lanczos steps (one
+        factorization of the tridiagonal matrix each) and its vertical
+        projections."""
+        sweeps, forms, steps, projections = [], [], [], []
 
         def count(log, f):
             def counted(*args):
@@ -421,18 +422,23 @@ class TestWorkPerSpectrum:
             least_squares=ls and dataclasses.replace(ls, images=count(sweeps, ls.images)),
         )
         monkeypatch.setattr(np.linalg, "eigh", count(steps, np.linalg.eigh))
+        monkeypatch.setattr(
+            landscape, "vertical_project", count(projections, landscape.vertical_project)
+        )
         est = hess_extreme_eigs(obj, Y)
         monkeypatch.undo()
-        return est, sweeps, len(forms), len(steps)
+        return est, sweeps, len(forms), len(steps), len(projections)
 
     @pytest.mark.parametrize("kind, p, r", [("denoising", 20, 3), ("trace_regression", 24, 2)])
     def test_one_map_sweep_per_lanczos_step(self, kind, p, r, monkeypatch):
         h, gt = _sized_objective(kind, p, r, 41)
         assert horizontal_dim(p, r) > landscape.DENSE_HESSIAN_CAP
         Y = FactorPoint(gt.Y_star.Y + 0.05 * np.random.default_rng(42).standard_normal((p, r)))
-        est, sweeps, forms, steps = self.counted_spectrum(h.handle(), Y, monkeypatch)
+        est, sweeps, forms, steps, projections = self.counted_spectrum(h.handle(), Y, monkeypatch)
         assert est.method == "lanczos" and steps > 0
         assert len(sweeps) == steps and forms == 0
+        # one projection per step and one of the start
+        assert projections == steps + 1
         assert all(G.shape == (1, p, p) for G in sweeps)
 
     def test_handle_without_a_map_is_dense_under_the_basis_cap(self, monkeypatch):
@@ -440,7 +446,7 @@ class TestWorkPerSpectrum:
         obj = dataclasses.replace(den.handle(), least_squares=None)
         m = horizontal_dim(20, 3)
         assert landscape.DENSE_HESSIAN_CAP < m <= landscape._BASIS_CAP
-        est, _, forms, _ = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
+        est, _, forms, _, _ = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
         assert est.method == "dense"
         assert forms == m * (m + 1) // 2
 
@@ -448,9 +454,9 @@ class TestWorkPerSpectrum:
         den, gt = make_denoising(20, 3, kappa_star=2.0, seed=41)
         obj = dataclasses.replace(den.handle(), least_squares=None)
         monkeypatch.setattr(landscape, "_BASIS_CAP", 0)
-        est, _, forms, steps = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
+        est, _, forms, steps, projections = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
         assert est.method == "lanczos" and steps > 0
-        assert forms == 20 * 3 * steps
+        assert forms == 20 * 3 * steps and projections == steps + 1
 
     def test_lanczos_memory_follows_the_steps_taken(self, monkeypatch):
         # dimension 1365 and p r = 1800: a (m + 1, p r) array of Lanczos
@@ -475,7 +481,7 @@ class TestWorkPerSpectrum:
         p = 44  # r = 1: the dimension is p, at the cap
         assert p <= landscape.DENSE_HESSIAN_CAP
         h, gt = _sized_objective(kind, p, 1, 43)
-        est, sweeps, forms, _ = self.counted_spectrum(h.handle(), gt.Y_star, monkeypatch)
+        est, sweeps, forms, _, _ = self.counted_spectrum(h.handle(), gt.Y_star, monkeypatch)
         assert est.method == "dense"
         assert forms == p * (p + 1) // 2 and sweeps == []
 

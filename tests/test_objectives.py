@@ -177,6 +177,15 @@ class TestTraceRegression:
         with pytest.raises(InputContractError, match="symmetric"):
             objectives.TraceRegressionObjective(single, np.zeros(n), 2)
 
+    @pytest.mark.parametrize("field, bad", [("sensing", np.nan), ("sensing", np.inf), ("y", np.nan)])
+    def test_non_finite_data_is_rejected(self, field, bad):
+        # a NaN passes the symmetry test and an inf breaks it with a warning;
+        # entry 5 of the sensing array is on a diagonal
+        data = {"sensing": _one_draw(4, 10, 11), "y": np.zeros(10)}
+        data[field].flat[5] = bad
+        with pytest.raises(InputContractError, match=f"^{field} contains non-finite"):
+            TraceRegressionObjective(data["sensing"], data["y"], 2)
+
     def test_sensing_is_read_only_and_equals_one_draw(self):
         p, n, seed = 5, 37, 3
         reg, _ = make_trace_regression(p, 2, n, seed=seed)
