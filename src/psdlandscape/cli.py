@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import InputContractError, LandscapeError, NumericalFailure
 from .landscape import (
+    SAMPLERS,
     RegionParams,
     _r1_radius,
     _sample_point,
@@ -170,7 +171,7 @@ def cmd_scan(args) -> int:
     params = _region_params(cfg)
     scan = _section(cfg, "scan")
     n_points = _number(scan, "scan", "n_points", 100, int)
-    samplers = scan.get("samplers", ["ball", "fiber", "scaled", "gaussian"])
+    samplers = scan.get("samplers", list(SAMPLERS))
     if not isinstance(samplers, list) or not all(isinstance(s, str) for s in samplers):
         raise InputContractError(f"scan.samplers must be a list of names, got {samplers!r}")
     seed = _seed(scan, "scan")
@@ -208,7 +209,6 @@ def cmd_scan(args) -> int:
         seed,
         thresholds=thresholds,
         ball_radius=ball_radius,
-        threads=args.threads,
     )
 
     (out / "scan_report.csv").write_text(reports_to_csv(reports))
@@ -302,7 +302,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = run_suite(args.suite, seed=args.seed, instances=args.instances, threads=args.threads)
+    summary = run_suite(args.suite, seed=args.seed, instances=args.instances)
     path = _out_dir({}, args) / f"verify_{args.suite}.json"
     _write_json(path, summary.to_dict())
     status = "green" if summary.green else "RED"
@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="certify landscape bounds on sampled points")
     common(s)
     s.add_argument("--n-points", type=int, default=None, help="override scan.n_points")
-    s.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    # scan and verify run on one thread; "--threads 1" still parses and is read by nothing
+    s.add_argument("--threads", type=int, choices=[1], help=argparse.SUPPRESS)
     s.set_defaults(func=cmd_scan)
 
     o = sub.add_parser("optimize", help="run factor gradient descent")
@@ -346,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(func=cmd_optimize)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("--suite", required=True, help="suite name (see --suite list)")
+    v.add_argument("--suite", required=True, help="suite name (an unknown name prints the suites)")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--instances", type=int, default=100)
     v.add_argument("--output-dir", default=None)
-    v.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    v.add_argument("--threads", type=int, choices=[1], help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
     return parser
 

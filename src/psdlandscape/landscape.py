@@ -19,7 +19,6 @@ and checks every applicable bound, reporting margins per point.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -530,6 +529,8 @@ def compute_thresholds(
 # Point samplers
 # ---------------------------------------------------------------------------
 
+SAMPLERS = ("ball", "fiber", "scaled", "gaussian")
+
 
 def random_ball_tangent(
     base: FactorPoint, radius: float, rng: np.random.Generator
@@ -670,21 +671,20 @@ def certify_landscape(
     seed: int,
     thresholds: ThresholdReport | None = None,
     ball_radius: float | None = None,
-    threads: int = 1,
 ) -> list[RegionReport]:
     """Sample points, classify them and check every applicable bound.
 
-    Points are drawn by cycling through ``samplers`` ("ball", "fiber",
-    "scaled", "gaussian"); the ball radius, at least 0, defaults to the R1
+    Points are drawn by cycling through ``samplers``, names from
+    :data:`SAMPLERS`; the ball radius, at least 0, defaults to the R1
     radius ``mu sigma_r(Y*) / kappa*``. The bounds are those of ``thresholds``,
     by default :func:`compute_thresholds` of ``(gt, params)`` at
-    ``delta = 0``. Per-point seeds are derived from ``(seed, point index)``
-    so results do not depend on scheduling.
+    ``delta = 0``. Point ``i`` draws from ``SeedSequence([seed, i])``, so a
+    longer scan extends a shorter one row for row.
     """
     _check_int(n_points, "n_points", 1)
     _check_int(seed, "seed", 0)
-    if not samplers:
-        raise InputContractError("need at least one sampler")
+    if not samplers or not set(samplers) <= set(SAMPLERS):
+        raise InputContractError(f"samplers must be names from {SAMPLERS}, got {list(samplers)}")
     if thresholds is None:
         thresholds = compute_thresholds(gt, params, gt.Y_star.r)
     if ball_radius is None:
@@ -699,17 +699,11 @@ def certify_landscape(
             stacklevel=2,
         )
 
-    def run(i: int) -> RegionReport:
+    reports = []
+    for i in range(n_points):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        name = samplers[i % len(samplers)]
-        Y = _sample_point(name, gt, params, rng, ball_radius)
-        return _certify_point(i, Y, obj, gt, params, thresholds)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, range(n_points)))
-    else:
-        reports = [run(i) for i in range(n_points)]
+        Y = _sample_point(samplers[i % len(samplers)], gt, params, rng, ball_radius)
+        reports.append(_certify_point(i, Y, obj, gt, params, thresholds))
     return reports
 
 

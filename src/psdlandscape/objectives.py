@@ -556,12 +556,19 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     stored observations are used verbatim (the noise realization is data,
     not re-drawn).
     """
+    def numbers(key: str):
+        # float() and asarray would read true as 1.0
+        value = doc[key]
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise TypeError(f"{key} must hold numbers, not booleans")
+        return value
+
     try:
         kind = doc["kind"]
         p, r, n, seed = doc["p"], doc["r"], doc["n"], doc["seed"]
-        noise_sigma = float(doc["noise_sigma"])
-        spectrum = np.asarray(doc["spectrum"], dtype=float)
-        y = np.asarray(doc["y"], dtype=float) if kind == "trace_regression" else None
+        noise_sigma = float(numbers("noise_sigma"))
+        spectrum = np.asarray(numbers("spectrum"), dtype=float)
+        y = np.asarray(numbers("y"), dtype=float) if kind == "trace_regression" else None
     except KeyError as exc:
         raise InputContractError(f"instance document lacks {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -586,13 +586,11 @@ def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
-def run_suite(
-    name: str, seed: int = 0, instances: int = 100, threads: int = 1
-) -> SuiteSummary:
+def run_suite(name: str, seed: int = 0, instances: int = 100) -> SuiteSummary:
     """Run a named property suite on seeded instances.
 
-    Each instance draws its own generator from ``(seed, index)`` so
-    summaries are reproducible and independent of ``threads``.
+    Instance ``i`` draws from ``SeedSequence([seed, i])``, so a larger run
+    extends a smaller one instance for instance.
     """
     if name not in _SUITES:
         raise InputContractError(
@@ -602,17 +600,10 @@ def run_suite(
     _check_int(instances, "instances", 1)
     fn, tol = _SUITES[name]
 
-    def one(i: int) -> float:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        return float(fn(rng))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errs = list(pool.map(one, range(instances)))
-    else:
-        errs = [one(i) for i in range(instances)]
+    errs = [
+        float(fn(np.random.default_rng(np.random.SeedSequence([int(seed), i]))))
+        for i in range(instances)
+    ]
     passes = sum(1 for err in errs if err <= tol)
     worst = max(errs, default=0.0)
     return SuiteSummary(name, instances, passes, worst, seed)

@@ -87,7 +87,7 @@ class TestGenerate:
 class TestScan:
     def test_denoising_scan_green(self, tmp_path):
         cfg = write_config(tmp_path)
-        assert main(["scan", "--config", str(cfg), "--threads", "2"]) == 0
+        assert main(["scan", "--config", str(cfg)]) == 0
         csv = (tmp_path / "out" / "scan_report.csv").read_text()
         lines = csv.strip().split("\n")
         assert len(lines) == 9  # header + n_points
@@ -323,27 +323,22 @@ class TestExitCodes:
         assert main(["optimize", "--config", str(cfg)]) == 3
 
     def test_two_threads_match_the_default(self, tmp_path):
+        # scan and verify run on one thread: "--threads 1" still parses and
+        # changes no byte of the output, any other count is a usage error
         cfg = write_config(tmp_path, scan={"n_points": 4})
-        assert main(["scan", "--config", str(cfg)]) == 0
-        default = (tmp_path / "out" / "scan_report.csv").read_text()
-        assert main(["scan", "--config", str(cfg), "--threads", "2"]) == 0
-        assert (tmp_path / "out" / "scan_report.csv").read_text() == default
-
-    def test_two_threads_match_one_on_trace_regression(self, tmp_path):
-        # the scan's workers share one objective handle and its residual
-        cfg = write_config(
-            tmp_path,
-            problem={"kind": "trace_regression", "p": 6, "r": 2, "n": 72, "noise_sigma": 0.01},
-            scan={
-                "n_points": 8,
-                "samplers": ["ball", "fiber", "scaled", "gaussian"],
-                "delta_samples": 20,
-            },
-        )
-        assert main(["scan", "--config", str(cfg), "--threads", "1"]) in (0, 1)
-        one = (tmp_path / "out" / "scan_report.csv").read_text()
-        assert main(["scan", "--config", str(cfg), "--threads", "2"]) in (0, 1)
-        assert (tmp_path / "out" / "scan_report.csv").read_text() == one
+        verify = ["verify", "--suite", "norm-sandwich", "--instances", "3"]
+        for argv, out in (
+            (["scan", "--config", str(cfg)], tmp_path / "out" / "scan_report.csv"),
+            (verify + ["--output-dir", str(tmp_path / "v")], tmp_path / "v" / "verify_norm-sandwich.json"),
+        ):
+            assert main(argv) == 0
+            default = out.read_bytes()
+            out.unlink()
+            assert main(argv + ["--threads", "1"]) == 0
+            assert out.read_bytes() == default
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--threads", "2"])
+            assert exc.value.code == 2
 
 
 def _instance_without_seed(tmp_path):
@@ -436,6 +431,12 @@ def _target_underflows(tmp_path):
         (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=True)),
         (["generate"], lambda tmp_path: write_config(tmp_path, output_dir=["a"])),
         (["optimize"], lambda tmp_path: write_config(tmp_path, optimizer={"perturbation": {}})),
+        (["scan"], lambda tmp_path: write_config(
+            tmp_path, scan={"n_points": 1, "samplers": ["ball", "bogus"]})),
+        (["generate"], lambda tmp_path: _instance(tmp_path, noise_sigma=True)),
+        (["generate"], lambda tmp_path: _instance(tmp_path, r=1, spectrum=[True])),
+        (["generate"], lambda tmp_path: _instance(
+            tmp_path, kind="trace_regression", n=3, y=[0.0, True, 0.0])),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -449,6 +450,8 @@ def _target_underflows(tmp_path):
         "instance-y-nan", "perturbation-radius-zero", "trigger-tol-negative", "cooldown-negative",
         "ball-radius-negative",
         "output-dir-number", "output-dir-boolean", "output-dir-list", "perturbation-empty",
+        "scan-sampler-unknown", "instance-noise-boolean", "instance-spectrum-boolean",
+        "instance-y-boolean",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):
@@ -464,22 +467,3 @@ def test_malformed_input_exits_two(tmp_path, command, make_config):
     assert "Traceback" not in proc.stderr
     if make_config is _instance_y_nan:
         assert proc.stderr == "error: y contains non-finite entries\n"
-
-
-class TestScanDeterminism:
-    def test_threads_do_not_change_payload(self, tmp_path):
-        cfg_a = write_config(tmp_path, output_dir=str(tmp_path / "a"))
-        cfg_b = write_config(tmp_path, output_dir=str(tmp_path / "b"))
-        # write_config reuses the same file name; regenerate separately
-        cfg_a = tmp_path / "cfg_a.json"
-        cfg_b = tmp_path / "cfg_b.json"
-        base = json.loads((tmp_path / "config.json").read_text())
-        base["output_dir"] = str(tmp_path / "a")
-        cfg_a.write_text(json.dumps(base))
-        base["output_dir"] = str(tmp_path / "b")
-        cfg_b.write_text(json.dumps(base))
-        main(["scan", "--config", str(cfg_a), "--threads", "1"])
-        main(["scan", "--config", str(cfg_b), "--threads", "4"])
-        assert (tmp_path / "a" / "scan_report.csv").read_text() == (
-            tmp_path / "b" / "scan_report.csv"
-        ).read_text()

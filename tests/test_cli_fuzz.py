@@ -122,7 +122,7 @@ def run_cli(command: str, cfg) -> int:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
         argv = [command, "--config", str(path), "--output-dir", str(Path(tmp) / "out")]
-        return main(argv + (["--threads", "1"] if command == "scan" else []))
+        return main(argv)
 
 
 # derandomized so that every run of the suite tries the same documents

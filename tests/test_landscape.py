@@ -580,13 +580,18 @@ class TestCertify:
         assert all(rep.passed for rep in reports)
         assert all(rep.region_labels for rep in reports)
 
-    def test_threads_do_not_change_results(self):
+    def test_longer_scan_extends_a_shorter_one(self):
+        # point i draws from SeedSequence([seed, i]) whatever n_points is
         den, gt = make_denoising(10, 2, kappa_star=2.0, seed=25)
-        a = certify_landscape(den.handle(), gt, PARAMS, ["ball", "gaussian"], 8, seed=3)
-        b = certify_landscape(
-            den.handle(), gt, PARAMS, ["ball", "gaussian"], 8, seed=3, threads=4
-        )
-        assert reports_to_csv(a) == reports_to_csv(b)
+        short = certify_landscape(den.handle(), gt, PARAMS, ["ball", "gaussian"], 3, seed=3)
+        long = certify_landscape(den.handle(), gt, PARAMS, ["ball", "gaussian"], 8, seed=3)
+        assert reports_to_csv(long).startswith(reports_to_csv(short))
+
+    def test_unknown_sampler_is_refused_before_any_point(self):
+        # "bogus" would be drawn only from the second point on
+        den, gt = make_denoising(10, 2, kappa_star=2.0, seed=25)
+        with pytest.raises(InputContractError, match="bogus"):
+            certify_landscape(den.handle(), gt, PARAMS, ["ball", "bogus"], 1, seed=3)
 
     def test_one_distance_per_certified_point(self, monkeypatch):
         den, gt = make_denoising(20, 3, kappa_star=2.0, seed=28)
