@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputContractError, LandscapeError, NumericalFailure
+from .kernels import _json_number
 from .landscape import (
     SAMPLERS,
     RegionParams,
@@ -70,29 +70,6 @@ def _section(parent: dict, name: str) -> dict:
     return section
 
 
-def _number(section: dict, name: str, key: str, default, kind=float):
-    """``kind(section[key])`` (or of ``default``); a value that is not a
-    finite number, a boolean, or for ``kind=int`` a non-integral number, is a
-    usage error."""
-    value = section.get(key, default)
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    try:
-        number = kind(value)
-        if math.isfinite(number) and not isinstance(value, bool) and not fractional:
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    what = "an integer" if kind is int else "a finite number"
-    raise InputContractError(f"{name}.{key} must be {what}, got {value!r}")
-
-
-def _seed(section: dict, name: str) -> int:
-    seed = _number(section, name, "seed", 0, int)
-    if seed < 0:
-        raise InputContractError(f"{name}.seed must be >= 0, got {seed}")
-    return seed
-
-
 def _problem_instance(cfg: dict) -> ProblemInstance:
     source = cfg.get("instance_file")
     if source is not None and not isinstance(source, str):
@@ -104,23 +81,23 @@ def _problem_instance(cfg: dict) -> ProblemInstance:
         raise InputContractError("config must contain a 'problem' object (or 'instance_file')")
     return make_instance(
         kind=prob.get("kind", "denoising"),
-        p=_number(prob, "problem", "p", 0, int),
-        r=_number(prob, "problem", "r", 0, int),
-        n=_number(prob, "problem", "n", 0, int),
-        kappa_star=_number(prob, "problem", "kappa_star", 1.0),
-        sigma_r_star=_number(prob, "problem", "sigma_r_star", 1.0),
-        noise_sigma=_number(prob, "problem", "noise_sigma", 0.0),
-        seed=_number(prob, "problem", "seed", 0, int),
+        p=_json_number(prob.get("p", 0), "problem.p", integer=True),
+        r=_json_number(prob.get("r", 0), "problem.r", integer=True),
+        n=_json_number(prob.get("n", 0), "problem.n", integer=True),
+        kappa_star=_json_number(prob.get("kappa_star", 1.0), "problem.kappa_star"),
+        sigma_r_star=_json_number(prob.get("sigma_r_star", 1.0), "problem.sigma_r_star"),
+        noise_sigma=_json_number(prob.get("noise_sigma", 0.0), "problem.noise_sigma"),
+        seed=_json_number(prob.get("seed", 0), "problem.seed", integer=True),
     )
 
 
 def _region_params(cfg: dict) -> RegionParams:
     rp = _section(cfg, "region_params")
     return RegionParams(
-        mu=_number(rp, "region_params", "mu", 0.2),
-        alpha=_number(rp, "region_params", "alpha", 0.5),
-        beta=_number(rp, "region_params", "beta", 1.5),
-        gamma=_number(rp, "region_params", "gamma", 1.5),
+        mu=_json_number(rp.get("mu", 0.2), "region_params.mu"),
+        alpha=_json_number(rp.get("alpha", 0.5), "region_params.alpha"),
+        beta=_json_number(rp.get("beta", 1.5), "region_params.beta"),
+        gamma=_json_number(rp.get("gamma", 1.5), "region_params.gamma"),
     )
 
 
@@ -170,22 +147,21 @@ def cmd_scan(args) -> int:
     inst = _problem_instance(cfg)
     params = _region_params(cfg)
     scan = _section(cfg, "scan")
-    n_points = _number(scan, "scan", "n_points", 100, int)
+    n_points = _json_number(scan.get("n_points", 100), "scan.n_points", integer=True)
     samplers = scan.get("samplers", list(SAMPLERS))
     if not isinstance(samplers, list) or not all(isinstance(s, str) for s in samplers):
         raise InputContractError(f"scan.samplers must be a list of names, got {samplers!r}")
-    seed = _seed(scan, "scan")
+    seed = _json_number(scan.get("seed", 0), "scan.seed", integer=True)
     ball_radius = scan.get("ball_radius")
     if ball_radius is not None:
-        ball_radius = _number(scan, "scan", "ball_radius", None)
+        ball_radius = _json_number(ball_radius, "scan.ball_radius")
     out = _out_dir(cfg, args)
 
     sampled = inst.kind != "denoising"
     delta = 0.0
     if sampled:
-        delta = rsc_rsm_estimate(
-            inst.objective, inst.r, _number(scan, "scan", "delta_samples", 200, int), seed
-        )
+        samples = _json_number(scan.get("delta_samples", 200), "scan.delta_samples", integer=True)
+        delta = rsc_rsm_estimate(inst.objective, inst.r, samples, seed)
     thresholds = compute_thresholds(inst.ground_truth, params, inst.r, delta=delta)
     gate_reason = None
     if sampled and delta > thresholds.delta_composite_bound:
@@ -246,20 +222,22 @@ def cmd_optimize(args) -> int:
     pert = _section(opt, "perturbation")
     pert_spec = (
         PerturbationSpec(
-            radius=_number(pert, "perturbation", "radius", None),
-            trigger_tol=_number(pert, "perturbation", "trigger_tol", None),
-            cooldown_iters=_number(pert, "perturbation", "cooldown_iters", 10, int),
+            radius=_json_number(pert.get("radius"), "perturbation.radius"),
+            trigger_tol=_json_number(pert.get("trigger_tol"), "perturbation.trigger_tol"),
+            cooldown_iters=_json_number(
+                pert.get("cooldown_iters", 10), "perturbation.cooldown_iters", integer=True
+            ),
         )
         if opt.get("perturbation") is not None
         else None
     )
     step_size = opt.get("step_size")
     gd_cfg = GDConfig(
-        step_size=None if step_size is None else _number(opt, "optimizer", "step_size", None),
-        max_iters=_number(opt, "optimizer", "max_iters", 5000, int),
-        grad_tol=_number(opt, "optimizer", "grad_tol", 1e-10),
+        step_size=None if step_size is None else _json_number(step_size, "optimizer.step_size"),
+        max_iters=_json_number(opt.get("max_iters", 5000), "optimizer.max_iters", integer=True),
+        grad_tol=_json_number(opt.get("grad_tol", 1e-10), "optimizer.grad_tol"),
         perturbation=pert_spec,
-        seed=_seed(opt, "optimizer"),
+        seed=_json_number(opt.get("seed", 0), "optimizer.seed", integer=True),
     )
     out = _out_dir(cfg, args)
 

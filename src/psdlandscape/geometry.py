@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputContractError, NonUniqueAlignmentError, RankCollapseError
-from .kernels import _align, check_matrix, procrustes_align, thin_svd
+from .kernels import _align, check_matrix, thin_svd
 
 __all__ = [
     "FactorPoint",
@@ -170,8 +170,8 @@ def quotient_distance(Y1: FactorPoint, Y2: FactorPoint) -> float:
     """Geodesic distance ``min_O ||Y2 @ O - Y1||_F`` between the classes."""
     if Y1.Y.shape != Y2.Y.shape:
         raise InputContractError(f"shape mismatch: {Y1.Y.shape} vs {Y2.Y.shape}")
-    _, residual = procrustes_align(Y1.Y, Y2.Y)
-    return residual
+    Q, _, _ = _align(Y1.Y, Y2.Y)
+    return float(np.linalg.norm(Y2.Y @ Q - Y1.Y))
 
 
 def log_map(Y1: FactorPoint, Y2: FactorPoint) -> HorizontalTangent:

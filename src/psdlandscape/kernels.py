@@ -7,6 +7,7 @@ sign canonicalization, symmetric-input guards, descending eigenvalue order).
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import NamedTuple
 
@@ -55,6 +56,38 @@ def _check_int(value, name: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise InputContractError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _json_float(value) -> float | None:
+    """A JSON number (an int or a float, not a boolean or a string) as a
+    float, infinite beyond the float range; ``None`` for anything else."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _json_number(value, name: str, integer: bool = False) -> int | float:
+    """A number read from a config or instance document: a JSON number (see
+    :func:`_json_float`), finite and, in an integer field, integral; an
+    ``int`` in an integer field (``4.0`` reads as ``4``), else a ``float``."""
+    number = _json_float(value)
+    if number is not None and math.isfinite(number) and (number.is_integer() or not integer):
+        return int(value) if integer else number
+    what = "an integer" if integer else "a finite number"
+    raise InputContractError(f"{name} must be {what}, got {value!r}")
+
+
+def _json_numbers(values, name: str) -> np.ndarray:
+    """A list of finite JSON numbers from an instance document, as a float array."""
+    floats = [_json_float(v) for v in values] if isinstance(values, list) else [None]
+    if None in floats:
+        raise InputContractError(f"{name} must be a list of numbers")
+    if not all(map(math.isfinite, floats)):
+        raise InputContractError(f"{name} contains non-finite entries")
+    return np.array(floats)
 
 
 def thin_svd(A: np.ndarray) -> SvdResult:

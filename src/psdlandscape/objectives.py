@@ -24,9 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputContractError
+from .errors import InputContractError, NumericalFailure
 from .geometry import FactorPoint, HorizontalTangent, same_base
-from .kernels import _check_int, check_matrix, sym_eig, truncated_frob_norm
+from .kernels import _check_int, _json_number, _json_numbers, check_matrix, sym_eig
+from .kernels import truncated_frob_norm
 
 __all__ = [
     "ObjectiveHandle",
@@ -129,27 +130,22 @@ def _least_squares_handle(
 
 
 class DenoisingObjective:
-    """``f(X) = 0.5 * ||X - X*||_F^2`` for a PSD rank-``r`` target ``X*``."""
+    """``f(X) = 0.5 * ||X - X*||_F^2`` for the target ``X* = Y* Y*.T`` of a
+    full-rank factor ``Y*``, whose cached Gram is the target itself."""
 
-    def __init__(self, X_star: np.ndarray, r: int):
-        X_star = check_matrix(X_star, "X_star")
-        _, lam = sym_eig(X_star)
-        lam_max = float(lam[0]) if lam[0] > 0 else 0.0
-        tol = 1e-10 * max(lam_max, 1e-300)
-        if lam_max <= 0 or float(lam[-1]) < -tol:
-            raise InputContractError("X_star must be positive semidefinite")
-        if int(np.sum(lam > tol)) != r:
-            raise InputContractError(
-                f"X_star must have rank exactly {r}, found {int(np.sum(lam > tol))}"
-            )
-        self.X_star = (X_star + X_star.T) / 2.0
-        self.r = r
+    def __init__(self, Y_star: FactorPoint):
+        if not isinstance(Y_star, FactorPoint):
+            raise InputContractError(f"Y_star must be a FactorPoint, got {type(Y_star).__name__}")
+        self.Y_star = Y_star
+
+    @property
+    def X_star(self) -> np.ndarray:
+        return self.Y_star.gram()
 
     def handle(self) -> ObjectiveHandle:
         # A is the identity; its adjoint copies, so a gradient never aliases the residual
-        return _least_squares_handle(
-            self.X_star.shape[0], self.r, self.X_star, np.asarray, np.copy, lambda Gs: (Gs, Gs)
-        )
+        p, r = self.Y_star.p, self.Y_star.r
+        return _least_squares_handle(p, r, self.X_star, np.asarray, np.copy, lambda Gs: (Gs, Gs))
 
 
 #: entries of ``n x p x p`` sample arrays that one chunk of samples may hold
@@ -340,9 +336,13 @@ def lifted_value(obj: ObjectiveHandle, Y: FactorPoint) -> float:
 
 
 def _sym_grad(obj: ObjectiveHandle, X: np.ndarray) -> np.ndarray:
-    """``R``, the symmetrized Euclidean gradient at ``X``."""
+    """``R``, the symmetrized Euclidean gradient at ``X``; an entry that
+    overflowed raises :class:`NumericalFailure`."""
     G = obj.euclid_grad(X)
-    return (G + G.T) / 2.0
+    R = (G + G.T) / 2.0
+    if not np.all(np.isfinite(R)):
+        raise NumericalFailure("the Euclidean gradient has non-finite entries")
+    return R
 
 
 def _lift(Y: FactorPoint, theta: np.ndarray) -> np.ndarray:
@@ -522,6 +522,12 @@ def _check_problem(kind: str, p: int, r: int, n: int, seed: int, noise_sigma: fl
         )
 
 
+def _check_target(r: int, sigma1: float, name: str) -> None:
+    """Reject a target whose Gram may overflow: ``r sigma_1^2`` must be finite."""
+    if not math.isfinite(r * sigma1 * sigma1):
+        raise InputContractError(f"{name} = {sigma1:.6g} is too large: r * ({name})^2 overflows")
+
+
 def make_instance(
     kind: str,
     p: int,
@@ -545,6 +551,7 @@ def make_instance(
         raise InputContractError(f"sigma_r_star must be > 0, got {sigma_r_star}")
     if r == 1 and kappa_star != 1.0:
         raise InputContractError("a rank-1 factor always has kappa_star = 1")
+    _check_target(r, kappa_star * sigma_r_star, "kappa_star * sigma_r_star")
     spectrum = np.linspace(kappa_star * sigma_r_star, sigma_r_star, r)
     return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, None)
 
@@ -556,28 +563,20 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     stored observations are used verbatim (the noise realization is data,
     not re-drawn).
     """
-    def numbers(key: str):
-        # float() and asarray would read true as 1.0
-        value = doc[key]
-        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-            raise TypeError(f"{key} must hold numbers, not booleans")
-        return value
-
     try:
         kind = doc["kind"]
-        p, r, n, seed = doc["p"], doc["r"], doc["n"], doc["seed"]
-        noise_sigma = float(numbers("noise_sigma"))
-        spectrum = np.asarray(numbers("spectrum"), dtype=float)
-        y = np.asarray(numbers("y"), dtype=float) if kind == "trace_regression" else None
+        p, r, n, seed = (_json_number(doc[k], k, integer=True) for k in ("p", "r", "n", "seed"))
+        noise_sigma = _json_number(doc["noise_sigma"], "noise_sigma")
+        spectrum = _json_numbers(doc["spectrum"], "spectrum")
+        y = _json_numbers(doc["y"], "y") if kind == "trace_regression" else None
     except KeyError as exc:
         raise InputContractError(f"instance document lacks {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputContractError(f"malformed instance document: {exc}") from None
     _check_problem(kind, p, r, n, seed, noise_sigma)
     if spectrum.shape != (r,):
         raise InputContractError(f"spectrum must have length r={r}")
     if not np.all(spectrum > 0.0):
         raise InputContractError(f"spectrum entries must be > 0, got {spectrum.tolist()}")
+    _check_target(r, float(spectrum.max()), "max(spectrum)")
     if kind == "trace_regression" and y.shape != (n,):
         raise InputContractError(f"y must have length n={n}")
     return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, y)
@@ -596,9 +595,8 @@ def _build_instance(
     """The instance of checked parameters. Trace-regression observations
     ``y`` are drawn from the seed when ``None``, else used verbatim."""
     Y_star = _truth_from_seed(p, r, seed, spectrum)
-    X_star = Y_star.gram()
     if kind == "denoising":
-        den = DenoisingObjective(X_star, r)
+        den = DenoisingObjective(Y_star)
         obj = den.handle()
         gt = GroundTruth.from_factor(Y_star, obj)
         return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt, denoising=den)
@@ -606,7 +604,7 @@ def _build_instance(
     if y is None:
         rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
         eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
-        y = _apply_packed(packed, X_star) + eps
+        y = _apply_packed(packed, Y_star.gram()) + eps
     reg = TraceRegressionObjective._from_packed(packed, y, r, noise_sigma)
     obj = reg.handle()
     gt = GroundTruth.from_factor(Y_star, obj)
@@ -668,7 +666,9 @@ def rsc_rsm_estimate(obj: ObjectiveHandle, r: int, n_samples: int, seed: int) ->
     ``|hess_form(X)[G, G] - 1|``. This under-estimates the true constant;
     objectives on a different scale must be pre-normalized by the caller.
     """
+    _check_int(r, "r", 1)
     _check_int(n_samples, "n_samples", 1)
+    _check_int(seed, "seed", 0)
     return max(0.0, *(abs(q - 1.0) for q in _probe_forms(obj, 2 * r, n_samples, seed)))
 
 
@@ -692,5 +692,7 @@ def restricted_strict_convexity_check(
     rank <= 2r; returns ``True`` iff the form was strictly positive on
     every sample (a necessary-condition probe, not a proof).
     """
+    _check_int(r, "r", 1)
     _check_int(n_samples, "n_samples", 1)
+    _check_int(seed, "seed", 0)
     return not any(q <= 0.0 for q in _probe_forms(obj, r, n_samples, seed))

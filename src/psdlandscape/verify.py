@@ -26,7 +26,7 @@ from .geometry import (
     log_map,
     quotient_distance,
 )
-from .kernels import _check_int, procrustes_align, sym_eig, truncated_frob_norm
+from .kernels import _check_int, check_matrix, procrustes_align, sym_eig, truncated_frob_norm
 from .landscape import random_ball_tangent
 from .objectives import (
     ObjectiveHandle,
@@ -132,8 +132,11 @@ def sampled_distance_upper_bound(
     the incumbent with geometrically shrinking Cayley perturbations, so the
     bound approaches the true distance as the budget grows.
     """
-    Y1 = np.asarray(Y1, dtype=float)
-    Y2 = np.asarray(Y2, dtype=float)
+    Y1, Y2 = check_matrix(Y1, "Y1"), check_matrix(Y2, "Y2")
+    if Y1.shape != Y2.shape:
+        raise InputContractError(f"shape mismatch: {Y1.shape} vs {Y2.shape}")
+    _check_int(n_samples, "n_samples", 1)
+    _check_int(seed, "seed", 0)
     r = Y1.shape[1]
     rng = np.random.default_rng(seed)
     best_O = np.eye(r)
@@ -210,6 +213,9 @@ def dense_delta_certificate(
     eigenvectors of ``M``, which makes the certificate exact whenever
     ``4r >= p``.
     """
+    _check_int(r, "r", 1)
+    _check_int(restarts, "restarts", 2)
+    _check_int(seed, "seed", 0)
     flat, M = _least_squares_gram(obj)
     p = obj.p
 

@@ -52,6 +52,14 @@ class TestGenerate:
         b["provenance"].pop("timestamp")
         assert a == b
 
+    def test_instance_reads_an_integral_float_as_an_int(self, tmp_path):
+        written = []
+        for p in (4, 4.0):
+            assert main(["generate", "--config", str(_instance(tmp_path, p=p))]) == 0
+            text = (tmp_path / "out" / "instance.json").read_text()
+            written.append([line for line in text.splitlines() if '"timestamp"' not in line])
+        assert written[0] == written[1]
+
     def test_rank1_unit_spectrum(self, tmp_path):
         cfg = write_config(
             tmp_path, problem={"kind": "denoising", "p": 4, "r": 1, "kappa_star": 1.0}
@@ -437,6 +445,15 @@ def _target_underflows(tmp_path):
         (["generate"], lambda tmp_path: _instance(tmp_path, r=1, spectrum=[True])),
         (["generate"], lambda tmp_path: _instance(
             tmp_path, kind="trace_regression", n=3, y=[0.0, True, 0.0])),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"p": "8"})),
+        (["scan"], lambda tmp_path: write_config(tmp_path, region_params={"mu": "0.2"})),
+        (["scan"], lambda tmp_path: write_config(tmp_path, scan={"n_points": "4"})),
+        (["generate"], lambda tmp_path: _instance(tmp_path, spectrum=["2", "1"])),
+        (["generate"], lambda tmp_path: _instance(tmp_path, noise_sigma="0.1")),
+        (["generate"], lambda tmp_path: _instance(
+            tmp_path, kind="trace_regression", n=3, y=[0.0, "1", 0.0])),
+        (["generate"], lambda tmp_path: write_config(tmp_path, problem={"sigma_r_star": 1e155})),
+        (["generate"], lambda tmp_path: _instance(tmp_path, spectrum=[1e155, 5e154])),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -451,7 +468,9 @@ def _target_underflows(tmp_path):
         "ball-radius-negative",
         "output-dir-number", "output-dir-boolean", "output-dir-list", "perturbation-empty",
         "scan-sampler-unknown", "instance-noise-boolean", "instance-spectrum-boolean",
-        "instance-y-boolean",
+        "instance-y-boolean", "p-numeric-string", "mu-numeric-string",
+        "n-points-numeric-string", "instance-spectrum-strings", "instance-noise-string",
+        "instance-y-string", "target-overflows", "instance-target-overflows",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

@@ -20,7 +20,15 @@ from psdlandscape.landscape import (
     horizontal_dim,
     reports_to_csv,
 )
-from psdlandscape.objectives import DenoisingObjective, make_denoising
+from psdlandscape.errors import InputContractError
+from psdlandscape.objectives import (
+    DenoisingObjective,
+    make_denoising,
+    make_instance,
+    restricted_strict_convexity_check,
+    rsc_rsm_estimate,
+)
+from psdlandscape.verify import dense_delta_certificate, sampled_distance_upper_bound
 
 
 class TestSquareFactor:
@@ -56,7 +64,7 @@ class TestSquareFactor:
     def test_hessian_spectrum(self):
         rng = np.random.default_rng(3)
         Ys = FactorPoint(rng.standard_normal((3, 3)) + 3 * np.eye(3))
-        obj = DenoisingObjective(Ys.gram(), 3).handle()
+        obj = DenoisingObjective(Ys).handle()
         est = hess_extreme_eigs(obj, Ys)
         assert est.lambda_min >= 2 * Ys.sigma_min**2 - 1e-8
         assert est.lambda_max <= 4 * Ys.sigma_max**2 + 1e-8
@@ -102,6 +110,51 @@ class TestCsvRoundTrip:
             assert float(cells[4]) == rep.grad_h_norm
             assert float(cells[7]) == rep.bound_value
             assert float(cells[8]) == rep.margin
+
+
+def _denoising_handle():
+    return make_denoising(4, 2, kappa_star=2.0, seed=1)[0].handle()
+
+
+def _factors(bad=None):
+    rng = np.random.default_rng(2)
+    Y1, Y2 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+    if bad is not None:
+        Y1[0, 0] = bad
+    return Y1, Y2
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: rsc_rsm_estimate(_denoising_handle(), 2, 10, -1), "seed"),
+        (lambda: rsc_rsm_estimate(_denoising_handle(), 2, 10, True), "seed"),
+        (lambda: rsc_rsm_estimate(_denoising_handle(), 2, 10, 2.5), "seed"),
+        (lambda: rsc_rsm_estimate(_denoising_handle(), 0, 10, 0), "r must"),
+        (lambda: restricted_strict_convexity_check(_denoising_handle(), 2, 10, -1), "seed"),
+        (lambda: restricted_strict_convexity_check(_denoising_handle(), 2, 10, True), "seed"),
+        (lambda: restricted_strict_convexity_check(_denoising_handle(), 2, 10, 2.5), "seed"),
+        (lambda: restricted_strict_convexity_check(_denoising_handle(), 0, 10, 0), "r must"),
+        (lambda: dense_delta_certificate(_denoising_handle(), 1, restarts=4, seed=-1), "seed"),
+        (lambda: dense_delta_certificate(_denoising_handle(), 1, restarts=0), "restarts"),
+        (lambda: dense_delta_certificate(_denoising_handle(), 1, restarts=True), "restarts"),
+        (lambda: sampled_distance_upper_bound(*_factors(), 0, 0), "n_samples"),
+        (lambda: sampled_distance_upper_bound(*_factors(), 10, -1), "seed"),
+        (lambda: sampled_distance_upper_bound(*_factors(np.nan), 10, 0), "Y1"),
+        (lambda: make_instance("denoising", 4, 2, sigma_r_star=1e155), "sigma_r_star"),
+        (lambda: make_instance("trace_regression", 4, 2, 20, kappa_star=1e155), "kappa_star"),
+    ],
+    ids=[
+        "rsc-seed-negative", "rsc-seed-boolean", "rsc-seed-fractional", "rsc-r-zero",
+        "strict-seed-negative", "strict-seed-boolean", "strict-seed-fractional", "strict-r-zero",
+        "dense-seed-negative", "dense-restarts-zero", "dense-restarts-boolean",
+        "sampled-n-samples-zero", "sampled-seed-negative", "sampled-nan-input",
+        "denoising-target-overflows", "trace-target-overflows",
+    ],
+)
+def test_entry_checks_refuse(call, match):
+    with pytest.raises(InputContractError, match=match):
+        call()
 
 
 @settings(max_examples=40, deadline=None)

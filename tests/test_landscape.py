@@ -248,11 +248,9 @@ class TestHessExtremes:
     def test_orthogonal_point_has_negative_curvature(self):
         # rank-1 target along e1, point along e2: a near-saddle with an
         # escape direction, so the least eigenvalue is negative
-        X_star = np.zeros((4, 4))
-        X_star[0, 0] = 1.0
         from psdlandscape.objectives import DenoisingObjective
 
-        obj = DenoisingObjective(X_star, 1).handle()
+        obj = DenoisingObjective(FactorPoint(np.eye(4)[:, :1])).handle()
         Y = FactorPoint(np.array([[0.0], [0.9], [0.0], [0.0]]))
         est = hess_extreme_eigs(obj, Y)
         assert est.lambda_min < 0
@@ -297,10 +295,9 @@ def _spectrum_points():
         th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
         Y = FactorPoint(gt.Y_star.Y + th.theta)
         points.append(pytest.param(den.handle(), Y, id=f"denoising-20-3-ball{k}"))
-    X_star = np.zeros((4, 4))
-    X_star[0, 0] = 1.0
+    e1 = DenoisingObjective(FactorPoint(np.eye(4)[:, :1])).handle()
     saddle = FactorPoint(np.array([[0.0], [0.9], [0.0], [0.0]]))
-    points.append(pytest.param(DenoisingObjective(X_star, 1).handle(), saddle, id="rank1-near-saddle"))
+    points.append(pytest.param(e1, saddle, id="rank1-near-saddle"))
     reg, _ = make_trace_regression(6, 2, 72, noise_sigma=0.05, seed=902)
     Y = FactorPoint(np.random.default_rng(906).standard_normal((6, 2)))
     points.append(pytest.param(reg.handle(), Y, id="trace-6-2-72"))
@@ -506,7 +503,7 @@ class TestEscapeDirection:
         from psdlandscape.objectives import DenoisingObjective, GroundTruth
 
         Y_star = FactorPoint(np.eye(5)[:, :2] * [2.0, 1.0])
-        gt = GroundTruth.from_factor(Y_star, DenoisingObjective(Y_star.gram(), 2).handle())
+        gt = GroundTruth.from_factor(Y_star, DenoisingObjective(Y_star).handle())
         Y = FactorPoint(np.eye(5)[:, 2:4] * 0.5)
         with pytest.warns(RuntimeWarning, match="not unique"):
             th = escape_direction(Y, gt)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psdlandscape.errors import InputContractError
+from psdlandscape.errors import InputContractError, NumericalFailure
 from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_project
 from psdlandscape.objectives import (
     DenoisingObjective,
@@ -21,6 +21,7 @@ from psdlandscape.objectives import (
     rsc_rsm_estimate,
 )
 from psdlandscape.kernels import sym_eig
+from psdlandscape.landscape import hess_extreme_eigs
 
 
 def haar(rng, r):
@@ -40,8 +41,8 @@ class TestDenoising:
     def test_value_with_zero_target(self):
         rng = np.random.default_rng(2)
         Y = FactorPoint(rng.standard_normal((5, 2)))
-        # target 0 is rank deficient, so construct the handle by hand
-        obj = DenoisingObjective(np.eye(5) * 0.0 + Y.gram(), 2).handle()
+        # the target of a bare factor, with no instance around it
+        obj = DenoisingObjective(Y).handle()
         Z = FactorPoint(rng.standard_normal((5, 2)))
         expected = 0.5 * np.linalg.norm(Z.gram() - Y.gram()) ** 2
         assert lifted_value(obj, Z) == pytest.approx(expected)
@@ -69,6 +70,27 @@ class TestDenoising:
             gt.Y_star.Y @ th.theta.T + th.theta @ gt.Y_star.Y.T
         ) ** 2
         assert riemannian_hess_quadform(obj, gt.Y_star, th) == pytest.approx(expected)
+
+    def test_target_is_the_factors_gram(self, monkeypatch):
+        # the factor is the target's one check: no eigendecomposition, and
+        # the objective and the ground truth share the factor's Gram
+        def eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=3)
+        assert inst.denoising.X_star is inst.ground_truth.X_star
+        residual = inst.objective.least_squares.residual(np.zeros((6, 6)))
+        np.testing.assert_array_equal(residual, -inst.ground_truth.X_star)
+
+    def test_ill_conditioned_target_builds(self):
+        # sigma_r(X*) / sigma_1(X*) = 1e-12, yet the factor is full rank
+        inst = make_instance("denoising", 6, 2, kappa_star=1e6)
+        assert inst.ground_truth.kappa_star == pytest.approx(1e6)
+
+    def test_target_must_be_a_factor(self):
+        with pytest.raises(InputContractError, match="FactorPoint"):
+            DenoisingObjective(np.eye(4))
 
     def test_hess_plugin_theta_equals_Y(self):
         # with a zero target, theta = Y gives 6 ||Y Y.T||^2
@@ -105,6 +127,20 @@ class TestDenoising:
         q1 = riemannian_hess_quadform(obj, Y, th)
         q2 = riemannian_hess_quadform(obj, YO, thO)
         assert q1 == pytest.approx(q2, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, r, evaluate", [
+    (6, 2, hess_extreme_eigs),  # dense spectrum
+    (20, 3, hess_extreme_eigs),  # Lanczos spectrum
+    (6, 2, riemannian_grad_lift),
+])
+def test_overflowing_evaluation_is_a_numerical_failure(p, r, evaluate):
+    # a finite, full-rank point whose Gram overflows
+    den, gt = make_denoising(p, r, kappa_star=2.0, seed=1)
+    Y = FactorPoint(1e155 * gt.Y_star.Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            evaluate(den.handle(), Y)
 
 
 class TestTraceRegression:

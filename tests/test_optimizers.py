@@ -114,11 +114,10 @@ def _saddle_problem():
     the strict saddle at the origin."""
     from psdlandscape.objectives import DenoisingObjective
 
-    X_star = np.zeros((6, 6))
-    X_star[0, 0] = 4.0
+    Y_star = FactorPoint(2.0 * np.eye(6)[:, :1])
     y0 = np.zeros((6, 1))
     y0[1, 0] = 1e-4
-    return DenoisingObjective(X_star, 1).handle(), FactorPoint(y0), X_star
+    return DenoisingObjective(Y_star).handle(), FactorPoint(y0), Y_star.gram()
 
 
 class TestGD:
@@ -218,9 +217,7 @@ class TestGD:
         # iterate exactly onto the zero matrix
         from psdlandscape.objectives import DenoisingObjective
 
-        X_star = np.zeros((4, 4))
-        X_star[0, 0] = 1.0
-        obj = DenoisingObjective(X_star, 1).handle()
+        obj = DenoisingObjective(FactorPoint(np.eye(4)[:, :1])).handle()
         y0 = np.zeros((4, 1))
         y0[0, 0] = 2.0
         with pytest.raises(RankCollapseError) as err:
@@ -338,9 +335,7 @@ class TestEvaluatedOnce:
         from psdlandscape import optimizers
         from psdlandscape.objectives import DenoisingObjective
 
-        X_star = np.zeros((4, 4))
-        X_star[0, 0] = 1.0
-        obj = DenoisingObjective(X_star, 1).handle()
+        obj = DenoisingObjective(FactorPoint(np.eye(4)[:, :1])).handle()
         y0 = np.zeros((4, 1))
         y0[1, 0] = 0.3
         spectrum, spectra = optimizers.hess_extreme_eigs, []
