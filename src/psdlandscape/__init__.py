@@ -65,9 +65,7 @@ from .objectives import (
     embedded_hess_quadform,
     instance_from_document,
     lifted_value,
-    make_denoising,
     make_instance,
-    make_trace_regression,
     restricted_strict_convexity_check,
     riemannian_grad_lift,
     riemannian_hess_quadform,

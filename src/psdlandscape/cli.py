@@ -102,16 +102,21 @@ def _region_params(cfg: dict) -> RegionParams:
 
 
 def _out_dir(cfg: dict, args) -> Path:
+    """The output directory; the first write creates it, so a command that
+    refuses an input leaves none behind."""
     out = args.output_dir or cfg.get("output_dir")
     if out is not None and not isinstance(out, str):
         raise InputContractError(f"output_dir must be a path, got {out!r}")
-    path = Path(out or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out or ".")
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -187,7 +192,7 @@ def cmd_scan(args) -> int:
         ball_radius=ball_radius,
     )
 
-    (out / "scan_report.csv").write_text(reports_to_csv(reports))
+    _write(out / "scan_report.csv", reports_to_csv(reports))
     tdoc = thresholds.to_dict()
     if gate_reason is not None:
         tdoc["gate"] = {"certified": False, "reason": gate_reason}
@@ -256,7 +261,7 @@ def cmd_optimize(args) -> int:
         raise InputContractError(f"unknown init {init_kind!r}")
 
     rec = riemannian_gd(inst.objective, Y0, gd_cfg, gt=gt, params=params)
-    (out / "trajectory.csv").write_text(rec.to_csv())
+    _write(out / "trajectory.csv", rec.to_csv())
 
     final = {
         "converged": rec.converged,

@@ -193,7 +193,7 @@ def _classify(
     grad_norm = float(np.linalg.norm(2.0 * ((X - gt.X_star) @ Y.Y)))
     spec_norm = Y.sigma_max
     gram_norm = float(np.linalg.norm(X))
-    xnorm = float(np.linalg.norm(gt.X_star))
+    xnorm = gt.X_star_norm
 
     r1_radius = _r1_radius(gt, params.mu)
     grad_thresh = _grad_threshold(gt, params)
@@ -333,10 +333,11 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
     # not lie in an invariant subspace of the Hessian, or Lanczos breaks
     # down there and misses the extremes outside it with a zero residual.
     # A fixed seed fails on a point built from that seed's own draws: the
-    # target and the ball tangent of make_denoising(20, 3, seed=s) and
-    # default_rng(s) both lie in the column space of its first draw, and so
-    # does the start. A start seeded by Y itself cannot be chosen that way,
-    # so a breakdown means the Krylov space holds every distinct eigenvalue.
+    # target and the ball tangent of make_instance("denoising", 20, 3,
+    # seed=s) and default_rng(s) both lie in the column space of its first
+    # draw, and so does the start. A start seeded by Y itself cannot be
+    # chosen that way, so a breakdown means the Krylov space holds every
+    # distinct eigenvalue.
     rng = np.random.default_rng(Y.Y.view(np.uint32).ravel())
     q = rng.standard_normal((p, r))
     q -= vertical_project(Y, q)
@@ -460,7 +461,7 @@ def compute_thresholds(
     mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
     kap = gt.kappa_star
     s1, sr = gt.sigma1_star, gt.sigmar_star
-    xnorm = float(np.linalg.norm(gt.X_star))
+    xnorm = gt.X_star_norm
     noise = gt.grad_at_star_trunc
 
     margin = _margin(gt, mu)

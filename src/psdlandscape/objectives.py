@@ -41,8 +41,6 @@ __all__ = [
     "riemannian_hess_quadform",
     "embedded_hess_quadform",
     "random_orthonormal",
-    "make_denoising",
-    "make_trace_regression",
     "make_instance",
     "instance_from_document",
     "rsc_rsm_estimate",
@@ -212,7 +210,7 @@ class TraceRegressionObjective:
     built from it on first access and then kept.
     """
 
-    def __init__(self, sensing: np.ndarray, y: np.ndarray, r: int, noise_sigma: float = 0.0):
+    def __init__(self, sensing: np.ndarray, y: np.ndarray, r: int):
         sensing = np.asarray(sensing, dtype=float)
         if sensing.ndim != 3 or sensing.shape[1] != sensing.shape[2]:
             raise InputContractError(f"sensing must be (n, p, p), got {sensing.shape}")
@@ -228,17 +226,15 @@ class TraceRegressionObjective:
             packed[c] = S.reshape(len(S), p * p)[:, upper]
         if np.sqrt(asym) > 1e-12 * max(np.linalg.norm(sensing), 1e-300):
             raise InputContractError("sensing matrices must be symmetric")
-        self._adopt(packed, y, r, noise_sigma)
+        self._adopt(packed, y, r)
 
     @classmethod
-    def _from_packed(
-        cls, packed: np.ndarray, y: np.ndarray, r: int, noise_sigma: float
-    ) -> "TraceRegressionObjective":
+    def _from_packed(cls, packed: np.ndarray, y: np.ndarray, r: int) -> "TraceRegressionObjective":
         obj = cls.__new__(cls)
-        obj._adopt(packed, y, r, noise_sigma)
+        obj._adopt(packed, y, r)
         return obj
 
-    def _adopt(self, packed: np.ndarray, y: np.ndarray, r: int, noise_sigma: float) -> None:
+    def _adopt(self, packed: np.ndarray, y: np.ndarray, r: int) -> None:
         y = np.asarray(y, dtype=float)
         if y.shape != (packed.shape[0],):
             raise InputContractError(f"y must have shape ({packed.shape[0]},)")
@@ -247,7 +243,6 @@ class TraceRegressionObjective:
         self.packed = packed
         self.y = y
         self.r = r
-        self.noise_sigma = float(noise_sigma)
 
     @property
     def n(self) -> int:
@@ -310,11 +305,19 @@ class GroundTruth:
     sigmar_star: float
     kappa_star: float
     grad_at_star_trunc: float
+    X_star_norm: float
 
     @classmethod
     def from_factor(cls, Y_star: FactorPoint, obj: ObjectiveHandle) -> "GroundTruth":
         X_star = Y_star.gram()
-        noise = truncated_frob_norm(obj.euclid_grad(X_star), Y_star.r)
+        # the gradient at X* is exactly zero on a noiseless instance
+        G = obj.euclid_grad(X_star)
+        noise = truncated_frob_norm(G, Y_star.r) if G.any() else 0.0
+        with np.errstate(over="ignore"):
+            xnorm = float(np.linalg.norm(X_star))
+        if xnorm == math.inf:  # the sum of squares overflowed; ||X*||_F <= r sigma_1^2 is finite
+            top = float(np.abs(X_star).max())
+            xnorm = top * float(np.linalg.norm(X_star / top))
         return cls(
             Y_star=Y_star,
             X_star=X_star,
@@ -322,6 +325,7 @@ class GroundTruth:
             sigmar_star=Y_star.sigma_min,
             kappa_star=Y_star.sigma_max / Y_star.sigma_min,
             grad_at_star_trunc=noise,
+            X_star_norm=xnorm,
         )
 
 
@@ -605,39 +609,12 @@ def _build_instance(
         rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
         eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
         y = _apply_packed(packed, Y_star.gram()) + eps
-    reg = TraceRegressionObjective._from_packed(packed, y, r, noise_sigma)
+    reg = TraceRegressionObjective._from_packed(packed, y, r)
     obj = reg.handle()
     gt = GroundTruth.from_factor(Y_star, obj)
     return ProblemInstance(
         kind, p, r, n, seed, noise_sigma, spectrum, obj, gt, trace_regression=reg
     )
-
-
-def make_denoising(
-    p: int,
-    r: int,
-    kappa_star: float = 1.0,
-    sigma_r_star: float = 1.0,
-    seed: int = 0,
-) -> tuple[DenoisingObjective, GroundTruth]:
-    inst = make_instance("denoising", p, r, 0, kappa_star, sigma_r_star, 0.0, seed)
-    return inst.denoising, inst.ground_truth
-
-
-def make_trace_regression(
-    p: int,
-    r: int,
-    n: int,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
-    kappa_star: float = 1.0,
-    sigma_r_star: float = 1.0,
-) -> tuple[TraceRegressionObjective, GroundTruth]:
-    """Draw a trace-regression instance; see :func:`make_instance`."""
-    inst = make_instance(
-        "trace_regression", p, r, n, kappa_star, sigma_r_star, noise_sigma, seed
-    )
-    return inst.trace_regression, inst.ground_truth
 
 
 # ---------------------------------------------------------------------------

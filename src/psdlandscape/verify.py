@@ -31,8 +31,7 @@ from .landscape import random_ball_tangent
 from .objectives import (
     ObjectiveHandle,
     lifted_value,
-    make_denoising,
-    make_trace_regression,
+    make_instance,
     random_orthonormal,
     random_symmetric_low_rank,
     riemannian_grad_lift,
@@ -499,11 +498,10 @@ def _fd_suite(order: int) -> Callable[[np.random.Generator], float]:
     def inner(rng: np.random.Generator) -> float:
         seed = int(rng.integers(0, 2**31))
         if rng.uniform() < 0.5:
-            den, _ = make_denoising(5, 2, kappa_star=2.0, seed=seed)
-            obj = den.handle()
+            inst = make_instance("denoising", 5, 2, kappa_star=2.0, seed=seed)
         else:
-            reg, _ = make_trace_regression(5, 2, 60, noise_sigma=0.1, seed=seed)
-            obj = reg.handle()
+            inst = make_instance("trace_regression", 5, 2, n=60, noise_sigma=0.1, seed=seed)
+        obj = inst.objective
         Y = _random_factor(rng, 5, 2)
         th = horizontal_project(Y, rng.standard_normal(Y.Y.shape))
         th = HorizontalTangent(th.theta / th.norm, Y)
@@ -521,8 +519,8 @@ def _suite_restricted_gradient_bound(rng: np.random.Generator) -> float:
     on symmetric low-rank triples, with the densely certified constant."""
     p, r = 6, 3
     seed = int(rng.integers(0, 2**31))
-    reg, _ = make_trace_regression(p, r, int(rng.integers(20, 80)), seed=seed)
-    obj = reg.handle()
+    n = int(rng.integers(20, 80))
+    obj = make_instance("trace_regression", p, r, n=n, seed=seed).objective
     delta = symmetric_delta_upper(obj)
     worst = 0.0
     for _ in range(5):
@@ -541,8 +539,9 @@ def _suite_objective_comparison(rng: np.random.Generator) -> float:
     p, r = 6, 3
     seed = int(rng.integers(0, 2**31))
     noise_sigma = float(rng.choice([0.0, 0.02]))
-    reg, gt = make_trace_regression(p, r, int(rng.integers(30, 90)), noise_sigma, seed=seed)
-    obj = reg.handle()
+    n = int(rng.integers(30, 90))
+    inst = make_instance("trace_regression", p, r, n=n, noise_sigma=noise_sigma, seed=seed)
+    obj, gt = inst.objective, inst.ground_truth
     delta = symmetric_delta_upper(obj)
     noise = gt.grad_at_star_trunc
     worst = 0.0

@@ -34,8 +34,7 @@ from psdlandscape.landscape import (
 )
 from psdlandscape.objectives import (
     embedded_hess_quadform,
-    make_denoising,
-    make_trace_regression,
+    make_instance,
     riemannian_grad_lift,
     riemannian_hess_quadform,
     rsc_rsm_estimate,
@@ -89,8 +88,8 @@ def test_02_local_strong_convexity_brackets():
     mu = 0.2
     params = RegionParams(mu=mu, alpha=0.5, beta=1.5, gamma=1.5)
     for kappa in (1.0, 2.0, 5.0):
-        den, gt = make_denoising(20, 3, kappa_star=kappa, seed=200 + int(kappa))
-        obj = den.handle()
+        inst = make_instance("denoising", 20, 3, kappa_star=kappa, seed=200 + int(kappa))
+        obj, gt = inst.objective, inst.ground_truth
         rep = compute_thresholds(gt, params, 3)
         tol = 1e-8 * gt.sigmar_star**2
         rng = np.random.default_rng(300 + int(kappa))
@@ -131,8 +130,8 @@ def _r2_point(gt, rng, params):
 def test_03_escape_direction_negative_curvature():
     t0 = time.time()
     params = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
-    den, gt = make_denoising(20, 3, kappa_star=2.0, seed=400)
-    obj = den.handle()
+    inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=400)
+    obj, gt = inst.objective, inst.ground_truth
     rng = np.random.default_rng(401)
     bound = (params.alpha - SQRT2M1_TIMES_2) * gt.sigmar_star**2
     tol = 1e-8 * gt.sigmar_star**2
@@ -158,8 +157,8 @@ def test_04_gradient_floors_in_outer_regions():
     params = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
     # kappa* = 1 keeps the middle region nonempty:
     # membership needs beta^2 ||Y*||^2 <= gamma ||X*||_F
-    den, gt = make_denoising(20, 3, kappa_star=1.0, seed=500)
-    obj = den.handle()
+    inst = make_instance("denoising", 20, 3, kappa_star=1.0, seed=500)
+    obj, gt = inst.objective, inst.ground_truth
     rng = np.random.default_rng(501)
     rep = compute_thresholds(gt, params, 3)
     tol = 1e-8 * gt.sigmar_star**3
@@ -208,8 +207,8 @@ def test_04_gradient_floors_in_outer_regions():
 
 def test_05_unique_stationary_point_multistart():
     t0 = time.time()
-    den, gt = make_denoising(20, 3, kappa_star=2.0, seed=600)
-    obj = den.handle()
+    inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=600)
+    obj, gt = inst.objective, inst.ground_truth
     rng = np.random.default_rng(601)
     grad_tol = 1e-10 * gt.sigmar_star**3
     cfg = GDConfig(max_iters=50_000, grad_tol=grad_tol)
@@ -233,8 +232,8 @@ def test_06_general_objective_landscape_and_recovery():
     t0 = time.time()
     p, r = 30, 2
     n = 10 * p * r
-    reg, gt = make_trace_regression(p, r, n, noise_sigma=0.0, seed=700, kappa_star=1.5)
-    obj = reg.handle()
+    inst = make_instance("trace_regression", p, r, n=n, kappa_star=1.5, seed=700)
+    obj, gt = inst.objective, inst.ground_truth
     params = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 
     delta_hat = rsc_rsm_estimate(obj, r, 200, seed=701)
@@ -258,7 +257,7 @@ def test_06_general_objective_landscape_and_recovery():
         worst = min(worst, est.lambda_min - rep.r1_hess_lower)
         assert est.lambda_min >= rep.r1_hess_lower - tol
 
-    Y0 = spectral_init(reg, r)
+    Y0 = spectral_init(inst.trace_regression, r)
     cfg = GDConfig(max_iters=50_000, grad_tol=1e-10 * gt.sigmar_star**3)
     rec = riemannian_gd(obj, Y0, cfg, gt=gt)
     assert rec.converged
@@ -283,14 +282,16 @@ def test_07_noisy_error_bound():
     for k in range(20):
         seed = 800 + k
         # calibrate the noise to sit safely inside the admissible band
-        probe, gt_probe = make_trace_regression(p, r, n, 0.0, seed=seed, kappa_star=1.5)
-        psi = compute_thresholds(gt_probe, params, r).psi
+        probe = make_instance("trace_regression", p, r, n=n, kappa_star=1.5, seed=seed)
+        psi = compute_thresholds(probe.ground_truth, params, r).psi
         noise_sigma = psi / (4.0 * np.sqrt(p))
-        reg, gt = make_trace_regression(p, r, n, noise_sigma, seed=seed, kappa_star=1.5)
-        obj = reg.handle()
+        inst = make_instance(
+            "trace_regression", p, r, n=n, kappa_star=1.5, noise_sigma=noise_sigma, seed=seed
+        )
+        obj, gt = inst.objective, inst.ground_truth
         assert gt.grad_at_star_trunc <= psi, "noise premise violated"
 
-        Y0 = spectral_init(reg, r)
+        Y0 = spectral_init(inst.trace_regression, r)
         cfg = GDConfig(max_iters=50_000, grad_tol=1e-9 * gt.sigmar_star**3)
         rec = riemannian_gd(obj, Y0, cfg, gt=gt)
         assert rec.converged
@@ -308,9 +309,9 @@ def test_08_derivative_correctness_and_spectrum_agreement(monkeypatch):
     t0 = time.time()
     rng = np.random.default_rng(900)
 
-    den, gt_d = make_denoising(6, 2, kappa_star=2.0, seed=901)
-    reg, _ = make_trace_regression(6, 2, 72, noise_sigma=0.05, seed=902)
-    for obj in (den.handle(), reg.handle()):
+    den = make_instance("denoising", 6, 2, kappa_star=2.0, seed=901)
+    reg = make_instance("trace_regression", 6, 2, n=72, noise_sigma=0.05, seed=902)
+    for obj in (den.objective, reg.objective):
         for _ in range(100):
             Y = FactorPoint(rng.standard_normal((6, 2)))
             th = unit_horizontal(rng, Y)
@@ -330,14 +331,14 @@ def test_08_derivative_correctness_and_spectrum_agreement(monkeypatch):
     def dense_and_iterative(obj, Y):
         return spectrum(obj, Y, horizontal_dim(Y.p, Y.r), "dense"), spectrum(obj, Y, 0, "lanczos")
 
-    den10, gt10 = make_denoising(10, 2, kappa_star=2.0, seed=903)
-    Yp = FactorPoint(gt10.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
-    dense, it = dense_and_iterative(den10.handle(), Yp)
+    inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=903)
+    Yp = FactorPoint(inst.ground_truth.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
+    dense, it = dense_and_iterative(inst.objective, Yp)
     assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
     assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
 
-    den20, gt20 = make_denoising(20, 3, kappa_star=2.0, seed=904)
-    dense2, it2 = dense_and_iterative(den20.handle(), gt20.Y_star)
+    inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=904)
+    dense2, it2 = dense_and_iterative(inst.objective, inst.ground_truth.Y_star)
     assert it2.lambda_min == pytest.approx(dense2.lambda_min, rel=1e-7)
     assert it2.lambda_max == pytest.approx(dense2.lambda_max, rel=1e-7)
     _report(
@@ -369,7 +370,7 @@ def test_09_oracle_suites_green():
 def test_10_embedded_geometry_comparison():
     t0 = time.time()
     rng = np.random.default_rng(1000)
-    _, gt = make_denoising(12, 3, kappa_star=2.0, seed=1001)
+    gt = make_instance("denoising", 12, 3, kappa_star=2.0, seed=1001).ground_truth
     mu_prime = 0.2
     target = mu_prime * gt.sigmar_star**2  # sigma_r of the Gram target
     raw = horizontal_project(gt.Y_star, rng.standard_normal((12, 3)))

@@ -486,3 +486,33 @@ def test_malformed_input_exits_two(tmp_path, command, make_config):
     assert "Traceback" not in proc.stderr
     if make_config is _instance_y_nan:
         assert proc.stderr == "error: y contains non-finite entries\n"
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("scan", {"scan": {"n_points": 0}}),
+        ("scan", {"scan": {"seed": -1}}),
+        ("optimize", {"optimizer": {"init": "bogus"}}),
+        ("optimize", {"optimizer": {"init": "spectral"}}),  # on denoising
+    ],
+    ids=["scan-no-points", "scan-seed-negative", "init-unknown", "spectral-init-on-denoising"],
+)
+def test_refused_input_leaves_no_output_dir(tmp_path, capsys, command, overrides):
+    # these inputs are checked by the library after the config is read
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
+def test_target_whose_squared_entries_overflow_is_one_error_line(tmp_path, capsys, kind):
+    # r sigma_1*^2 = 8e300 is finite, but the sum of the squared entries of
+    # X* is not; ||X*||_F is, and the threshold formulas then leave the range
+    problem = {"kind": kind, "p": 6, "r": 2, "n": 72, "kappa_star": 2.0, "sigma_r_star": 1e150}
+    cfg = write_config(tmp_path, problem=problem, scan={"delta_samples": 5})
+    assert main(["scan", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the threshold formulas") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

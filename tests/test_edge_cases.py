@@ -23,7 +23,6 @@ from psdlandscape.landscape import (
 from psdlandscape.errors import InputContractError
 from psdlandscape.objectives import (
     DenoisingObjective,
-    make_denoising,
     make_instance,
     restricted_strict_convexity_check,
     rsc_rsm_estimate,
@@ -73,9 +72,10 @@ class TestSquareFactor:
 class TestIterativeCertificationPath:
     def test_small_cap_forces_iterative_r1_checks(self, monkeypatch):
         monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 4)
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=5)
+        gt = inst.ground_truth
         params = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
-        reports = certify_landscape(den.handle(), gt, params, ["ball"], 3, seed=2)
+        reports = certify_landscape(inst.objective, gt, params, ["ball"], 3, seed=2)
         assert all(rep.passed for rep in reports)
         assert all(np.isfinite(rep.lambda_min) for rep in reports)
 
@@ -88,20 +88,22 @@ class TestIterativeCertificationPath:
 
         monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
         monkeypatch.setattr(landscape, "_LANCZOS_RESIDUAL_TOL", -1.0)
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=5)
+        gt = inst.ground_truth
         rng = np.random.default_rng(7)
         radius = 0.2 * gt.sigmar_star / gt.kappa_star
         th = random_ball_tangent(gt.Y_star, radius, rng)
         Y = FactorPoint(gt.Y_star.Y + th.theta)
         with pytest.raises(NumericalFailure, match="residual"):
-            hess_extreme_eigs(den.handle(), Y)
+            hess_extreme_eigs(inst.objective, Y)
 
 
 class TestCsvRoundTrip:
     def test_floats_round_trip_exactly(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=6)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=6)
+        gt = inst.ground_truth
         params = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
-        reports = certify_landscape(den.handle(), gt, params, ["ball", "scaled"], 4, seed=3)
+        reports = certify_landscape(inst.objective, gt, params, ["ball", "scaled"], 4, seed=3)
         lines = reports_to_csv(reports).strip().split("\n")
         for rep, line in zip(reports, lines[1:]):
             cells = line.split(",")
@@ -113,7 +115,7 @@ class TestCsvRoundTrip:
 
 
 def _denoising_handle():
-    return make_denoising(4, 2, kappa_star=2.0, seed=1)[0].handle()
+    return make_instance("denoising", 4, 2, kappa_star=2.0, seed=1).objective
 
 
 def _factors(bad=None):

@@ -276,16 +276,16 @@ class TestHorizontalTangent:
 
 class TestTangentBase:
     def test_requires_matching_base(self):
-        from psdlandscape.objectives import make_denoising, riemannian_hess_quadform
+        from psdlandscape.objectives import make_instance, riemannian_hess_quadform
 
         rng = np.random.default_rng(19)
         Y1, Y2 = factor(rng, 6, 2), factor(rng, 6, 2)
         th = horizontal_project(Y2, rng.standard_normal((6, 2)))
         with pytest.raises(InputContractError, match="based at the given point"):
             exp_map(Y1, th, 0.5)
-        den, _ = make_denoising(6, 2, seed=19)
+        inst = make_instance("denoising", 6, 2, seed=19)
         with pytest.raises(InputContractError, match="based at the given point"):
-            riemannian_hess_quadform(den.handle(), Y1, th)
+            riemannian_hess_quadform(inst.objective, Y1, th)
 
     def test_value_equal_base_accepted(self):
         # a distinct FactorPoint object holding the same factor works

@@ -28,12 +28,7 @@ from psdlandscape.landscape import (
     reports_to_csv,
     strict_convexity_fosp_check,
 )
-from psdlandscape.objectives import (
-    ObjectiveHandle,
-    make_denoising,
-    make_trace_regression,
-    riemannian_hess_quadform,
-)
+from psdlandscape.objectives import ObjectiveHandle, make_instance, riemannian_hess_quadform
 
 PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 
@@ -85,17 +80,17 @@ class TestRegionParams:
 
 class TestClassifyRegion:
     def test_target_is_r1(self):
-        _, gt = make_denoising(8, 2, kappa_star=2.0, seed=1)
+        gt = make_instance("denoising", 8, 2, kappa_star=2.0, seed=1).ground_truth
         assert RegionLabel.R1 in classify_region(gt.Y_star, gt, PARAMS)
 
     def test_scaled_target_is_r3_triple(self):
-        _, gt = make_denoising(8, 2, kappa_star=2.0, seed=2)
+        gt = make_instance("denoising", 8, 2, kappa_star=2.0, seed=2).ground_truth
         Y = FactorPoint(3.0 * gt.Y_star.Y)
         labels = classify_region(Y, gt, PARAMS)
         assert RegionLabel.R3_TRIPLE_PRIME in labels
 
     def test_coverage_fuzz(self):
-        _, gt = make_denoising(6, 2, kappa_star=2.0, seed=3)
+        gt = make_instance("denoising", 6, 2, kappa_star=2.0, seed=3).ground_truth
         rng = np.random.default_rng(4)
         for _ in range(10_000):
             scale = 10.0 ** rng.uniform(-3, 3)
@@ -106,7 +101,7 @@ class TestClassifyRegion:
             assert classify_region(Y, gt, PARAMS)
 
     def test_fiber_invariance(self):
-        _, gt = make_denoising(7, 3, kappa_star=2.0, seed=5)
+        gt = make_instance("denoising", 7, 3, kappa_star=2.0, seed=5).ground_truth
         rng = np.random.default_rng(6)
         for _ in range(50):
             Y = FactorPoint(rng.standard_normal((7, 3)) * 10.0 ** rng.uniform(-1, 1))
@@ -115,7 +110,7 @@ class TestClassifyRegion:
             assert classify_region(Y, gt, PARAMS) == classify_region(YO, gt, PARAMS)
 
     def test_r2_construction(self):
-        _, gt = make_denoising(10, 3, kappa_star=2.0, seed=7)
+        gt = make_instance("denoising", 10, 3, kappa_star=2.0, seed=7).ground_truth
         rng = np.random.default_rng(8)
         found = 0
         for _ in range(20):
@@ -183,14 +178,15 @@ class TestRandomBallTangent:
 
 class TestHessExtremes:
     def test_denoising_at_target_sandwich(self):
-        den, gt = make_denoising(9, 2, kappa_star=2.0, seed=12)
-        est = hess_extreme_eigs(den.handle(), gt.Y_star)
+        inst = make_instance("denoising", 9, 2, kappa_star=2.0, seed=12)
+        gt = inst.ground_truth
+        est = hess_extreme_eigs(inst.objective, gt.Y_star)
         assert est.lambda_min >= 2 * gt.sigmar_star**2 - 1e-9
         assert est.lambda_max <= 4 * gt.sigma1_star**2 + 1e-9
 
     def test_dense_vs_iterative(self, monkeypatch):
-        den, gt = make_denoising(10, 2, kappa_star=2.0, seed=13)
-        obj = den.handle()
+        inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=13)
+        obj, gt = inst.objective, inst.ground_truth
         rng = np.random.default_rng(14)
         Y = FactorPoint(gt.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
         dense = hess_extreme_eigs(obj, Y)
@@ -221,11 +217,13 @@ class TestHessExtremes:
         from psdlandscape.objectives import _form_matrix, _lift
 
         if kind == "denoising":
-            den, gt = make_denoising(7, 2, kappa_star=2.0, seed=32)
-            obj, forward = den.handle(), np.ravel
+            inst = make_instance("denoising", 7, 2, kappa_star=2.0, seed=32)
+            gt = inst.ground_truth
+            obj, forward = inst.objective, np.ravel
         else:
-            reg, gt = make_trace_regression(6, 2, 72, seed=32)
-            obj, forward = reg.handle(), reg.apply_map
+            inst = make_instance("trace_regression", 6, 2, n=72, seed=32)
+            gt, reg = inst.ground_truth, inst.trace_regression
+            obj, forward = inst.objective, reg.apply_map
         rng = np.random.default_rng(33)
         Y = FactorPoint(gt.Y_star.Y + 0.3 * rng.standard_normal(gt.Y_star.Y.shape))
         X = Y.gram()
@@ -257,7 +255,8 @@ class TestHessExtremes:
 
     def test_dense_builds_no_tangent(self, monkeypatch):
         # the basis is one array; no per-column tangent is built or validated
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=12)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=12)
+        gt = inst.ground_truth
         built = []
         post_init = HorizontalTangent.__post_init__
 
@@ -267,7 +266,7 @@ class TestHessExtremes:
 
         monkeypatch.setattr(HorizontalTangent, "__post_init__", counted)
         Y = FactorPoint(gt.Y_star.Y + 0.01 * np.random.default_rng(3).standard_normal((8, 2)))
-        assert hess_extreme_eigs(den.handle(), Y).method == "dense"
+        assert hess_extreme_eigs(inst.objective, Y).method == "dense"
         assert built == []
 
 
@@ -277,30 +276,34 @@ def _spectrum_points():
 
     points = []
     # a generic R1 point on which shifted power iteration ran out of budget
-    den, gt = make_denoising(8, 2, kappa_star=2.0, seed=5)
+    inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=5)
+    gt = inst.ground_truth
     th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(7))
-    points.append(pytest.param(den.handle(), FactorPoint(gt.Y_star.Y + th.theta), id="denoising-8-2-r1"))
+    Y = FactorPoint(gt.Y_star.Y + th.theta)
+    points.append(pytest.param(inst.objective, Y, id="denoising-8-2-r1"))
     # ball points whose target and tangent both come from the first normal
     # draw of one seed; a Lanczos start drawn from that seed (0 and
     # 0x4C414E43 were both used) lies in their common invariant subspace
     for p, r, seed in [(10, 2, 0), (20, 3, 0x4C414E43)]:
-        den, gt = make_denoising(p, r, kappa_star=2.0, seed=seed)
+        inst = make_instance("denoising", p, r, kappa_star=2.0, seed=seed)
+        gt = inst.ground_truth
         th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, np.random.default_rng(seed))
         Y = FactorPoint(gt.Y_star.Y + th.theta)
-        points.append(pytest.param(den.handle(), Y, id=f"denoising-{p}-{r}-seed{seed}"))
-    den, gt = make_denoising(20, 3, kappa_star=2.0, seed=904)
-    points.append(pytest.param(den.handle(), gt.Y_star, id="denoising-20-3-target"))
+        points.append(pytest.param(inst.objective, Y, id=f"denoising-{p}-{r}-seed{seed}"))
+    inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=904)
+    gt = inst.ground_truth
+    points.append(pytest.param(inst.objective, gt.Y_star, id="denoising-20-3-target"))
     rng = np.random.default_rng(905)
     for k in range(3):
         th = random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
         Y = FactorPoint(gt.Y_star.Y + th.theta)
-        points.append(pytest.param(den.handle(), Y, id=f"denoising-20-3-ball{k}"))
+        points.append(pytest.param(inst.objective, Y, id=f"denoising-20-3-ball{k}"))
     e1 = DenoisingObjective(FactorPoint(np.eye(4)[:, :1])).handle()
     saddle = FactorPoint(np.array([[0.0], [0.9], [0.0], [0.0]]))
     points.append(pytest.param(e1, saddle, id="rank1-near-saddle"))
-    reg, _ = make_trace_regression(6, 2, 72, noise_sigma=0.05, seed=902)
+    inst = make_instance("trace_regression", 6, 2, n=72, noise_sigma=0.05, seed=902)
     Y = FactorPoint(np.random.default_rng(906).standard_normal((6, 2)))
-    points.append(pytest.param(reg.handle(), Y, id="trace-6-2-72"))
+    points.append(pytest.param(inst.objective, Y, id="trace-6-2-72"))
     return points
 
 
@@ -328,11 +331,13 @@ def test_lanczos_matches_dense(obj, Y):
     assert lanczos.residual <= 1e-8 * scale
 
 
-def _sized_objective(kind, p, r, seed):
+def _sized_instance(kind, p, r, seed):
     kappa = 2.0 if r > 1 else 1.0
     if kind == "denoising":
-        return make_denoising(p, r, kappa_star=kappa, seed=seed)
-    return make_trace_regression(p, r, 200, kappa_star=kappa, noise_sigma=0.05, seed=seed)
+        return make_instance("denoising", p, r, kappa_star=kappa, seed=seed)
+    return make_instance(
+        "trace_regression", p, r, n=200, kappa_star=kappa, noise_sigma=0.05, seed=seed
+    )
 
 
 @settings(max_examples=24, deadline=None)
@@ -350,8 +355,9 @@ def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, p
     # greatest p at or under it, minus extra
     p = next(q for q in range(r, 10**4) if horizontal_dim(q, r) > landscape.DENSE_HESSIAN_CAP)
     p = p + extra if above_cap else max(r, p - 1 - extra)
-    h, gt = _sized_objective(kind, p, r, seed)
-    obj = h.handle() if keep_map else dataclasses.replace(h.handle(), least_squares=None)
+    inst = _sized_instance(kind, p, r, seed)
+    gt = inst.ground_truth
+    obj = inst.objective if keep_map else dataclasses.replace(inst.objective, least_squares=None)
     rng = np.random.default_rng(seed)
     if point == "ball":
         th = landscape.random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
@@ -374,13 +380,14 @@ def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
     # point 0 of a scan with seed s is drawn from SeedSequence([s, 0]), the
     # generator of default_rng(s) and of the target of an instance with
     # seed s, so both come from one draw
-    den, gt = make_denoising(20, 3, kappa_star=2.0, seed=seed)
-    (report,) = certify_landscape(den.handle(), gt, PARAMS, ["ball"], 1, seed=seed)
+    inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=seed)
+    gt = inst.ground_truth
+    (report,) = certify_landscape(inst.objective, gt, PARAMS, ["ball"], 1, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     Y = landscape._sample_point("ball", gt, PARAMS, rng, landscape._r1_radius(gt, PARAMS.mu))
     assert RegionLabel.R1 in report.region_labels
     assert horizontal_dim(20, 3) > landscape.DENSE_HESSIAN_CAP
-    dense = _forced_spectrum(den.handle(), Y, "dense")
+    dense = _forced_spectrum(inst.objective, Y, "dense")
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
     assert abs(report.lambda_min - dense.lambda_min) <= 1e-10 * scale
     assert abs(report.lambda_max - dense.lambda_max) <= 1e-10 * scale
@@ -389,8 +396,9 @@ def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
 def test_lanczos_at_the_target_of_a_large_denoising_problem():
     # horizontal dimension 990, where the dense matrix takes seconds; at Y*
     # the extremes are 2 sigma_r^2 and 4 sigma_1^2
-    den, gt = make_denoising(200, 5, kappa_star=2.0, seed=40)
-    est = hess_extreme_eigs(den.handle(), gt.Y_star)
+    inst = make_instance("denoising", 200, 5, kappa_star=2.0, seed=40)
+    gt = inst.ground_truth
+    est = hess_extreme_eigs(inst.objective, gt.Y_star)
     assert est.method == "lanczos"
     assert est.lambda_min == pytest.approx(2.0 * gt.sigmar_star**2, rel=1e-10)
     assert est.lambda_max == pytest.approx(4.0 * gt.sigma1_star**2, rel=1e-10)
@@ -428,10 +436,12 @@ class TestWorkPerSpectrum:
 
     @pytest.mark.parametrize("kind, p, r", [("denoising", 20, 3), ("trace_regression", 24, 2)])
     def test_one_map_sweep_per_lanczos_step(self, kind, p, r, monkeypatch):
-        h, gt = _sized_objective(kind, p, r, 41)
+        inst = _sized_instance(kind, p, r, 41)
+        gt = inst.ground_truth
         assert horizontal_dim(p, r) > landscape.DENSE_HESSIAN_CAP
         Y = FactorPoint(gt.Y_star.Y + 0.05 * np.random.default_rng(42).standard_normal((p, r)))
-        est, sweeps, forms, steps, projections = self.counted_spectrum(h.handle(), Y, monkeypatch)
+        obj = inst.objective
+        est, sweeps, forms, steps, projections = self.counted_spectrum(obj, Y, monkeypatch)
         assert est.method == "lanczos" and steps > 0
         assert len(sweeps) == steps and forms == 0
         # one projection per step and one of the start
@@ -439,8 +449,9 @@ class TestWorkPerSpectrum:
         assert all(G.shape == (1, p, p) for G in sweeps)
 
     def test_handle_without_a_map_is_dense_under_the_basis_cap(self, monkeypatch):
-        den, gt = make_denoising(20, 3, kappa_star=2.0, seed=41)
-        obj = dataclasses.replace(den.handle(), least_squares=None)
+        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=41)
+        gt = inst.ground_truth
+        obj = dataclasses.replace(inst.objective, least_squares=None)
         m = horizontal_dim(20, 3)
         assert landscape.DENSE_HESSIAN_CAP < m <= landscape._BASIS_CAP
         est, _, forms, _, _ = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
@@ -448,8 +459,9 @@ class TestWorkPerSpectrum:
         assert forms == m * (m + 1) // 2
 
     def test_handle_without_a_map_makes_pr_forms_per_step(self, monkeypatch):
-        den, gt = make_denoising(20, 3, kappa_star=2.0, seed=41)
-        obj = dataclasses.replace(den.handle(), least_squares=None)
+        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=41)
+        gt = inst.ground_truth
+        obj = dataclasses.replace(inst.objective, least_squares=None)
         monkeypatch.setattr(landscape, "_BASIS_CAP", 0)
         est, _, forms, steps, projections = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
         assert est.method == "lanczos" and steps > 0
@@ -459,14 +471,15 @@ class TestWorkPerSpectrum:
         # dimension 1365 and p r = 1800: a (m + 1, p r) array of Lanczos
         # vectors would take 19.7 MB; the rows held stay within a small
         # multiple of the steps taken (about 100)
-        den, gt = make_denoising(60, 30, kappa_star=2.0, seed=44)
+        inst = make_instance("denoising", 60, 30, kappa_star=2.0, seed=44)
+        gt = inst.ground_truth
         Y = FactorPoint(gt.Y_star.Y + 0.05 * np.random.default_rng(45).standard_normal((60, 30)))
         steps = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda T: steps.append(len(T)) or eigh(T))
         tracemalloc.start()
         try:
-            est = hess_extreme_eigs(den.handle(), Y)
+            est = hess_extreme_eigs(inst.objective, Y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,19 +490,21 @@ class TestWorkPerSpectrum:
     def test_dense_path_makes_one_form_per_pair(self, kind, monkeypatch):
         p = 44  # r = 1: the dimension is p, at the cap
         assert p <= landscape.DENSE_HESSIAN_CAP
-        h, gt = _sized_objective(kind, p, 1, 43)
-        est, sweeps, forms, _, _ = self.counted_spectrum(h.handle(), gt.Y_star, monkeypatch)
+        inst = _sized_instance(kind, p, 1, 43)
+        est, sweeps, forms, _, _ = self.counted_spectrum(
+            inst.objective, inst.ground_truth.Y_star, monkeypatch
+        )
         assert est.method == "dense"
         assert forms == p * (p + 1) // 2 and sweeps == []
 
 
 class TestEscapeDirection:
     def test_zero_at_target(self):
-        _, gt = make_denoising(6, 2, kappa_star=2.0, seed=15)
+        gt = make_instance("denoising", 6, 2, kappa_star=2.0, seed=15).ground_truth
         assert escape_direction(gt.Y_star, gt).norm < 1e-12
 
     def test_norm_equals_distance(self):
-        _, gt = make_denoising(7, 2, kappa_star=2.0, seed=16)
+        gt = make_instance("denoising", 7, 2, kappa_star=2.0, seed=16).ground_truth
         rng = np.random.default_rng(17)
         for _ in range(20):
             Y = FactorPoint(rng.standard_normal((7, 2)))
@@ -513,8 +528,8 @@ class TestEscapeDirection:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_r2_curvature_bound(self):
-        den, gt = make_denoising(10, 3, kappa_star=2.0, seed=18)
-        obj = den.handle()
+        inst = make_instance("denoising", 10, 3, kappa_star=2.0, seed=18)
+        obj, gt = inst.objective, inst.ground_truth
         rng = np.random.default_rng(19)
         bound = (PARAMS.alpha - SQRT2M1_TIMES_2) * gt.sigmar_star**2
         for _ in range(20):
@@ -529,7 +544,8 @@ class TestEscapeDirection:
 class TestThresholds:
     def test_dual_evaluation(self):
         # independent re-implementation of the threshold formulas
-        _, gt = make_denoising(8, 3, kappa_star=1.0, sigma_r_star=1.0, seed=20)
+        inst = make_instance("denoising", 8, 3, kappa_star=1.0, sigma_r_star=1.0, seed=20)
+        gt = inst.ground_truth
         params = RegionParams(mu=0.1, alpha=0.5, beta=1.5, gamma=1.5)
         rep = compute_thresholds(gt, params, 3)
         xnorm = np.linalg.norm(gt.X_star)
@@ -549,19 +565,21 @@ class TestThresholds:
         assert rep.delta_min == pytest.approx(dmin, rel=1e-12)
 
     def test_r3_double_prime_floor_value(self):
-        _, gt = make_denoising(8, 3, kappa_star=1.0, sigma_r_star=1.0, seed=21)
+        inst = make_instance("denoising", 8, 3, kappa_star=1.0, sigma_r_star=1.0, seed=21)
+        gt = inst.ground_truth
         rep = compute_thresholds(gt, RegionParams(0.1, 0.5, 1.5, 1.5), 3)
         assert rep.r3_grad_lowers[1] == pytest.approx(
             (1.5**3 - 1.5) * gt.sigma1_star**3, rel=1e-12
         )
 
     def test_mu_zero_lower_bound(self):
-        _, gt = make_denoising(8, 3, kappa_star=2.0, sigma_r_star=1.3, seed=22)
+        inst = make_instance("denoising", 8, 3, kappa_star=2.0, sigma_r_star=1.3, seed=22)
+        gt = inst.ground_truth
         rep = compute_thresholds(gt, RegionParams(0.0, 0.5, 1.5, 1.5), 3)
         assert rep.r1_hess_lower == pytest.approx(2 * gt.sigmar_star**2, rel=1e-12)
 
     def test_hypothesis_violation(self):
-        _, gt = make_denoising(8, 3, kappa_star=1.0, seed=23)
+        gt = make_instance("denoising", 8, 3, kappa_star=1.0, seed=23).ground_truth
         # mu = 1/3 with kappa = 1: (1 - 1/3)^2 - 7/9 = 4/9 - 7/9 < 0
         with pytest.raises(HypothesisViolationError):
             compute_thresholds(gt, RegionParams(1.0 / 3.0, 0.5, 1.5, 1.5), 3)
@@ -569,9 +587,10 @@ class TestThresholds:
 
 class TestCertify:
     def test_denoising_scan_passes(self):
-        den, gt = make_denoising(12, 2, kappa_star=2.0, seed=24)
+        inst = make_instance("denoising", 12, 2, kappa_star=2.0, seed=24)
+        gt = inst.ground_truth
         reports = certify_landscape(
-            den.handle(), gt, PARAMS, ["ball", "fiber", "scaled", "gaussian"], 24, seed=7
+            inst.objective, gt, PARAMS, ["ball", "fiber", "scaled", "gaussian"], 24, seed=7
         )
         assert len(reports) == 24
         assert all(rep.passed for rep in reports)
@@ -579,19 +598,22 @@ class TestCertify:
 
     def test_longer_scan_extends_a_shorter_one(self):
         # point i draws from SeedSequence([seed, i]) whatever n_points is
-        den, gt = make_denoising(10, 2, kappa_star=2.0, seed=25)
-        short = certify_landscape(den.handle(), gt, PARAMS, ["ball", "gaussian"], 3, seed=3)
-        long = certify_landscape(den.handle(), gt, PARAMS, ["ball", "gaussian"], 8, seed=3)
+        inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=25)
+        gt = inst.ground_truth
+        short = certify_landscape(inst.objective, gt, PARAMS, ["ball", "gaussian"], 3, seed=3)
+        long = certify_landscape(inst.objective, gt, PARAMS, ["ball", "gaussian"], 8, seed=3)
         assert reports_to_csv(long).startswith(reports_to_csv(short))
 
     def test_unknown_sampler_is_refused_before_any_point(self):
         # "bogus" would be drawn only from the second point on
-        den, gt = make_denoising(10, 2, kappa_star=2.0, seed=25)
+        inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=25)
+        gt = inst.ground_truth
         with pytest.raises(InputContractError, match="bogus"):
-            certify_landscape(den.handle(), gt, PARAMS, ["ball", "bogus"], 1, seed=3)
+            certify_landscape(inst.objective, gt, PARAMS, ["ball", "bogus"], 1, seed=3)
 
     def test_one_distance_per_certified_point(self, monkeypatch):
-        den, gt = make_denoising(20, 3, kappa_star=2.0, seed=28)
+        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=28)
+        gt = inst.ground_truth
         align, calls = landscape._align, []
 
         def counted_align(Y1, Y2):
@@ -599,7 +621,7 @@ class TestCertify:
             return align(Y1, Y2)
 
         monkeypatch.setattr(landscape, "_align", counted_align)
-        (rep,) = certify_landscape(den.handle(), gt, PARAMS, ["ball"], 1, seed=2)
+        (rep,) = certify_landscape(inst.objective, gt, PARAMS, ["ball"], 1, seed=2)
         assert RegionLabel.R1 in rep.region_labels and rep.passed
         assert len(calls) == 1
         assert rep.dist_to_star == quotient_distance(FactorPoint(calls[0]), gt.Y_star)
@@ -607,7 +629,8 @@ class TestCertify:
     def test_one_cross_gram_svd_per_r2_point(self, monkeypatch):
         # the distance and the escape direction share one alignment: the
         # only r x r SVD of an R2 point is that of the cross-Gram Y.T Y*
-        den, gt = make_denoising(10, 3, kappa_star=2.0, seed=18)
+        inst = make_instance("denoising", 10, 3, kappa_star=2.0, seed=18)
+        gt = inst.ground_truth
         Y = r2_point(gt, np.random.default_rng(19), PARAMS)
         thresholds = compute_thresholds(gt, PARAMS, 3)
         svd, square = np.linalg.svd, []
@@ -620,14 +643,15 @@ class TestCertify:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         # this R2 point drops a target direction, so its alignment is not unique
         with pytest.warns(RuntimeWarning, match="not unique"):
-            rep = landscape._certify_point(0, Y, den.handle(), gt, PARAMS, thresholds)
+            rep = landscape._certify_point(0, Y, inst.objective, gt, PARAMS, thresholds)
         assert RegionLabel.R2 in rep.region_labels and rep.passed
         assert len(square) == 1
         np.testing.assert_array_equal(square[0], Y.Y.T @ gt.Y_star.Y)
 
     def test_csv_shape(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=26)
-        reports = certify_landscape(den.handle(), gt, PARAMS, ["ball"], 5, seed=1)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=26)
+        gt = inst.ground_truth
+        reports = certify_landscape(inst.objective, gt, PARAMS, ["ball"], 5, seed=1)
         csv = reports_to_csv(reports)
         lines = csv.strip().split("\n")
         assert lines[0].startswith("point_id,region_labels,dist_to_star")
@@ -635,16 +659,18 @@ class TestCertify:
         assert all(line.endswith(",true") for line in lines[1:])
 
     def test_mu_zero_warns(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=27)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=27)
+        gt = inst.ground_truth
         params = RegionParams(mu=0.0, alpha=0.5, beta=1.5, gamma=1.5)
         with pytest.warns(RuntimeWarning):
-            certify_landscape(den.handle(), gt, params, ["ball"], 3, seed=1)
+            certify_landscape(inst.objective, gt, params, ["ball"], 3, seed=1)
 
     def test_pointwise_floor_reported_for_inflated_points(self):
         # scaled points land in the outermost region; the reported bound is
         # the pointwise floor 2 (1 - 1/gamma) ||Y Y.T||_F^{3/2} / sqrt(r)
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=31)
-        reports = certify_landscape(den.handle(), gt, PARAMS, ["scaled"], 4, seed=5)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=31)
+        gt = inst.ground_truth
+        reports = certify_landscape(inst.objective, gt, PARAMS, ["scaled"], 4, seed=5)
         for rep in reports:
             assert rep.region_labels == (RegionLabel.R3_TRIPLE_PRIME,)
             gram_norm = None
@@ -660,16 +686,18 @@ class TestCertify:
 
 class TestFospCheck:
     def test_target_is_strongly_convex_point(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=28)
-        est = strict_convexity_fosp_check(den.handle(), gt.Y_star)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=28)
+        gt = inst.ground_truth
+        est = strict_convexity_fosp_check(inst.objective, gt.Y_star)
         assert est.lambda_min >= 2 * gt.sigmar_star**2 - 1e-9
 
     def test_rejects_non_stationary(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=29)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=29)
+        gt = inst.ground_truth
         rng = np.random.default_rng(30)
         Y = FactorPoint(gt.Y_star.Y + 0.3 * rng.standard_normal((8, 2)))
         with pytest.raises(NotAFOSPError):
-            strict_convexity_fosp_check(den.handle(), Y)
+            strict_convexity_fosp_check(inst.objective, Y)
 
     def test_negated_objective_flagged(self):
         rng = np.random.default_rng(31)

@@ -12,9 +12,7 @@ from psdlandscape.objectives import (
     embedded_hess_quadform,
     instance_from_document,
     lifted_value,
-    make_denoising,
     make_instance,
-    make_trace_regression,
     restricted_strict_convexity_check,
     riemannian_grad_lift,
     riemannian_hess_quadform,
@@ -35,8 +33,9 @@ def random_horizontal(rng, Y):
 
 class TestDenoising:
     def test_value_at_target_is_zero(self):
-        den, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
-        assert lifted_value(den.handle(), gt.Y_star) == pytest.approx(0.0, abs=1e-20)
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=1)
+        gt = inst.ground_truth
+        assert lifted_value(inst.objective, gt.Y_star) == pytest.approx(0.0, abs=1e-20)
 
     def test_value_with_zero_target(self):
         rng = np.random.default_rng(2)
@@ -48,22 +47,23 @@ class TestDenoising:
         assert lifted_value(obj, Z) == pytest.approx(expected)
 
     def test_grad_at_target_is_zero(self):
-        den, gt = make_denoising(7, 3, kappa_star=3.0, seed=4)
-        g = riemannian_grad_lift(den.handle(), gt.Y_star)
+        inst = make_instance("denoising", 7, 3, kappa_star=3.0, seed=4)
+        gt = inst.ground_truth
+        g = riemannian_grad_lift(inst.objective, gt.Y_star)
         assert g.norm < 1e-12
 
     def test_grad_plugin_zero_target_form(self):
         # with target X* the gradient lift is 2 (Y Y.T - X*) Y
         rng = np.random.default_rng(5)
-        den, gt = make_denoising(6, 2, kappa_star=1.5, seed=6)
-        obj = den.handle()
+        inst = make_instance("denoising", 6, 2, kappa_star=1.5, seed=6)
+        obj, gt = inst.objective, inst.ground_truth
         Y = FactorPoint(rng.standard_normal((6, 2)))
         expected = 2.0 * (Y.gram() - gt.X_star) @ Y.Y
         np.testing.assert_allclose(riemannian_grad_lift(obj, Y).theta, expected, atol=1e-12)
 
     def test_hess_at_target_is_tangent_norm(self):
-        den, gt = make_denoising(6, 2, kappa_star=2.0, seed=7)
-        obj = den.handle()
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=7)
+        obj, gt = inst.objective, inst.ground_truth
         rng = np.random.default_rng(8)
         th = random_horizontal(rng, gt.Y_star)
         expected = np.linalg.norm(
@@ -113,8 +113,8 @@ class TestDenoising:
 
     def test_fiber_invariance(self):
         rng = np.random.default_rng(10)
-        den, gt = make_denoising(7, 2, kappa_star=2.0, seed=11)
-        obj = den.handle()
+        inst = make_instance("denoising", 7, 2, kappa_star=2.0, seed=11)
+        obj, gt = inst.objective, inst.ground_truth
         Y = FactorPoint(rng.standard_normal((7, 2)))
         O = haar(rng, 2)
         YO = FactorPoint(Y.Y @ O)
@@ -136,22 +136,25 @@ class TestDenoising:
 ])
 def test_overflowing_evaluation_is_a_numerical_failure(p, r, evaluate):
     # a finite, full-rank point whose Gram overflows
-    den, gt = make_denoising(p, r, kappa_star=2.0, seed=1)
+    inst = make_instance("denoising", p, r, kappa_star=2.0, seed=1)
+    gt = inst.ground_truth
     Y = FactorPoint(1e155 * gt.Y_star.Y)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalFailure, match="non-finite"):
-            evaluate(den.handle(), Y)
+            evaluate(inst.objective, Y)
 
 
 class TestTraceRegression:
     def test_noiseless_exact_fit(self):
-        reg, gt = make_trace_regression(6, 2, 50, noise_sigma=0.0, seed=3)
-        assert lifted_value(reg.handle(), gt.Y_star) == pytest.approx(0.0, abs=1e-18)
+        inst = make_instance("trace_regression", 6, 2, n=50, noise_sigma=0.0, seed=3)
+        gt = inst.ground_truth
+        assert lifted_value(inst.objective, gt.Y_star) == pytest.approx(0.0, abs=1e-18)
         assert gt.grad_at_star_trunc == pytest.approx(0.0, abs=1e-10)
 
     def test_gradient_formula(self):
-        reg, _ = make_trace_regression(5, 2, 40, noise_sigma=0.1, seed=4)
-        obj = reg.handle()
+        inst = make_instance("trace_regression", 5, 2, n=40, noise_sigma=0.1, seed=4)
+        reg = inst.trace_regression
+        obj = inst.objective
         rng = np.random.default_rng(5)
         X = rng.standard_normal((5, 5))
         X = X + X.T
@@ -162,8 +165,7 @@ class TestTraceRegression:
         np.testing.assert_allclose(G, G.T, atol=1e-12)
 
     def test_hessian_constant_in_x(self):
-        reg, _ = make_trace_regression(5, 2, 30, seed=6)
-        obj = reg.handle()
+        obj = make_instance("trace_regression", 5, 2, n=30, seed=6).objective
         rng = np.random.default_rng(7)
         G = rng.standard_normal((5, 5))
         G = G + G.T
@@ -174,8 +176,7 @@ class TestTraceRegression:
         )
 
     def test_hess_form_symmetric_bilinear(self):
-        reg, _ = make_trace_regression(5, 2, 30, seed=8)
-        obj = reg.handle()
+        obj = make_instance("trace_regression", 5, 2, n=30, seed=8).objective
         rng = np.random.default_rng(9)
         X = np.zeros((5, 5))
         G1 = rng.standard_normal((5, 5))
@@ -185,13 +186,15 @@ class TestTraceRegression:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_seed_determinism(self):
-        r1, _ = make_trace_regression(6, 2, 40, noise_sigma=0.3, seed=42)
-        r2, _ = make_trace_regression(6, 2, 40, noise_sigma=0.3, seed=42)
+        r1, r2 = (
+            make_instance("trace_regression", 6, 2, n=40, noise_sigma=0.3, seed=42).trace_regression
+            for _ in range(2)
+        )
         np.testing.assert_array_equal(r1.y, r2.y)
         np.testing.assert_array_equal(r1.sensing, r2.sensing)
 
     def test_sensing_symmetrized(self):
-        reg, _ = make_trace_regression(5, 2, 20, seed=10)
+        reg = make_instance("trace_regression", 5, 2, n=20, seed=10).trace_regression
         np.testing.assert_allclose(
             reg.sensing, np.transpose(reg.sensing, (0, 2, 1)), atol=1e-15
         )
@@ -224,7 +227,7 @@ class TestTraceRegression:
 
     def test_sensing_is_read_only_and_equals_one_draw(self):
         p, n, seed = 5, 37, 3
-        reg, _ = make_trace_regression(p, 2, n, seed=seed)
+        reg = make_instance("trace_regression", p, 2, n=n, seed=seed).trace_regression
         assert reg.packed.shape == (n, p * (p + 1) // 2)
         np.testing.assert_array_equal(reg.sensing, _one_draw(p, n, seed))
         assert reg.sensing is reg.sensing
@@ -234,7 +237,8 @@ class TestTraceRegression:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_packed_map_matches_full_array(self, symmetric):
         p, n = 7, 53
-        reg, _ = make_trace_regression(p, 2, n, noise_sigma=0.1, seed=14)
+        inst = make_instance("trace_regression", p, 2, n=n, noise_sigma=0.1, seed=14)
+        reg = inst.trace_regression
         full = _one_draw(p, n, 14)
         rng = np.random.default_rng(15)
         X = rng.standard_normal((p, p))
@@ -249,8 +253,9 @@ class TestTraceRegression:
         np.testing.assert_allclose(reg.adjoint(v), expected, rtol=0, atol=tol)
 
     def test_full_array_constructor_packs_the_upper_triangle(self):
-        reg, _ = make_trace_regression(5, 2, 20, noise_sigma=0.1, seed=16)
-        rebuilt = TraceRegressionObjective(np.array(reg.sensing), reg.y, 2, 0.1)
+        inst = make_instance("trace_regression", 5, 2, n=20, noise_sigma=0.1, seed=16)
+        reg = inst.trace_regression
+        rebuilt = TraceRegressionObjective(np.array(reg.sensing), reg.y, 2)
         np.testing.assert_array_equal(rebuilt.packed, reg.packed)
 
     def test_make_instance_holds_no_full_array(self):
@@ -270,7 +275,8 @@ class TestTraceRegression:
 
     def test_handle_keeps_no_state_between_calls(self):
         # a gradient after a value at the same X makes its own forward pass
-        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=17)
+        inst = make_instance("trace_regression", 6, 2, n=40, noise_sigma=0.1, seed=17)
+        reg = inst.trace_regression
         passes = _count_passes(reg)
         obj = reg.handle()
         X = np.random.default_rng(18).standard_normal((6, 6))
@@ -283,7 +289,8 @@ class TestTraceRegression:
 
     def test_residual_recomputed_after_in_place_edit(self):
         # each value reads the X it is given, also one edited in place
-        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=19)
+        inst = make_instance("trace_regression", 6, 2, n=40, noise_sigma=0.1, seed=19)
+        reg = inst.trace_regression
         passes = _count_passes(reg)
         obj = reg.handle()
         X = np.random.default_rng(20).standard_normal((6, 6))
@@ -302,7 +309,8 @@ class TestTraceRegression:
         from psdlandscape import objectives
 
         n = 53
-        reg, _ = make_trace_regression(p, 1, n, noise_sigma=0.1, seed=23)
+        inst = make_instance("trace_regression", p, 1, n=n, noise_sigma=0.1, seed=23)
+        reg = inst.trace_regression
         if block_rows is not None:
             monkeypatch.setattr(objectives, "_SWEEP_BYTES", block_rows * 8 * reg.packed.shape[1])
         Gs = np.random.default_rng(24).standard_normal((k, p, p))
@@ -321,11 +329,11 @@ class TestTraceRegression:
     def test_least_squares_structure_of_the_handles(self):
         # f = 0.5 ||r||^2, A.T A(X) = grad f(X) - grad f(0) and the Hessian
         # form is ||A(G)||^2, on both problem families
-        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=25)
-        den, _ = make_denoising(6, 2, kappa_star=2.0, seed=25)
+        reg = make_instance("trace_regression", 6, 2, n=40, noise_sigma=0.1, seed=25)
+        den = make_instance("denoising", 6, 2, kappa_star=2.0, seed=25)
         X = np.random.default_rng(26).standard_normal((6, 6))
         X = X + X.T
-        for obj in (reg.handle(), den.handle()):
+        for obj in (reg.objective, den.objective):
             res = obj.least_squares.residual(X)
             assert obj.value(X) == pytest.approx(0.5 * float(np.vdot(res, res)), rel=1e-14)
             forward, normal = obj.least_squares.images(X[None])
@@ -339,10 +347,10 @@ class TestTraceRegression:
     def test_gradient_is_a_fresh_array(self):
         # an in-place edit of a returned gradient leaves the handle's data,
         # the target of denoising included, intact
-        reg, _ = make_trace_regression(6, 2, 40, noise_sigma=0.1, seed=27)
-        den, _ = make_denoising(6, 2, kappa_star=2.0, seed=27)
+        reg = make_instance("trace_regression", 6, 2, n=40, noise_sigma=0.1, seed=27)
+        den = make_instance("denoising", 6, 2, kappa_star=2.0, seed=27)
         X = np.random.default_rng(28).standard_normal((6, 6))
-        for obj in (reg.handle(), den.handle()):
+        for obj in (reg.objective, den.objective):
             before = obj.value(X)
             grad = obj.euclid_grad(X)
             grad += 1.0
@@ -354,8 +362,9 @@ class TestTraceRegression:
         import sys
         import threading
 
-        reg, _ = make_trace_regression(5, 2, 30, noise_sigma=0.1, seed=21)
-        obj = reg.handle()
+        inst = make_instance("trace_regression", 5, 2, n=30, noise_sigma=0.1, seed=21)
+        reg = inst.trace_regression
+        obj = inst.objective
         rng = np.random.default_rng(22)
         points = [rng.standard_normal((5, 5)) for _ in range(6)]
         residuals = [reg.apply_map(X) - reg.y for X in points]
@@ -406,27 +415,50 @@ def _count_passes(reg):
 
 class TestGroundTruth:
     def test_kappa_and_spectrum(self):
-        _, gt = make_denoising(9, 3, kappa_star=2.5, sigma_r_star=0.8, seed=12)
+        inst = make_instance("denoising", 9, 3, kappa_star=2.5, sigma_r_star=0.8, seed=12)
+        gt = inst.ground_truth
         assert gt.kappa_star == pytest.approx(2.5, rel=1e-10)
         assert gt.sigmar_star == pytest.approx(0.8, rel=1e-10)
         assert gt.sigma1_star == pytest.approx(2.0, rel=1e-10)
 
     def test_rank1_requires_unit_kappa(self):
         with pytest.raises(InputContractError):
-            make_denoising(5, 1, kappa_star=2.0, seed=0)
+            make_instance("denoising", 5, 1, kappa_star=2.0, seed=0)
 
     def test_noise_magnitude_via_adjoint(self):
         # grad f(X*) = -A.T(eps); its truncated norm must match a direct SVD
-        reg, gt = make_trace_regression(6, 2, 40, noise_sigma=0.2, seed=13)
-        G = reg.handle().euclid_grad(gt.X_star)
+        inst = make_instance("trace_regression", 6, 2, n=40, noise_sigma=0.2, seed=13)
+        gt = inst.ground_truth
+        G = inst.objective.euclid_grad(gt.X_star)
         s = np.linalg.svd(G, compute_uv=False)
         assert gt.grad_at_star_trunc == pytest.approx(np.sqrt(np.sum(s[:2] ** 2)))
+
+    @pytest.mark.parametrize("kind, n", [("denoising", 0), ("trace_regression", 40)])
+    def test_noiseless_build_makes_only_the_factor_svd(self, kind, n, monkeypatch):
+        # the gradient at X* is exactly zero, so its noise term needs no SVD
+        svd, shapes = np.linalg.svd, []
+
+        def counted_svd(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        gt = make_instance(kind, 8, 2, n=n, kappa_star=2.0, seed=3).ground_truth
+        assert shapes == [(8, 2)]
+        assert gt.grad_at_star_trunc == 0.0
+
+    def test_target_norm(self):
+        gt = make_instance("denoising", 7, 3, kappa_star=2.0, seed=4).ground_truth
+        assert gt.X_star_norm == float(np.linalg.norm(gt.X_star))
+        # the squared entries overflow; ||X*||_F = sqrt(sigma_1^4 + sigma_2^4) does not
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, sigma_r_star=1e150, seed=4)
+        assert inst.ground_truth.X_star_norm == pytest.approx(np.sqrt(17.0) * 1e300, rel=1e-12)
 
 
 class TestEmbeddedHessian:
     def test_at_target_is_tangent_norm(self):
         rng = np.random.default_rng(14)
-        _, gt = make_denoising(6, 2, kappa_star=2.0, seed=15)
+        gt = make_instance("denoising", 6, 2, kappa_star=2.0, seed=15).ground_truth
         S = rng.standard_normal((2, 2))
         S = S + S.T
         D = rng.standard_normal((4, 2))
@@ -441,7 +473,7 @@ class TestEmbeddedHessian:
 
     def test_d_zero_reduces_to_s_norm(self):
         rng = np.random.default_rng(16)
-        _, gt = make_denoising(6, 2, kappa_star=1.5, seed=17)
+        gt = make_instance("denoising", 6, 2, kappa_star=1.5, seed=17).ground_truth
         S = rng.standard_normal((2, 2))
         S = S + S.T
         D = np.zeros((4, 2))
@@ -451,7 +483,7 @@ class TestEmbeddedHessian:
     def test_lower_bound_at_prescribed_distance(self):
         # ||X - X*||_F = 0.2 sigma_r(X*): the form keeps half the tangent norm
         rng = np.random.default_rng(18)
-        _, gt = make_denoising(8, 2, kappa_star=2.0, seed=19)
+        gt = make_instance("denoising", 8, 2, kappa_star=2.0, seed=19).ground_truth
         sr_x = gt.sigmar_star**2
         target = 0.2 * sr_x
         raw = horizontal_project(gt.Y_star, rng.standard_normal((8, 2)))
@@ -494,24 +526,23 @@ class TestEmbeddedHessian:
 
 class TestRscDiagnostics:
     def test_denoising_delta_zero(self):
-        den, _ = make_denoising(6, 2, kappa_star=2.0, seed=20)
-        assert rsc_rsm_estimate(den.handle(), 2, 100, seed=0) == pytest.approx(0.0, abs=1e-10)
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=20)
+        assert rsc_rsm_estimate(inst.objective, 2, 100, seed=0) == pytest.approx(0.0, abs=1e-10)
 
     def test_trace_regression_delta_small_with_many_measurements(self):
-        reg, _ = make_trace_regression(6, 2, 36, seed=21)
-        delta_hat = rsc_rsm_estimate(reg.handle(), 2, 100, seed=1)
+        inst = make_instance("trace_regression", 6, 2, n=36, seed=21)
+        delta_hat = rsc_rsm_estimate(inst.objective, 2, 100, seed=1)
         # statistical: logged, not asserted tightly
         print(f"sampled constant for n = p^2: {delta_hat:.4f}")
         assert delta_hat < 1.0
 
     def test_monotone_in_samples(self):
-        reg, _ = make_trace_regression(6, 2, 30, seed=22)
-        obj = reg.handle()
+        obj = make_instance("trace_regression", 6, 2, n=30, seed=22).objective
         values = [rsc_rsm_estimate(obj, 2, n, seed=5) for n in (10, 20, 40, 80)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_hess_form_applies_the_map_once_on_one_argument(self):
-        reg, _ = make_trace_regression(6, 2, 30, seed=22)
+        reg = make_instance("trace_regression", 6, 2, n=30, seed=22).trace_regression
         passes = _count_passes(reg)
         obj = reg.handle()
         rsc_rsm_estimate(obj, 2, 10, seed=5)
@@ -522,8 +553,8 @@ class TestRscDiagnostics:
         assert obj.euclid_hess_form(X, G, G) == obj.euclid_hess_form(X, G, G.copy())
 
     def test_strict_convexity_probe(self):
-        den, _ = make_denoising(6, 2, kappa_star=2.0, seed=23)
-        assert restricted_strict_convexity_check(den.handle(), 2, 200, seed=2)
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=23)
+        assert restricted_strict_convexity_check(inst.objective, 2, 200, seed=2)
 
         from psdlandscape.objectives import ObjectiveHandle
 
@@ -538,8 +569,8 @@ class TestRscDiagnostics:
 
     def test_trace_regression_strict_convexity_many_measurements(self):
         p, r = 6, 2
-        reg, _ = make_trace_regression(p, r, 4 * p * r, seed=11)
-        assert restricted_strict_convexity_check(reg.handle(), r, 1000, seed=11)
+        inst = make_instance("trace_regression", p, r, n=4 * p * r, seed=11)
+        assert restricted_strict_convexity_check(inst.objective, r, 1000, seed=11)
 
 
 class TestSerialization:

@@ -23,9 +23,7 @@ from psdlandscape.objectives import (
     LeastSquaresMap,
     TraceRegressionObjective,
     lifted_value,
-    make_denoising,
     make_instance,
-    make_trace_regression,
     restricted_strict_convexity_check,
     riemannian_grad_lift,
     rsc_rsm_estimate,
@@ -43,18 +41,19 @@ PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 
 
 def _error_bound_at_target(mu):
-    den, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
-    return error_bound_check(gt.Y_star, gt, mu, den.handle())
+    inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=1)
+    gt = inst.ground_truth
+    return error_bound_check(gt.Y_star, gt, mu, inst.objective)
 
 
 def _thresholds(delta):
-    _, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
+    gt = make_instance("denoising", 6, 2, kappa_star=2.0, seed=1).ground_truth
     return compute_thresholds(gt, PARAMS, 2, delta=delta)
 
 
 def _denoising_problem():
-    den, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
-    return den.handle(), gt
+    inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=1)
+    return inst.objective, inst.ground_truth
 
 
 def _certify(n_points=4, seed=0):
@@ -122,14 +121,15 @@ def _saddle_problem():
 
 class TestGD:
     def test_immediate_convergence_at_target(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=1)
-        rec = riemannian_gd(den.handle(), gt.Y_star, GDConfig(grad_tol=1e-12))
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=1)
+        gt = inst.ground_truth
+        rec = riemannian_gd(inst.objective, gt.Y_star, GDConfig(grad_tol=1e-12))
         assert rec.converged
         assert rec.iterations == 0
 
     def test_contraction_in_r1_with_fixed_step(self):
-        den, gt = make_denoising(12, 3, kappa_star=2.0, seed=2)
-        obj = den.handle()
+        inst = make_instance("denoising", 12, 3, kappa_star=2.0, seed=2)
+        obj, gt = inst.objective, inst.ground_truth
         thresholds = compute_thresholds(gt, PARAMS, 3)
         eta = 1.0 / thresholds.r1_hess_upper
         rng = np.random.default_rng(3)
@@ -150,7 +150,8 @@ class TestGD:
             assert d[k + 50] <= 0.5 * d[k]
 
     def test_r1_trapping_with_safe_step(self):
-        den, gt = make_denoising(10, 2, kappa_star=2.0, seed=4)
+        inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=4)
+        gt = inst.ground_truth
         thresholds = compute_thresholds(gt, PARAMS, 2)
         eta = 1.0 / thresholds.r1_hess_upper
         rng = np.random.default_rng(5)
@@ -161,12 +162,12 @@ class TestGD:
             th = random_ball_tangent(gt.Y_star, radius, rng)
             Y0 = FactorPoint(gt.Y_star.Y + th.theta)
             cfg = GDConfig(step_size=eta, max_iters=300, grad_tol=1e-13)
-            rec = riemannian_gd(den.handle(), Y0, cfg, gt=gt, params=PARAMS)
+            rec = riemannian_gd(inst.objective, Y0, cfg, gt=gt, params=PARAMS)
             assert all(RegionLabel.R1 in set(labels) for labels in rec.regions)
 
     def test_multistart_reaches_global_target(self):
-        den, gt = make_denoising(20, 3, kappa_star=2.0, seed=6)
-        obj = den.handle()
+        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=6)
+        obj, gt = inst.objective, inst.ground_truth
         rng = np.random.default_rng(7)
         cfg = GDConfig(max_iters=20000, grad_tol=1e-10 * gt.sigmar_star**3)
         for _ in range(10):
@@ -177,18 +178,20 @@ class TestGD:
             assert err < 1e-6 * np.linalg.norm(gt.X_star)
 
     def test_monotone_descent_backtracking(self):
-        den, gt = make_denoising(10, 2, kappa_star=3.0, seed=8)
+        inst = make_instance("denoising", 10, 2, kappa_star=3.0, seed=8)
+        gt = inst.ground_truth
         rng = np.random.default_rng(9)
         Y0 = FactorPoint(rng.standard_normal((10, 2)))
-        rec = riemannian_gd(den.handle(), Y0, GDConfig(max_iters=500, grad_tol=1e-9))
+        rec = riemannian_gd(inst.objective, Y0, GDConfig(max_iters=500, grad_tol=1e-9))
         vals = np.array(rec.values)
         assert np.all(np.diff(vals) <= 1e-12 * np.maximum(1.0, np.abs(vals[:-1])))
 
     def test_armijo_decrement(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=10)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=10)
+        gt = inst.ground_truth
         rng = np.random.default_rng(11)
         Y0 = FactorPoint(rng.standard_normal((8, 2)))
-        rec = riemannian_gd(den.handle(), Y0, GDConfig(max_iters=100, grad_tol=1e-12))
+        rec = riemannian_gd(inst.objective, Y0, GDConfig(max_iters=100, grad_tol=1e-12))
         c1 = 1e-4
         for k, eta in enumerate(rec.steps):
             if rec.perturbed[k]:
@@ -199,8 +202,8 @@ class TestGD:
             )
 
     def test_fiber_equivariance(self):
-        den, gt = make_denoising(9, 3, kappa_star=2.0, seed=12)
-        obj = den.handle()
+        inst = make_instance("denoising", 9, 3, kappa_star=2.0, seed=12)
+        obj, gt = inst.objective, inst.ground_truth
         rng = np.random.default_rng(13)
         Y0 = FactorPoint(rng.standard_normal((9, 3)))
         O = haar(rng, 3)
@@ -239,10 +242,11 @@ class TestGD:
         assert np.linalg.norm(rec.final.gram() - X_star) < 1e-4
 
     def test_trajectory_csv(self):
-        den, gt = make_denoising(6, 2, kappa_star=2.0, seed=15)
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=15)
+        gt = inst.ground_truth
         rng = np.random.default_rng(16)
         Y0 = FactorPoint(rng.standard_normal((6, 2)))
-        rec = riemannian_gd(den.handle(), Y0, GDConfig(max_iters=20, grad_tol=1e-14), gt=gt, params=PARAMS)
+        rec = riemannian_gd(inst.objective, Y0, GDConfig(max_iters=20, grad_tol=1e-14), gt=gt, params=PARAMS)
         csv = rec.to_csv()
         lines = csv.strip().split("\n")
         assert lines[0] == "iter,obj,grad_norm,dist_to_star,step,regions,perturbed_flag"
@@ -260,8 +264,9 @@ class TestEvaluatedOnce:
 
         from psdlandscape import optimizers
 
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=17)
-        handle, full_rank = den.handle(), optimizers._full_rank
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=17)
+        gt = inst.ground_truth
+        handle, full_rank = inst.objective, optimizers._full_rank
         calls = {"value": 0, "trial": 0}
 
         def counted_value(X):
@@ -311,7 +316,8 @@ class TestEvaluatedOnce:
         # the direct evaluation and the region labels of the last tracked
         # iterate read the one Gram its point keeps; trial values come from
         # the carried residual and read none
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=17)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=17)
+        gt = inst.ground_truth
         gram, grams = FactorPoint.gram, {}
 
         def recorded_gram(self):
@@ -321,7 +327,7 @@ class TestEvaluatedOnce:
 
         monkeypatch.setattr(FactorPoint, "gram", recorded_gram)
         Y0 = FactorPoint(np.random.default_rng(18).standard_normal((8, 2)))
-        rec = riemannian_gd(den.handle(), Y0, GDConfig(max_iters=10, grad_tol=1e-14), gt=gt, params=PARAMS)
+        rec = riemannian_gd(inst.objective, Y0, GDConfig(max_iters=10, grad_tol=1e-14), gt=gt, params=PARAMS)
         assert rec.iterations == 10
         assert len(grams[id(rec.final)][1]) == 2
         for _, formed in grams.values():
@@ -356,10 +362,10 @@ class TestEvaluatedOnce:
 def _least_squares_problem(kind):
     """A handle with least-squares structure and a start away from the target."""
     if kind == "trace_regression":
-        reg, _ = make_trace_regression(8, 2, 120, noise_sigma=0.0, seed=30)
-        return reg.handle(), spectral_init(reg, 2)
-    den, _ = make_denoising(8, 2, kappa_star=2.0, seed=31)
-    return den.handle(), FactorPoint(np.random.default_rng(32).standard_normal((8, 2)))
+        inst = make_instance("trace_regression", 8, 2, n=120, noise_sigma=0.0, seed=30)
+        return inst.objective, spectral_init(inst.trace_regression, 2)
+    inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=31)
+    return inst.objective, FactorPoint(np.random.default_rng(32).standard_normal((8, 2)))
 
 
 class TestLeastSquaresCarry:
@@ -408,7 +414,8 @@ class TestLeastSquaresCarry:
 
         from psdlandscape import optimizers
 
-        reg, _ = make_trace_regression(8, 2, 120, noise_sigma=0.0, seed=30)
+        inst = make_instance("trace_regression", 8, 2, n=120, noise_sigma=0.0, seed=30)
+        reg = inst.trace_regression
         Y0 = spectral_init(reg, 2)
         calls = {"apply_map": 0, "adjoint": 0, "euclid_grad": 0, "evaluate": 0}
 
@@ -444,11 +451,11 @@ class TestLeastSquaresCarry:
     def test_divergence_is_a_numerical_failure(self):
         # a huge fixed step makes the carried residual and gradient overflow;
         # the run must end as a numerical failure, not as bad input
-        reg, _ = make_trace_regression(6, 2, 72, noise_sigma=0.0, seed=33)
+        inst = make_instance("trace_regression", 6, 2, n=72, noise_sigma=0.0, seed=33)
         with pytest.raises((NumericalFailure, RankCollapseError)):
             riemannian_gd(
-                reg.handle(),
-                spectral_init(reg, 2),
+                inst.objective,
+                spectral_init(inst.trace_regression, 2),
                 GDConfig(step_size=1e9, max_iters=50, grad_tol=1e-16),
             )
 
@@ -478,8 +485,8 @@ class TestUniqueStationaryPointAcrossInstances:
         # every sufficiently stationary limit point recovers the target Gram
         # matrix, across independently drawn problems
         for seed in range(50):
-            den, gt = make_denoising(8, 2, kappa_star=2.0, seed=seed)
-            obj = den.handle()
+            inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=seed)
+            obj, gt = inst.objective, inst.ground_truth
             rng = np.random.default_rng(1000 + seed)
             Y0 = FactorPoint(rng.standard_normal((8, 2)) * gt.sigma1_star / np.sqrt(8))
             grad_tol = 1e-10 * gt.sigmar_star**3
@@ -492,8 +499,9 @@ class TestUniqueStationaryPointAcrossInstances:
 class TestSpectralInit:
     def test_noiseless_concentration(self):
         p, r, n = 12, 2, 8 * 12 * 2
-        reg, gt = make_trace_regression(p, r, n, noise_sigma=0.0, seed=17)
-        Y0 = spectral_init(reg, r)
+        inst = make_instance("trace_regression", p, r, n=n, noise_sigma=0.0, seed=17)
+        gt = inst.ground_truth
+        Y0 = spectral_init(inst.trace_regression, r)
         rel = np.linalg.norm(Y0.gram() - gt.X_star) / np.linalg.norm(gt.X_star)
         print(f"spectral init relative error: {rel:.3f}")
         assert rel < 0.5
@@ -507,7 +515,8 @@ class TestSpectralInit:
             spectral_init(reg, 2)
 
     def test_deterministic(self):
-        reg, _ = make_trace_regression(8, 2, 60, noise_sigma=0.1, seed=19)
+        inst = make_instance("trace_regression", 8, 2, n=60, noise_sigma=0.1, seed=19)
+        reg = inst.trace_regression
         a = spectral_init(reg, 2)
         b = spectral_init(reg, 2)
         np.testing.assert_array_equal(a.Y, b.Y)
@@ -516,9 +525,9 @@ class TestSpectralInit:
 class TestErrorBound:
     def test_noiseless_trace_regression(self):
         p, r, n = 10, 2, 10 * 10 * 2
-        reg, gt = make_trace_regression(p, r, n, noise_sigma=0.0, seed=20)
-        obj = reg.handle()
-        Y0 = spectral_init(reg, r)
+        inst = make_instance("trace_regression", p, r, n=n, noise_sigma=0.0, seed=20)
+        obj, gt = inst.objective, inst.ground_truth
+        Y0 = spectral_init(inst.trace_regression, r)
         cfg = GDConfig(max_iters=20000, grad_tol=1e-9 * gt.sigmar_star**3)
         rec = riemannian_gd(obj, Y0, cfg, gt=gt)
         assert rec.converged
@@ -528,31 +537,34 @@ class TestErrorBound:
         assert res.holds
 
     def test_denoising_at_target(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=21)
-        res = error_bound_check(gt.Y_star, gt, PARAMS.mu, den.handle())
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=21)
+        gt = inst.ground_truth
+        res = error_bound_check(gt.Y_star, gt, PARAMS.mu, inst.objective)
         assert res.lhs == pytest.approx(0.0, abs=1e-12)
         assert res.rhs == pytest.approx(0.0, abs=1e-15)
         assert res.holds and res.holds_mid
 
     def test_hypothesis_violation(self):
-        den, gt = make_denoising(8, 2, kappa_star=1.0, seed=22)
+        inst = make_instance("denoising", 8, 2, kappa_star=1.0, seed=22)
+        gt = inst.ground_truth
         with pytest.raises(HypothesisViolationError):
-            error_bound_check(gt.Y_star, gt, 1.0 / 3.0, den.handle())
+            error_bound_check(gt.Y_star, gt, 1.0 / 3.0, inst.objective)
 
     def test_rejects_non_stationary(self):
-        den, gt = make_denoising(8, 2, kappa_star=2.0, seed=23)
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=23)
+        gt = inst.ground_truth
         rng = np.random.default_rng(24)
         Y = FactorPoint(gt.Y_star.Y + 0.05 * rng.standard_normal((8, 2)))
         with pytest.raises(NotAFOSPError):
-            error_bound_check(Y, gt, PARAMS.mu, den.handle())
+            error_bound_check(Y, gt, PARAMS.mu, inst.objective)
 
 
 class TestConvergedFospSpectrum:
     def test_noiseless_regression_minimizer_is_convex_point(self):
         p, r, n = 8, 2, 8 * 8 * 2
-        reg, gt = make_trace_regression(p, r, n, noise_sigma=0.0, seed=25)
-        obj = reg.handle()
-        Y0 = spectral_init(reg, r)
+        inst = make_instance("trace_regression", p, r, n=n, noise_sigma=0.0, seed=25)
+        obj, gt = inst.objective, inst.ground_truth
+        Y0 = spectral_init(inst.trace_regression, r)
         cfg = GDConfig(max_iters=20000, grad_tol=1e-11)
         rec = riemannian_gd(obj, Y0, cfg)
         assert rec.converged

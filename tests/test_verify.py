@@ -5,7 +5,7 @@ import pytest
 
 from psdlandscape.errors import InputContractError
 from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_project, quotient_distance
-from psdlandscape.objectives import make_denoising, make_trace_regression, rsc_rsm_estimate
+from psdlandscape.objectives import make_instance, rsc_rsm_estimate
 from psdlandscape.verify import (
     brute_distance_rank1,
     dense_delta_certificate,
@@ -29,17 +29,17 @@ def unit_horizontal(rng, Y):
 
 class TestFDChecks:
     def test_denoising_at_target_both_zero(self):
-        den, gt = make_denoising(6, 2, kappa_star=2.0, seed=1)
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=1)
+        gt = inst.ground_truth
         rng = np.random.default_rng(2)
         th = unit_horizontal(rng, gt.Y_star)
-        res = fd_gradient_check(den.handle(), gt.Y_star, th)
+        res = fd_gradient_check(inst.objective, gt.Y_star, th)
         assert res.analytic == pytest.approx(0.0, abs=1e-12)
         assert res.numeric == pytest.approx(0.0, abs=1e-8)
 
     def test_gradient_random_probes(self):
         rng = np.random.default_rng(3)
-        reg, _ = make_trace_regression(6, 2, 60, noise_sigma=0.1, seed=4)
-        obj = reg.handle()
+        obj = make_instance("trace_regression", 6, 2, n=60, noise_sigma=0.1, seed=4).objective
         for _ in range(100):
             Y = FactorPoint(rng.standard_normal((6, 2)))
             th = unit_horizontal(rng, Y)
@@ -48,8 +48,7 @@ class TestFDChecks:
 
     def test_hessian_random_probes(self):
         rng = np.random.default_rng(5)
-        reg, _ = make_trace_regression(6, 2, 60, noise_sigma=0.1, seed=6)
-        obj = reg.handle()
+        obj = make_instance("trace_regression", 6, 2, n=60, noise_sigma=0.1, seed=6).objective
         for _ in range(100):
             Y = FactorPoint(rng.standard_normal((6, 2)))
             th = unit_horizontal(rng, Y)
@@ -125,8 +124,8 @@ class TestSampledDistance:
 
 class TestDeltaCertificate:
     def test_denoising_is_exact_isometry(self):
-        den, _ = make_denoising(6, 2, kappa_star=2.0, seed=12)
-        assert dense_delta_certificate(den.handle(), 2, restarts=4, seed=0) < 1e-10
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=12)
+        assert dense_delta_certificate(inst.objective, 2, restarts=4, seed=0) < 1e-10
 
     def test_constructed_isometry(self):
         # orthonormal symmetric sensing basis: the map is an exact isometry
@@ -150,23 +149,21 @@ class TestDeltaCertificate:
 
     def test_rank_inactive_matches_exact_extremum(self):
         # 4r >= p: the ascent certificate equals the dense symmetric extremum
-        reg, _ = make_trace_regression(6, 3, 50, seed=13)
-        obj = reg.handle()
+        obj = make_instance("trace_regression", 6, 3, n=50, seed=13).objective
         cert = dense_delta_certificate(obj, 3, restarts=6, seed=2)
         exact = symmetric_delta_upper(obj)
         assert cert == pytest.approx(exact, rel=1e-6)
 
     def test_probe_point_irrelevant_for_quadratic(self):
-        reg, _ = make_trace_regression(5, 2, 40, seed=14)
-        obj = reg.handle()
+        obj = make_instance("trace_regression", 5, 2, n=40, seed=14).objective
         a = dense_delta_certificate(obj, 2, restarts=4, seed=3)
         b = dense_delta_certificate(obj, 2, restarts=4, seed=30)
         assert a == pytest.approx(b, rel=1e-4)
 
     def test_rejects_large_p(self):
-        reg, _ = make_trace_regression(9, 2, 20, seed=15)
+        inst = make_instance("trace_regression", 9, 2, n=20, seed=15)
         with pytest.raises(InputContractError):
-            dense_delta_certificate(reg.handle(), 2)
+            dense_delta_certificate(inst.objective, 2)
 
     def test_gram_matches_the_hessian_form(self):
         # reference: one Hessian-form call per basis pair, at a point the
@@ -174,7 +171,7 @@ class TestDeltaCertificate:
         from psdlandscape.objectives import _form_matrix, random_symmetric_low_rank
         from psdlandscape.verify import _least_squares_gram
 
-        obj = make_trace_regression(5, 2, 40, seed=18)[0].handle()
+        obj = make_instance("trace_regression", 5, 2, n=40, seed=18).objective
         flat, M = _least_squares_gram(obj)
         X = random_symmetric_low_rank(5, 4, np.random.default_rng(0))
         ref = _form_matrix(obj, X, flat.reshape(-1, 5, 5))
@@ -182,7 +179,7 @@ class TestDeltaCertificate:
 
     @pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
     def test_oracle_reads_the_map_once(self, oracle):
-        obj = make_trace_regression(6, 2, 40, seed=16)[0].handle()
+        obj = make_instance("trace_regression", 6, 2, n=40, seed=16).objective
         images, forms = [], []
 
         def counted_images(Gs):
@@ -205,16 +202,16 @@ class TestDeltaCertificate:
     @pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
     def test_oracle_needs_a_least_squares_handle(self, oracle):
         # the oracles rest on a constant Hessian, which a custom handle need not have
-        obj = make_trace_regression(5, 2, 40, seed=17)[0].handle()
+        obj = make_instance("trace_regression", 5, 2, n=40, seed=17).objective
         with pytest.raises(InputContractError):
             oracle(dataclasses.replace(obj, least_squares=None))
         with pytest.raises(InputContractError):
-            oracle(make_trace_regression(9, 2, 20, seed=15)[0].handle())
+            oracle(make_instance("trace_regression", 9, 2, n=20, seed=15).objective)
 
     @pytest.mark.parametrize("p", range(4, 9))
     def test_sampled_delta_hat_stays_below_the_exact_bound(self, p):
         # scan gates on the sampled estimate; no probe may exceed the exact extremum
-        obj = make_trace_regression(p, 2, 12 * p, seed=40 + p)[0].handle()
+        obj = make_instance("trace_regression", p, 2, n=12 * p, seed=40 + p).objective
         assert rsc_rsm_estimate(obj, 2, 200, seed=p) <= symmetric_delta_upper(obj)
 
 
