@@ -237,12 +237,20 @@ def horizontal_dim(p: int, r: int) -> int:
 
 #: largest horizontal dimension whose Hessian is assembled densely for a
 #: handle with a least-squares map; above it :func:`hess_extreme_eigs` runs
-#: Lanczos there, at one map sweep per step against ``m (m + 1) / 2`` form
-#: calls for the dense matrix. At R1 points Lanczos was measured no slower
-#: from dimension 45 on denoising of rank 3 and from about 15 on trace
-#: regression of rank 2; rank 5 stayed faster dense up to 60, the largest
-#: dimension measured there
-DENSE_HESSIAN_CAP = 44
+#: Lanczos there, at one map sweep per step. The dense matrix takes one
+#: sweep over all ``m`` basis lifts. At R1 points Lanczos was first faster
+#: at dimension 61 on denoising of rank 2 (dense no slower up to 59), at
+#: 93 to 99 on rank 3, and not up to 190 on rank 5; on trace regression
+#: with 600 samples the dense matrix was three to seven times faster at
+#: ranks 2, 3 and 5 up to 120, the largest dimension measured there
+DENSE_HESSIAN_CAP = 60
+
+#: largest horizontal dimension at which the dense matrix of a handle with a
+#: least-squares map is still taken from one form call per pair, not from
+#: one ``images`` call over the basis lifts. The benchmark's own tests pin
+#: that form count at small sizes; ROADMAP.md item 1 (benchmark upkeep)
+#: unpins it, and this cap goes with it
+_FORM_MATRIX_CAP = 44
 
 #: largest horizontal dimension for which :func:`horizontal_basis` builds a
 #: basis, and up to which the Hessian of a handle without a least-squares
@@ -293,11 +301,26 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
     return basis
 
 
+def _least_squares_hessian(
+    obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray, V: np.ndarray
+) -> np.ndarray:
+    """``2 (N_j Y + R V_j)`` for each ``V_j`` of a ``(k, p, r)`` stack, with
+    ``N_j = hess f(X)[C(V_j)]`` from one ``images`` call over the stack of
+    lifts: the ambient gradient of ``b(V_j, .)``, since ``b(v, w) = <N, C(w)>
+    + 2 <R v, w> = <2 N Y + 2 R v, w>`` for symmetric ``N``."""
+    N = obj.least_squares.images(_lift(Y, V))[1]
+    return 2.0 * (N @ Y.Y + R @ V)
+
+
 def _dense_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> HessianSpectrumEstimate:
     basis = horizontal_basis(Y)
     m = len(basis)
-    M = _form_matrix(obj, Y.gram(), _lift(Y, basis))
-    M += 2.0 * (basis.reshape(m, -1) @ (R @ basis).reshape(m, -1).T)
+    B = basis.reshape(m, -1)
+    if obj.least_squares is None or m <= _FORM_MATRIX_CAP:
+        M = _form_matrix(obj, Y.gram(), _lift(Y, basis))
+        M += 2.0 * (B @ (R @ basis).reshape(m, -1).T)
+    else:
+        M = B @ _least_squares_hessian(obj, Y, R, basis).reshape(m, -1).T
     _, lam = sym_eig(M, asym_tol=1e-6)
     return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
 
@@ -307,13 +330,8 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
     dim = horizontal_dim(p, r)
 
     if obj.least_squares is not None:
-        images = obj.least_squares.images
-
         def apply(v: np.ndarray) -> np.ndarray:
-            # b(v, w) = <N, C(w)> + 2 <R v, w> = <2 N Y + 2 R v, w> for the
-            # symmetric N = hess f(X)[C(v)], read from one sweep of the map
-            N = images(_lift(Y, v)[None])[1][0]
-            return 2.0 * (N @ Y.Y + R @ v)
+            return _least_squares_hessian(obj, Y, R, v[None])[0]
 
     else:
         X = Y.gram()
@@ -378,17 +396,20 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     Both paths evaluate the one bilinear form
     ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
     (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
-    The matrix of ``b`` over an orthonormal horizontal basis ``B`` is the
-    matrix of the Euclidean form over the lifts ``C(B_k)``, one form call
-    per pair, plus the gradient term ``2 <B_k, R B_l>``, taken as one
-    product, and is factorized (method ``"dense"``, residual 0). A handle
-    with a :class:`~psdlandscape.objectives.LeastSquaresMap` takes that path
-    up to horizontal dimension :data:`DENSE_HESSIAN_CAP`, the crossover
-    measured at ranks 2 and 3, and above it runs Lanczos with full
-    reorthogonalization (method ``"lanczos"``) on the apply
-    ``v -> 2 N Y + 2 R v``, with ``N = hess f(X)[C(v)]`` from one
-    ``images`` call, so one sweep of the map per step. Any other handle is
-    assembled densely up to dimension 4000, and above it runs Lanczos on
+    The dense path factorizes the matrix of ``b`` over an orthonormal
+    horizontal basis ``B`` (method ``"dense"``, residual 0). For a handle
+    with a :class:`~psdlandscape.objectives.LeastSquaresMap` that matrix is
+    ``B_k . (2 N_l Y + 2 R B_l)`` with ``N_l = hess f(X)[C(B_l)]`` from one
+    ``images`` call over all ``m`` lifts; at dimension 44 and below it is
+    still the matrix of the Euclidean form over the lifts ``C(B_k)``, one
+    form call per pair, plus the gradient term ``2 <B_k, R B_l>``, taken as
+    one product. Such a handle takes the dense path up to horizontal
+    dimension :data:`DENSE_HESSIAN_CAP`, the crossover measured at ranks 2,
+    3 and 5, and above it runs Lanczos with full reorthogonalization
+    (method ``"lanczos"``) on the apply ``v -> 2 N Y + 2 R v``, with
+    ``N = hess f(X)[C(v)]`` from one ``images`` call, so one sweep of the
+    map per step. Any other handle is assembled from form calls up to
+    dimension 4000, and above it runs Lanczos on
     ``v -> 2 R v + (hess f(X)[C(v), C(E_ij)])_ij`` over the matrix units
     ``E_ij``, ``p r`` form calls per step, which was measured two to four
     times slower than the dense matrix up to dimension 69; it also runs

@@ -172,22 +172,23 @@ def _triu(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _packed_coefficients(X: np.ndarray) -> np.ndarray:
     """``c(X)``, the upper triangle of ``X + X.T`` with the diagonal halved:
     ``<A_i, X> = packed_i @ c(X)`` for symmetric ``A_i``, exact for any
-    square ``X``."""
+    square ``X``; a ``(k, p, p)`` stack gives the ``(k, q)`` stack of them."""
     X = np.asarray(X, dtype=float)
-    upper, lower, diag = _triu(X.shape[0])
-    flat = X.reshape(-1)
-    c = flat[upper] + flat[lower]
-    c[diag] = flat[upper[diag]]
+    upper, lower, diag = _triu(X.shape[-1])
+    flat = X.reshape(*X.shape[:-2], -1)
+    c = flat[..., upper] + flat[..., lower]
+    c[..., diag] = flat[..., upper[diag]]
     return c
 
 
 def _unpacked(u: np.ndarray, p: int) -> np.ndarray:
-    """The symmetric ``p x p`` matrix whose upper triangle is ``u``."""
+    """The symmetric ``p x p`` matrix whose upper triangle is ``u``; a
+    ``(k, q)`` stack gives the ``(k, p, p)`` stack of them."""
     upper, lower, _ = _triu(p)
-    M = np.empty(p * p)
-    M[upper] = u
-    M[lower] = u
-    return M.reshape(p, p)
+    M = np.empty((*u.shape[:-1], p * p))
+    M[..., upper] = u
+    M[..., lower] = u
+    return M.reshape(*u.shape[:-1], p, p)
 
 
 def _apply_packed(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -277,7 +278,7 @@ class TraceRegressionObjective:
         over the map: each row block gives its forward images ``x = blk @ c``
         and adds ``x.T @ blk`` to the normal images before the next block is
         read."""
-        c = np.stack([_packed_coefficients(G) for G in Gs], axis=1)
+        c = np.ascontiguousarray(_packed_coefficients(Gs).T)
         n, q = self.packed.shape
         forward = np.empty((c.shape[1], n))
         normal = np.zeros((c.shape[1], q))
@@ -287,7 +288,7 @@ class TraceRegressionObjective:
             x = blk @ c
             forward[:, i : i + rows] = x.T
             normal += x.T @ blk
-        return forward, np.stack([_unpacked(u, self.p) for u in normal])
+        return forward, _unpacked(normal, self.p)
 
     def handle(self) -> ObjectiveHandle:
         return _least_squares_handle(
@@ -457,7 +458,6 @@ class ProblemInstance:
     objective: ObjectiveHandle
     ground_truth: GroundTruth
     trace_regression: TraceRegressionObjective | None = None
-    denoising: DenoisingObjective | None = None
 
     def to_document(self) -> dict:
         """Portable JSON document. Sensing matrices are regenerated from the
@@ -600,10 +600,9 @@ def _build_instance(
     ``y`` are drawn from the seed when ``None``, else used verbatim."""
     Y_star = _truth_from_seed(p, r, seed, spectrum)
     if kind == "denoising":
-        den = DenoisingObjective(Y_star)
-        obj = den.handle()
+        obj = DenoisingObjective(Y_star).handle()
         gt = GroundTruth.from_factor(Y_star, obj)
-        return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt, denoising=den)
+        return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt)
     packed = _sensing_from_seed(p, n, seed)
     if y is None:
         rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))

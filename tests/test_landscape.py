@@ -28,7 +28,14 @@ from psdlandscape.landscape import (
     reports_to_csv,
     strict_convexity_fosp_check,
 )
-from psdlandscape.objectives import ObjectiveHandle, make_instance, riemannian_hess_quadform
+from psdlandscape.objectives import (
+    ObjectiveHandle,
+    _form_matrix,
+    _lift,
+    _sym_grad,
+    make_instance,
+    riemannian_hess_quadform,
+)
 
 PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 
@@ -214,8 +221,6 @@ class TestHessExtremes:
         # <A(C_a), A(C_b)> + <A.T(A(X) - y), a b.T + b a.T> (A the identity
         # and y = X* for denoising), and the dense spectrum must be that
         # matrix's spectrum
-        from psdlandscape.objectives import _form_matrix, _lift
-
         if kind == "denoising":
             inst = make_instance("denoising", 7, 2, kappa_star=2.0, seed=32)
             gt = inst.ground_truth
@@ -379,14 +384,14 @@ def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, p
 def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
     # point 0 of a scan with seed s is drawn from SeedSequence([s, 0]), the
     # generator of default_rng(s) and of the target of an instance with
-    # seed s, so both come from one draw
-    inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=seed)
+    # seed s, so both come from one draw; at dimension 87 the scan runs Lanczos
+    inst = make_instance("denoising", 30, 3, kappa_star=2.0, seed=seed)
     gt = inst.ground_truth
     (report,) = certify_landscape(inst.objective, gt, PARAMS, ["ball"], 1, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     Y = landscape._sample_point("ball", gt, PARAMS, rng, landscape._r1_radius(gt, PARAMS.mu))
     assert RegionLabel.R1 in report.region_labels
-    assert horizontal_dim(20, 3) > landscape.DENSE_HESSIAN_CAP
+    assert horizontal_dim(30, 3) > landscape.DENSE_HESSIAN_CAP
     dense = _forced_spectrum(inst.objective, Y, "dense")
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
     assert abs(report.lambda_min - dense.lambda_min) <= 1e-10 * scale
@@ -434,7 +439,7 @@ class TestWorkPerSpectrum:
         monkeypatch.undo()
         return est, sweeps, len(forms), len(steps), len(projections)
 
-    @pytest.mark.parametrize("kind, p, r", [("denoising", 20, 3), ("trace_regression", 24, 2)])
+    @pytest.mark.parametrize("kind, p, r", [("denoising", 30, 3), ("trace_regression", 40, 2)])
     def test_one_map_sweep_per_lanczos_step(self, kind, p, r, monkeypatch):
         inst = _sized_instance(kind, p, r, 41)
         gt = inst.ground_truth
@@ -449,10 +454,10 @@ class TestWorkPerSpectrum:
         assert all(G.shape == (1, p, p) for G in sweeps)
 
     def test_handle_without_a_map_is_dense_under_the_basis_cap(self, monkeypatch):
-        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=41)
+        inst = make_instance("denoising", 30, 3, kappa_star=2.0, seed=41)
         gt = inst.ground_truth
         obj = dataclasses.replace(inst.objective, least_squares=None)
-        m = horizontal_dim(20, 3)
+        m = horizontal_dim(30, 3)
         assert landscape.DENSE_HESSIAN_CAP < m <= landscape._BASIS_CAP
         est, _, forms, _, _ = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
         assert est.method == "dense"
@@ -496,6 +501,63 @@ class TestWorkPerSpectrum:
         )
         assert est.method == "dense"
         assert forms == p * (p + 1) // 2 and sweeps == []
+
+    @staticmethod
+    def over_form_cap(kind):
+        """A least-squares instance of dimension between the form cap and
+        the dense cap (57 on denoising, 59 on trace regression) and a point
+        near its target."""
+        p, r = (20, 3) if kind == "denoising" else (30, 2)
+        assert landscape._FORM_MATRIX_CAP < horizontal_dim(p, r) <= landscape.DENSE_HESSIAN_CAP
+        inst = _sized_instance(kind, p, r, 46)
+        Y = FactorPoint(inst.ground_truth.Y_star.Y + 0.05 * np.random.default_rng(47).standard_normal((p, r)))
+        return inst, Y
+
+    @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
+    def test_dense_path_over_the_form_cap_makes_one_map_sweep(self, kind, monkeypatch):
+        inst, Y = self.over_form_cap(kind)
+        est, sweeps, forms, _, _ = self.counted_spectrum(inst.objective, Y, monkeypatch)
+        assert est.method == "dense" and forms == 0
+        (lifts,) = sweeps
+        np.testing.assert_array_equal(lifts, _lift(Y, horizontal_basis(Y)))
+
+    @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
+    def test_dense_matrix_over_the_form_cap_is_the_form_matrix(self, kind, monkeypatch):
+        # B_k . (2 N_l Y + 2 R B_l) from the one sweep equals the matrix of
+        # the form over the lifts plus the gradient term
+        inst, Y = self.over_form_cap(kind)
+        obj = inst.objective
+        factorized = []
+        sym_eig = landscape.sym_eig
+        monkeypatch.setattr(landscape, "sym_eig", lambda M, **kw: factorized.append(M) or sym_eig(M, **kw))
+        assert hess_extreme_eigs(obj, Y).method == "dense"
+        basis = horizontal_basis(Y)
+        B = basis.reshape(len(basis), -1)
+        R = _sym_grad(obj, Y.gram())
+        expected = _form_matrix(obj, Y.gram(), _lift(Y, basis)) + 2.0 * (B @ (R @ basis).reshape(len(B), -1).T)
+        (M,) = factorized
+        assert np.abs(M - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"kind": "denoising", "p": 20, "r": 3, "kappa_star": 2.0},
+        {"kind": "trace_regression", "p": 30, "r": 2, "n": 600},
+    ],
+    ids=["denoising-20-3", "trace-30-2-600"],
+)
+def test_r1_spectra_at_the_scan_benchmark_sizes_are_dense(problem, monkeypatch):
+    # the two problems the benchmark scans; the ball and fiber samplers land in R1
+    inst = make_instance(seed=1, **problem)
+    estimates = []
+    spectrum = landscape.hess_extreme_eigs
+    monkeypatch.setattr(
+        landscape, "hess_extreme_eigs", lambda obj, Y: estimates.append(spectrum(obj, Y)) or estimates[-1]
+    )
+    reports = certify_landscape(inst.objective, inst.ground_truth, PARAMS, ["ball", "fiber"], 4, seed=2)
+    assert all(RegionLabel.R1 in rep.region_labels and rep.passed for rep in reports)
+    assert [est.method for est in estimates] == ["dense"] * 4
 
 
 class TestEscapeDirection:

@@ -72,16 +72,18 @@ class TestDenoising:
         assert riemannian_hess_quadform(obj, gt.Y_star, th) == pytest.approx(expected)
 
     def test_target_is_the_factors_gram(self, monkeypatch):
-        # the factor is the target's one check: no eigendecomposition, and
-        # the objective and the ground truth share the factor's Gram
+        # the factor is the target's one check: no eigendecomposition; the
+        # ground truth holds the factor's Gram, where the objective is 0
         def eigh(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=3)
-        assert inst.denoising.X_star is inst.ground_truth.X_star
+        gt = inst.ground_truth
+        assert gt.X_star is gt.Y_star.gram()
+        assert inst.objective.value(gt.X_star) == 0.0
         residual = inst.objective.least_squares.residual(np.zeros((6, 6)))
-        np.testing.assert_array_equal(residual, -inst.ground_truth.X_star)
+        np.testing.assert_array_equal(residual, -gt.X_star)
 
     def test_ill_conditioned_target_builds(self):
         # sigma_r(X*) / sigma_1(X*) = 1e-12, yet the factor is full rank
@@ -131,7 +133,7 @@ class TestDenoising:
 
 @pytest.mark.parametrize("p, r, evaluate", [
     (6, 2, hess_extreme_eigs),  # dense spectrum
-    (20, 3, hess_extreme_eigs),  # Lanczos spectrum
+    (20, 3, hess_extreme_eigs),  # dense spectrum from one map sweep
     (6, 2, riemannian_grad_lift),
 ])
 def test_overflowing_evaluation_is_a_numerical_failure(p, r, evaluate):
@@ -325,6 +327,26 @@ class TestTraceRegression:
             tol = 1e-13 * np.abs(expected).max()
             np.testing.assert_allclose(normal[j], expected, rtol=0, atol=tol)
         np.testing.assert_array_equal(normal, np.transpose(normal, (0, 2, 1)))
+
+    @pytest.mark.parametrize("p, k", [(12, 9), (20, 9), (1, 2)])
+    @pytest.mark.parametrize("block_rows", [None, 3])
+    def test_images_of_a_stack_equal_those_packed_matrix_by_matrix(self, monkeypatch, p, k, block_rows):
+        # the stack is packed and unpacked with one indexing operation each;
+        # its images equal, bit for bit, those from coefficients packed and
+        # normal images unpacked one matrix at a time
+        from psdlandscape import objectives
+
+        reg = make_instance("trace_regression", p, 1, n=53, noise_sigma=0.1, seed=27).trace_regression
+        if block_rows is not None:
+            monkeypatch.setattr(objectives, "_SWEEP_BYTES", block_rows * 8 * reg.packed.shape[1])
+        Gs = np.random.default_rng(28).standard_normal((k, p, p))
+        forward, normal = reg.images(Gs)
+        pack, unpack = objectives._packed_coefficients, objectives._unpacked
+        monkeypatch.setattr(objectives, "_packed_coefficients", lambda X: np.stack([pack(G) for G in X]))
+        monkeypatch.setattr(objectives, "_unpacked", lambda U, p: np.stack([unpack(u, p) for u in U]))
+        expected = reg.images(Gs)
+        np.testing.assert_array_equal(forward, expected[0])
+        np.testing.assert_array_equal(normal, expected[1])
 
     def test_least_squares_structure_of_the_handles(self):
         # f = 0.5 ||r||^2, A.T A(X) = grad f(X) - grad f(0) and the Hessian
