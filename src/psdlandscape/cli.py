@@ -50,12 +50,14 @@ EXIT_NUMERICAL = 3
 
 def _load_json(path: str, what: str = "config file") -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise InputContractError(f"{what} not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputContractError(f"{what} {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputContractError(f"{what} {path} is nested too deeply to parse")
     if not isinstance(doc, dict):
         raise InputContractError(f"{what} {path} must hold a JSON object, not {type(doc).__name__}")
     return doc

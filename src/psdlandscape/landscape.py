@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -179,12 +179,12 @@ def _check_stationary(obj: ObjectiveHandle, Y: FactorPoint, fosp_tol: float) -> 
 
 def _classify(
     Y: FactorPoint, gt: GroundTruth, params: RegionParams
-) -> tuple[set[RegionLabel], tuple[float, float, float, float, float], tuple[np.ndarray, bool]]:
+) -> tuple[set[RegionLabel], tuple[float, float, float, float], tuple[np.ndarray, bool]]:
     """The labels of :func:`classify_region` and what they were read from:
     the quotient distance to the target, the norm of the exact-factorization
-    gradient, the spectral norm, the Gram norm and ``||X*||_F``; and the
-    aligned difference ``Y - Y* Q``, whose norm is that distance, with
-    whether the alignment ``Q`` of the target onto ``Y`` is unique."""
+    gradient, the spectral norm and the Gram norm; and the aligned difference
+    ``Y - Y* Q``, whose norm is that distance, with whether the alignment
+    ``Q`` of the target onto ``Y`` is unique."""
     Q, _, unique = _align(Y.Y, gt.Y_star.Y)
     aligned = Y.Y - gt.Y_star.Y @ Q
     dist = float(np.linalg.norm(aligned))
@@ -193,12 +193,11 @@ def _classify(
     grad_norm = float(np.linalg.norm(2.0 * ((X - gt.X_star) @ Y.Y)))
     spec_norm = Y.sigma_max
     gram_norm = float(np.linalg.norm(X))
-    xnorm = gt.X_star_norm
 
     r1_radius = _r1_radius(gt, params.mu)
     grad_thresh = _grad_threshold(gt, params)
     spec_cap = params.beta * gt.sigma1_star
-    gram_cap = params.gamma * xnorm
+    gram_cap = params.gamma * gt.X_star_norm
 
     labels: set[RegionLabel] = set()
     in_box = spec_norm <= spec_cap and gram_norm <= gram_cap
@@ -212,7 +211,7 @@ def _classify(
         labels.add(RegionLabel.R3_DOUBLE_PRIME)
     if gram_norm > gram_cap:
         labels.add(RegionLabel.R3_TRIPLE_PRIME)
-    return labels, (dist, grad_norm, spec_norm, gram_norm, xnorm), (aligned, unique)
+    return labels, (dist, grad_norm, spec_norm, gram_norm), (aligned, unique)
 
 
 def classify_region(
@@ -236,9 +235,7 @@ def horizontal_dim(p: int, r: int) -> int:
 
 
 #: largest horizontal dimension whose Hessian is assembled densely for a
-#: handle with a least-squares map; above it :func:`hess_extreme_eigs` runs
-#: Lanczos there, at one map sweep per step. The dense matrix takes one
-#: sweep over all ``m`` basis lifts. At R1 points Lanczos was first faster
+#: handle with a least-squares map. At R1 points Lanczos was first faster
 #: at dimension 61 on denoising of rank 2 (dense no slower up to 59), at
 #: 93 to 99 on rank 3, and not up to 190 on rank 5; on trace regression
 #: with 600 samples the dense matrix was three to seven times faster at
@@ -253,9 +250,8 @@ DENSE_HESSIAN_CAP = 60
 _FORM_MATRIX_CAP = 44
 
 #: largest horizontal dimension for which :func:`horizontal_basis` builds a
-#: basis, and up to which the Hessian of a handle without a least-squares
-#: map, whose Lanczos step takes ``p r`` form calls, is assembled densely
-#: while its lifts fit the memory budget
+#: basis, and so the largest dense Hessian of a handle without a
+#: least-squares map
 _BASIS_CAP = 4000
 
 #: Ritz residual, relative to the largest Ritz value in magnitude, at which
@@ -312,40 +308,14 @@ def _least_squares_hessian(
     return 2.0 * (N @ Y.Y + R @ V)
 
 
-def _dense_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> HessianSpectrumEstimate:
-    basis = horizontal_basis(Y)
-    m = len(basis)
-    B = basis.reshape(m, -1)
-    if obj.least_squares is None or m <= _FORM_MATRIX_CAP:
-        M = _form_matrix(obj, Y.gram(), _lift(Y, basis))
-        M += 2.0 * (B @ (R @ basis).reshape(m, -1).T)
-    else:
-        M = B @ _least_squares_hessian(obj, Y, R, basis).reshape(m, -1).T
-    _, lam = sym_eig(M, asym_tol=1e-6)
-    return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
-
-
-def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> HessianSpectrumEstimate:
+def _lanczos_extremes(
+    Y: FactorPoint, apply: Callable[[np.ndarray], np.ndarray]
+) -> HessianSpectrumEstimate:
+    """Lanczos with full reorthogonalization on the horizontal space at
+    ``Y``; ``apply(v)`` is the ambient gradient of ``b(v, .)`` for a
+    horizontal ``(p, r)`` array ``v``."""
     p, r = Y.p, Y.r
     dim = horizontal_dim(p, r)
-
-    if obj.least_squares is not None:
-        def apply(v: np.ndarray) -> np.ndarray:
-            return _least_squares_hessian(obj, Y, R, v[None])[0]
-
-    else:
-        X = Y.gram()
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            # entry (i, j) is b(v, E_ij)
-            Cv = _lift(Y, v)
-            Hv = 2.0 * (R @ v)
-            for i in range(p):
-                for j in range(r):
-                    E = np.zeros((p, r))
-                    E[i, j] = 1.0
-                    Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
-            return Hv
 
     # The start is drawn from a generator seeded by the bits of Y. It must
     # not lie in an invariant subspace of the Hessian, or Lanczos breaks
@@ -393,32 +363,35 @@ def _lanczos_extremes(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray) -> He
 def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEstimate:
     """Extreme eigenvalues of the Riemannian Hessian on the horizontal space.
 
-    Both paths evaluate the one bilinear form
+    Every path evaluates the one bilinear form
     ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
     (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
-    The dense path factorizes the matrix of ``b`` over an orthonormal
-    horizontal basis ``B`` (method ``"dense"``, residual 0). For a handle
-    with a :class:`~psdlandscape.objectives.LeastSquaresMap` that matrix is
-    ``B_k . (2 N_l Y + 2 R B_l)`` with ``N_l = hess f(X)[C(B_l)]`` from one
-    ``images`` call over all ``m`` lifts; at dimension 44 and below it is
-    still the matrix of the Euclidean form over the lifts ``C(B_k)``, one
-    form call per pair, plus the gradient term ``2 <B_k, R B_l>``, taken as
-    one product. Such a handle takes the dense path up to horizontal
-    dimension :data:`DENSE_HESSIAN_CAP`, the crossover measured at ranks 2,
-    3 and 5, and above it runs Lanczos with full reorthogonalization
-    (method ``"lanczos"``) on the apply ``v -> 2 N Y + 2 R v``, with
-    ``N = hess f(X)[C(v)]`` from one ``images`` call, so one sweep of the
-    map per step. Any other handle is assembled from form calls up to
-    dimension 4000, and above it runs Lanczos on
-    ``v -> 2 R v + (hess f(X)[C(v), C(E_ij)])_ij`` over the matrix units
-    ``E_ij``, ``p r`` form calls per step, which was measured two to four
-    times slower than the dense matrix up to dimension 69; it also runs
-    Lanczos where the ``8 m p^2`` bytes of the lifts exceed the memory
-    budget :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`. Either apply
-    is the ambient gradient of ``b(v, .)``; each step projects it once onto
-    the horizontal space, after reorthogonalization. The start is drawn
-    from a generator seeded by the bits of ``Y``, and the larger Ritz
-    residual of the two extreme pairs is reported.
+    The path depends on whether the handle has a
+    :class:`~psdlandscape.objectives.LeastSquaresMap` and on the horizontal
+    dimension ``m = horizontal_dim(p, r)``:
+
+    =============  ========================  =======  ==============================
+    handle         dimension                 method   work per spectrum
+    =============  ========================  =======  ==============================
+    least squares  ``m <= 44``               dense    ``m (m + 1) / 2`` form calls
+    least squares  ``44 < m <= 60``          dense    one ``images`` call (one sweep)
+    least squares  ``m > 60``                lanczos  one ``images`` call per step
+    custom         ``m <= 4000``, lifts fit  dense    ``m (m + 1) / 2`` form calls
+    custom         otherwise                 lanczos  ``p r`` form calls per step
+    =============  ========================  =======  ==============================
+
+    60 is :data:`DENSE_HESSIAN_CAP`, 44 is ``_FORM_MATRIX_CAP`` and 4000 is
+    ``_BASIS_CAP``; the lifts fit when their ``8 m p^2`` bytes are at most
+    :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`. The dense path
+    (residual 0) factorizes the matrix of ``b`` over the basis ``B`` of
+    :func:`horizontal_basis`: the form over the lifts ``C(B_k)`` plus
+    ``2 <B_k, R B_l>``, or ``B_k . (2 N_l Y + 2 R B_l)`` with
+    ``N_l = hess f(X)[C(B_l)]`` from ``images``. Lanczos, with full
+    reorthogonalization, applies the ambient gradient of ``b(v, .)``,
+    ``2 N Y + 2 R v`` or ``2 R v + (hess f(X)[C(v), C(E_ij)])_ij`` over the
+    matrix units, and projects it once per step onto the horizontal space.
+    Its start is seeded by the bits of ``Y``, and it reports the larger
+    Ritz residual of the two extreme pairs.
 
     Raises
     ------
@@ -426,16 +399,45 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
         If Lanczos exhausts the horizontal dimension with a Ritz residual
         above ``1e-8`` times the largest Ritz value in magnitude.
     """
-    R = _sym_grad(obj, Y.gram())
-    m = horizontal_dim(Y.p, Y.r)
-    if obj.least_squares is None:
-        # the dense matrix holds the m lifts C(B_k), 8 m p^2 bytes
-        dense = m <= _BASIS_CAP and 8 * m * Y.p**2 <= MAX_INSTANCE_BYTES
-    else:
+    X = Y.gram()
+    R = _sym_grad(obj, X)
+    p, r = Y.p, Y.r
+    m = horizontal_dim(p, r)
+    least_squares = obj.least_squares is not None
+    if least_squares:
         dense = m <= DENSE_HESSIAN_CAP
+    else:
+        # the dense matrix holds the m lifts C(B_k), 8 m p^2 bytes
+        dense = m <= _BASIS_CAP and 8 * m * p**2 <= MAX_INSTANCE_BYTES
+
     if dense:
-        return _dense_extremes(obj, Y, R)
-    return _lanczos_extremes(obj, Y, R)
+        basis = horizontal_basis(Y)
+        B = basis.reshape(m, -1)
+        if least_squares and m > _FORM_MATRIX_CAP:
+            M = B @ _least_squares_hessian(obj, Y, R, basis).reshape(m, -1).T
+        else:
+            M = _form_matrix(obj, X, _lift(Y, basis))
+            M += 2.0 * (B @ (R @ basis).reshape(m, -1).T)
+        _, lam = sym_eig(M, asym_tol=1e-6)
+        return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
+
+    if least_squares:
+        def apply(v: np.ndarray) -> np.ndarray:
+            return _least_squares_hessian(obj, Y, R, v[None])[0]
+
+    else:
+        def apply(v: np.ndarray) -> np.ndarray:
+            # entry (i, j) is b(v, E_ij)
+            Cv = _lift(Y, v)
+            Hv = 2.0 * (R @ v)
+            for i in range(p):
+                for j in range(r):
+                    E = np.zeros((p, r))
+                    E[i, j] = 1.0
+                    Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
+            return Hv
+
+    return _lanczos_extremes(Y, apply)
 
 
 def escape_direction(Y: FactorPoint, gt: GroundTruth) -> HorizontalTangent:
@@ -467,9 +469,9 @@ def compute_thresholds(
 ) -> ThresholdReport:
     """Evaluate every certified-bound quantity for the given target.
 
-    ``delta >= 0`` is the restricted convexity/smoothness constant
-    substituted into the general-objective bounds; zero reproduces the
-    exact-factorization forms.
+    ``r`` must be the target's rank ``gt.Y_star.r``. ``delta >= 0`` is the
+    restricted convexity/smoothness constant substituted into the
+    general-objective bounds; zero reproduces the exact-factorization forms.
 
     Raises
     ------
@@ -477,6 +479,8 @@ def compute_thresholds(
         If ``(1 - mu/kappa*)^2 - 7 mu / 3 <= 0``, which voids the local
         strong-convexity bracket, or if a formula overflows or divides by zero.
     """
+    if r != gt.Y_star.r:
+        raise InputContractError(f"r must be the rank of the target, {gt.Y_star.r}, got {r}")
     if not 0.0 <= delta < np.inf:
         raise InputContractError(f"delta must be finite and >= 0, got {delta}")
     mu, alpha, beta, gamma = params.mu, params.alpha, params.beta, params.gamma
@@ -613,7 +617,7 @@ def _certify_point(
     params: RegionParams,
     thresholds: ThresholdReport,
 ) -> RegionReport:
-    labels, (d, grad_H, spec_norm, gram_norm, xnorm), escape = _classify(Y, gt, params)
+    labels, (d, grad_H, spec_norm, gram_norm), escape = _classify(Y, gt, params)
     grad_h = riemannian_grad_lift(obj, Y).norm
 
     tol_curv = 1e-8 * gt.sigmar_star**2
@@ -643,7 +647,7 @@ def _certify_point(
     delta = thresholds.delta_used
     noise = thresholds.noise_at_target
     beta, gamma = params.beta, params.gamma
-    s1 = gt.sigma1_star
+    s1, xnorm = gt.sigma1_star, gt.X_star_norm
     rr = Y.r
     floors = {
         RegionLabel.R3_PRIME: _grad_threshold(gt, params)

@@ -88,8 +88,8 @@ class ObjectiveHandle:
     euclid_hess_form : callable
         ``(X, G1, G2) -> <hess f(X)[G1], G2>``, bilinear and symmetric in
         ``(G1, G2)``.
-    p, r : int
-        Ambient dimension and target rank of the problem.
+    p : int
+        Ambient dimension of the problem.
     least_squares : LeastSquaresMap or None
         The least-squares structure of the same ``f``, for objectives that
         have one; ``None`` for custom handles.
@@ -99,12 +99,11 @@ class ObjectiveHandle:
     euclid_grad: Callable[[np.ndarray], np.ndarray]
     euclid_hess_form: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     p: int
-    r: int
     least_squares: LeastSquaresMap | None = None
 
 
 def _least_squares_handle(
-    p: int, r: int, y: np.ndarray, forward: Callable, adjoint: Callable, images: Callable
+    p: int, y: np.ndarray, forward: Callable, adjoint: Callable, images: Callable
 ) -> ObjectiveHandle:
     """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``forward`` (``A``),
     ``adjoint`` (``A.T``, returning a fresh array) and ``images`` (see
@@ -124,7 +123,7 @@ def _least_squares_handle(
         image = forward(G1)
         return float(np.vdot(image, image if G2 is G1 else forward(G2)))
 
-    return ObjectiveHandle(value, grad, hess_form, p, r, LeastSquaresMap(residual, adjoint, images))
+    return ObjectiveHandle(value, grad, hess_form, p, LeastSquaresMap(residual, adjoint, images))
 
 
 class DenoisingObjective:
@@ -136,14 +135,10 @@ class DenoisingObjective:
             raise InputContractError(f"Y_star must be a FactorPoint, got {type(Y_star).__name__}")
         self.Y_star = Y_star
 
-    @property
-    def X_star(self) -> np.ndarray:
-        return self.Y_star.gram()
-
     def handle(self) -> ObjectiveHandle:
         # A is the identity; its adjoint copies, so a gradient never aliases the residual
-        p, r = self.Y_star.p, self.Y_star.r
-        return _least_squares_handle(p, r, self.X_star, np.asarray, np.copy, lambda Gs: (Gs, Gs))
+        Ys = self.Y_star
+        return _least_squares_handle(Ys.p, Ys.gram(), np.asarray, np.copy, lambda Gs: (Gs, Gs))
 
 
 #: entries of ``n x p x p`` sample arrays that one chunk of samples may hold
@@ -211,7 +206,7 @@ class TraceRegressionObjective:
     built from it on first access and then kept.
     """
 
-    def __init__(self, sensing: np.ndarray, y: np.ndarray, r: int):
+    def __init__(self, sensing: np.ndarray, y: np.ndarray):
         sensing = np.asarray(sensing, dtype=float)
         if sensing.ndim != 3 or sensing.shape[1] != sensing.shape[2]:
             raise InputContractError(f"sensing must be (n, p, p), got {sensing.shape}")
@@ -227,27 +222,20 @@ class TraceRegressionObjective:
             packed[c] = S.reshape(len(S), p * p)[:, upper]
         if np.sqrt(asym) > 1e-12 * max(np.linalg.norm(sensing), 1e-300):
             raise InputContractError("sensing matrices must be symmetric")
-        self._adopt(packed, y, r)
-
-    @classmethod
-    def _from_packed(cls, packed: np.ndarray, y: np.ndarray, r: int) -> "TraceRegressionObjective":
-        obj = cls.__new__(cls)
-        obj._adopt(packed, y, r)
-        return obj
-
-    def _adopt(self, packed: np.ndarray, y: np.ndarray, r: int) -> None:
         y = np.asarray(y, dtype=float)
-        if y.shape != (packed.shape[0],):
-            raise InputContractError(f"y must have shape ({packed.shape[0]},)")
+        if y.shape != (n,):
+            raise InputContractError(f"y must have shape ({n},)")
         if not np.all(np.isfinite(y)):
             raise InputContractError("y contains non-finite entries")
         self.packed = packed
         self.y = y
-        self.r = r
 
-    @property
-    def n(self) -> int:
-        return self.packed.shape[0]
+    @classmethod
+    def _from_packed(cls, packed: np.ndarray, y: np.ndarray) -> "TraceRegressionObjective":
+        """The objective of a packed map and observations already checked."""
+        obj = cls.__new__(cls)
+        obj.packed, obj.y = packed, y
+        return obj
 
     @property
     def p(self) -> int:
@@ -256,11 +244,7 @@ class TraceRegressionObjective:
     @functools.cached_property
     def sensing(self) -> np.ndarray:
         """The sensing matrices as a read-only ``(n, p, p)`` array."""
-        upper, lower, _ = _triu(self.p)
-        full = np.empty((self.n, self.p * self.p))
-        full[:, upper] = self.packed
-        full[:, lower] = self.packed
-        full = full.reshape(self.n, self.p, self.p)
+        full = _unpacked(self.packed, self.p)
         full.flags.writeable = False
         return full
 
@@ -291,9 +275,7 @@ class TraceRegressionObjective:
         return forward, _unpacked(normal, self.p)
 
     def handle(self) -> ObjectiveHandle:
-        return _least_squares_handle(
-            self.p, self.r, self.y, self.apply_map, self.adjoint, self.images
-        )
+        return _least_squares_handle(self.p, self.y, self.apply_map, self.adjoint, self.images)
 
 
 @dataclass(frozen=True)
@@ -608,7 +590,9 @@ def _build_instance(
         rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
         eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
         y = _apply_packed(packed, Y_star.gram()) + eps
-    reg = TraceRegressionObjective._from_packed(packed, y, r)
+        if not np.all(np.isfinite(y)):
+            raise InputContractError("y contains non-finite entries")
+    reg = TraceRegressionObjective._from_packed(packed, y)
     obj = reg.handle()
     gt = GroundTruth.from_factor(Y_star, obj)
     return ProblemInstance(

@@ -384,6 +384,25 @@ def _instance_y_nan(tmp_path):
     return _instance(tmp_path, kind="trace_regression", n=3, y=[0.0, math.nan, 0.0])
 
 
+def _config_not_utf8(tmp_path):
+    cfile = write_config(tmp_path)
+    cfile.write_bytes(b"\xff\xfe" + cfile.read_bytes())
+    return cfile
+
+
+def _config_nested_deeply(tmp_path):
+    cfile = tmp_path / "config.json"
+    cfile.write_text("[" * 100_000)
+    return cfile
+
+
+def _instance_not_utf8(tmp_path):
+    cfile = _instance(tmp_path)
+    with open(tmp_path / "instance.json", "ab") as fh:
+        fh.write(b"\xff")
+    return cfile
+
+
 def _perturbation(tmp_path, **spec):
     spec = {"radius": 0.1, "trigger_tol": 1e-3, **spec}
     return write_config(tmp_path, optimizer={"max_iters": 20, "perturbation": spec})
@@ -454,6 +473,9 @@ def _target_underflows(tmp_path):
             tmp_path, kind="trace_regression", n=3, y=[0.0, "1", 0.0])),
         (["generate"], lambda tmp_path: write_config(tmp_path, problem={"sigma_r_star": 1e155})),
         (["generate"], lambda tmp_path: _instance(tmp_path, spectrum=[1e155, 5e154])),
+        (["generate"], _config_not_utf8),
+        (["scan"], _config_nested_deeply),
+        (["generate"], _instance_not_utf8),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -471,6 +493,7 @@ def _target_underflows(tmp_path):
         "instance-y-boolean", "p-numeric-string", "mu-numeric-string",
         "n-points-numeric-string", "instance-spectrum-strings", "instance-noise-string",
         "instance-y-string", "target-overflows", "instance-target-overflows",
+        "config-not-utf8", "config-nested-deeply", "instance-not-utf8",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):

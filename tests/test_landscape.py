@@ -29,13 +29,16 @@ from psdlandscape.landscape import (
     strict_convexity_fosp_check,
 )
 from psdlandscape.objectives import (
+    GroundTruth,
     ObjectiveHandle,
     _form_matrix,
     _lift,
     _sym_grad,
     make_instance,
     riemannian_hess_quadform,
+    rsc_rsm_estimate,
 )
+from psdlandscape.optimizers import GDConfig, riemannian_gd
 
 PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 
@@ -334,6 +337,32 @@ def test_lanczos_matches_dense(obj, Y):
     assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
     assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
     assert lanczos.residual <= 1e-8 * scale
+
+
+def test_a_custom_handle_needs_no_rank():
+    # ObjectiveHandle(value, euclid_grad, euclid_hess_form, p): the
+    # denoising objective written out by hand, with no least-squares map
+    Y_star = FactorPoint(np.random.default_rng(907).standard_normal((7, 2)))
+    X_star = Y_star.gram()
+    obj = ObjectiveHandle(
+        lambda X: 0.5 * float(np.linalg.norm(X - X_star) ** 2),
+        lambda X: X - X_star,
+        lambda X, G1, G2: float(np.vdot(G1, G2)),
+        7,
+    )
+    gt = GroundTruth.from_factor(Y_star, obj)
+    Y = FactorPoint(Y_star.Y + 0.1 * np.random.default_rng(908).standard_normal((7, 2)))
+    dense = hess_extreme_eigs(obj, Y)
+    lanczos = _forced_spectrum(obj, Y, "lanczos")
+    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
+    assert dense.method == "dense"
+    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
+    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+    rec = riemannian_gd(obj, Y, GDConfig(max_iters=5000, grad_tol=1e-10), gt=gt)
+    assert rec.converged and quotient_distance(rec.final, Y_star) < 1e-8
+    assert rsc_rsm_estimate(obj, 2, 20, seed=909) < 1e-12
+    reports = certify_landscape(obj, gt, PARAMS, ["ball", "scaled", "gaussian"], 6, seed=910)
+    assert all(rep.passed for rep in reports)
 
 
 def _sized_instance(kind, p, r, seed):
@@ -640,6 +669,12 @@ class TestThresholds:
         rep = compute_thresholds(gt, RegionParams(0.0, 0.5, 1.5, 1.5), 3)
         assert rep.r1_hess_lower == pytest.approx(2 * gt.sigmar_star**2, rel=1e-12)
 
+    def test_rank_other_than_the_target_is_refused(self):
+        gt = make_instance("denoising", 8, 3, kappa_star=1.0, seed=23).ground_truth
+        for r in (1, 2, 4):
+            with pytest.raises(InputContractError, match="rank of the target"):
+                compute_thresholds(gt, PARAMS, r)
+
     def test_hypothesis_violation(self):
         gt = make_instance("denoising", 8, 3, kappa_star=1.0, seed=23).ground_truth
         # mu = 1/3 with kappa = 1: (1 - 1/3)^2 - 7/9 = 4/9 - 7/9 < 0
@@ -769,7 +804,6 @@ class TestFospCheck:
             euclid_grad=lambda X: -0.5 * X,
             euclid_hess_form=lambda X, G1, G2: -0.5 * float(np.vdot(G1, G2)),
             p=6,
-            r=2,
         )
         # the gradient of the negated objective never vanishes off zero
         with pytest.raises(NotAFOSPError):

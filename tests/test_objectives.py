@@ -107,7 +107,6 @@ class TestDenoising:
             euclid_grad=lambda X: X - zero,
             euclid_hess_form=lambda X, G1, G2: float(np.vdot(G1, G2)),
             p=5,
-            r=2,
         )
         th = HorizontalTangent(Y.Y, Y)
         got = riemannian_hess_quadform(handle, Y, th)
@@ -216,7 +215,7 @@ class TestTraceRegression:
         # last, partial chunk
         single[-1, 0, 1] += 1.0
         with pytest.raises(InputContractError, match="symmetric"):
-            objectives.TraceRegressionObjective(single, np.zeros(n), 2)
+            objectives.TraceRegressionObjective(single, np.zeros(n))
 
     @pytest.mark.parametrize("field, bad", [("sensing", np.nan), ("sensing", np.inf), ("y", np.nan)])
     def test_non_finite_data_is_rejected(self, field, bad):
@@ -225,7 +224,13 @@ class TestTraceRegression:
         data = {"sensing": _one_draw(4, 10, 11), "y": np.zeros(10)}
         data[field].flat[5] = bad
         with pytest.raises(InputContractError, match=f"^{field} contains non-finite"):
-            TraceRegressionObjective(data["sensing"], data["y"], 2)
+            TraceRegressionObjective(data["sensing"], data["y"])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_drawn_observations_that_overflow_are_rejected(self):
+        # r sigma_1^2 is finite, but A(X*) overflows for this seed
+        with pytest.raises(InputContractError, match="^y contains non-finite"):
+            make_instance("trace_regression", 2, 1, n=3, sigma_r_star=1.3e154, seed=0)
 
     def test_sensing_is_read_only_and_equals_one_draw(self):
         p, n, seed = 5, 37, 3
@@ -257,7 +262,7 @@ class TestTraceRegression:
     def test_full_array_constructor_packs_the_upper_triangle(self):
         inst = make_instance("trace_regression", 5, 2, n=20, noise_sigma=0.1, seed=16)
         reg = inst.trace_regression
-        rebuilt = TraceRegressionObjective(np.array(reg.sensing), reg.y, 2)
+        rebuilt = TraceRegressionObjective(np.array(reg.sensing), reg.y)
         np.testing.assert_array_equal(rebuilt.packed, reg.packed)
 
     def test_make_instance_holds_no_full_array(self):
@@ -585,7 +590,6 @@ class TestRscDiagnostics:
             euclid_grad=lambda X: -X,
             euclid_hess_form=lambda X, G1, G2: -float(np.vdot(G1, G2)),
             p=6,
-            r=2,
         )
         assert not restricted_strict_convexity_check(negated, 2, 50, seed=3)
 

@@ -472,7 +472,6 @@ class TestStepSearch:
             euclid_grad=lambda X: -X,
             euclid_hess_form=lambda X, G1, G2: -float(np.vdot(G1, G2)),
             p=5,
-            r=2,
         )
         rng = np.random.default_rng(26)
         Y0 = FactorPoint(rng.standard_normal((5, 2)))
@@ -510,7 +509,7 @@ class TestSpectralInit:
         rng = np.random.default_rng(18)
         G = rng.standard_normal((10, 4, 4))
         sensing = (G + np.transpose(G, (0, 2, 1))) / 2
-        reg = TraceRegressionObjective(sensing, np.zeros(10), 2)
+        reg = TraceRegressionObjective(sensing, np.zeros(10))
         with pytest.raises(InitializationFailure):
             spectral_init(reg, 2)
 

@@ -66,7 +66,6 @@ class TestFDChecks:
             euclid_grad=lambda X: X,
             euclid_hess_form=lambda X, G1, G2: float(np.vdot(G1, G2)),
             p=5,
-            r=2,
         )
         th = HorizontalTangent(Y.Y, Y)
         res = fd_gradient_check(handle, Y, th)
@@ -143,7 +142,7 @@ class TestDeltaCertificate:
                 E[i, j] = E[j, i] = 1.0 / np.sqrt(2)
                 mats.append(E)
         sensing = np.stack(mats)
-        reg = TraceRegressionObjective(sensing, np.zeros(len(mats)), 1)
+        reg = TraceRegressionObjective(sensing, np.zeros(len(mats)))
         obj = reg.handle()
         assert dense_delta_certificate(obj, 1, restarts=4, seed=1) < 1e-10
 
