@@ -42,6 +42,7 @@ from .kernels import (
     truncated_frob_norm,
 )
 from .landscape import (
+    ErrorBoundResult,
     HessianSpectrumEstimate,
     RegionLabel,
     RegionParams,
@@ -50,6 +51,7 @@ from .landscape import (
     certify_landscape,
     classify_region,
     compute_thresholds,
+    error_bound_check,
     escape_direction,
     hess_extreme_eigs,
     horizontal_basis,
@@ -72,11 +74,9 @@ from .objectives import (
     rsc_rsm_estimate,
 )
 from .optimizers import (
-    ErrorBoundResult,
     GDConfig,
     PerturbationSpec,
     TrajectoryRecord,
-    error_bound_check,
     riemannian_gd,
     spectral_init,
 )

@@ -25,6 +25,7 @@ from .landscape import (
     _sample_point,
     certify_landscape,
     compute_thresholds,
+    error_bound_check,
     reports_to_csv,
 )
 from .objectives import (
@@ -33,13 +34,7 @@ from .objectives import (
     make_instance,
     rsc_rsm_estimate,
 )
-from .optimizers import (
-    GDConfig,
-    PerturbationSpec,
-    error_bound_check,
-    riemannian_gd,
-    spectral_init,
-)
+from .optimizers import GDConfig, PerturbationSpec, riemannian_gd, spectral_init
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -252,9 +247,7 @@ def cmd_optimize(args) -> int:
     rng = np.random.default_rng(gd_cfg.seed)
     gt = inst.ground_truth
     if init_kind == "spectral":
-        if inst.trace_regression is None:
-            raise InputContractError("spectral initialization needs a trace-regression instance")
-        Y0 = spectral_init(inst.trace_regression, inst.r)
+        Y0 = spectral_init(inst.objective, inst.r)
     elif init_kind in ("gaussian", "ball"):
         Y0 = _sample_point(init_kind, gt, params, rng, _r1_radius(gt, params.mu))
     elif init_kind == "target":

@@ -32,7 +32,7 @@ from .errors import (
     NumericalFailure,
     ResourceLimitError,
 )
-from .geometry import FactorPoint, HorizontalTangent, vertical_project
+from .geometry import FactorPoint, HorizontalTangent, quotient_distance, vertical_project
 from .kernels import _align, _check_int, sym_eig
 from .objectives import (
     MAX_INSTANCE_BYTES,
@@ -61,6 +61,8 @@ __all__ = [
     "compute_thresholds",
     "certify_landscape",
     "strict_convexity_fosp_check",
+    "ErrorBoundResult",
+    "error_bound_check",
     "reports_to_csv",
     "random_ball_tangent",
 ]
@@ -752,6 +754,57 @@ def strict_convexity_fosp_check(
     """
     _check_stationary(obj, Y_hat, 1e-8 * Y_hat.sigma_min**3 if fosp_tol is None else fosp_tol)
     return hess_extreme_eigs(obj, Y_hat)
+
+
+@dataclass(frozen=True)
+class ErrorBoundResult:
+    """Outcome of the stationary-point distance bound check."""
+
+    lhs: float
+    rhs: float
+    rhs_mid: float
+    holds: bool
+    holds_mid: bool
+
+
+def error_bound_check(
+    Y_hat: FactorPoint,
+    gt: GroundTruth,
+    mu: float,
+    obj: ObjectiveHandle,
+    fosp_tol: float | None = None,
+) -> ErrorBoundResult:
+    """Check the certified distance bound at a stationary point in R1.
+
+    ``lhs`` is the quotient distance from the stationary point to the
+    target; ``rhs`` is
+    ``2 ||Y*|| ||(grad f(X*))_max(r)||_F / (((1-mu/k)^2 - 7mu/3) sigma_r^2)``
+    and ``rhs_mid`` the tighter intermediate bound with
+    ``||grad f(X*) Y*||_F`` in the numerator; both read the gradient at
+    ``X*`` from ``gt``, and ``obj`` only tests that ``Y_hat`` is
+    stationary. ``holds`` compares with an absolute slack of
+    ``1e-7 sigma_r(Y*)`` because the noiseless rhs is exactly zero while a
+    numerically converged point sits at a tiny positive distance.
+    """
+    sr = gt.sigmar_star
+    denom = _margin(gt, mu) * sr**2
+    _check_stationary(obj, Y_hat, 1e-6 * sr**3 if fosp_tol is None else fosp_tol)
+    lhs = quotient_distance(Y_hat, gt.Y_star)
+    r1_radius = _r1_radius(gt, mu)
+    if lhs > r1_radius * (1.0 + 1e-9):
+        raise InputContractError(
+            f"stationary point lies outside R1: distance {lhs:.3e} > {r1_radius:.3e}"
+        )
+    rhs = 2.0 * gt.sigma1_star * gt.grad_at_star_trunc / denom
+    rhs_mid = 2.0 * gt.grad_at_star_along_factor / denom
+    slack = 1e-7 * sr
+    return ErrorBoundResult(
+        lhs=float(lhs),
+        rhs=float(rhs),
+        rhs_mid=float(rhs_mid),
+        holds=bool(lhs <= rhs + slack),
+        holds_mid=bool(lhs <= rhs_mid + slack),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ class TraceRegressionObjective:
 
     @classmethod
     def _from_packed(cls, packed: np.ndarray, y: np.ndarray) -> "TraceRegressionObjective":
-        """The objective of a packed map and observations already checked."""
+        """The objective of a packed map and observations, unchecked."""
         obj = cls.__new__(cls)
         obj.packed, obj.y = packed, y
         return obj
@@ -288,13 +288,20 @@ class GroundTruth:
     sigmar_star: float
     kappa_star: float
     grad_at_star_trunc: float
+    grad_at_star_along_factor: float
     X_star_norm: float
 
     @classmethod
     def from_factor(cls, Y_star: FactorPoint, obj: ObjectiveHandle) -> "GroundTruth":
+        """The target of ``obj`` at ``Y_star``, from one evaluation of
+        ``grad f(X*)``: ``grad_at_star_trunc`` is ``||(grad f(X*))_max(r)||_F``
+        and ``grad_at_star_along_factor`` is ``||grad f(X*) Y*||_F``."""
         X_star = Y_star.gram()
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = obj.euclid_grad(X_star)
+        if not np.all(np.isfinite(G)):
+            raise InputContractError("the gradient at X* has non-finite entries")
         # the gradient at X* is exactly zero on a noiseless instance
-        G = obj.euclid_grad(X_star)
         noise = truncated_frob_norm(G, Y_star.r) if G.any() else 0.0
         with np.errstate(over="ignore"):
             xnorm = float(np.linalg.norm(X_star))
@@ -308,6 +315,7 @@ class GroundTruth:
             sigmar_star=Y_star.sigma_min,
             kappa_star=Y_star.sigma_max / Y_star.sigma_min,
             grad_at_star_trunc=noise,
+            grad_at_star_along_factor=float(np.linalg.norm(G @ Y_star.Y)),
             X_star_norm=xnorm,
         )
 
@@ -500,6 +508,8 @@ def _check_problem(kind: str, p: int, r: int, n: int, seed: int, noise_sigma: fl
     _check_int(seed, "seed", 0)
     if not noise_sigma >= 0.0:
         raise InputContractError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if kind == "denoising" and noise_sigma != 0.0:
+        raise InputContractError(f"noise_sigma must be 0 for denoising, got {noise_sigma}")
     n = 0 if kind == "denoising" else _check_int(n, "trace regression n", 1)
     size = 8 * (p * p + n * p * (p + 1) // 2)
     if size > MAX_INSTANCE_BYTES:
@@ -537,9 +547,10 @@ def make_instance(
         raise InputContractError(f"sigma_r_star must be > 0, got {sigma_r_star}")
     if r == 1 and kappa_star != 1.0:
         raise InputContractError("a rank-1 factor always has kappa_star = 1")
-    _check_target(r, kappa_star * sigma_r_star, "kappa_star * sigma_r_star")
+    name = "kappa_star * sigma_r_star"
+    _check_target(r, kappa_star * sigma_r_star, name)
     spectrum = np.linspace(kappa_star * sigma_r_star, sigma_r_star, r)
-    return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, None)
+    return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, None, name)
 
 
 def instance_from_document(doc: dict) -> ProblemInstance:
@@ -565,7 +576,9 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     _check_target(r, float(spectrum.max()), "max(spectrum)")
     if kind == "trace_regression" and y.shape != (n,):
         raise InputContractError(f"y must have length n={n}")
-    return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, y)
+    if kind == "denoising" and doc.get("y", []) != []:
+        raise InputContractError("y must be empty or absent for denoising")
+    return _build_instance(kind, p, r, n, seed, noise_sigma, spectrum, y, "max(spectrum)")
 
 
 def _build_instance(
@@ -577,24 +590,29 @@ def _build_instance(
     noise_sigma: float,
     spectrum: np.ndarray,
     y: np.ndarray | None,
+    name: str,
 ) -> ProblemInstance:
     """The instance of checked parameters. Trace-regression observations
-    ``y`` are drawn from the seed when ``None``, else used verbatim."""
+    ``y`` are drawn from the seed when ``None``, else used verbatim. ``name``
+    is the caller's field for the target's largest singular value."""
     Y_star = _truth_from_seed(p, r, seed, spectrum)
     if kind == "denoising":
         obj = DenoisingObjective(Y_star).handle()
         gt = GroundTruth.from_factor(Y_star, obj)
         return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt)
+    culprit = f"{name} = {spectrum.max():.6g}" + ("" if y is None else " or the stored y")
     packed = _sensing_from_seed(p, n, seed)
     if y is None:
         rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
         eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
-        y = _apply_packed(packed, Y_star.gram()) + eps
-        if not np.all(np.isfinite(y)):
-            raise InputContractError("y contains non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused with the gradient below
+            y = _apply_packed(packed, Y_star.gram()) + eps
     reg = TraceRegressionObjective._from_packed(packed, y)
     obj = reg.handle()
-    gt = GroundTruth.from_factor(Y_star, obj)
+    try:
+        gt = GroundTruth.from_factor(Y_star, obj)
+    except InputContractError as exc:  # A(X*), y or the gradient at X* overflowed
+        raise InputContractError(f"{culprit} is too large: {exc}") from None
     return ProblemInstance(
         kind, p, r, n, seed, noise_sigma, spectrum, obj, gt, trace_regression=reg
     )

@@ -1,4 +1,4 @@
-"""Gradient descent on the factor, spectral initialization, error bounds.
+"""Gradient descent on the factor and spectral initialization.
 
 Because the horizontal lift of the Riemannian gradient equals the Euclidean
 gradient of the lifted objective, plain gradient descent on the factor is
@@ -21,33 +21,15 @@ from .errors import (
 )
 from .geometry import FactorPoint, quotient_distance, vertical_project
 from .kernels import _check_int, sym_eig
-from .landscape import (
-    RegionLabel,
-    RegionParams,
-    _check_stationary,
-    _classify,
-    _fmt,
-    _margin,
-    _r1_radius,
-    hess_extreme_eigs,
-)
-from .objectives import (
-    GroundTruth,
-    ObjectiveHandle,
-    TraceRegressionObjective,
-    _lift,
-    _sym_grad,
-    lifted_value,
-)
+from .landscape import RegionLabel, RegionParams, _classify, _fmt, hess_extreme_eigs
+from .objectives import GroundTruth, ObjectiveHandle, _lift, _sym_grad, lifted_value
 
 __all__ = [
     "PerturbationSpec",
     "GDConfig",
     "TrajectoryRecord",
-    "ErrorBoundResult",
     "riemannian_gd",
     "spectral_init",
-    "error_bound_check",
 ]
 
 
@@ -308,11 +290,12 @@ def riemannian_gd(
     return rec
 
 
-def spectral_init(obj: TraceRegressionObjective, r: int) -> FactorPoint:
-    """Spectral initialization from the back-projected observations.
+def spectral_init(obj: ObjectiveHandle, r: int) -> FactorPoint:
+    """Spectral initialization from ``M = -grad f(0)``.
 
-    Forms ``M = sum_i y_i A_i``, takes its top-``r`` eigenpairs with
-    eigenvalues clipped below at ``1e-8 * lambda_1`` and returns
+    On least squares ``M`` is the back-projection ``A.T(y)`` of the
+    observations. Takes the top-``r`` eigenpairs of ``M`` with eigenvalues
+    clipped below at ``1e-8 * lambda_1`` and returns
     ``U_r diag(lambda_r)^{1/2}``.
 
     Raises
@@ -320,10 +303,11 @@ def spectral_init(obj: TraceRegressionObjective, r: int) -> FactorPoint:
     InitializationFailure
         If fewer than ``r`` eigenvalues exceed the floor.
     """
-    M = obj.adjoint(obj.y)
+    _check_int(r, "r", 1)
+    M = -_sym_grad(obj, np.zeros((obj.p, obj.p)))
     U, lam = sym_eig(M)
     if lam[0] <= 0.0:
-        raise InitializationFailure("back-projected observations have no positive spectrum")
+        raise InitializationFailure("-grad f(0) has no positive spectrum")
     floor = 1e-8 * float(lam[0])
     if int(np.sum(lam > floor)) < r:
         raise InitializationFailure(
@@ -331,56 +315,3 @@ def spectral_init(obj: TraceRegressionObjective, r: int) -> FactorPoint:
         )
     lam_r = np.clip(lam[:r], floor, None)
     return FactorPoint(U[:, :r] * np.sqrt(lam_r)[None, :])
-
-
-@dataclass(frozen=True)
-class ErrorBoundResult:
-    """Outcome of the stationary-point distance bound check."""
-
-    lhs: float
-    rhs: float
-    rhs_mid: float
-    holds: bool
-    holds_mid: bool
-
-
-def error_bound_check(
-    Y_hat: FactorPoint,
-    gt: GroundTruth,
-    mu: float,
-    obj: ObjectiveHandle,
-    fosp_tol: float | None = None,
-) -> ErrorBoundResult:
-    """Check the certified distance bound at a stationary point in R1.
-
-    ``lhs`` is the quotient distance from the stationary point to the
-    target; ``rhs`` is
-    ``2 ||Y*|| ||(grad f(X*))_max(r)||_F / (((1-mu/k)^2 - 7mu/3) sigma_r^2)``
-    and ``rhs_mid`` the tighter intermediate bound with
-    ``||grad f(X*) Y*||_F`` in the numerator. ``holds`` compares with an
-    absolute slack of ``1e-7 sigma_r(Y*)`` because the noiseless rhs
-    is exactly zero while a numerically converged point sits at a tiny
-    positive distance.
-    """
-    sr = gt.sigmar_star
-    denom_margin = _margin(gt, mu)
-    _check_stationary(obj, Y_hat, 1e-6 * sr**3 if fosp_tol is None else fosp_tol)
-    lhs = quotient_distance(Y_hat, gt.Y_star)
-    r1_radius = _r1_radius(gt, mu)
-    if lhs > r1_radius * (1.0 + 1e-9):
-        raise InputContractError(
-            f"stationary point lies outside R1: distance {lhs:.3e} > {r1_radius:.3e}"
-        )
-    denom = denom_margin * sr**2
-    rhs = 2.0 * gt.sigma1_star * gt.grad_at_star_trunc / denom
-    grad_star = obj.euclid_grad(gt.X_star)
-    rhs_mid = 2.0 * float(np.linalg.norm(grad_star @ gt.Y_star.Y)) / denom
-    slack = 1e-7 * sr
-    return ErrorBoundResult(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        rhs_mid=float(rhs_mid),
-        holds=bool(lhs <= rhs + slack),
-        holds_mid=bool(lhs <= rhs_mid + slack),
-    )
-

@@ -27,6 +27,7 @@ from psdlandscape.landscape import (
     RegionParams,
     classify_region,
     compute_thresholds,
+    error_bound_check,
     escape_direction,
     hess_extreme_eigs,
     horizontal_dim,
@@ -39,7 +40,7 @@ from psdlandscape.objectives import (
     riemannian_hess_quadform,
     rsc_rsm_estimate,
 )
-from psdlandscape.optimizers import GDConfig, error_bound_check, riemannian_gd, spectral_init
+from psdlandscape.optimizers import GDConfig, riemannian_gd, spectral_init
 from psdlandscape.verify import fd_gradient_check, fd_hessian_check, run_suite
 
 
@@ -257,7 +258,7 @@ def test_06_general_objective_landscape_and_recovery():
         worst = min(worst, est.lambda_min - rep.r1_hess_lower)
         assert est.lambda_min >= rep.r1_hess_lower - tol
 
-    Y0 = spectral_init(inst.trace_regression, r)
+    Y0 = spectral_init(inst.objective, r)
     cfg = GDConfig(max_iters=50_000, grad_tol=1e-10 * gt.sigmar_star**3)
     rec = riemannian_gd(obj, Y0, cfg, gt=gt)
     assert rec.converged
@@ -291,7 +292,7 @@ def test_07_noisy_error_bound():
         obj, gt = inst.objective, inst.ground_truth
         assert gt.grad_at_star_trunc <= psi, "noise premise violated"
 
-        Y0 = spectral_init(inst.trace_regression, r)
+        Y0 = spectral_init(inst.objective, r)
         cfg = GDConfig(max_iters=50_000, grad_tol=1e-9 * gt.sigmar_star**3)
         rec = riemannian_gd(obj, Y0, cfg, gt=gt)
         assert rec.converged

@@ -208,6 +208,13 @@ class TestOptimize:
         final = json.loads((tmp_path / "out" / "final_report.json").read_text())
         assert final["iterations"] == 0
 
+    def test_spectral_init_on_denoising_starts_at_the_target(self, tmp_path):
+        # -grad f(0) = X*, so the start is the target's class
+        cfg = write_config(tmp_path, optimizer={"init": "spectral"})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        final = json.loads((tmp_path / "out" / "final_report.json").read_text())
+        assert final["converged"] is True and final["iterations"] == 0
+
     def test_spectral_init_for_regression(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -476,6 +483,9 @@ def _target_underflows(tmp_path):
         (["generate"], _config_not_utf8),
         (["scan"], _config_nested_deeply),
         (["generate"], _instance_not_utf8),
+        (["scan"], lambda tmp_path: write_config(tmp_path, problem={"noise_sigma": 0.05})),
+        (["generate"], lambda tmp_path: _instance(tmp_path, noise_sigma=0.3)),
+        (["scan"], lambda tmp_path: _instance(tmp_path, y=[1, 2])),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -494,6 +504,7 @@ def _target_underflows(tmp_path):
         "n-points-numeric-string", "instance-spectrum-strings", "instance-noise-string",
         "instance-y-string", "target-overflows", "instance-target-overflows",
         "config-not-utf8", "config-nested-deeply", "instance-not-utf8",
+        "denoising-noise", "instance-denoising-noise", "instance-denoising-y",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):
@@ -517,9 +528,8 @@ def test_malformed_input_exits_two(tmp_path, command, make_config):
         ("scan", {"scan": {"n_points": 0}}),
         ("scan", {"scan": {"seed": -1}}),
         ("optimize", {"optimizer": {"init": "bogus"}}),
-        ("optimize", {"optimizer": {"init": "spectral"}}),  # on denoising
     ],
-    ids=["scan-no-points", "scan-seed-negative", "init-unknown", "spectral-init-on-denoising"],
+    ids=["scan-no-points", "scan-seed-negative", "init-unknown"],
 )
 def test_refused_input_leaves_no_output_dir(tmp_path, capsys, command, overrides):
     # these inputs are checked by the library after the config is read
@@ -527,6 +537,32 @@ def test_refused_input_leaves_no_output_dir(tmp_path, capsys, command, overrides
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, make_config, culprit",
+    [
+        ("generate", lambda tmp_path: write_config(tmp_path, problem={
+            "kind": "trace_regression", "p": 2, "r": 1, "n": 3, "kappa_star": 1.0,
+            "sigma_r_star": 1.3e154, "seed": 0}), "kappa_star * sigma_r_star = 1.3e+154"),
+        ("scan", lambda tmp_path: _instance(
+            tmp_path, kind="trace_regression", p=2, r=1, n=3, spectrum=[1.3e154],
+            y=[0.0, 0.0, 0.0]), "max(spectrum) = 1.3e+154 or the stored y"),
+    ],
+    ids=["drawn", "stored"],
+)
+def test_target_whose_observations_overflow_is_one_error_line(tmp_path, command, make_config, culprit):
+    # r sigma_1*^2 is finite, but A(X*) overflows for this seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdlandscape.cli", command, "--config", str(make_config(tmp_path))],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {culprit} is too large: the gradient at X* has non-finite entries\n"
+    )
 
 
 @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])

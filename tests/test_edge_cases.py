@@ -23,6 +23,7 @@ from psdlandscape.landscape import (
 from psdlandscape.errors import InputContractError
 from psdlandscape.objectives import (
     DenoisingObjective,
+    instance_from_document,
     make_instance,
     restricted_strict_convexity_check,
     rsc_rsm_estimate,
@@ -126,6 +127,11 @@ def _factors(bad=None):
     return Y1, Y2
 
 
+def _denoising_document(**fields):
+    return {"kind": "denoising", "p": 4, "r": 2, "n": 0, "seed": 0, "noise_sigma": 0.0,
+            "spectrum": [1.0, 0.5], "y": [], **fields}
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -145,6 +151,8 @@ def _factors(bad=None):
         (lambda: sampled_distance_upper_bound(*_factors(np.nan), 10, 0), "Y1"),
         (lambda: make_instance("denoising", 4, 2, sigma_r_star=1e155), "sigma_r_star"),
         (lambda: make_instance("trace_regression", 4, 2, 20, kappa_star=1e155), "kappa_star"),
+        (lambda: make_instance("denoising", 4, 2, noise_sigma=0.05), "^noise_sigma must be 0"),
+        (lambda: instance_from_document(_denoising_document(y=[1, 2])), "^y must be empty"),
     ],
     ids=[
         "rsc-seed-negative", "rsc-seed-boolean", "rsc-seed-fractional", "rsc-r-zero",
@@ -152,6 +160,7 @@ def _factors(bad=None):
         "dense-seed-negative", "dense-restarts-zero", "dense-restarts-boolean",
         "sampled-n-samples-zero", "sampled-seed-negative", "sampled-nan-input",
         "denoising-target-overflows", "trace-target-overflows",
+        "denoising-noise", "denoising-document-y",
     ],
 )
 def test_entry_checks_refuse(call, match):

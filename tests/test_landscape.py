@@ -38,7 +38,7 @@ from psdlandscape.objectives import (
     riemannian_hess_quadform,
     rsc_rsm_estimate,
 )
-from psdlandscape.optimizers import GDConfig, riemannian_gd
+from psdlandscape.optimizers import GDConfig, riemannian_gd, spectral_init
 
 PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 
@@ -339,7 +339,7 @@ def test_lanczos_matches_dense(obj, Y):
     assert lanczos.residual <= 1e-8 * scale
 
 
-def test_a_custom_handle_needs_no_rank():
+def _hand_written_denoising():
     # ObjectiveHandle(value, euclid_grad, euclid_hess_form, p): the
     # denoising objective written out by hand, with no least-squares map
     Y_star = FactorPoint(np.random.default_rng(907).standard_normal((7, 2)))
@@ -350,6 +350,11 @@ def test_a_custom_handle_needs_no_rank():
         lambda X, G1, G2: float(np.vdot(G1, G2)),
         7,
     )
+    return obj, Y_star
+
+
+def test_a_custom_handle_needs_no_rank():
+    obj, Y_star = _hand_written_denoising()
     gt = GroundTruth.from_factor(Y_star, obj)
     Y = FactorPoint(Y_star.Y + 0.1 * np.random.default_rng(908).standard_normal((7, 2)))
     dense = hess_extreme_eigs(obj, Y)
@@ -363,6 +368,12 @@ def test_a_custom_handle_needs_no_rank():
     assert rsc_rsm_estimate(obj, 2, 20, seed=909) < 1e-12
     reports = certify_landscape(obj, gt, PARAMS, ["ball", "scaled", "gaussian"], 6, seed=910)
     assert all(rep.passed for rep in reports)
+
+
+def test_spectral_init_of_a_custom_handle_is_the_target():
+    # -grad f(0) = X* for the hand-written denoising objective
+    obj, Y_star = _hand_written_denoising()
+    assert quotient_distance(spectral_init(obj, 2), Y_star) < 1e-8
 
 
 def _sized_instance(kind, p, r, seed):

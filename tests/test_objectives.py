@@ -226,11 +226,18 @@ class TestTraceRegression:
         with pytest.raises(InputContractError, match=f"^{field} contains non-finite"):
             TraceRegressionObjective(data["sensing"], data["y"])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_drawn_observations_that_overflow_are_rejected(self):
-        # r sigma_1^2 is finite, but A(X*) overflows for this seed
-        with pytest.raises(InputContractError, match="^y contains non-finite"):
+        # r sigma_1^2 is finite, but A(X*) overflows for this seed; the
+        # message names the target, and numpy warns of nothing
+        with pytest.raises(InputContractError, match=r"^kappa_star \* sigma_r_star = 1.3e\+154 is"):
             make_instance("trace_regression", 2, 1, n=3, sigma_r_star=1.3e154, seed=0)
+
+    def test_stored_target_whose_gradient_overflows_is_rejected(self):
+        # finite stored observations, but A(X*) and so grad f(X*) overflow
+        doc = {"kind": "trace_regression", "p": 2, "r": 1, "n": 3, "seed": 0,
+               "noise_sigma": 0.0, "spectrum": [1.3e154], "y": [0.0, 0.0, 0.0]}
+        with pytest.raises(InputContractError, match=r"^max\(spectrum\) = 1.3e\+154 or the stored y is"):
+            instance_from_document(doc)
 
     def test_sensing_is_read_only_and_equals_one_draw(self):
         p, n, seed = 5, 37, 3
@@ -459,6 +466,7 @@ class TestGroundTruth:
         G = inst.objective.euclid_grad(gt.X_star)
         s = np.linalg.svd(G, compute_uv=False)
         assert gt.grad_at_star_trunc == pytest.approx(np.sqrt(np.sum(s[:2] ** 2)))
+        assert gt.grad_at_star_along_factor == float(np.linalg.norm(G @ gt.Y_star.Y))
 
     @pytest.mark.parametrize("kind, n", [("denoising", 0), ("trace_regression", 40)])
     def test_noiseless_build_makes_only_the_factor_svd(self, kind, n, monkeypatch):
@@ -472,7 +480,7 @@ class TestGroundTruth:
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         gt = make_instance(kind, 8, 2, n=n, kappa_star=2.0, seed=3).ground_truth
         assert shapes == [(8, 2)]
-        assert gt.grad_at_star_trunc == 0.0
+        assert gt.grad_at_star_trunc == gt.grad_at_star_along_factor == 0.0
 
     def test_target_norm(self):
         gt = make_instance("denoising", 7, 3, kappa_star=2.0, seed=4).ground_truth

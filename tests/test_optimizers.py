@@ -16,6 +16,7 @@ from psdlandscape.landscape import (
     certify_landscape,
     classify_region,
     compute_thresholds,
+    error_bound_check,
     random_ball_tangent,
     strict_convexity_fosp_check,
 )
@@ -31,7 +32,6 @@ from psdlandscape.objectives import (
 from psdlandscape.optimizers import (
     GDConfig,
     PerturbationSpec,
-    error_bound_check,
     riemannian_gd,
     spectral_init,
 )
@@ -85,6 +85,8 @@ def _certify(n_points=4, seed=0):
         lambda: make_instance("denoising", 2.5, 1),
         lambda: make_instance("denoising", 4, 1, seed=1.5),
         lambda: random_ball_tangent(_denoising_problem()[1].Y_star, -1.0, np.random.default_rng(0)),
+        lambda: spectral_init(_denoising_problem()[0], 2.5),
+        lambda: spectral_init(_denoising_problem()[0], True),
     ],
     ids=[
         "grad-tol-nan", "step-size-nan", "max-iters-nan", "cooldown-nan",
@@ -94,6 +96,7 @@ def _certify(n_points=4, seed=0):
         "scan-seed-fractional", "instances-fractional", "suite-seed-fractional",
         "rsc-samples-fractional", "convexity-check-samples-fractional", "p-fractional",
         "instance-seed-fractional", "tangent-radius-negative",
+        "spectral-rank-fractional", "spectral-rank-boolean",
     ],
 )
 def test_out_of_range_inputs_are_rejected(build):
@@ -363,7 +366,7 @@ def _least_squares_problem(kind):
     """A handle with least-squares structure and a start away from the target."""
     if kind == "trace_regression":
         inst = make_instance("trace_regression", 8, 2, n=120, noise_sigma=0.0, seed=30)
-        return inst.objective, spectral_init(inst.trace_regression, 2)
+        return inst.objective, spectral_init(inst.objective, 2)
     inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=31)
     return inst.objective, FactorPoint(np.random.default_rng(32).standard_normal((8, 2)))
 
@@ -416,7 +419,7 @@ class TestLeastSquaresCarry:
 
         inst = make_instance("trace_regression", 8, 2, n=120, noise_sigma=0.0, seed=30)
         reg = inst.trace_regression
-        Y0 = spectral_init(reg, 2)
+        Y0 = spectral_init(reg.handle(), 2)
         calls = {"apply_map": 0, "adjoint": 0, "euclid_grad": 0, "evaluate": 0}
 
         def counted(name, fn):
@@ -455,7 +458,7 @@ class TestLeastSquaresCarry:
         with pytest.raises((NumericalFailure, RankCollapseError)):
             riemannian_gd(
                 inst.objective,
-                spectral_init(inst.trace_regression, 2),
+                spectral_init(inst.objective, 2),
                 GDConfig(step_size=1e9, max_iters=50, grad_tol=1e-16),
             )
 
@@ -500,7 +503,7 @@ class TestSpectralInit:
         p, r, n = 12, 2, 8 * 12 * 2
         inst = make_instance("trace_regression", p, r, n=n, noise_sigma=0.0, seed=17)
         gt = inst.ground_truth
-        Y0 = spectral_init(inst.trace_regression, r)
+        Y0 = spectral_init(inst.objective, r)
         rel = np.linalg.norm(Y0.gram() - gt.X_star) / np.linalg.norm(gt.X_star)
         print(f"spectral init relative error: {rel:.3f}")
         assert rel < 0.5
@@ -511,13 +514,13 @@ class TestSpectralInit:
         sensing = (G + np.transpose(G, (0, 2, 1))) / 2
         reg = TraceRegressionObjective(sensing, np.zeros(10))
         with pytest.raises(InitializationFailure):
-            spectral_init(reg, 2)
+            spectral_init(reg.handle(), 2)
 
     def test_deterministic(self):
         inst = make_instance("trace_regression", 8, 2, n=60, noise_sigma=0.1, seed=19)
         reg = inst.trace_regression
-        a = spectral_init(reg, 2)
-        b = spectral_init(reg, 2)
+        a = spectral_init(reg.handle(), 2)
+        b = spectral_init(reg.handle(), 2)
         np.testing.assert_array_equal(a.Y, b.Y)
 
 
@@ -526,7 +529,7 @@ class TestErrorBound:
         p, r, n = 10, 2, 10 * 10 * 2
         inst = make_instance("trace_regression", p, r, n=n, noise_sigma=0.0, seed=20)
         obj, gt = inst.objective, inst.ground_truth
-        Y0 = spectral_init(inst.trace_regression, r)
+        Y0 = spectral_init(inst.objective, r)
         cfg = GDConfig(max_iters=20000, grad_tol=1e-9 * gt.sigmar_star**3)
         rec = riemannian_gd(obj, Y0, cfg, gt=gt)
         assert rec.converged
@@ -542,6 +545,22 @@ class TestErrorBound:
         assert res.lhs == pytest.approx(0.0, abs=1e-12)
         assert res.rhs == pytest.approx(0.0, abs=1e-15)
         assert res.holds and res.holds_mid
+
+    def test_gradient_at_the_target_is_read_from_the_ground_truth(self):
+        # the one gradient evaluation is the stationarity test at Y_hat
+        import dataclasses
+
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=21)
+        gt, obj, points = inst.ground_truth, inst.objective, []
+
+        def counted_grad(X):
+            points.append(X)
+            return obj.euclid_grad(X)
+
+        Y_hat = FactorPoint(gt.Y_star.Y[:, ::-1])
+        error_bound_check(Y_hat, gt, PARAMS.mu, dataclasses.replace(obj, euclid_grad=counted_grad))
+        assert len(points) == 1
+        np.testing.assert_array_equal(points[0], Y_hat.gram())
 
     def test_hypothesis_violation(self):
         inst = make_instance("denoising", 8, 2, kappa_star=1.0, seed=22)
@@ -563,7 +582,7 @@ class TestConvergedFospSpectrum:
         p, r, n = 8, 2, 8 * 8 * 2
         inst = make_instance("trace_regression", p, r, n=n, noise_sigma=0.0, seed=25)
         obj, gt = inst.objective, inst.ground_truth
-        Y0 = spectral_init(inst.trace_regression, r)
+        Y0 = spectral_init(inst.objective, r)
         cfg = GDConfig(max_iters=20000, grad_tol=1e-11)
         rec = riemannian_gd(obj, Y0, cfg)
         assert rec.converged
