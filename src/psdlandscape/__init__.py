@@ -38,6 +38,7 @@ from .kernels import (
     SvdResult,
     procrustes_align,
     sym_eig,
+    sym_eigvals,
     thin_svd,
     truncated_frob_norm,
 )

@@ -20,6 +20,7 @@ __all__ = [
     "EigResult",
     "thin_svd",
     "sym_eig",
+    "sym_eigvals",
     "truncated_frob_norm",
     "procrustes_align",
     "check_matrix",
@@ -122,13 +123,9 @@ def thin_svd(A: np.ndarray) -> SvdResult:
     return SvdResult(U, s, V)
 
 
-def sym_eig(S: np.ndarray, asym_tol: float = 1e-10) -> EigResult:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    The input is checked against ``asym_tol`` (relative Frobenius) and
-    symmetrized as ``(S + S.T) / 2`` before factorization, which guards
-    against asymmetry accumulated in Gram-type products.
-    """
+def _sym_factorize(factorize, S: np.ndarray, asym_tol: float):
+    """``factorize((S + S.T) / 2)`` of a finite square ``S`` within
+    ``asym_tol`` of symmetric (see :func:`sym_eig`)."""
     S = check_matrix(S, "eig input")
     if S.shape[0] != S.shape[1]:
         raise InputContractError(f"eig input must be square, got {S.shape}")
@@ -139,10 +136,26 @@ def sym_eig(S: np.ndarray, asym_tol: float = 1e-10) -> EigResult:
             f"||S - S.T||_F = {np.linalg.norm(S - S.T):.3e}, ||S||_F = {nrm:.3e}"
         )
     try:
-        lam, U = np.linalg.eigh((S + S.T) / 2.0)
+        return factorize((S + S.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed for shape {S.shape}") from exc
+
+
+def sym_eig(S: np.ndarray, asym_tol: float = 1e-10) -> EigResult:
+    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+
+    The input is checked against ``asym_tol`` (relative Frobenius) and
+    symmetrized as ``(S + S.T) / 2`` before factorization, which guards
+    against asymmetry accumulated in Gram-type products.
+    """
+    lam, U = _sym_factorize(np.linalg.eigh, S, asym_tol)
     return EigResult(U[:, ::-1].copy(), lam[::-1].copy())
+
+
+def sym_eigvals(S: np.ndarray, asym_tol: float = 1e-10) -> np.ndarray:
+    """The eigenvalues of :func:`sym_eig`, descending, after the same checks,
+    from a factorization that computes no eigenvectors."""
+    return _sym_factorize(np.linalg.eigvalsh, S, asym_tol)[::-1].copy()
 
 
 def truncated_frob_norm(A: np.ndarray, r: int) -> float:

@@ -33,7 +33,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .geometry import FactorPoint, HorizontalTangent, quotient_distance, vertical_project
-from .kernels import _align, _check_int, sym_eig
+from .kernels import _align, _check_int, sym_eigvals
 from .objectives import (
     MAX_INSTANCE_BYTES,
     GroundTruth,
@@ -246,7 +246,7 @@ DENSE_HESSIAN_CAP = 60
 
 #: largest horizontal dimension at which the dense matrix of a handle with a
 #: least-squares map is still taken from one form call per pair, not from
-#: one ``images`` call over the basis lifts. The benchmark's own tests pin
+#: one ``forward`` call over the basis lifts. The benchmark's own tests pin
 #: that form count at small sizes; ROADMAP.md item 1 (benchmark upkeep)
 #: unpins it, and this cap goes with it
 _FORM_MATRIX_CAP = 44
@@ -297,17 +297,6 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
     basis[len(k) :].reshape(p - r, r, p, r)[:, b, :, b] = U_perp.T
     basis.flags.writeable = False
     return basis
-
-
-def _least_squares_hessian(
-    obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    """``2 (N_j Y + R V_j)`` for each ``V_j`` of a ``(k, p, r)`` stack, with
-    ``N_j = hess f(X)[C(V_j)]`` from one ``images`` call over the stack of
-    lifts: the ambient gradient of ``b(V_j, .)``, since ``b(v, w) = <N, C(w)>
-    + 2 <R v, w> = <2 N Y + 2 R v, w>`` for symmetric ``N``."""
-    N = obj.least_squares.images(_lift(Y, V))[1]
-    return 2.0 * (N @ Y.Y + R @ V)
 
 
 def _lanczos_extremes(
@@ -372,26 +361,28 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     :class:`~psdlandscape.objectives.LeastSquaresMap` and on the horizontal
     dimension ``m = horizontal_dim(p, r)``:
 
-    =============  ========================  =======  ==============================
+    =============  ========================  =======  ========================================
     handle         dimension                 method   work per spectrum
-    =============  ========================  =======  ==============================
+    =============  ========================  =======  ========================================
     least squares  ``m <= 44``               dense    ``m (m + 1) / 2`` form calls
-    least squares  ``44 < m <= 60``          dense    one ``images`` call (one sweep)
+    least squares  ``44 < m <= 60``          dense    one ``forward`` sweep, eigenvalues only
     least squares  ``m > 60``                lanczos  one ``images`` call per step
     custom         ``m <= 4000``, lifts fit  dense    ``m (m + 1) / 2`` form calls
     custom         otherwise                 lanczos  ``p r`` form calls per step
-    =============  ========================  =======  ==============================
+    =============  ========================  =======  ========================================
 
     60 is :data:`DENSE_HESSIAN_CAP`, 44 is ``_FORM_MATRIX_CAP`` and 4000 is
     ``_BASIS_CAP``; the lifts fit when their ``8 m p^2`` bytes are at most
     :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`. The dense path
-    (residual 0) factorizes the matrix of ``b`` over the basis ``B`` of
-    :func:`horizontal_basis`: the form over the lifts ``C(B_k)`` plus
-    ``2 <B_k, R B_l>``, or ``B_k . (2 N_l Y + 2 R B_l)`` with
-    ``N_l = hess f(X)[C(B_l)]`` from ``images``. Lanczos, with full
+    (residual 0) takes the eigenvalues only, with no eigenvectors, of the
+    matrix of ``b`` over the basis ``B`` of :func:`horizontal_basis`: the
+    form over the lifts ``C(B_k)``, or ``F F.T`` with ``F[k] = A(C(B_k))``
+    from ``forward``, plus ``2 <B_k, R B_l>``. Lanczos, with full
     reorthogonalization, applies the ambient gradient of ``b(v, .)``,
-    ``2 N Y + 2 R v`` or ``2 R v + (hess f(X)[C(v), C(E_ij)])_ij`` over the
-    matrix units, and projects it once per step onto the horizontal space.
+    ``2 N Y + 2 R v`` with ``N = hess f(X)[C(v)]`` from ``images`` (since
+    ``b(v, w) = <N, C(w)> + 2 <R v, w> = <2 N Y + 2 R v, w>`` for symmetric
+    ``N``) or ``2 R v + (hess f(X)[C(v), C(E_ij)])_ij`` over the matrix
+    units, and projects it once per step onto the horizontal space.
     Its start is seeded by the bits of ``Y``, and it reports the larger
     Ritz residual of the two extreme pairs.
 
@@ -414,18 +405,21 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
 
     if dense:
         basis = horizontal_basis(Y)
-        B = basis.reshape(m, -1)
+        lifts = _lift(Y, basis)
         if least_squares and m > _FORM_MATRIX_CAP:
-            M = B @ _least_squares_hessian(obj, Y, R, basis).reshape(m, -1).T
+            F = obj.least_squares.forward(lifts)
+            M = F @ F.T
         else:
-            M = _form_matrix(obj, X, _lift(Y, basis))
-            M += 2.0 * (B @ (R @ basis).reshape(m, -1).T)
-        _, lam = sym_eig(M, asym_tol=1e-6)
+            M = _form_matrix(obj, X, lifts)
+        B = basis.reshape(m, -1)
+        M += 2.0 * (B @ (R @ basis).reshape(m, -1).T)
+        lam = sym_eigvals(M, asym_tol=1e-6)
         return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
 
     if least_squares:
         def apply(v: np.ndarray) -> np.ndarray:
-            return _least_squares_hessian(obj, Y, R, v[None])[0]
+            N = obj.least_squares.images(_lift(Y, v[None]))[1]
+            return 2.0 * (N @ Y.Y + R @ v[None])[0]
 
     else:
         def apply(v: np.ndarray) -> np.ndarray:

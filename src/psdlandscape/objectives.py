@@ -10,8 +10,9 @@ Two concrete problem families are provided:
 
 Everything downstream consumes an :class:`ObjectiveHandle`, which exposes
 the value, the (symmetric) Euclidean gradient and the Euclidean Hessian
-bilinear form, and, for the two least-squares families, the residual and
-the adjoint and images of its linear map (:class:`LeastSquaresMap`).
+bilinear form, and, for the two least-squares families, the residual, the
+adjoint and the forward and normal images of its linear map
+(:class:`LeastSquaresMap`).
 """
 
 from __future__ import annotations
@@ -65,13 +66,22 @@ class LeastSquaresMap:
     adjoint : callable
         ``v -> A.T(v)``, a fresh ``p x p`` array; ``grad f(X)`` is the
         adjoint of the residual.
+    forward : callable
+        ``Gs -> F`` for a ``(k, p, p)`` stack ``Gs``: the ``(k, d)`` array
+        whose row ``j`` is ``A(Gs[j])``, from one pass over the map and no
+        adjoint. The Hessian form is ``<F[a], F[b]>``, so whatever reads
+        only the form (the delta probes, the dense Hessian spectra, the
+        delta oracles) reads this.
     images : callable
         ``Gs -> (F, N)`` for a ``(k, p, p)`` stack ``Gs``: ``F[j] = A(Gs[j])``
-        and ``N[j] = A.T(A(Gs[j]))``, a symmetric ``p x p`` matrix.
+        and ``N[j] = A.T(A(Gs[j]))``, a symmetric ``p x p`` matrix, for the
+        consumers that need the normal images (gradient descent and the
+        Lanczos apply).
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
+    forward: Callable[[np.ndarray], np.ndarray]
     images: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -103,14 +113,14 @@ class ObjectiveHandle:
 
 
 def _least_squares_handle(
-    p: int, y: np.ndarray, forward: Callable, adjoint: Callable, images: Callable
+    p: int, y: np.ndarray, apply: Callable, adjoint: Callable, forward: Callable, images: Callable
 ) -> ObjectiveHandle:
-    """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``forward`` (``A``),
-    ``adjoint`` (``A.T``, returning a fresh array) and ``images`` (see
-    :class:`LeastSquaresMap`)."""
+    """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``apply`` (``A``),
+    ``adjoint`` (``A.T``, returning a fresh array), ``forward`` and ``images``
+    (see :class:`LeastSquaresMap`)."""
 
     def residual(X: np.ndarray) -> np.ndarray:
-        return forward(X) - y
+        return apply(X) - y
 
     def value(X: np.ndarray) -> float:
         res = residual(X)
@@ -120,10 +130,11 @@ def _least_squares_handle(
         return adjoint(residual(X))
 
     def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
-        image = forward(G1)
-        return float(np.vdot(image, image if G2 is G1 else forward(G2)))
+        image = apply(G1)
+        return float(np.vdot(image, image if G2 is G1 else apply(G2)))
 
-    return ObjectiveHandle(value, grad, hess_form, p, LeastSquaresMap(residual, adjoint, images))
+    ls = LeastSquaresMap(residual, adjoint, forward, images)
+    return ObjectiveHandle(value, grad, hess_form, p, ls)
 
 
 class DenoisingObjective:
@@ -136,9 +147,13 @@ class DenoisingObjective:
         self.Y_star = Y_star
 
     def handle(self) -> ObjectiveHandle:
-        # A is the identity; its adjoint copies, so a gradient never aliases the residual
+        # A is the identity: its forward images flatten the stack, and its
+        # adjoint copies, so a gradient never aliases the residual
         Ys = self.Y_star
-        return _least_squares_handle(Ys.p, Ys.gram(), np.asarray, np.copy, lambda Gs: (Gs, Gs))
+        return _least_squares_handle(
+            Ys.p, Ys.gram(), np.asarray, np.copy,
+            lambda Gs: Gs.reshape(len(Gs), -1), lambda Gs: (Gs, Gs),
+        )
 
 
 #: entries of ``n x p x p`` sample arrays that one chunk of samples may hold
@@ -256,6 +271,11 @@ class TraceRegressionObjective:
         """Adjoint map ``A.T(v) = sum_i v_i A_i``."""
         return _unpacked(np.asarray(v, dtype=float) @ self.packed, self.p)
 
+    def forward(self, Gs: np.ndarray) -> np.ndarray:
+        """``(A(G_j))_j`` as a ``(k, n)`` array for a ``(k, p, p)`` stack
+        ``Gs``, from one product with the map and no normal images."""
+        return _packed_coefficients(Gs) @ self.packed.T
+
     def images(self, Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(A(G_j))_j`` as a ``(k, n)`` array and ``(A.T(A(G_j)))_j`` as a
         ``(k, p, p)`` array, for a ``(k, p, p)`` stack ``Gs``, from one sweep
@@ -275,7 +295,9 @@ class TraceRegressionObjective:
         return forward, _unpacked(normal, self.p)
 
     def handle(self) -> ObjectiveHandle:
-        return _least_squares_handle(self.p, self.y, self.apply_map, self.adjoint, self.images)
+        return _least_squares_handle(
+            self.p, self.y, self.apply_map, self.adjoint, self.forward, self.images
+        )
 
 
 @dataclass(frozen=True)
@@ -643,22 +665,38 @@ def rsc_rsm_estimate(obj: ObjectiveHandle, r: int, n_samples: int, seed: int) ->
     <= 4r directions) and returns the largest observed deviation
     ``|hess_form(X)[G, G] - 1|``. This under-estimates the true constant;
     objectives on a different scale must be pre-normalized by the caller.
+    On a least-squares handle the form is ``||A(G)||^2``, read in blocks of
+    :data:`_PROBE_BLOCK` directions, one ``forward`` sweep each.
     """
     _check_int(r, "r", 1)
     _check_int(n_samples, "n_samples", 1)
     _check_int(seed, "seed", 0)
-    return max(0.0, *(abs(q - 1.0) for q in _probe_forms(obj, 2 * r, n_samples, seed)))
+    deviations = (abs(q - 1.0) for q in _probe_forms(obj, 2 * r, n_samples, seed))
+    return functools.reduce(max, deviations, 0.0)
+
+
+#: probes whose directions :func:`_probe_forms` maps in one ``forward`` sweep
+_PROBE_BLOCK = 32
 
 
 def _probe_forms(obj: ObjectiveHandle, rank: int, n_samples: int, seed: int):
     """``hess_form(X)[G, G]`` at ``n_samples`` seeded probes, drawn in turn:
     a symmetric ``X`` of rank <= ``rank`` and a unit-norm symmetric ``G`` of
-    rank <= ``2 rank``."""
+    rank <= ``2 rank``. A least-squares form does not read ``X``, but it is
+    drawn all the same, so the stream is that of any handle; the form is
+    ``||A(G)||^2`` from one ``forward`` sweep per block of
+    :data:`_PROBE_BLOCK` directions."""
     rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        X = random_symmetric_low_rank(obj.p, rank, rng)
-        G = random_symmetric_low_rank(obj.p, 2 * rank, rng, unit=True)
-        yield float(obj.euclid_hess_form(X, G, G))
+    ls = obj.least_squares
+    for start in range(0, n_samples, _PROBE_BLOCK):
+        Xs, Gs = [], np.empty((min(_PROBE_BLOCK, n_samples - start), obj.p, obj.p))
+        for G in Gs:
+            Xs.append(random_symmetric_low_rank(obj.p, rank, rng))
+            G[...] = random_symmetric_low_rank(obj.p, 2 * rank, rng, unit=True)
+        if ls is None:
+            yield from (float(obj.euclid_hess_form(X, G, G)) for X, G in zip(Xs, Gs))
+        else:
+            yield from (float(np.vdot(f, f)) for f in ls.forward(Gs))
 
 
 def restricted_strict_convexity_check(

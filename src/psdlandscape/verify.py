@@ -195,7 +195,7 @@ def _least_squares_gram(obj: ObjectiveHandle) -> tuple[np.ndarray, np.ndarray]:
     if obj.least_squares is None:
         raise InputContractError("dense delta oracles need a least-squares handle")
     basis = _symmetric_basis(p)
-    F = obj.least_squares.images(basis)[0].reshape(len(basis), -1)
+    F = obj.least_squares.forward(basis)
     return basis.reshape(len(basis), -1), F @ F.T
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdlandscape.errors import InputContractError
-from psdlandscape.kernels import procrustes_align, sym_eig, thin_svd, truncated_frob_norm
+from psdlandscape.kernels import procrustes_align, sym_eig, sym_eigvals, thin_svd, truncated_frob_norm
 
 
 class TestThinSvd:
@@ -86,6 +86,16 @@ class TestSymEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(InputContractError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_eigenvalues_alone_match_and_are_checked_alike(self):
+        A = np.random.default_rng(10).standard_normal((7, 7))
+        S = A + A.T + 1e-9 * A  # asymmetric within 1e-6, not within 1e-10
+        lam = sym_eigvals(S, asym_tol=1e-6)
+        np.testing.assert_allclose(lam, sym_eig(S, asym_tol=1e-6).lam, rtol=0, atol=1e-13 * np.abs(lam).max())
+        assert np.all(np.diff(lam) <= 0)
+        for bad in (S, np.full((2, 2), np.nan), np.ones((2, 3))):
+            with pytest.raises(InputContractError):
+                sym_eigvals(bad)
 
 
 class TestTruncatedFrobNorm:

@@ -420,6 +420,38 @@ def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, p
     assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
 
 
+@settings(max_examples=24, deadline=None)
+@given(
+    kind=st.sampled_from(["denoising", "trace_regression"]),
+    r=st.integers(min_value=1, max_value=4),
+    offset=st.integers(min_value=0, max_value=20),
+    point=st.sampled_from(["ball", "random"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_forward_only_dense_extremes_agree_with_lanczos(kind, r, offset, point, seed):
+    # every p whose dimension lies between the form cap and the dense cap,
+    # where the dense matrix is F F.T from one forward sweep
+    sizes = [
+        q for q in range(r, 70)
+        if landscape._FORM_MATRIX_CAP < horizontal_dim(q, r) <= landscape.DENSE_HESSIAN_CAP
+    ]
+    p = sizes[offset % len(sizes)]
+    inst = _sized_instance(kind, p, r, seed)
+    gt = inst.ground_truth
+    rng = np.random.default_rng(seed)
+    if point == "ball":
+        th = landscape.random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
+        Y = FactorPoint(gt.Y_star.Y + th.theta)
+    else:
+        Y = FactorPoint(gt.sigma1_star / np.sqrt(p) * rng.standard_normal((p, r)))
+    dense = hess_extreme_eigs(inst.objective, Y)
+    lanczos = _forced_spectrum(inst.objective, Y, "lanczos")
+    assert dense.method == "dense"
+    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
+    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
+    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+
+
 @pytest.mark.parametrize("seed", [0, 1, 0x4C414E43])
 def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
     # point 0 of a scan with seed s is drawn from SeedSequence([s, 0]), the
@@ -453,10 +485,10 @@ class TestWorkPerSpectrum:
     @staticmethod
     def counted_spectrum(obj, Y, monkeypatch):
         """The estimate with its map sweeps (the stacks passed to
-        ``images``), its form calls, its Lanczos steps (one
-        factorization of the tridiagonal matrix each) and its vertical
-        projections."""
-        sweeps, forms, steps, projections = [], [], [], []
+        ``images`` and to ``forward``, by name), its form calls, its Lanczos
+        steps (one factorization of the tridiagonal matrix each) and its
+        vertical projections."""
+        sweeps, forms, steps, projections = {"images": [], "forward": []}, [], [], []
 
         def count(log, f):
             def counted(*args):
@@ -469,7 +501,11 @@ class TestWorkPerSpectrum:
         obj = dataclasses.replace(
             obj,
             euclid_hess_form=count(forms, obj.euclid_hess_form),
-            least_squares=ls and dataclasses.replace(ls, images=count(sweeps, ls.images)),
+            least_squares=ls and dataclasses.replace(
+                ls,
+                images=count(sweeps["images"], ls.images),
+                forward=count(sweeps["forward"], ls.forward),
+            ),
         )
         monkeypatch.setattr(np.linalg, "eigh", count(steps, np.linalg.eigh))
         monkeypatch.setattr(
@@ -488,10 +524,10 @@ class TestWorkPerSpectrum:
         obj = inst.objective
         est, sweeps, forms, steps, projections = self.counted_spectrum(obj, Y, monkeypatch)
         assert est.method == "lanczos" and steps > 0
-        assert len(sweeps) == steps and forms == 0
+        assert len(sweeps["images"]) == steps and sweeps["forward"] == [] and forms == 0
         # one projection per step and one of the start
         assert projections == steps + 1
-        assert all(G.shape == (1, p, p) for G in sweeps)
+        assert all(G.shape == (1, p, p) for G in sweeps["images"])
 
     def test_handle_without_a_map_is_dense_under_the_basis_cap(self, monkeypatch):
         inst = make_instance("denoising", 30, 3, kappa_star=2.0, seed=41)
@@ -540,7 +576,7 @@ class TestWorkPerSpectrum:
             inst.objective, inst.ground_truth.Y_star, monkeypatch
         )
         assert est.method == "dense"
-        assert forms == p * (p + 1) // 2 and sweeps == []
+        assert forms == p * (p + 1) // 2 and sweeps == {"images": [], "forward": []}
 
     @staticmethod
     def over_form_cap(kind):
@@ -557,19 +593,21 @@ class TestWorkPerSpectrum:
     def test_dense_path_over_the_form_cap_makes_one_map_sweep(self, kind, monkeypatch):
         inst, Y = self.over_form_cap(kind)
         est, sweeps, forms, _, _ = self.counted_spectrum(inst.objective, Y, monkeypatch)
-        assert est.method == "dense" and forms == 0
-        (lifts,) = sweeps
+        assert est.method == "dense" and forms == 0 and sweeps["images"] == []
+        (lifts,) = sweeps["forward"]
         np.testing.assert_array_equal(lifts, _lift(Y, horizontal_basis(Y)))
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
     def test_dense_matrix_over_the_form_cap_is_the_form_matrix(self, kind, monkeypatch):
-        # B_k . (2 N_l Y + 2 R B_l) from the one sweep equals the matrix of
-        # the form over the lifts plus the gradient term
+        # F F.T from the one forward sweep, plus the gradient term, equals
+        # the matrix of the form over the lifts plus the gradient term
         inst, Y = self.over_form_cap(kind)
         obj = inst.objective
         factorized = []
-        sym_eig = landscape.sym_eig
-        monkeypatch.setattr(landscape, "sym_eig", lambda M, **kw: factorized.append(M) or sym_eig(M, **kw))
+        eigvals = landscape.sym_eigvals
+        monkeypatch.setattr(
+            landscape, "sym_eigvals", lambda M, **kw: factorized.append(M) or eigvals(M, **kw)
+        )
         assert hess_extreme_eigs(obj, Y).method == "dense"
         basis = horizontal_basis(Y)
         B = basis.reshape(len(basis), -1)

@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from psdlandscape import objectives
 from psdlandscape.errors import InputContractError, NumericalFailure
 from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_project
 from psdlandscape.objectives import (
@@ -13,6 +17,7 @@ from psdlandscape.objectives import (
     instance_from_document,
     lifted_value,
     make_instance,
+    random_symmetric_low_rank,
     restricted_strict_convexity_check,
     riemannian_grad_lift,
     riemannian_hess_quadform,
@@ -201,8 +206,6 @@ class TestTraceRegression:
         )
 
     def test_chunked_sensing_equals_one_draw(self, monkeypatch):
-        from psdlandscape import objectives
-
         p, n, seed = 4, 10, 11
         # three samples per chunk, so the last chunk holds one
         monkeypatch.setattr(objectives, "_CHUNK_ENTRIES", 3 * p * p + 1)
@@ -320,8 +323,6 @@ class TestTraceRegression:
     def test_images_match_the_forward_and_normal_maps(self, monkeypatch, p, k, block_rows):
         # one sweep gives A(G_j) and A.T(A(G_j)); 53 samples are not a
         # multiple of a 3-row block, and the default block holds them all
-        from psdlandscape import objectives
-
         n = 53
         inst = make_instance("trace_regression", p, 1, n=n, noise_sigma=0.1, seed=23)
         reg = inst.trace_regression
@@ -346,8 +347,6 @@ class TestTraceRegression:
         # the stack is packed and unpacked with one indexing operation each;
         # its images equal, bit for bit, those from coefficients packed and
         # normal images unpacked one matrix at a time
-        from psdlandscape import objectives
-
         reg = make_instance("trace_regression", p, 1, n=53, noise_sigma=0.1, seed=27).trace_regression
         if block_rows is not None:
             monkeypatch.setattr(objectives, "_SWEEP_BYTES", block_rows * 8 * reg.packed.shape[1])
@@ -426,6 +425,88 @@ class TestTraceRegression:
         assert wrong == []
 
 
+def _relative_gap(a, b):
+    """``max |a - b|`` over ``max |b|`` (0 when both are 0)."""
+    scale = np.abs(b).max()
+    return np.abs(a - b).max() / scale if scale else float(np.abs(a).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=9),
+    k=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=1, max_value=60),
+    block_rows=st.sampled_from([None, 1, 2, 3, 7]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_forward_equals_the_images_and_the_map_on_trace_regression(p, k, n, block_rows, seed):
+    # blocks of 1, 2, 3 or 7 rows put the sweep of images across block
+    # edges; forward is one product with the whole map
+    reg = make_instance("trace_regression", p, 1, n=n, seed=seed % 1000).trace_regression
+    Gs = np.random.default_rng(seed).standard_normal((k, p, p))
+    with pytest.MonkeyPatch.context() as patched:
+        if block_rows is not None:
+            patched.setattr(objectives, "_SWEEP_BYTES", block_rows * 8 * reg.packed.shape[1])
+        images = reg.images(Gs)[0]
+    F = reg.handle().least_squares.forward(Gs)
+    assert F.shape == (k, n)
+    assert _relative_gap(F, images) <= 1e-12
+    assert _relative_gap(F, np.stack([reg.apply_map(G) for G in Gs])) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_forward_of_denoising_is_the_flattened_stack(k):
+    ls = make_instance("denoising", 7, 2, kappa_star=2.0, seed=29).objective.least_squares
+    Gs = np.random.default_rng(30).standard_normal((k, 7, 7))
+    F = ls.forward(Gs)
+    # the identity map
+    np.testing.assert_array_equal(F, Gs.reshape(k, -1))
+    np.testing.assert_array_equal(F, ls.images(Gs)[0].reshape(k, -1))
+
+
+def _per_probe_forms(obj, rank, n_samples, seed):
+    """The probe forms one ``euclid_hess_form`` call at a time, each probe an
+    ``X`` then a unit ``G`` from one generator."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    for _ in range(n_samples):
+        X = random_symmetric_low_rank(obj.p, rank, rng)
+        G = random_symmetric_low_rank(obj.p, 2 * rank, rng, unit=True)
+        forms.append(obj.euclid_hess_form(X, G, G))
+    return np.array(forms)
+
+
+@pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 200])
+@pytest.mark.parametrize("kind", ["trace_regression", "denoising"])
+def test_blocked_probes_match_the_per_probe_forms(kind, n_samples):
+    # the probe stream is unchanged by the blocks of forward sweeps
+    r, seed = 2, 31
+    inst = make_instance(kind, 6, r, n=30, kappa_star=2.0, seed=seed)
+    obj = inst.objective
+    ref = _per_probe_forms(obj, 2 * r, n_samples, seed)
+    forms = np.array(list(objectives._probe_forms(obj, 2 * r, n_samples, seed)))
+    assert _relative_gap(forms, ref) <= 1e-13
+    delta = rsc_rsm_estimate(obj, r, n_samples, seed)
+    assert abs(delta - max(0.0, *np.abs(ref - 1.0))) <= 1e-13 * ref.max()
+    strict = _per_probe_forms(obj, r, n_samples, seed)
+    assert restricted_strict_convexity_check(obj, r, n_samples, seed) == bool(np.all(strict > 0.0))
+
+
+def test_blocked_probes_keep_memory_to_a_block():
+    # 5000 probes of 10 x 10 directions would take 4 MB as one stack; the
+    # estimate holds a block of 32 at a time (25.6 kB of directions)
+    obj = make_instance("trace_regression", 10, 2, n=100, seed=32).objective
+    block = 32 * 10 * 10 * 8
+    rsc_rsm_estimate(obj, 2, 40, seed=33)  # caches and first-call buffers
+    tracemalloc.start()
+    try:
+        rsc_rsm_estimate(obj, 2, 5000, seed=33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * block
+
+
 def _one_draw(p, n, seed):
     """The sensing map as one Gaussian draw, symmetrized in one step."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -433,9 +514,9 @@ def _one_draw(p, n, seed):
     return (G + np.transpose(G, (0, 2, 1))) / (2.0 * np.sqrt(n))
 
 
-def _count_passes(reg):
-    """Count the calls of ``reg``'s forward and adjoint maps from now on."""
-    passes = {"apply_map": 0, "adjoint": 0}
+def _count_passes(reg, names=("apply_map", "adjoint")):
+    """Count the calls of the named maps of ``reg`` from now on."""
+    passes = dict.fromkeys(names, 0)
     for name in passes:
         method = getattr(reg, name)
 
@@ -577,11 +658,12 @@ class TestRscDiagnostics:
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_hess_form_applies_the_map_once_on_one_argument(self):
+        # the probes of the estimate take one forward sweep together
         reg = make_instance("trace_regression", 6, 2, n=30, seed=22).trace_regression
-        passes = _count_passes(reg)
+        passes = _count_passes(reg, ("apply_map", "forward"))
         obj = reg.handle()
         rsc_rsm_estimate(obj, 2, 10, seed=5)
-        assert passes["apply_map"] == 10
+        assert passes == {"apply_map": 0, "forward": 1}
         # the same array twice gives the bits of two equal arrays
         rng = np.random.default_rng(6)
         X, G = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))

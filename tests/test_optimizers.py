@@ -21,7 +21,6 @@ from psdlandscape.landscape import (
     strict_convexity_fosp_check,
 )
 from psdlandscape.objectives import (
-    LeastSquaresMap,
     TraceRegressionObjective,
     lifted_value,
     make_instance,
@@ -401,9 +400,7 @@ class TestLeastSquaresCarry:
             calls.append(Gs.shape)
             return ls.images(Gs)
 
-        obj = dataclasses.replace(
-            obj, least_squares=LeastSquaresMap(ls.residual, ls.adjoint, counted_images)
-        )
+        obj = dataclasses.replace(obj, least_squares=dataclasses.replace(ls, images=counted_images))
         rec = riemannian_gd(obj, Y0, GDConfig(max_iters=3000, grad_tol=1e-10))
         assert rec.converged
         assert len(calls) == rec.iterations > 10

@@ -179,11 +179,15 @@ class TestDeltaCertificate:
     @pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
     def test_oracle_reads_the_map_once(self, oracle):
         obj = make_instance("trace_regression", 6, 2, n=40, seed=16).objective
-        images, forms = [], []
+        ls, forward, images, forms = obj.least_squares, [], [], []
+
+        def counted_forward(Gs):
+            forward.append(len(Gs))
+            return ls.forward(Gs)
 
         def counted_images(Gs):
             images.append(len(Gs))
-            return obj.least_squares.images(Gs)
+            return ls.images(Gs)
 
         def counted_form(X, G1, G2):
             forms.append(1)
@@ -192,11 +196,12 @@ class TestDeltaCertificate:
         counted = dataclasses.replace(
             obj,
             euclid_hess_form=counted_form,
-            least_squares=dataclasses.replace(obj.least_squares, images=counted_images),
+            least_squares=dataclasses.replace(ls, forward=counted_forward, images=counted_images),
         )
         oracle(counted)
-        # one sweep over the 21 basis matrices of the symmetric 6 x 6 space
-        assert (images, len(forms)) == ([21], 0)
+        # one forward sweep over the 21 basis matrices of the symmetric 6 x 6
+        # space, and no normal images
+        assert (forward, images, len(forms)) == ([21], [], 0)
 
     @pytest.mark.parametrize("oracle", ORACLES, ids=ORACLE_IDS)
     def test_oracle_needs_a_least_squares_handle(self, oracle):
