@@ -17,9 +17,11 @@ adjoint and the forward and normal images of its linear map
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable
 
@@ -472,11 +474,13 @@ class ProblemInstance:
     trace_regression: TraceRegressionObjective | None = None
 
     def to_document(self) -> dict:
-        """Portable JSON document. Sensing matrices are regenerated from the
-        seed on load (same seed, bit-identical operator), so only the
-        observations need to be stored."""
+        """Portable JSON document of format :data:`INSTANCE_FORMAT`. The
+        sensing map is regenerated from the seed on load by the draw of that
+        format (same seed, bit-identical operator on the same NumPy), so only
+        the observations need to be stored."""
         y = [] if self.trace_regression is None else [float(v) for v in self.trace_regression.y]
         return {
+            "format": INSTANCE_FORMAT,
             "kind": self.kind,
             "p": self.p,
             "r": self.r,
@@ -498,21 +502,35 @@ def _truth_from_seed(p: int, r: int, seed: int, spectrum: np.ndarray) -> FactorP
 
 def _sensing_from_seed(p: int, n: int, seed: int) -> np.ndarray:
     """The packed sensing map of ``(p, n, seed)`` (see
-    :class:`TraceRegressionObjective`). Each ``(n, p, p)`` Gaussian chunk
-    keeps only the upper triangle of its symmetrization: consecutive draws
-    of a generator equal one draw of their total size, so the entries are
-    those of one full draw, and no ``(n, p, p)`` array is built."""
+    :class:`TraceRegressionObjective`), drawn as one ``(n, p(p+1)/2)``
+    standard normal array from ``SeedSequence([seed, 1])`` and divided in
+    place by ``sqrt(n)`` at the diagonal positions and by ``sqrt(2n)``
+    elsewhere. The entries of each ``A_i`` are then independent, ``N(0,
+    1/n)`` on the diagonal and ``N(0, 1/(2n))`` off it: the law of ``(G +
+    G.T) / (2 sqrt(n))`` for a standard Gaussian ``p x p`` matrix ``G``.
+    This is the draw of instance document format :data:`INSTANCE_FORMAT`.
+
+    The map is the one large array of an instance and has its own anonymous
+    memory mapping, so the pages of a dropped instance go back to the system
+    at once: glibc's malloc keeps a freed block of up to 32 MiB on its heap
+    once its dynamic mmap threshold has risen to that size."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    upper, lower, _ = _triu(p)
-    packed = np.empty((n, len(upper)))
-    chunks = _sample_chunks(n, p)
-    draw = np.empty((chunks[0].stop, p * p))
-    for c in chunks:
-        G = rng.standard_normal(out=draw[: c.stop - c.start])
-        packed[c] = G[:, upper]
-        packed[c] += G[:, lower]
-        packed[c] /= 2.0 * np.sqrt(n)
+    q = p * (p + 1) // 2
+    root = np.full(q, math.sqrt(2 * n))
+    root[_triu(p)[2]] = math.sqrt(n)
+    pages = mmap.mmap(-1, 8 * n * q, access=mmap.ACCESS_COPY)  # private, not shared
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as NumPy asks for its own large arrays
+        with contextlib.suppress(OSError):  # refused by a kernel without huge pages
+            pages.madvise(mmap.MADV_HUGEPAGE)
+    packed = np.frombuffer(pages, dtype=float).reshape(n, q)
+    rng.standard_normal(out=packed)
+    packed /= root
     return packed
+
+
+#: version of the sensing draw that an instance document's ``y`` was
+#: observed through; a trace-regression document of another format is refused
+INSTANCE_FORMAT = 2
 
 
 #: bytes of the target matrix and the packed sensing map above which no
@@ -560,7 +578,9 @@ def make_instance(
 
     Independent sub-streams of the seed drive the ground truth, the sensing
     map and the noise, so the sensing operator depends only on
-    ``(p, n, seed)``.
+    ``(p, n, seed)``. Each trace-regression sensing matrix is symmetric with
+    independent entries, ``N(0, 1/n)`` on the diagonal and ``N(0, 1/(2n))``
+    off it, drawn as its upper triangle (:func:`_sensing_from_seed`).
     """
     _check_problem(kind, p, r, n, seed, noise_sigma)
     if not kappa_star >= 1.0:
@@ -580,7 +600,9 @@ def instance_from_document(doc: dict) -> ProblemInstance:
 
     The ground truth and sensing map are regenerated from the stored seed;
     stored observations are used verbatim (the noise realization is data,
-    not re-drawn).
+    not re-drawn). A trace-regression document must have ``format`` equal
+    to :data:`INSTANCE_FORMAT`, since its ``y`` belongs to the map of that
+    draw; a denoising document reads no map and needs no ``format``.
     """
     try:
         kind = doc["kind"]
@@ -591,6 +613,11 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     except KeyError as exc:
         raise InputContractError(f"instance document lacks {exc.args[0]!r}") from None
     _check_problem(kind, p, r, n, seed, noise_sigma)
+    if kind == "trace_regression" and doc.get("format") != INSTANCE_FORMAT:
+        raise InputContractError(
+            f"a trace-regression instance document must have format {INSTANCE_FORMAT}, the sensing "
+            "draw its y is observed through; regenerate the document with psdlandscape generate"
+        )
     if spectrum.shape != (r,):
         raise InputContractError(f"spectrum must have length r={r}")
     if not np.all(spectrum > 0.0):
@@ -666,7 +693,8 @@ def rsc_rsm_estimate(obj: ObjectiveHandle, r: int, n_samples: int, seed: int) ->
     ``|hess_form(X)[G, G] - 1|``. This under-estimates the true constant;
     objectives on a different scale must be pre-normalized by the caller.
     On a least-squares handle the form is ``||A(G)||^2``, read in blocks of
-    :data:`_PROBE_BLOCK` directions, one ``forward`` sweep each.
+    :data:`_PROBE_BLOCK` directions, one ``forward`` sweep each, and no
+    evaluation point is drawn (see :func:`_probe_forms`).
     """
     _check_int(r, "r", 1)
     _check_int(n_samples, "n_samples", 1)
@@ -680,23 +708,26 @@ _PROBE_BLOCK = 32
 
 
 def _probe_forms(obj: ObjectiveHandle, rank: int, n_samples: int, seed: int):
-    """``hess_form(X)[G, G]`` at ``n_samples`` seeded probes, drawn in turn:
-    a symmetric ``X`` of rank <= ``rank`` and a unit-norm symmetric ``G`` of
-    rank <= ``2 rank``. A least-squares form does not read ``X``, but it is
-    drawn all the same, so the stream is that of any handle; the form is
+    """``hess_form(X)[G, G]`` at ``n_samples`` seeded probes. On a custom
+    handle each probe draws in turn a symmetric ``X`` of rank <= ``rank``
+    and a unit-norm symmetric ``G`` of rank <= ``2 rank``. A least-squares
+    form does not read ``X``, so there only the ``G`` are drawn, and the
+    probe stream depends on whether the handle has a map; the form is
     ``||A(G)||^2`` from one ``forward`` sweep per block of
     :data:`_PROBE_BLOCK` directions."""
     rng = np.random.default_rng(seed)
     ls = obj.least_squares
+    if ls is None:
+        for _ in range(n_samples):
+            X = random_symmetric_low_rank(obj.p, rank, rng)
+            G = random_symmetric_low_rank(obj.p, 2 * rank, rng, unit=True)
+            yield float(obj.euclid_hess_form(X, G, G))
+        return
     for start in range(0, n_samples, _PROBE_BLOCK):
-        Xs, Gs = [], np.empty((min(_PROBE_BLOCK, n_samples - start), obj.p, obj.p))
+        Gs = np.empty((min(_PROBE_BLOCK, n_samples - start), obj.p, obj.p))
         for G in Gs:
-            Xs.append(random_symmetric_low_rank(obj.p, rank, rng))
             G[...] = random_symmetric_low_rank(obj.p, 2 * rank, rng, unit=True)
-        if ls is None:
-            yield from (float(obj.euclid_hess_form(X, G, G)) for X, G in zip(Xs, Gs))
-        else:
-            yield from (float(np.vdot(f, f)) for f in ls.forward(Gs))
+        yield from (float(np.vdot(f, f)) for f in ls.forward(Gs))
 
 
 def restricted_strict_convexity_check(

@@ -383,6 +383,8 @@ def _p_overflows(tmp_path):
 def _instance(tmp_path, **fields):
     doc = {"kind": "denoising", "p": 4, "r": 2, "n": 0, "seed": 0, "noise_sigma": 0.0,
            "spectrum": [1.0, 0.5], "y": [], **fields}
+    if doc["kind"] == "trace_regression":
+        doc.setdefault("format", 2)
     (tmp_path / "instance.json").write_text(json.dumps(doc))
     return write_config(tmp_path, instance_file=str(tmp_path / "instance.json"))
 
@@ -544,7 +546,7 @@ def test_refused_input_leaves_no_output_dir(tmp_path, capsys, command, overrides
     [
         ("generate", lambda tmp_path: write_config(tmp_path, problem={
             "kind": "trace_regression", "p": 2, "r": 1, "n": 3, "kappa_star": 1.0,
-            "sigma_r_star": 1.3e154, "seed": 0}), "kappa_star * sigma_r_star = 1.3e+154"),
+            "sigma_r_star": 1.3e154, "seed": 2}), "kappa_star * sigma_r_star = 1.3e+154"),
         ("scan", lambda tmp_path: _instance(
             tmp_path, kind="trace_regression", p=2, r=1, n=3, spectrum=[1.3e154],
             y=[0.0, 0.0, 0.0]), "max(spectrum) = 1.3e+154 or the stored y"),
@@ -563,6 +565,27 @@ def test_target_whose_observations_overflow_is_one_error_line(tmp_path, command,
     assert proc.stderr == (
         f"error: {culprit} is too large: the gradient at X* has non-finite entries\n"
     )
+
+
+def test_trace_document_of_the_previous_format_is_one_error_line(tmp_path):
+    # written before the sensing map was drawn as upper triangles: no format
+    # field, so its y would meet another operator
+    doc = {"kind": "trace_regression", "p": 4, "r": 1, "n": 12, "seed": 0, "noise_sigma": 0.0,
+           "spectrum": [1.0], "y": [0.0] * 12}
+    (tmp_path / "instance.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, instance_file=str(tmp_path / "instance.json"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdlandscape.cli", "scan", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: a trace-regression instance document must have format 2, the sensing draw its y "
+        "is observed through; regenerate the document with psdlandscape generate\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])

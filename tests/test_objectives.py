@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -205,20 +208,45 @@ class TestTraceRegression:
             reg.sensing, np.transpose(reg.sensing, (0, 2, 1)), atol=1e-15
         )
 
-    def test_chunked_sensing_equals_one_draw(self, monkeypatch):
-        p, n, seed = 4, 10, 11
+    def test_chunked_symmetry_check_sees_the_last_chunk(self, monkeypatch):
+        p, n = 4, 10
         # three samples per chunk, so the last chunk holds one
         monkeypatch.setattr(objectives, "_CHUNK_ENTRIES", 3 * p * p + 1)
         assert len(objectives._sample_chunks(n, p)) == 4
-        single = _one_draw(p, n, seed)
-        iu, ju = np.triu_indices(p)
-        packed = objectives._sensing_from_seed(p, n, seed)
-        np.testing.assert_array_equal(packed, single[:, iu, ju])
-        # the chunked symmetry check of the constructor still sees the
-        # last, partial chunk
-        single[-1, 0, 1] += 1.0
+        sensing = _one_draw(p, n, 11)
+        objectives.TraceRegressionObjective(sensing, np.zeros(n))
+        sensing[-1, 0, 1] += 1.0
         with pytest.raises(InputContractError, match="symmetric"):
-            objectives.TraceRegressionObjective(single, np.zeros(n))
+            objectives.TraceRegressionObjective(sensing, np.zeros(n))
+
+    def test_sensing_entries_have_the_law_of_the_symmetrized_gaussian(self):
+        # (G + G.T) / (2 sqrt(n)) for a standard Gaussian G has N(0, 1/n)
+        # diagonal and N(0, 1/(2n)) off-diagonal entries; each standardized
+        # class has mean 0 and variance 1 within 5 standard errors
+        p, n = 6, 20000
+        packed = objectives._sensing_from_seed(p, n, 17)
+        iu, ju = np.triu_indices(p)
+        for on_diagonal, variance in ((True, 1.0 / n), (False, 1.0 / (2 * n))):
+            z = packed[:, (iu == ju) == on_diagonal].ravel() / np.sqrt(variance)
+            assert abs(z.mean()) <= 5.0 / np.sqrt(z.size)
+            assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / z.size)
+
+    def test_dropped_instance_frees_its_map_at_once(self):
+        # the map's pages go back when the last reference goes, so nothing
+        # may hold the objective in a reference cycle
+        inst = make_instance("trace_regression", 5, 2, n=60, seed=3)
+        ref = weakref.ref(inst.trace_regression)
+        del inst
+        assert ref() is None
+
+    def test_sensing_draw_is_pinned(self):
+        # every stored trace-regression document pairs its y with this draw:
+        # a change to these bytes must come with a new INSTANCE_FORMAT
+        packed = objectives._sensing_from_seed(4, 5, 0)
+        digest = hashlib.sha256(packed.tobytes()).hexdigest()
+        assert digest == "57460daacace4845385fb3f39d40c57ef9e1a42c34d9186de67244243f4fa0b9", (
+            f"the sensing draw changed (numpy {np.__version__})"
+        )
 
     @pytest.mark.parametrize("field, bad", [("sensing", np.nan), ("sensing", np.inf), ("y", np.nan)])
     def test_non_finite_data_is_rejected(self, field, bad):
@@ -233,11 +261,11 @@ class TestTraceRegression:
         # r sigma_1^2 is finite, but A(X*) overflows for this seed; the
         # message names the target, and numpy warns of nothing
         with pytest.raises(InputContractError, match=r"^kappa_star \* sigma_r_star = 1.3e\+154 is"):
-            make_instance("trace_regression", 2, 1, n=3, sigma_r_star=1.3e154, seed=0)
+            make_instance("trace_regression", 2, 1, n=3, sigma_r_star=1.3e154, seed=2)
 
     def test_stored_target_whose_gradient_overflows_is_rejected(self):
         # finite stored observations, but A(X*) and so grad f(X*) overflow
-        doc = {"kind": "trace_regression", "p": 2, "r": 1, "n": 3, "seed": 0,
+        doc = {"format": 2, "kind": "trace_regression", "p": 2, "r": 1, "n": 3, "seed": 0,
                "noise_sigma": 0.0, "spectrum": [1.3e154], "y": [0.0, 0.0, 0.0]}
         with pytest.raises(InputContractError, match=r"^max\(spectrum\) = 1.3e\+154 or the stored y is"):
             instance_from_document(doc)
@@ -465,24 +493,31 @@ def test_forward_of_denoising_is_the_flattened_stack(k):
 
 
 def _per_probe_forms(obj, rank, n_samples, seed):
-    """The probe forms one ``euclid_hess_form`` call at a time, each probe an
-    ``X`` then a unit ``G`` from one generator."""
+    """The probe forms one ``euclid_hess_form`` call at a time from one
+    generator: each probe a unit ``G``, drawn after an ``X`` only on a handle
+    without a map (a least-squares form does not read ``X``)."""
     rng = np.random.default_rng(seed)
     forms = []
     for _ in range(n_samples):
-        X = random_symmetric_low_rank(obj.p, rank, rng)
+        X = np.zeros((obj.p, obj.p))
+        if obj.least_squares is None:
+            X = random_symmetric_low_rank(obj.p, rank, rng)
         G = random_symmetric_low_rank(obj.p, 2 * rank, rng, unit=True)
         forms.append(obj.euclid_hess_form(X, G, G))
     return np.array(forms)
 
 
 @pytest.mark.parametrize("n_samples", [1, 31, 32, 33, 200])
-@pytest.mark.parametrize("kind", ["trace_regression", "denoising"])
+@pytest.mark.parametrize("kind", ["trace_regression", "denoising", "custom"])
 def test_blocked_probes_match_the_per_probe_forms(kind, n_samples):
-    # the probe stream is unchanged by the blocks of forward sweeps
+    # the blocks of forward sweeps keep the probe stream of one probe at a
+    # time; a custom handle (the denoising form without its map) still
+    # draws an X before each G
     r, seed = 2, 31
-    inst = make_instance(kind, 6, r, n=30, kappa_star=2.0, seed=seed)
-    obj = inst.objective
+    base = "denoising" if kind == "custom" else kind
+    obj = make_instance(base, 6, r, n=30, kappa_star=2.0, seed=seed).objective
+    if kind == "custom":
+        obj = dataclasses.replace(obj, least_squares=None)
     ref = _per_probe_forms(obj, 2 * r, n_samples, seed)
     forms = np.array(list(objectives._probe_forms(obj, 2 * r, n_samples, seed)))
     assert _relative_gap(forms, ref) <= 1e-13
@@ -508,10 +543,17 @@ def test_blocked_probes_keep_memory_to_a_block():
 
 
 def _one_draw(p, n, seed):
-    """The sensing map as one Gaussian draw, symmetrized in one step."""
+    """The sensing map as full ``(n, p, p)`` matrices, from one draw of their
+    upper triangles divided by ``sqrt(n)`` on the diagonal and by
+    ``sqrt(2n)`` off it."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    G = rng.standard_normal((n, p, p))
-    return (G + np.transpose(G, (0, 2, 1))) / (2.0 * np.sqrt(n))
+    iu, ju = np.triu_indices(p)
+    upper = rng.standard_normal((n, len(iu))) / np.sqrt(np.where(iu == ju, n, 2 * n))
+    A = np.empty((n, p, p))
+    A[:, iu, ju] = upper
+    A[:, ju, iu] = upper
+    return A
+
 
 
 def _count_passes(reg, names=("apply_map", "adjoint")):
@@ -708,6 +750,25 @@ class TestSerialization:
         np.testing.assert_allclose(
             rebuilt.ground_truth.X_star, inst.ground_truth.X_star, atol=1e-15
         )
+
+    @pytest.mark.parametrize("fmt", [None, 1, 3, "2", True])
+    def test_trace_document_of_another_format_is_refused(self, fmt):
+        # its y was observed through another draw of the sensing map
+        doc = make_instance("trace_regression", 4, 1, n=10, seed=3).to_document()
+        assert doc["format"] == objectives.INSTANCE_FORMAT == 2
+        if fmt is None:
+            del doc["format"]
+        else:
+            doc["format"] = fmt
+        with pytest.raises(InputContractError, match=r"^a trace-regression .* format 2,.* generate$"):
+            instance_from_document(doc)
+
+    def test_denoising_document_needs_no_format(self):
+        inst = make_instance("denoising", 5, 2, kappa_star=1.5, seed=6)
+        doc = inst.to_document()
+        assert doc.pop("format") == 2
+        rebuilt = instance_from_document(doc)
+        np.testing.assert_array_equal(rebuilt.ground_truth.X_star, inst.ground_truth.X_star)
 
     def test_document_is_deterministic(self):
         a = make_instance("trace_regression", 5, 2, n=20, seed=9).to_json()
