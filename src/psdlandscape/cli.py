@@ -19,21 +19,10 @@ from . import __version__
 from .errors import InputContractError, LandscapeError, NumericalFailure
 from .kernels import _json_number
 from .landscape import (
-    SAMPLERS,
-    RegionParams,
-    _r1_radius,
-    _sample_point,
-    certify_landscape,
-    compute_thresholds,
-    error_bound_check,
-    reports_to_csv,
+    SAMPLERS, RegionParams, _r1_radius, _sample_point, certify_landscape, compute_thresholds,
+    error_bound_check, reports_to_csv,
 )
-from .objectives import (
-    ProblemInstance,
-    instance_from_document,
-    make_instance,
-    rsc_rsm_estimate,
-)
+from .objectives import ProblemInstance, instance_from_document, make_instance, rsc_rsm_estimate
 from .optimizers import GDConfig, PerturbationSpec, riemannian_gd, spectral_init
 from .verify import run_suite
 
@@ -58,52 +47,100 @@ def _load_json(path: str, what: str = "config file") -> dict:
     return doc
 
 
-def _section(parent: dict, name: str) -> dict:
-    section = parent.get(name)
-    if section is None:
+def _section(value, name: str) -> dict:
+    """A config section: a JSON object, or ``null`` read as an empty one."""
+    if value is None:
         return {}
-    if not isinstance(section, dict):
-        raise InputContractError(f"{name} must be a JSON object, not {type(section).__name__}")
-    return section
+    if not isinstance(value, dict):
+        raise InputContractError(f"{name} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+#: the default of a field that must be given
+REQUIRED = object()
+
+#: Every field of every config section as ``key: (default, kind)``. ``int``
+#: and ``float`` read a JSON number (:func:`kernels._json_number`), ``str`` a
+#: string, ``list`` a list of names and ``dict`` a section of this table. A
+#: default of ``None`` means absent, and there ``null`` reads as absent too;
+#: anywhere else ``null`` is malformed. The library keeps its own defaults.
+CONFIG_FIELDS = {
+    "problem": {"kind": ("denoising", str), "p": (0, int), "r": (0, int), "n": (0, int),
+                "kappa_star": (1.0, float), "sigma_r_star": (1.0, float),
+                "noise_sigma": (0.0, float), "seed": (0, int)},
+    "region_params": {"mu": (0.2, float), "alpha": (0.5, float), "beta": (1.5, float),
+                      "gamma": (1.5, float)},
+    "scan": {"n_points": (100, int), "samplers": (list(SAMPLERS), list), "seed": (0, int),
+             "delta_samples": (200, int), "ball_radius": (None, float)},
+    "optimizer": {"step_size": (None, float), "max_iters": (5000, int), "grad_tol": (1e-10, float),
+                  "seed": (0, int), "init": (None, str), "perturbation": (None, dict)},
+    "optimizer.perturbation": {"radius": (REQUIRED, float), "trigger_tol": (REQUIRED, float),
+                               "cooldown_iters": (10, int)},
+}
+TOP_LEVEL = ("problem", "region_params", "scan", "optimizer", "instance_file", "output_dir")
+
+
+def _refuse_unknown(doc: dict, known, where: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise InputContractError(
+            f"unknown key {unknown[0]!r} in {where}; it defines {', '.join(known)}"
+        )
+
+
+def _read(value, default, kind: type, name: str):
+    """The value of field ``name`` with its default and kind (see :data:`CONFIG_FIELDS`)."""
+    if value is None and default is None:
+        return None
+    if value is REQUIRED:
+        raise InputContractError(f"{name} is missing")
+    if kind in (int, float):
+        return _json_number(value, name, integer=kind is int)
+    if kind is dict:
+        return _fields(value, name)
+    if isinstance(value, kind) and (kind is str or all(isinstance(s, str) for s in value)):
+        return value
+    what = "a string" if kind is str else "a list of names"
+    raise InputContractError(f"{name} must be {what}, got {value!r}")
+
+
+def _fields(doc, name: str) -> dict:
+    """Config section ``name`` of :data:`CONFIG_FIELDS` read from ``doc``, a
+    key the table does not define refused."""
+    section = _section(doc, name)
+    _refuse_unknown(section, CONFIG_FIELDS[name], name)
+    return {
+        key: _read(section.get(key, default), default, kind, f"{name}.{key}")
+        for key, (default, kind) in CONFIG_FIELDS[name].items()
+    }
+
+
+def _config(args) -> dict:
+    """The config file with ``--seed`` and ``--n-points`` written into its
+    sections; a top-level key outside :data:`TOP_LEVEL` is refused."""
+    cfg = _load_json(args.config)
+    _refuse_unknown(cfg, TOP_LEVEL, "the config")
+    seed = {} if args.seed is None else {"seed": args.seed}
+    n_points = {} if getattr(args, "n_points", None) is None else {"n_points": args.n_points}
+    for name, override in (("problem", seed), ("scan", {**seed, **n_points}), ("optimizer", seed)):
+        if override:
+            cfg[name] = {**_section(cfg.get(name), name), **override}
+    return cfg
 
 
 def _problem_instance(cfg: dict) -> ProblemInstance:
-    source = cfg.get("instance_file")
-    if source is not None and not isinstance(source, str):
-        raise InputContractError(f"instance_file must be a path, got {source!r}")
+    source = _read(cfg.get("instance_file"), None, str, "instance_file")
     if source:
         return instance_from_document(_load_json(source, "instance file"))
-    prob = cfg.get("problem")
-    if not isinstance(prob, dict):
+    if not isinstance(cfg.get("problem"), dict):
         raise InputContractError("config must contain a 'problem' object (or 'instance_file')")
-    return make_instance(
-        kind=prob.get("kind", "denoising"),
-        p=_json_number(prob.get("p", 0), "problem.p", integer=True),
-        r=_json_number(prob.get("r", 0), "problem.r", integer=True),
-        n=_json_number(prob.get("n", 0), "problem.n", integer=True),
-        kappa_star=_json_number(prob.get("kappa_star", 1.0), "problem.kappa_star"),
-        sigma_r_star=_json_number(prob.get("sigma_r_star", 1.0), "problem.sigma_r_star"),
-        noise_sigma=_json_number(prob.get("noise_sigma", 0.0), "problem.noise_sigma"),
-        seed=_json_number(prob.get("seed", 0), "problem.seed", integer=True),
-    )
-
-
-def _region_params(cfg: dict) -> RegionParams:
-    rp = _section(cfg, "region_params")
-    return RegionParams(
-        mu=_json_number(rp.get("mu", 0.2), "region_params.mu"),
-        alpha=_json_number(rp.get("alpha", 0.5), "region_params.alpha"),
-        beta=_json_number(rp.get("beta", 1.5), "region_params.beta"),
-        gamma=_json_number(rp.get("gamma", 1.5), "region_params.gamma"),
-    )
+    return make_instance(**_fields(cfg["problem"], "problem"))
 
 
 def _out_dir(cfg: dict, args) -> Path:
     """The output directory; the first write creates it, so a command that
     refuses an input leaves none behind."""
-    out = args.output_dir or cfg.get("output_dir")
-    if out is not None and not isinstance(out, str):
-        raise InputContractError(f"output_dir must be a path, got {out!r}")
+    out = args.output_dir or _read(cfg.get("output_dir"), None, str, "output_dir")
     return Path(out or ".")
 
 
@@ -116,20 +153,8 @@ def _write_json(path: Path, doc: dict) -> None:
     _write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    def override(name: str, key: str, value) -> None:
-        cfg[name] = {**_section(cfg, name), key: value}
-
-    if getattr(args, "seed", None) is not None:
-        for name in ("problem", "scan", "optimizer"):
-            override(name, "seed", args.seed)
-    if getattr(args, "n_points", None) is not None:
-        override("scan", "n_points", args.n_points)
-    return cfg
-
-
 def cmd_generate(args) -> int:
-    cfg = _apply_overrides(_load_json(args.config), args)
+    cfg = _config(args)
     inst = _problem_instance(cfg)
     out = _out_dir(cfg, args)
     doc = inst.to_document()
@@ -145,25 +170,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = _apply_overrides(_load_json(args.config), args)
+    cfg = _config(args)
+    params = RegionParams(**_fields(cfg.get("region_params"), "region_params"))
+    scan = _fields(cfg.get("scan"), "scan")
     inst = _problem_instance(cfg)
-    params = _region_params(cfg)
-    scan = _section(cfg, "scan")
-    n_points = _json_number(scan.get("n_points", 100), "scan.n_points", integer=True)
-    samplers = scan.get("samplers", list(SAMPLERS))
-    if not isinstance(samplers, list) or not all(isinstance(s, str) for s in samplers):
-        raise InputContractError(f"scan.samplers must be a list of names, got {samplers!r}")
-    seed = _json_number(scan.get("seed", 0), "scan.seed", integer=True)
-    ball_radius = scan.get("ball_radius")
-    if ball_radius is not None:
-        ball_radius = _json_number(ball_radius, "scan.ball_radius")
     out = _out_dir(cfg, args)
 
     sampled = inst.kind != "denoising"
     delta = 0.0
     if sampled:
-        samples = _json_number(scan.get("delta_samples", 200), "scan.delta_samples", integer=True)
-        delta = rsc_rsm_estimate(inst.objective, inst.r, samples, seed)
+        delta = rsc_rsm_estimate(inst.objective, inst.r, scan["delta_samples"], scan["seed"])
     thresholds = compute_thresholds(inst.ground_truth, params, inst.r, delta=delta)
     gate_reason = None
     if sampled and delta > thresholds.delta_composite_bound:
@@ -179,23 +195,15 @@ def cmd_scan(args) -> int:
             "checks count as statistical evidence only"
         )
     reports = certify_landscape(
-        inst.objective,
-        inst.ground_truth,
-        params,
-        samplers,
-        n_points,
-        seed,
-        thresholds=thresholds,
-        ball_radius=ball_radius,
+        inst.objective, inst.ground_truth, params, scan["samplers"], scan["n_points"],
+        scan["seed"], thresholds=thresholds, ball_radius=scan["ball_radius"],
     )
 
     _write(out / "scan_report.csv", reports_to_csv(reports))
-    tdoc = thresholds.to_dict()
+    tdoc = {**thresholds.to_dict(), "gate": {"certified": gate_reason is None}}
     if gate_reason is not None:
-        tdoc["gate"] = {"certified": False, "reason": gate_reason}
+        tdoc["gate"]["reason"] = gate_reason
         print(f"warning: {gate_reason}", file=sys.stderr)
-    else:
-        tdoc["gate"] = {"certified": True}
     _write_json(out / "thresholds.json", tdoc)
 
     failures = [rep for rep in reports if not rep.passed]
@@ -217,33 +225,16 @@ def cmd_scan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _apply_overrides(_load_json(args.config), args)
+    cfg = _config(args)
+    params = RegionParams(**_fields(cfg.get("region_params"), "region_params"))
+    opt = _fields(cfg.get("optimizer"), "optimizer")
+    init_kind, pert = opt.pop("init"), opt.pop("perturbation")
+    gd_cfg = GDConfig(**opt, perturbation=None if pert is None else PerturbationSpec(**pert))
     inst = _problem_instance(cfg)
-    params = _region_params(cfg)
-    opt = _section(cfg, "optimizer")
-    pert = _section(opt, "perturbation")
-    pert_spec = (
-        PerturbationSpec(
-            radius=_json_number(pert.get("radius"), "perturbation.radius"),
-            trigger_tol=_json_number(pert.get("trigger_tol"), "perturbation.trigger_tol"),
-            cooldown_iters=_json_number(
-                pert.get("cooldown_iters", 10), "perturbation.cooldown_iters", integer=True
-            ),
-        )
-        if opt.get("perturbation") is not None
-        else None
-    )
-    step_size = opt.get("step_size")
-    gd_cfg = GDConfig(
-        step_size=None if step_size is None else _json_number(step_size, "optimizer.step_size"),
-        max_iters=_json_number(opt.get("max_iters", 5000), "optimizer.max_iters", integer=True),
-        grad_tol=_json_number(opt.get("grad_tol", 1e-10), "optimizer.grad_tol"),
-        perturbation=pert_spec,
-        seed=_json_number(opt.get("seed", 0), "optimizer.seed", integer=True),
-    )
     out = _out_dir(cfg, args)
 
-    init_kind = opt.get("init", "spectral" if inst.kind == "trace_regression" else "gaussian")
+    if init_kind is None:
+        init_kind = "spectral" if inst.kind == "trace_regression" else "gaussian"
     rng = np.random.default_rng(gd_cfg.seed)
     gt = inst.ground_truth
     if init_kind == "spectral":
@@ -266,8 +257,7 @@ def cmd_optimize(args) -> int:
         "final_dist_to_star": rec.dists[-1] if rec.dists else None,
     }
     try:
-        eb = error_bound_check(rec.final, gt, params.mu, inst.objective)
-        final["error_bound"] = asdict(eb)
+        final["error_bound"] = asdict(error_bound_check(rec.final, gt, params.mu, inst.objective))
     except LandscapeError as exc:
         final["error_bound"] = None
         final["error_bound_skipped"] = str(exc)

@@ -18,6 +18,7 @@ and checks every applicable bound, reporting margins per point.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -670,6 +671,10 @@ def _certify_point(
     worst = min(range(len(checks)), key=lambda i: checks[i][1])
     bound_value, margin, _ = checks[worst]
     passed = all(ok for _, _, ok in checks)
+    spectrum = (lam_min, lam_max) if RegionLabel.R1 in labels else ()
+    if not all(map(math.isfinite, (d, grad_H, grad_h, bound_value, *spectrum))):
+        # a quantity that overflowed certifies nothing
+        margin, passed = np.nan, False
     return RegionReport(
         point_id=point_id,
         region_labels=tuple(sorted(labels, key=lambda lb: lb.value)),

@@ -325,10 +325,13 @@ class GroundTruth:
             G = obj.euclid_grad(X_star)
         if not np.all(np.isfinite(G)):
             raise InputContractError("the gradient at X* has non-finite entries")
-        # the gradient at X* is exactly zero on a noiseless instance
-        noise = truncated_frob_norm(G, Y_star.r) if G.any() else 0.0
         with np.errstate(over="ignore"):
+            # the gradient at X* is exactly zero on a noiseless instance
+            noise = truncated_frob_norm(G, Y_star.r) if G.any() else 0.0
+            along = float(np.linalg.norm(G @ Y_star.Y))
             xnorm = float(np.linalg.norm(X_star))
+        if not (math.isfinite(noise) and math.isfinite(along)):
+            raise InputContractError("the norms of the gradient at X* overflow")
         if xnorm == math.inf:  # the sum of squares overflowed; ||X*||_F <= r sigma_1^2 is finite
             top = float(np.abs(X_star).max())
             xnorm = top * float(np.linalg.norm(X_star / top))
@@ -339,7 +342,7 @@ class GroundTruth:
             sigmar_star=Y_star.sigma_min,
             kappa_star=Y_star.sigma_max / Y_star.sigma_min,
             grad_at_star_trunc=noise,
-            grad_at_star_along_factor=float(np.linalg.norm(G @ Y_star.Y)),
+            grad_at_star_along_factor=along,
             X_star_norm=xnorm,
         )
 

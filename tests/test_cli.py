@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from psdlandscape.cli import main
+from psdlandscape.landscape import SAMPLERS
 
 
 def write_config(path, **overrides):
@@ -122,6 +123,21 @@ class TestScan:
         assert "mu = 0" not in capsys.readouterr().err
         assert code == 0
 
+    # at these scales every gradient norm overflows, and numpy's overflow
+    # warning still reaches stderr: only that warning is let through
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("sigma_r_star", [1e52, 1e55])
+    def test_row_with_an_infinite_quantity_fails(self, tmp_path, sigma_r_star):
+        problem = {"p": 8, "r": 2, "kappa_star": 1.0, "sigma_r_star": sigma_r_star, "seed": 1}
+        cfg = write_config(tmp_path, problem=problem, scan={"samplers": SAMPLERS})
+        assert main(["scan", "--config", str(cfg)]) == 1
+        rows = (tmp_path / "out" / "scan_report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        for row in rows:
+            fields = row.split(",")
+            assert fields[3] == fields[4] == "inf"
+            assert fields[-2:] == ["nan", "false"]
+
     def test_scan_from_instance_file(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["generate", "--config", str(cfg)])
@@ -201,6 +217,16 @@ class TestOptimize:
         assert final["error_bound"]["holds"] is True
         traj = (tmp_path / "out" / "trajectory.csv").read_text()
         assert traj.startswith("iter,obj,grad_norm,dist_to_star,step,regions,perturbed_flag")
+
+    def test_null_init_is_the_default_start(self, tmp_path):
+        # a null init reads as absent: the gaussian start on denoising
+        paths = []
+        for i, init in enumerate([None, "gaussian"]):
+            cfg = write_config(tmp_path, optimizer={"max_iters": 50, "init": init},
+                               output_dir=str(tmp_path / f"out{i}"))
+            assert main(["optimize", "--config", str(cfg)]) == 0
+            paths.append(tmp_path / f"out{i}" / "trajectory.csv")
+        assert paths[0].read_text() == paths[1].read_text()
 
     def test_target_init_converges_immediately(self, tmp_path):
         cfg = write_config(tmp_path, optimizer={"init": "target"})
@@ -417,6 +443,16 @@ def _perturbation(tmp_path, **spec):
     return write_config(tmp_path, optimizer={"max_iters": 20, "perturbation": spec})
 
 
+def _unknown_key(command, key, **overrides):
+    """A case of ``command`` on a config whose misspelled ``key`` the config
+    does not define; the error must name it."""
+    def make_config(tmp_path):
+        return write_config(tmp_path, **overrides)
+
+    make_config.unknown_key = key
+    return [command], make_config
+
+
 def _target_underflows(tmp_path):
     # ||X*||_F underflows to 0, so the threshold formulas divide by zero
     problem = {"kind": "trace_regression", "n": 200, "sigma_r_star": 3e-161}
@@ -488,6 +524,13 @@ def _target_underflows(tmp_path):
         (["scan"], lambda tmp_path: write_config(tmp_path, problem={"noise_sigma": 0.05})),
         (["generate"], lambda tmp_path: _instance(tmp_path, noise_sigma=0.3)),
         (["scan"], lambda tmp_path: _instance(tmp_path, y=[1, 2])),
+        (["scan"], lambda tmp_path: write_config(tmp_path, scan={"delta_samples": "x"})),
+        _unknown_key("scan", "region_param", region_param={"mu": 0.1}),
+        _unknown_key("scan", "n_point", scan={"n_point": 3}),
+        _unknown_key("scan", "sampler", scan={"sampler": ["ball"]}),
+        _unknown_key("generate", "kappa", problem={"kappa": 3.0}),
+        _unknown_key("optimize", "cooldown_iter", optimizer={"max_iters": 20, "perturbation": {
+            "radius": 0.1, "trigger_tol": 1e-3, "cooldown_iter": 5}}),
     ],
     ids=[
         "instance-without-seed", "instance-not-json", "p-not-a-number", "config-is-a-list",
@@ -507,6 +550,8 @@ def _target_underflows(tmp_path):
         "instance-y-string", "target-overflows", "instance-target-overflows",
         "config-not-utf8", "config-nested-deeply", "instance-not-utf8",
         "denoising-noise", "instance-denoising-noise", "instance-denoising-y",
+        "denoising-delta-samples-string", "unknown-top-level-key", "unknown-scan-key",
+        "unknown-scan-list-key", "unknown-problem-key", "unknown-perturbation-key",
     ],
 )
 def test_malformed_input_exits_two(tmp_path, command, make_config):
@@ -520,8 +565,11 @@ def test_malformed_input_exits_two(tmp_path, command, make_config):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
     if make_config is _instance_y_nan:
         assert proc.stderr == "error: y contains non-finite entries\n"
+    if hasattr(make_config, "unknown_key"):
+        assert repr(make_config.unknown_key) in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -565,6 +613,21 @@ def test_target_whose_observations_overflow_is_one_error_line(tmp_path, command,
     assert proc.stderr == (
         f"error: {culprit} is too large: the gradient at X* has non-finite entries\n"
     )
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4, 6, 7])
+@pytest.mark.parametrize("command", ["scan", "optimize"])
+def test_target_whose_gradient_norms_overflow_is_one_error_line(tmp_path, capsys, command, seed):
+    # at these seeds the gradient at X* is finite, but its truncated norm and
+    # ||grad f(X*) Y*||_F overflow; a numpy warning would fail the test
+    cfg = _instance(tmp_path, kind="trace_regression", p=2, r=1, n=3, seed=seed,
+                    spectrum=[1.3e154], y=[0.0, 0.0, 0.0])
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: max(spectrum) = 1.3e+154 or the stored y is too large: "
+        "the norms of the gradient at X* overflow\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_trace_document_of_the_previous_format_is_one_error_line(tmp_path):

@@ -2,10 +2,10 @@
 
 Each document is a tiny valid config with up to four mutations: a field set
 to a value of the wrong type, NaN or infinity, a negative or huge size, a
-key or a whole section deleted, or a section replaced by something that is
-not an object. Whatever the document holds, ``generate``, ``scan`` and
-``optimize`` must end with a documented exit code (0, 1, 2 or 3) and never
-let an exception escape.
+key or a whole section deleted, a key the config does not define added, or a
+section replaced by something that is not an object. Whatever the document
+holds, ``generate``, ``scan`` and ``optimize`` must end with a documented
+exit code (0, 1, 2 or 3) and never let an exception escape.
 """
 
 import copy
@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from psdlandscape.cli import main
+from psdlandscape.cli import CONFIG_FIELDS, main
 
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -49,6 +49,7 @@ scalar = st.one_of(
 count = st.one_of(st.integers(-2, 4), junk)
 seed = st.one_of(st.integers(-2, 2), st.integers(2**63, 2**70), junk)
 
+PERTURBATION = {"radius": scalar, "trigger_tol": scalar, "cooldown_iters": count}
 FIELDS = {
     "problem": {
         "kind": st.one_of(st.sampled_from(["denoising", "trace_regression", "other"]), junk),
@@ -71,12 +72,7 @@ FIELDS = {
         "init": st.one_of(
             st.sampled_from(["spectral", "gaussian", "ball", "target", "other"]), junk
         ),
-        "perturbation": st.one_of(
-            st.fixed_dictionaries(
-                {}, optional={"radius": scalar, "trigger_tol": scalar, "cooldown_iters": count}
-            ),
-            junk,
-        ),
+        "perturbation": st.one_of(st.fixed_dictionaries({}, optional=PERTURBATION), junk),
     },
 }
 BASE = {
@@ -100,10 +96,19 @@ def configs(draw):
     for _ in range(draw(st.integers(0, 4))):
         name = draw(st.sampled_from([*FIELDS, *FIELDS, "instance_file"]))
         action = draw(
-            st.sampled_from(["set"] * 5 + ["delete key", "delete section", "replace section"])
+            st.sampled_from(
+                ["set"] * 5 + ["delete key", "delete section", "replace section", "add key"]
+            )
         )
         if name == "instance_file":
             cfg[name] = draw(st.one_of(st.just("missing.json"), junk))
+        elif action == "add key":
+            # a misspelling or any short text (which may name a real field),
+            # in the section or at the top level
+            key = draw(st.one_of(st.sampled_from(["n_point", "kappa"]), st.text(max_size=4)))
+            section = cfg.get(name)
+            target = section if isinstance(section, dict) and draw(st.booleans()) else cfg
+            target[key] = draw(scalar)
         elif action == "delete section":
             cfg.pop(name, None)
         elif action == "replace section" or not isinstance(cfg.get(name), dict):
@@ -115,6 +120,13 @@ def configs(draw):
             else:
                 cfg[name][key] = draw(FIELDS[name][key])
     return cfg
+
+
+def test_fields_are_the_config_fields():
+    # so a field added to the config is fuzzed the day it is added
+    fuzzed = {(name, key) for name, keys in FIELDS.items() for key in keys}
+    fuzzed |= {("optimizer.perturbation", key) for key in PERTURBATION}
+    assert fuzzed == {(name, key) for name, keys in CONFIG_FIELDS.items() for key in keys}
 
 
 def run_cli(command: str, cfg) -> int:

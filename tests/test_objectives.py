@@ -270,6 +270,15 @@ class TestTraceRegression:
         with pytest.raises(InputContractError, match=r"^max\(spectrum\) = 1.3e\+154 or the stored y is"):
             instance_from_document(doc)
 
+    @pytest.mark.parametrize("seed", [1, 3, 4, 6, 7])
+    def test_stored_target_whose_gradient_norms_overflow_is_rejected(self, seed):
+        # at these seeds grad f(X*) is finite, but its truncated norm and
+        # ||grad f(X*) Y*||_F overflow; pytest turns a numpy warning into an error
+        doc = {"format": 2, "kind": "trace_regression", "p": 2, "r": 1, "n": 3, "seed": seed,
+               "noise_sigma": 0.0, "spectrum": [1.3e154], "y": [0.0, 0.0, 0.0]}
+        with pytest.raises(InputContractError, match=r"the norms of the gradient at X\* overflow$"):
+            instance_from_document(doc)
+
     def test_sensing_is_read_only_and_equals_one_draw(self):
         p, n, seed = 5, 37, 3
         reg = make_instance("trace_regression", p, 2, n=n, seed=seed).trace_regression
