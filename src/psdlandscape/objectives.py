@@ -63,19 +63,19 @@ class LeastSquaresMap:
     Attributes
     ----------
     residual : callable
-        ``X -> A(X) - y``, an array of any shape; ``f(X)`` is half its
-        squared norm.
+        ``X -> A(X) - y``, a ``(d,)`` array; ``f(X)`` is half its squared norm.
     adjoint : callable
         ``v -> A.T(v)``, a fresh ``p x p`` array; ``grad f(X)`` is the
         adjoint of the residual.
     forward : callable
-        ``Gs -> F`` for a ``(k, p, p)`` stack ``Gs``: the ``(k, d)`` array
-        whose row ``j`` is ``A(Gs[j])``, from one pass over the map and no
-        adjoint. The Hessian form is ``<F[a], F[b]>``, so whatever reads
-        only the form (the delta probes, the dense Hessian spectra, the
-        delta oracles) reads this.
+        ``G -> A(G)``, a ``(d,)`` array for one ``p x p`` matrix and the
+        ``(k, d)`` array of rows ``A(Gs[j])`` for a ``(k, p, p)`` stack, from
+        one pass over the map and no adjoint. The residual reads it, and
+        the Hessian form is ``<F[a], F[b]>``, so whatever reads only the
+        form (the delta probes, the dense Hessian spectra, the delta
+        oracles) reads this.
     images : callable
-        ``Gs -> (F, N)`` for a ``(k, p, p)`` stack ``Gs``: ``F[j] = A(Gs[j])``
+        ``Gs -> (F, N)`` for a ``(k, p, p)`` stack ``Gs``: ``F = forward(Gs)``
         and ``N[j] = A.T(A(Gs[j]))``, a symmetric ``p x p`` matrix, for the
         consumers that need the normal images (gradient descent and the
         Lanczos apply).
@@ -115,14 +115,14 @@ class ObjectiveHandle:
 
 
 def _least_squares_handle(
-    p: int, y: np.ndarray, apply: Callable, adjoint: Callable, forward: Callable, images: Callable
+    p: int, y: np.ndarray, adjoint: Callable, forward: Callable, images: Callable
 ) -> ObjectiveHandle:
-    """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``apply`` (``A``),
-    ``adjoint`` (``A.T``, returning a fresh array), ``forward`` and ``images``
-    (see :class:`LeastSquaresMap`)."""
+    """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``adjoint`` (``A.T``,
+    returning a fresh array), ``forward`` (``A``) and ``images`` (see
+    :class:`LeastSquaresMap`)."""
 
     def residual(X: np.ndarray) -> np.ndarray:
-        return apply(X) - y
+        return forward(X) - y
 
     def value(X: np.ndarray) -> float:
         res = residual(X)
@@ -132,8 +132,8 @@ def _least_squares_handle(
         return adjoint(residual(X))
 
     def hess_form(X: np.ndarray, G1: np.ndarray, G2: np.ndarray) -> float:
-        image = apply(G1)
-        return float(np.vdot(image, image if G2 is G1 else apply(G2)))
+        image = forward(G1)
+        return float(np.vdot(image, image if G2 is G1 else forward(G2)))
 
     ls = LeastSquaresMap(residual, adjoint, forward, images)
     return ObjectiveHandle(value, grad, hess_form, p, ls)
@@ -149,12 +149,17 @@ class DenoisingObjective:
         self.Y_star = Y_star
 
     def handle(self) -> ObjectiveHandle:
-        # A is the identity: its forward images flatten the stack, and its
-        # adjoint copies, so a gradient never aliases the residual
-        Ys = self.Y_star
+        # A flattens one matrix, or each matrix of a stack into a row, and
+        # its adjoint reshapes a copy back to p x p, so a gradient never
+        # aliases the residual
+        p = self.Y_star.p
+
+        def forward(G: np.ndarray) -> np.ndarray:
+            return G.reshape(*G.shape[:-2], p * p)
+
         return _least_squares_handle(
-            Ys.p, Ys.gram(), np.asarray, np.copy,
-            lambda Gs: Gs.reshape(len(Gs), -1), lambda Gs: (Gs, Gs),
+            p, forward(self.Y_star.gram()), lambda v: v.reshape(p, p).copy(),
+            forward, lambda Gs: (forward(Gs), Gs),
         )
 
 
@@ -201,12 +206,6 @@ def _unpacked(u: np.ndarray, p: int) -> np.ndarray:
     M[..., upper] = u
     M[..., lower] = u
     return M.reshape(*u.shape[:-1], p, p)
-
-
-def _apply_packed(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``A(X)_i = <A_i, X>`` for symmetric ``A_i`` stored as packed upper
-    triangles."""
-    return packed @ _packed_coefficients(X)
 
 
 #: bytes of the packed map that :meth:`TraceRegressionObjective.images`
@@ -266,17 +265,13 @@ class TraceRegressionObjective:
         return full
 
     def apply_map(self, X: np.ndarray) -> np.ndarray:
-        """Forward map ``A(X)_i = <A_i, X>``."""
-        return _apply_packed(self.packed, X)
+        """Forward map ``A(X)_i = <A_i, X>``; a ``(k, p, p)`` stack gives the
+        ``(k, n)`` array of its images, from one product with the map."""
+        return _packed_coefficients(X) @ self.packed.T
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Adjoint map ``A.T(v) = sum_i v_i A_i``."""
         return _unpacked(np.asarray(v, dtype=float) @ self.packed, self.p)
-
-    def forward(self, Gs: np.ndarray) -> np.ndarray:
-        """``(A(G_j))_j`` as a ``(k, n)`` array for a ``(k, p, p)`` stack
-        ``Gs``, from one product with the map and no normal images."""
-        return _packed_coefficients(Gs) @ self.packed.T
 
     def images(self, Gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(A(G_j))_j`` as a ``(k, n)`` array and ``(A.T(A(G_j)))_j`` as a
@@ -297,9 +292,7 @@ class TraceRegressionObjective:
         return forward, _unpacked(normal, self.p)
 
     def handle(self) -> ObjectiveHandle:
-        return _least_squares_handle(
-            self.p, self.y, self.apply_map, self.adjoint, self.forward, self.images
-        )
+        return _least_squares_handle(self.p, self.y, self.adjoint, self.apply_map, self.images)
 
 
 @dataclass(frozen=True)
@@ -409,10 +402,14 @@ def riemannian_hess_quadform(
         theta = HorizontalTangent(np.asarray(theta, dtype=float), Y)
     elif not same_base(theta, Y):
         raise InputContractError("tangent must be based at the given point")
-    th = theta.theta
-    X = Y.gram()
-    C = _lift(Y, th)
-    return float(obj.euclid_hess_form(X, C, C)) + 2.0 * float(np.vdot(_sym_grad(obj, X) @ th, th))
+    return _hess_quad(obj, Y, _sym_grad(obj, Y.gram()), theta.theta)
+
+
+def _hess_quad(obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray, theta: np.ndarray) -> float:
+    """``hess f(X)[C, C] + 2 <R theta, theta>`` at ``X = Y Y.T``, with ``C =
+    Y theta.T + theta Y.T`` and ``R`` the symmetrized gradient at ``X``."""
+    C = _lift(Y, theta)
+    return float(obj.euclid_hess_form(Y.gram(), C, C)) + 2.0 * float(np.vdot(R @ theta, theta))
 
 
 def embedded_hess_quadform(
@@ -653,13 +650,12 @@ def _build_instance(
         gt = GroundTruth.from_factor(Y_star, obj)
         return ProblemInstance(kind, p, r, 0, seed, 0.0, spectrum, obj, gt)
     culprit = f"{name} = {spectrum.max():.6g}" + ("" if y is None else " or the stored y")
-    packed = _sensing_from_seed(p, n, seed)
+    reg = TraceRegressionObjective._from_packed(_sensing_from_seed(p, n, seed), y)
     if y is None:
         rng_noise = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
         eps = rng_noise.standard_normal(n) * noise_sigma if noise_sigma > 0 else np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):  # refused with the gradient below
-            y = _apply_packed(packed, Y_star.gram()) + eps
-    reg = TraceRegressionObjective._from_packed(packed, y)
+            reg.y = reg.apply_map(Y_star.gram()) + eps
     obj = reg.handle()
     try:
         gt = GroundTruth.from_factor(Y_star, obj)

@@ -123,11 +123,19 @@ class TestScan:
         assert "mu = 0" not in capsys.readouterr().err
         assert code == 0
 
-    # at these scales every gradient norm overflows, and numpy's overflow
-    # warning still reaches stderr: only that warning is let through
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.parametrize("sigma_r_star", [1e45, 1e50])
+    def test_scan_at_a_large_scale_certifies(self, tmp_path, sigma_r_star):
+        # every norm a row reads is finite here, and no overflow warning leaks
+        problem = {"p": 8, "r": 2, "kappa_star": 1.0, "sigma_r_star": sigma_r_star, "seed": 1}
+        cfg = write_config(tmp_path, problem=problem, scan={"samplers": SAMPLERS})
+        assert main(["scan", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "scan_report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert all(row.endswith(",true") for row in rows)
+
     @pytest.mark.parametrize("sigma_r_star", [1e52, 1e55])
     def test_row_with_an_infinite_quantity_fails(self, tmp_path, sigma_r_star):
+        # every gradient norm overflows, silently: the rows fail with margin NaN
         problem = {"p": 8, "r": 2, "kappa_star": 1.0, "sigma_r_star": sigma_r_star, "seed": 1}
         cfg = write_config(tmp_path, problem=problem, scan={"samplers": SAMPLERS})
         assert main(["scan", "--config", str(cfg)]) == 1

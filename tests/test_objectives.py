@@ -90,8 +90,9 @@ class TestDenoising:
         gt = inst.ground_truth
         assert gt.X_star is gt.Y_star.gram()
         assert inst.objective.value(gt.X_star) == 0.0
+        # the residual is a flat row, as on trace regression
         residual = inst.objective.least_squares.residual(np.zeros((6, 6)))
-        np.testing.assert_array_equal(residual, -gt.X_star)
+        np.testing.assert_array_equal(residual, -gt.X_star.ravel())
 
     def test_ill_conditioned_target_builds(self):
         # sigma_r(X*) / sigma_1(X*) = 1e-12, yet the factor is full rank
@@ -496,9 +497,10 @@ def test_forward_of_denoising_is_the_flattened_stack(k):
     ls = make_instance("denoising", 7, 2, kappa_star=2.0, seed=29).objective.least_squares
     Gs = np.random.default_rng(30).standard_normal((k, 7, 7))
     F = ls.forward(Gs)
-    # the identity map
+    # the identity map: one matrix is one flat row, and so are the images
     np.testing.assert_array_equal(F, Gs.reshape(k, -1))
-    np.testing.assert_array_equal(F, ls.images(Gs)[0].reshape(k, -1))
+    np.testing.assert_array_equal(ls.forward(Gs[0]), Gs[0].ravel())
+    np.testing.assert_array_equal(F, ls.images(Gs)[0])
 
 
 def _per_probe_forms(obj, rank, n_samples, seed):
@@ -711,14 +713,17 @@ class TestRscDiagnostics:
     def test_hess_form_applies_the_map_once_on_one_argument(self):
         # the probes of the estimate take one forward sweep together
         reg = make_instance("trace_regression", 6, 2, n=30, seed=22).trace_regression
-        passes = _count_passes(reg, ("apply_map", "forward"))
+        passes = _count_passes(reg, ("apply_map", "adjoint"))
         obj = reg.handle()
         rsc_rsm_estimate(obj, 2, 10, seed=5)
-        assert passes == {"apply_map": 0, "forward": 1}
-        # the same array twice gives the bits of two equal arrays
+        assert passes == {"apply_map": 1, "adjoint": 0}
+        # the same array twice is one pass and gives the bits of two equal arrays
         rng = np.random.default_rng(6)
         X, G = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
-        assert obj.euclid_hess_form(X, G, G) == obj.euclid_hess_form(X, G, G.copy())
+        same = obj.euclid_hess_form(X, G, G)
+        assert passes["apply_map"] == 2
+        assert same == obj.euclid_hess_form(X, G, G.copy())
+        assert passes["apply_map"] == 4
 
     def test_strict_convexity_probe(self):
         inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=23)
