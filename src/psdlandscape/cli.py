@@ -13,11 +13,9 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import InputContractError, LandscapeError, NumericalFailure
-from .kernels import _json_number
+from .kernels import _OPTIMIZE_START, _json_number, _stream
 from .landscape import (
     SAMPLERS, RegionParams, _r1_radius, _sample_point, certify_landscape, compute_thresholds,
     error_bound_check, reports_to_csv,
@@ -235,7 +233,7 @@ def cmd_optimize(args) -> int:
 
     if init_kind is None:
         init_kind = "spectral" if inst.kind == "trace_regression" else "gaussian"
-    rng = np.random.default_rng(gd_cfg.seed)
+    rng = _stream(gd_cfg.seed, _OPTIMIZE_START)
     gt = inst.ground_truth
     if init_kind == "spectral":
         Y0 = spectral_init(inst.objective, inst.r)

@@ -59,6 +59,18 @@ def _check_int(value, name: str, low: int) -> int:
     return int(value)
 
 
+#: spawn-key tags of the package's seeded streams (see :func:`_stream`)
+_SCAN_POINT, _PROBES, _OPTIMIZE_START, _KICKS = range(4)
+
+
+def _stream(seed: int, tag: int, *index: int) -> np.random.Generator:
+    """The generator of the consumer ``tag`` (and ``index``) under ``seed``,
+    ``SeedSequence(seed, spawn_key=(tag, *index))``. A spawn key differs
+    from every entropy-only sequence, so no such stream is one of another
+    consumer or of an instance, ``SeedSequence([seed, 0 | 1 | 2])``."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(tag, *index)))
+
+
 def _json_float(value) -> float | None:
     """A JSON number (an int or a float, not a boolean or a string) as a
     float, infinite beyond the float range; ``None`` for anything else."""

@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .geometry import FactorPoint, HorizontalTangent, quotient_distance, vertical_project
-from .kernels import _align, _check_int, sym_eigvals
+from .kernels import _SCAN_POINT, _align, _check_int, _stream, sym_eigvals
 from .objectives import (
     MAX_INSTANCE_BYTES,
     GroundTruth,
@@ -708,8 +708,10 @@ def certify_landscape(
     :data:`SAMPLERS`; the ball radius, at least 0, defaults to the R1
     radius ``mu sigma_r(Y*) / kappa*``. The bounds are those of ``thresholds``,
     by default :func:`compute_thresholds` of ``(gt, params)`` at
-    ``delta = 0``. Point ``i`` draws from ``SeedSequence([seed, i])``, so a
-    longer scan extends a shorter one row for row.
+    ``delta = 0``. Point ``i`` draws from ``SeedSequence(seed, spawn_key=(0,
+    i))``, a stream of its own (see :func:`~psdlandscape.kernels._stream`),
+    so a longer scan extends a shorter one row for row, and no point reuses
+    the draw of a target built from the same seed.
     """
     _check_int(n_points, "n_points", 1)
     _check_int(seed, "seed", 0)
@@ -731,7 +733,7 @@ def certify_landscape(
 
     reports = []
     for i in range(n_points):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        rng = _stream(seed, _SCAN_POINT, i)
         Y = _sample_point(samplers[i % len(samplers)], gt, params, rng, ball_radius)
         reports.append(_certify_point(i, Y, obj, gt, params, thresholds))
     return reports

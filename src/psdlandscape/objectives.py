@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InputContractError, NumericalFailure
 from .geometry import FactorPoint, HorizontalTangent, same_base
-from .kernels import _check_int, _json_number, _json_numbers, check_matrix, sym_eig
-from .kernels import truncated_frob_norm
+from .kernels import _PROBES, _check_int, _json_number, _json_numbers, _stream, check_matrix
+from .kernels import sym_eig, truncated_frob_norm
 
 __all__ = [
     "ObjectiveHandle",
@@ -709,12 +709,13 @@ _PROBE_BLOCK = 32
 def _probe_forms(obj: ObjectiveHandle, rank: int, n_samples: int, seed: int):
     """``hess_form(X)[G, G]`` at ``n_samples`` seeded probes. On a custom
     handle each probe draws in turn a symmetric ``X`` of rank <= ``rank``
-    and a unit-norm symmetric ``G`` of rank <= ``2 rank``. A least-squares
-    form does not read ``X``, so there only the ``G`` are drawn, and the
-    probe stream depends on whether the handle has a map; the form is
-    ``||A(G)||^2`` from one ``forward`` sweep per block of
+    and a unit-norm symmetric ``G`` of rank <= ``2 rank``, from the probe
+    stream of ``seed`` (see :func:`~psdlandscape.kernels._stream`). A
+    least-squares form does not read ``X``, so there only the ``G`` are
+    drawn, and the probe draws depend on whether the handle has a map; the
+    form is ``||A(G)||^2`` from one ``forward`` sweep per block of
     :data:`_PROBE_BLOCK` directions."""
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, _PROBES)
     ls = obj.least_squares
     if ls is None:
         for _ in range(n_samples):

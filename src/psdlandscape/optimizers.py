@@ -20,7 +20,7 @@ from .errors import (
     StepSearchError,
 )
 from .geometry import FactorPoint, quotient_distance, vertical_project
-from .kernels import _check_int, sym_eig
+from .kernels import _KICKS, _check_int, _stream, sym_eig
 from .landscape import RegionLabel, RegionParams, _classify, _fmt, hess_extreme_eigs
 from .objectives import GroundTruth, ObjectiveHandle, _lift, _sym_grad, lifted_value
 
@@ -62,7 +62,8 @@ class GDConfig:
     """Gradient-descent configuration.
 
     ``step_size=None`` selects backtracking line search; a positive float
-    selects that fixed step.
+    selects that fixed step. ``seed`` draws the saddle-escape kicks, from a
+    stream of their own (see :func:`~psdlandscape.kernels._stream`).
     """
 
     step_size: float | None = None
@@ -198,7 +199,7 @@ def riemannian_gd(
     track = gt is not None
     pert = cfg.perturbation
     fixed = cfg.step_size is not None
-    rng = np.random.default_rng(cfg.seed)
+    rng = _stream(cfg.seed, _KICKS)
     Y = Y0
     val = None  # an accepted trial's value is the next iterate's
     carried = None  # least squares: the accepted trial's residual and gradient

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from psdlandscape.cli import main
@@ -235,6 +236,41 @@ class TestOptimize:
             assert main(["optimize", "--config", str(cfg)]) == 0
             paths.append(tmp_path / f"out{i}" / "trajectory.csv")
         assert paths[0].read_text() == paths[1].read_text()
+
+    def test_start_and_first_kick_are_different_draws(self, tmp_path, monkeypatch):
+        # the gaussian start and the first saddle-escape kick of one
+        # optimizer.seed once drew the same normals from default_rng(seed)
+        from psdlandscape import cli, optimizers
+        from psdlandscape.geometry import FactorPoint
+        from psdlandscape.objectives import make_instance
+
+        starts, kicks = [], []
+        gd = cli.riemannian_gd
+        monkeypatch.setattr(
+            cli, "riemannian_gd", lambda obj, Y0, *a, **k: starts.append(Y0) or gd(obj, Y0, *a, **k)
+        )
+        cfg = write_config(tmp_path, optimizer={"max_iters": 1, "step_size": 0.01})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=7)
+        gt = inst.ground_truth
+        # near the saddle that drops the target's second direction: a tiny
+        # gradient and an eigenvalue near -2 sigma_r^2, so iterate 0 kicks
+        U = gt.Y_star.svd.U
+        q = np.linalg.qr(np.column_stack([U, np.ones(10)]))[0][:, 2]
+        Y0 = FactorPoint(np.column_stack([U[:, 0] * gt.sigma1_star, 0.01 * q]))
+        project = optimizers.vertical_project
+        monkeypatch.setattr(
+            optimizers, "vertical_project", lambda Y, Z: kicks.append(Z) or project(Y, Z)
+        )
+        pert = optimizers.PerturbationSpec(radius=0.1, trigger_tol=0.1)
+        cfg = optimizers.GDConfig(step_size=0.01, max_iters=1, perturbation=pert, seed=3)
+        rec = optimizers.riemannian_gd(inst.objective, Y0, cfg)
+        assert rec.perturbed[0]
+        # the start is sigma_1 / sqrt(p) times a standard normal draw
+        (start,) = starts
+        normals = start.Y / (gt.sigma1_star / np.sqrt(10))
+        assert normals.shape == kicks[0].shape
+        assert not np.allclose(normals, kicks[0])
 
     def test_target_init_converges_immediately(self, tmp_path):
         cfg = write_config(tmp_path, optimizer={"init": "target"})

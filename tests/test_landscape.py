@@ -14,6 +14,7 @@ from psdlandscape.errors import (
 )
 from psdlandscape import landscape
 from psdlandscape.geometry import FactorPoint, HorizontalTangent, horizontal_project, quotient_distance
+from psdlandscape.kernels import _SCAN_POINT, _stream
 from psdlandscape.landscape import (
     SQRT2M1_TIMES_2,
     RegionLabel,
@@ -454,20 +455,22 @@ def test_forward_only_dense_extremes_agree_with_lanczos(kind, r, offset, point, 
 
 @pytest.mark.parametrize("seed", [0, 1, 0x4C414E43])
 def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
-    # point 0 of a scan with seed s is drawn from SeedSequence([s, 0]), the
-    # generator of default_rng(s) and of the target of an instance with
-    # seed s, so both come from one draw; at dimension 87 the scan runs Lanczos
+    # a ball point drawn from SeedSequence([s, 0]), the generator of
+    # default_rng(s) and of the target of an instance with seed s, comes
+    # from the target's own draw; at dimension 87 its spectrum runs Lanczos,
+    # whose start must not lie in the invariant subspace of that draw
     inst = make_instance("denoising", 30, 3, kappa_star=2.0, seed=seed)
     gt = inst.ground_truth
-    (report,) = certify_landscape(inst.objective, gt, PARAMS, ["ball"], 1, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     Y = landscape._sample_point("ball", gt, PARAMS, rng, landscape._r1_radius(gt, PARAMS.mu))
-    assert RegionLabel.R1 in report.region_labels
+    assert RegionLabel.R1 in classify_region(Y, gt, PARAMS)
     assert horizontal_dim(30, 3) > landscape.DENSE_HESSIAN_CAP
+    est = hess_extreme_eigs(inst.objective, Y)
+    assert est.method == "lanczos"
     dense = _forced_spectrum(inst.objective, Y, "dense")
     scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
-    assert abs(report.lambda_min - dense.lambda_min) <= 1e-10 * scale
-    assert abs(report.lambda_max - dense.lambda_max) <= 1e-10 * scale
+    assert abs(est.lambda_min - dense.lambda_min) <= 1e-10 * scale
+    assert abs(est.lambda_max - dense.lambda_max) <= 1e-10 * scale
 
 
 def test_lanczos_at_the_target_of_a_large_denoising_problem():
@@ -743,12 +746,27 @@ class TestCertify:
         assert all(rep.region_labels for rep in reports)
 
     def test_longer_scan_extends_a_shorter_one(self):
-        # point i draws from SeedSequence([seed, i]) whatever n_points is
+        # point i draws from its own stream whatever n_points is
         inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=25)
         gt = inst.ground_truth
         short = certify_landscape(inst.objective, gt, PARAMS, ["ball", "gaussian"], 3, seed=3)
         long = certify_landscape(inst.objective, gt, PARAMS, ["ball", "gaussian"], 8, seed=3)
         assert reports_to_csv(long).startswith(reports_to_csv(short))
+
+    def test_point_zero_is_not_drawn_from_the_target_stream(self, monkeypatch):
+        # one seed for the problem and the scan: point 0 once drew from
+        # SeedSequence([s, 0]), the target's stream, and its ball tangent lay
+        # in span(Y*) to 1.0000 of its norm
+        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=5)
+        gt = inst.ground_truth
+        points, certify = [], landscape._certify_point
+        monkeypatch.setattr(
+            landscape, "_certify_point", lambda i, Y, *args: points.append(Y) or certify(i, Y, *args)
+        )
+        certify_landscape(inst.objective, gt, PARAMS, ["ball"], 1, seed=5)
+        (Y,) = points
+        theta, U = Y.Y - gt.Y_star.Y, gt.Y_star.svd.U
+        assert np.linalg.norm(U.T @ theta) < 0.9 * np.linalg.norm(theta)
 
     def test_unknown_sampler_is_refused_before_any_point(self):
         # "bogus" would be drawn only from the second point on
@@ -821,7 +839,7 @@ class TestCertify:
             assert rep.region_labels == (RegionLabel.R3_TRIPLE_PRIME,)
             gram_norm = None
             # recover the sampled point deterministically from the seed
-            rng = np.random.default_rng(np.random.SeedSequence([5, rep.point_id]))
+            rng = _stream(5, _SCAN_POINT, rep.point_id)
             c = np.sqrt(PARAMS.gamma) * (1.1 + 1.4 * rng.uniform())
             gram_norm = np.linalg.norm((c * gt.Y_star.Y) @ (c * gt.Y_star.Y).T)
             expected = 2.0 * (1.0 - 1.0 / PARAMS.gamma) * gram_norm**1.5 / np.sqrt(2)

@@ -26,7 +26,7 @@ from psdlandscape.objectives import (
     riemannian_hess_quadform,
     rsc_rsm_estimate,
 )
-from psdlandscape.kernels import sym_eig
+from psdlandscape.kernels import _PROBES, _stream, sym_eig
 from psdlandscape.landscape import hess_extreme_eigs
 
 
@@ -504,10 +504,10 @@ def test_forward_of_denoising_is_the_flattened_stack(k):
 
 
 def _per_probe_forms(obj, rank, n_samples, seed):
-    """The probe forms one ``euclid_hess_form`` call at a time from one
-    generator: each probe a unit ``G``, drawn after an ``X`` only on a handle
+    """The probe forms one ``euclid_hess_form`` call at a time from the probe
+    stream: each probe a unit ``G``, drawn after an ``X`` only on a handle
     without a map (a least-squares form does not read ``X``)."""
-    rng = np.random.default_rng(seed)
+    rng = _stream(seed, _PROBES)
     forms = []
     for _ in range(n_samples):
         X = np.zeros((obj.p, obj.p))
