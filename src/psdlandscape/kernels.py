@@ -64,10 +64,10 @@ _SCAN_POINT, _PROBES, _OPTIMIZE_START, _KICKS = range(4)
 
 
 def _stream(seed: int, tag: int, *index: int) -> np.random.Generator:
-    """The generator of the consumer ``tag`` (and ``index``) under ``seed``,
+    """The generator of consumer ``tag`` (at ``index``) under ``seed``,
     ``SeedSequence(seed, spawn_key=(tag, *index))``. A spawn key differs
-    from every entropy-only sequence, so no such stream is one of another
-    consumer or of an instance, ``SeedSequence([seed, 0 | 1 | 2])``."""
+    from every entropy-only sequence, so these streams share no draw with
+    each other or with an instance's ``SeedSequence([seed, 0 | 1 | 2])``."""
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(tag, *index)))
 
 
