@@ -141,11 +141,14 @@ def _sym_factorize(factorize, S: np.ndarray, asym_tol: float):
     S = check_matrix(S, "eig input")
     if S.shape[0] != S.shape[1]:
         raise InputContractError(f"eig input must be square, got {S.shape}")
-    nrm = np.linalg.norm(S)
-    if np.linalg.norm(S - S.T) > asym_tol * max(nrm, 1e-300):
+    # the test is scale-free: take both norms in units of a power of two
+    # near max |S|, exact in binary, so that no sum of squares overflows
+    scaled = S / 2.0 ** math.frexp(float(np.abs(S).max(initial=0.0)))[1]
+    nrm = np.linalg.norm(scaled)
+    asym = np.linalg.norm(scaled - scaled.T)
+    if asym > asym_tol * nrm:
         raise InputContractError(
-            "matrix is asymmetric beyond tolerance: "
-            f"||S - S.T||_F = {np.linalg.norm(S - S.T):.3e}, ||S||_F = {nrm:.3e}"
+            f"matrix is asymmetric beyond tolerance: ||S - S.T||_F / ||S||_F = {asym / nrm:.3e}"
         )
     try:
         return factorize((S + S.T) / 2.0)

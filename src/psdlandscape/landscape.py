@@ -107,12 +107,13 @@ class RegionLabel(str, Enum):
 
 @dataclass(frozen=True)
 class HessianSpectrumEstimate:
-    """Extreme eigenvalues of the Hessian restricted to the horizontal space."""
+    """Extreme eigenvalues of the Hessian restricted to the horizontal space,
+    exact to rounding; ``method`` is ``"dense"`` or ``"reduced"`` (see
+    :func:`hess_extreme_eigs`)."""
 
     lambda_min: float
     lambda_max: float
     method: str
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -238,29 +239,19 @@ def horizontal_dim(p: int, r: int) -> int:
     return p * r - (r * r - r) // 2
 
 
-#: largest horizontal dimension whose Hessian is assembled densely for a
-#: handle with a least-squares map. At R1 points Lanczos was first faster
-#: at dimension 61 on denoising of rank 2 (dense no slower up to 59), at
-#: 93 to 99 on rank 3, and not up to 190 on rank 5; on trace regression
-#: with 600 samples the dense matrix was three to seven times faster at
-#: ranks 2, 3 and 5 up to 120, the largest dimension measured there
-DENSE_HESSIAN_CAP = 60
-
-#: largest horizontal dimension at which the dense matrix of a handle with a
-#: least-squares map is still taken from one form call per pair, not from
-#: one ``forward`` call over the basis lifts. The benchmark's own tests pin
-#: that form count at small sizes; ROADMAP.md item 1 (benchmark upkeep)
-#: unpins it, and this cap goes with it
+#: largest horizontal dimension at which a dense matrix is still taken from
+#: one form call per pair. The benchmark's own tests pin that form count at
+#: small sizes; ROADMAP.md item 1 (benchmark upkeep) unpins it, and this cap
+#: goes with it
 _FORM_MATRIX_CAP = 44
 
 #: largest horizontal dimension for which :func:`horizontal_basis` builds a
-#: basis, and so the largest dense Hessian of a handle without a
-#: least-squares map
+#: basis, and so the largest dense Hessian outside the denoising reduction
 _BASIS_CAP = 4000
 
-#: Ritz residual, relative to the largest Ritz value in magnitude, at which
-#: Lanczos accepts both ends of the spectrum
-_LANCZOS_RESIDUAL_TOL = 1e-8
+#: bytes of basis lifts ``C(B_k)`` that one ``forward`` call maps while a
+#: least-squares Hessian matrix is assembled
+_LIFT_BLOCK_BYTES = 32 << 20
 
 
 def horizontal_basis(Y: FactorPoint) -> np.ndarray:
@@ -301,141 +292,114 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
     return basis
 
 
-def _lanczos_extremes(
-    Y: FactorPoint, apply: Callable[[np.ndarray], np.ndarray]
-) -> HessianSpectrumEstimate:
-    """Lanczos with full reorthogonalization on the horizontal space at
-    ``Y``; ``apply(v)`` is the ambient gradient of ``b(v, .)`` for a
-    horizontal ``(p, r)`` array ``v``."""
-    p, r = Y.p, Y.r
-    dim = horizontal_dim(p, r)
+def _mapped_gram(Y: FactorPoint, basis: np.ndarray, forward: Callable) -> np.ndarray:
+    """``F F.T`` with ``F[k] = forward(C(B_k))`` over the ``(m, p, r)``
+    basis ``B``: the matrix of a least-squares Hessian form over the lifts,
+    mapped in blocks of at most ``_LIFT_BLOCK_BYTES`` of lifts."""
+    m = len(basis)
+    step = max(1, _LIFT_BLOCK_BYTES // (8 * Y.p**2))
+    F = None
+    for i in range(0, m, step):
+        block = forward(_lift(Y, basis[i : i + step]))
+        if F is None:
+            F = np.empty((m, block.shape[-1]))
+        F[i : i + step] = block
+    return F @ F.T
 
-    # The start is drawn from a generator seeded by the bits of Y. It must
-    # not lie in an invariant subspace of the Hessian, or Lanczos breaks
-    # down there and misses the extremes outside it with a zero residual.
-    # A fixed seed fails on a point built from that seed's own draws: the
-    # target and the ball tangent of make_instance("denoising", 20, 3,
-    # seed=s) and default_rng(s) both lie in the column space of its first
-    # draw, and so does the start. A start seeded by Y itself cannot be
-    # chosen that way, so a breakdown means the Krylov space holds every
-    # distinct eigenvalue.
-    rng = np.random.default_rng(Y.Y.view(np.uint32).ravel())
-    q = rng.standard_normal((p, r))
-    q -= vertical_project(Y, q)
-    # the Lanczos vectors are the rows of Q and T is their tridiagonal
-    # matrix; both double when Q fills
-    Q = np.empty((min(dim + 1, 64), p * r))
-    T = np.zeros((len(Q), len(Q)))
-    Q[0] = (q / np.linalg.norm(q)).ravel()
-    for k in range(dim):
-        v = Q[k].reshape(p, r)
-        w = apply(v)
-        T[k, k] = np.vdot(v, w)
-        # w is the ambient gradient of b(v, .): reorthogonalize it fully, twice,
-        # then project it onto the horizontal space, once; the rows of Q are
-        # horizontal, so its vertical part moves neither T[k, k] nor the rest
-        for _ in range(2):
-            w = w - (Q[: k + 1].T @ (Q[: k + 1] @ w.ravel())).reshape(p, r)
-        w -= vertical_project(Y, w)
-        beta = float(np.linalg.norm(w))
-        ritz, S = np.linalg.eigh(T[: k + 1, : k + 1])
-        # Ritz residuals of the two extreme pairs: beta |last eigenvector entry|
-        residual = beta * float(max(abs(S[-1, 0]), abs(S[-1, -1])))
-        if residual <= _LANCZOS_RESIDUAL_TOL * max(abs(ritz[0]), abs(ritz[-1])):
-            return HessianSpectrumEstimate(float(ritz[0]), float(ritz[-1]), "lanczos", residual)
-        if k + 1 == len(Q):
-            Q = np.concatenate([Q, np.empty_like(Q)])
-            T = np.pad(T, (0, len(T)))
-        T[k, k + 1] = T[k + 1, k] = beta
-        Q[k + 1] = (w / beta).ravel()
-    raise NumericalFailure(
-        f"Lanczos did not converge in {dim} steps (Ritz residual {residual:.3e})"
-    )
+
+def _hess_eigvals(basis: np.ndarray, M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The eigenvalues, descending, of ``M + 2 B (R B).T``, the Riemannian
+    Hessian over the basis ``B`` when ``M`` is the matrix of the Euclidean
+    Hessian form over its lifts and ``R`` the symmetrized gradient."""
+    B = basis.reshape(len(basis), -1)
+    M += 2.0 * (B @ (R @ basis).reshape(len(basis), -1).T)
+    return sym_eigvals(M, asym_tol=1e-6)
+
+
+def _reduced_extremes(Y: FactorPoint, target: FactorPoint) -> HessianSpectrumEstimate:
+    """The spectrum of the denoising objective of ``target`` at ``Y``, with
+    ``p > 2 r``, from a problem of size ``2 r``.
+
+    ``R = Y Y.T - Y* Y*.T`` has its range in ``span Q``, ``Q`` the
+    ``p x 2r`` Householder factor of ``[Y, Y*]`` (orthonormal even when the
+    block is rank deficient). Horizontal vectors whose columns lie in
+    ``span Q`` are ``Q a`` with ``a`` horizontal at ``Q.T Y``, and there the
+    Hessian is that of the same objective at ``(Q.T Y, Q.T Y*)``; those
+    orthogonal to ``span Q`` form an invariant subspace on which it is
+    ``theta -> 2 theta Y.T Y``, with eigenvalues ``2 sigma_j(Y)^2``.
+    """
+    Q = np.linalg.qr(np.hstack([Y.Y, target.Y]))[0]
+    Yq = FactorPoint(Q.T @ Y.Y)
+    Tq = Q.T @ target.Y
+    R = Yq.gram() - Tq @ Tq.T
+    if not np.all(np.isfinite(R)):
+        raise NumericalFailure("the Euclidean gradient has non-finite entries")
+    basis = horizontal_basis(Yq)
+    lam = _hess_eigvals(basis, _mapped_gram(Yq, basis, lambda Gs: Gs.reshape(len(Gs), -1)), R)
+    lo, hi = 2.0 * Y.sigma_min**2, 2.0 * Y.sigma_max**2
+    return HessianSpectrumEstimate(float(min(lam[-1], lo)), float(max(lam[0], hi)), "reduced")
 
 
 def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEstimate:
     """Extreme eigenvalues of the Riemannian Hessian on the horizontal space.
 
-    Every path evaluates the one bilinear form
+    Every path takes the eigenvalues, with no eigenvectors, of a dense
+    matrix of the one bilinear form
     ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
-    (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient).
-    The path depends on whether the handle has a
-    :class:`~psdlandscape.objectives.LeastSquaresMap` and on the horizontal
-    dimension ``m = horizontal_dim(p, r)``:
+    (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient)
+    over the basis ``B`` of :func:`horizontal_basis`. How that matrix is
+    built depends on the handle and on the horizontal dimension
+    ``m = horizontal_dim(p, r)``:
 
-    =============  ========================  =======  ========================================
-    handle         dimension                 method   work per spectrum
-    =============  ========================  =======  ========================================
-    least squares  ``m <= 44``               dense    ``m (m + 1) / 2`` form calls
-    least squares  ``44 < m <= 60``          dense    one ``forward`` sweep, eigenvalues only
-    least squares  ``m > 60``                lanczos  one ``images`` call per step
-    custom         ``m <= 4000``, lifts fit  dense    ``m (m + 1) / 2`` form calls
-    custom         otherwise                 lanczos  ``p r`` form calls per step
-    =============  ========================  =======  ========================================
+    =============  ============================  =======  ==========================================
+    handle         dimension                     method   the matrix
+    =============  ============================  =======  ==========================================
+    any            ``m <= 44``                   dense    ``m (m + 1) / 2`` form calls over ``C(B)``
+    denoising      ``m > 44`` and ``p > 2 r``    reduced  the dense matrix at ``(Q.T Y, Q.T Y*)``
+    least squares  ``44 < m <= 4000``            dense    ``F F.T``, ``F = forward(C(B))`` in blocks
+    custom         ``44 < m <= 4000``, lifts fit dense    ``m (m + 1) / 2`` form calls over ``C(B)``
+    =============  ============================  =======  ==========================================
 
-    60 is :data:`DENSE_HESSIAN_CAP`, 44 is ``_FORM_MATRIX_CAP`` and 4000 is
-    ``_BASIS_CAP``; the lifts fit when their ``8 m p^2`` bytes are at most
-    :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`. The dense path
-    (residual 0) takes the eigenvalues only, with no eigenvectors, of the
-    matrix of ``b`` over the basis ``B`` of :func:`horizontal_basis`: the
-    form over the lifts ``C(B_k)``, or ``F F.T`` with ``F[k] = A(C(B_k))``
-    from ``forward``, plus ``2 <B_k, R B_l>``. Lanczos, with full
-    reorthogonalization, applies the ambient gradient of ``b(v, .)``,
-    ``2 N Y + 2 R v`` with ``N = hess f(X)[C(v)]`` from ``images`` (since
-    ``b(v, w) = <N, C(w)> + 2 <R v, w> = <2 N Y + 2 R v, w>`` for symmetric
-    ``N``) or ``2 R v + (hess f(X)[C(v), C(E_ij)])_ij`` over the matrix
-    units, and projects it once per step onto the horizontal space.
-    Its start is seeded by the bits of ``Y``, and it reports the larger
-    Ritz residual of the two extreme pairs.
+    44 is ``_FORM_MATRIX_CAP`` and 4000 is ``_BASIS_CAP``. Denoising is a
+    handle whose :class:`~psdlandscape.objectives.LeastSquaresMap` carries a
+    ``target``. Its reduction (:func:`_reduced_extremes`) makes one QR of
+    the ``p x 2r`` block ``[Y, Y*]``, no form call and no map sweep, and
+    joins the extremes of a matrix of dimension ``2 r^2 - r (r - 1) / 2``
+    with ``{2 sigma_j(Y)^2}``; when ``p <= 2 r`` the handle takes the row
+    below it. The blocks of ``forward`` hold at most 32 MiB of lifts each,
+    so ``k`` lifts per call make ``ceil(m / k)`` calls and no ``images``
+    call; the gradient term ``2 B (R B).T`` is added on every dense path.
+    The form rows build all ``m`` lifts at once; they fit when their
+    ``8 m p^2`` bytes are at most
+    :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`.
 
     Raises
     ------
-    NumericalFailure
-        If Lanczos exhausts the horizontal dimension with a Ritz residual
-        above ``1e-8`` times the largest Ritz value in magnitude.
+    ResourceLimitError
+        Outside the table: above dimension 4000 on every row but the
+        reduction, and on the form rows when the lifts do not fit.
     """
-    X = Y.gram()
-    R = _sym_grad(obj, X)
     p, r = Y.p, Y.r
     m = horizontal_dim(p, r)
-    least_squares = obj.least_squares is not None
-    if least_squares:
-        dense = m <= DENSE_HESSIAN_CAP
-    else:
-        # the dense matrix holds the m lifts C(B_k), 8 m p^2 bytes
-        dense = m <= _BASIS_CAP and 8 * m * p**2 <= MAX_INSTANCE_BYTES
-
-    if dense:
+    ls = obj.least_squares
+    if ls is not None and m > _FORM_MATRIX_CAP:
+        if ls.target is not None and p > 2 * r:
+            return _reduced_extremes(Y, ls.target)
         basis = horizontal_basis(Y)
-        lifts = _lift(Y, basis)
-        if least_squares and m > _FORM_MATRIX_CAP:
-            F = obj.least_squares.forward(lifts)
-            M = F @ F.T
-        else:
-            M = _form_matrix(obj, X, lifts)
-        B = basis.reshape(m, -1)
-        M += 2.0 * (B @ (R @ basis).reshape(m, -1).T)
-        lam = sym_eigvals(M, asym_tol=1e-6)
-        return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense", 0.0)
-
-    if least_squares:
-        def apply(v: np.ndarray) -> np.ndarray:
-            N = obj.least_squares.images(_lift(Y, v[None]))[1]
-            return 2.0 * (N @ Y.Y + R @ v[None])[0]
-
+        M = _mapped_gram(Y, basis, ls.forward)
+        R = _sym_grad(obj, Y.gram())
     else:
-        def apply(v: np.ndarray) -> np.ndarray:
-            # entry (i, j) is b(v, E_ij)
-            Cv = _lift(Y, v)
-            Hv = 2.0 * (R @ v)
-            for i in range(p):
-                for j in range(r):
-                    E = np.zeros((p, r))
-                    E[i, j] = 1.0
-                    Hv[i, j] += float(obj.euclid_hess_form(X, Cv, _lift(Y, E)))
-            return Hv
-
-    return _lanczos_extremes(Y, apply)
+        if 8 * m * p**2 > MAX_INSTANCE_BYTES:
+            raise ResourceLimitError(
+                f"the {m} lifted basis matrices need {8 * m * p**2} bytes, "
+                f"more than {MAX_INSTANCE_BYTES}"
+            )
+        X = Y.gram()
+        R = _sym_grad(obj, X)
+        basis = horizontal_basis(Y)
+        M = _form_matrix(obj, X, _lift(Y, basis))
+    lam = _hess_eigvals(basis, M, R)
+    return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense")
 
 
 def escape_direction(Y: FactorPoint, gt: GroundTruth) -> HorizontalTangent:

@@ -77,14 +77,20 @@ class LeastSquaresMap:
     images : callable
         ``Gs -> (F, N)`` for a ``(k, p, p)`` stack ``Gs``: ``F = forward(Gs)``
         and ``N[j] = A.T(A(Gs[j]))``, a symmetric ``p x p`` matrix, for the
-        consumers that need the normal images (gradient descent and the
-        Lanczos apply).
+        consumer that needs the normal images (gradient descent).
+    target : FactorPoint or None
+        ``Y*`` when ``A`` is the identity (flattening) and ``y`` is the
+        flattened ``Y* Y*.T``, so that ``f`` is the denoising objective and
+        its Hessian spectrum reduces to a problem of size ``2 r``
+        (:func:`~psdlandscape.landscape.hess_extreme_eigs`); ``None`` for
+        any other map or observations.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     forward: Callable[[np.ndarray], np.ndarray]
     images: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    target: FactorPoint | None = None
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,16 @@ class ObjectiveHandle:
 
 
 def _least_squares_handle(
-    p: int, y: np.ndarray, adjoint: Callable, forward: Callable, images: Callable
+    p: int,
+    y: np.ndarray,
+    adjoint: Callable,
+    forward: Callable,
+    images: Callable,
+    target: FactorPoint | None = None,
 ) -> ObjectiveHandle:
     """The handle of ``f(X) = 0.5 ||A(X) - y||^2`` from ``adjoint`` (``A.T``,
-    returning a fresh array), ``forward`` (``A``) and ``images`` (see
-    :class:`LeastSquaresMap`)."""
+    returning a fresh array), ``forward`` (``A``), ``images`` and ``target``
+    (see :class:`LeastSquaresMap`)."""
 
     def residual(X: np.ndarray) -> np.ndarray:
         return forward(X) - y
@@ -135,7 +146,7 @@ def _least_squares_handle(
         image = forward(G1)
         return float(np.vdot(image, image if G2 is G1 else forward(G2)))
 
-    ls = LeastSquaresMap(residual, adjoint, forward, images)
+    ls = LeastSquaresMap(residual, adjoint, forward, images, target)
     return ObjectiveHandle(value, grad, hess_form, p, ls)
 
 
@@ -159,7 +170,7 @@ class DenoisingObjective:
 
         return _least_squares_handle(
             p, forward(self.Y_star.gram()), lambda v: v.reshape(p, p).copy(),
-            forward, lambda Gs: (forward(Gs), Gs),
+            forward, lambda Gs: (forward(Gs), Gs), self.Y_star,
         )
 
 

@@ -321,31 +321,31 @@ def test_08_derivative_correctness_and_spectrum_agreement(monkeypatch):
             h = fd_hessian_check(obj, Y, th)
             assert h.rel_err < 1e-5
 
-    # dense and iterative (Lanczos) spectrum ends agree at two sizes (dim 19 and 57)
+    # dense and reduced spectrum ends agree at two sizes (dim 19 and 57)
     def spectrum(obj, Y, cap, method):
         with monkeypatch.context() as m:
-            m.setattr(landscape, "DENSE_HESSIAN_CAP", cap)
+            m.setattr(landscape, "_FORM_MATRIX_CAP", cap)
             est = hess_extreme_eigs(obj, Y)
         assert est.method == method
         return est
 
-    def dense_and_iterative(obj, Y):
-        return spectrum(obj, Y, horizontal_dim(Y.p, Y.r), "dense"), spectrum(obj, Y, 0, "lanczos")
+    def dense_and_reduced(obj, Y):
+        return spectrum(obj, Y, horizontal_dim(Y.p, Y.r), "dense"), spectrum(obj, Y, 0, "reduced")
 
     inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=903)
     Yp = FactorPoint(inst.ground_truth.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
-    dense, it = dense_and_iterative(inst.objective, Yp)
-    assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
-    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
+    dense, red = dense_and_reduced(inst.objective, Yp)
+    assert red.lambda_min == pytest.approx(dense.lambda_min, rel=1e-12)
+    assert red.lambda_max == pytest.approx(dense.lambda_max, rel=1e-12)
 
     inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=904)
-    dense2, it2 = dense_and_iterative(inst.objective, inst.ground_truth.Y_star)
-    assert it2.lambda_min == pytest.approx(dense2.lambda_min, rel=1e-7)
-    assert it2.lambda_max == pytest.approx(dense2.lambda_max, rel=1e-7)
+    dense2, red2 = dense_and_reduced(inst.objective, inst.ground_truth.Y_star)
+    assert red2.lambda_min == pytest.approx(dense2.lambda_min, rel=1e-12)
+    assert red2.lambda_max == pytest.approx(dense2.lambda_max, rel=1e-12)
     _report(
         "derivative correctness",
-        "400 finite-difference probes under 1e-5 and dense/iterative spectrum "
-        "ends agree to 1e-7 at horizontal dimensions 19 and 57",
+        "400 finite-difference probes under 1e-5 and dense/reduced spectrum "
+        "ends agree to 1e-12 at horizontal dimensions 19 and 57",
         t0,
     )
 

@@ -407,6 +407,29 @@ class TestExitCodes:
         )
         assert main(["optimize", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("limit", ["basis cap", "lifted basis matrices"])
+    def test_spectrum_beyond_its_limits_exits_three(self, tmp_path, monkeypatch, capsys, limit):
+        # trace regression of horizontal dimension 79 over a basis cap of 78,
+        # and a denoising handle stripped of its map whose 19 lifts of 10 x 10
+        # do not fit the byte budget
+        import dataclasses
+
+        from psdlandscape import landscape, objectives
+
+        if limit == "basis cap":
+            cfg = write_config(tmp_path, problem={"kind": "trace_regression", "p": 40, "n": 600})
+            monkeypatch.setattr(landscape, "_BASIS_CAP", 78)
+        else:
+            cfg = write_config(tmp_path)
+            handle = objectives.DenoisingObjective.handle
+            monkeypatch.setattr(
+                objectives.DenoisingObjective, "handle",
+                lambda self: dataclasses.replace(handle(self), least_squares=None),
+            )
+            monkeypatch.setattr(landscape, "MAX_INSTANCE_BYTES", 8 * 19 * 10**2 - 1)
+        assert main(["scan", "--config", str(cfg)]) == 3
+        assert limit in capsys.readouterr().err
+
     def test_two_threads_match_the_default(self, tmp_path):
         # scan and verify run on one thread: "--threads 1" still parses and
         # changes no byte of the output, any other count is a usage error

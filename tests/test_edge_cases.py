@@ -72,31 +72,20 @@ class TestSquareFactor:
 
 class TestIterativeCertificationPath:
     def test_small_cap_forces_iterative_r1_checks(self, monkeypatch):
-        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 4)
+        # named for the Lanczos path it once forced; a small form cap now
+        # sends every R1 spectrum of denoising (8, 2) to the reduction
+        monkeypatch.setattr(landscape, "_FORM_MATRIX_CAP", 4)
+        estimates, spectrum = [], landscape.hess_extreme_eigs
+        monkeypatch.setattr(
+            landscape, "hess_extreme_eigs", lambda obj, Y: estimates.append(spectrum(obj, Y)) or estimates[-1]
+        )
         inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=5)
         gt = inst.ground_truth
         params = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
         reports = certify_landscape(inst.objective, gt, params, ["ball"], 3, seed=2)
         assert all(rep.passed for rep in reports)
         assert all(np.isfinite(rep.lambda_min) for rep in reports)
-
-    def test_lanczos_nonconvergence_names_residual(self, monkeypatch):
-        # no residual meets a negative tolerance, so Lanczos runs through
-        # the whole horizontal space and must surface the failure as a
-        # numerical error carrying the residual
-        from psdlandscape.errors import NumericalFailure
-        from psdlandscape.landscape import random_ball_tangent
-
-        monkeypatch.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
-        monkeypatch.setattr(landscape, "_LANCZOS_RESIDUAL_TOL", -1.0)
-        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=5)
-        gt = inst.ground_truth
-        rng = np.random.default_rng(7)
-        radius = 0.2 * gt.sigmar_star / gt.kappa_star
-        th = random_ball_tangent(gt.Y_star, radius, rng)
-        Y = FactorPoint(gt.Y_star.Y + th.theta)
-        with pytest.raises(NumericalFailure, match="residual"):
-            hess_extreme_eigs(inst.objective, Y)
+        assert [est.method for est in estimates] == ["reduced"] * 3
 
 
 class TestCsvRoundTrip:

@@ -87,6 +87,19 @@ class TestSymEig:
         with pytest.raises(InputContractError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_symmetry_check_is_free_of_scale(self):
+        # the squares of entries above about 1e154 overflow a plain norm;
+        # the check reads the same at every power-of-two scale
+        np.testing.assert_array_equal(sym_eigvals(np.diag([3e160, 1e160])), [3e160, 1e160])
+        S = np.array([[2.0, 1.0], [1.0, 3.0]])
+        big = sym_eig(1e155 * S).lam
+        np.testing.assert_allclose(big, 1e155 * sym_eig(S).lam, rtol=1e-15)
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for scale in (2.0**-1000, 1.0, 2.0**1000):
+            with pytest.raises(InputContractError, match="asymmetric"):
+                sym_eigvals(scale * skew)
+
     def test_eigenvalues_alone_match_and_are_checked_alike(self):
         A = np.random.default_rng(10).standard_normal((7, 7))
         S = A + A.T + 1e-9 * A  # asymmetric within 1e-6, not within 1e-10

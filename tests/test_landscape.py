@@ -196,27 +196,23 @@ class TestHessExtremes:
         assert est.lambda_max <= 4 * gt.sigma1_star**2 + 1e-9
 
     def test_dense_vs_iterative(self, monkeypatch):
+        # named for the Lanczos path it once compared against; the reduction
+        # stands in for it, and a handle without a map is refused wherever
+        # the 8 m p^2 bytes of lifted basis matrices (m = 19) exceed the budget
         inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=13)
         obj, gt = inst.objective, inst.ground_truth
         rng = np.random.default_rng(14)
         Y = FactorPoint(gt.Y_star.Y + 0.05 * rng.standard_normal((10, 2)))
         dense = hess_extreme_eigs(obj, Y)
-        # Lanczos runs above the dimension cap, and for a handle without a
-        # map wherever the 8 m p^2 bytes of lifted basis matrices (m = 19)
-        # exceed the budget
+        reduced = _forced_spectrum(obj, Y, "reduced")
+        assert dense.method == "dense"
+        assert reduced.lambda_min == pytest.approx(dense.lambda_min, rel=1e-12)
+        assert reduced.lambda_max == pytest.approx(dense.lambda_max, rel=1e-12)
         no_map = dataclasses.replace(obj, least_squares=None)
-        for handle, name, limit in [
-            (obj, "DENSE_HESSIAN_CAP", 0),
-            (no_map, "MAX_INSTANCE_BYTES", 8 * 19 * 10**2 - 1),
-        ]:
-            with monkeypatch.context() as patched:
-                patched.setattr(landscape, name, limit)
-                it = hess_extreme_eigs(handle, Y)
-            assert (dense.method, it.method) == ("dense", "lanczos")
-            assert it.lambda_min == pytest.approx(dense.lambda_min, rel=1e-7)
-            assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
-            assert it.residual <= 1e-8 * max(abs(it.lambda_min), abs(it.lambda_max))
-        assert hess_extreme_eigs(no_map, Y).method == "dense"
+        assert hess_extreme_eigs(no_map, Y) == dense
+        monkeypatch.setattr(landscape, "MAX_INSTANCE_BYTES", 8 * 19 * 10**2 - 1)
+        with pytest.raises(ResourceLimitError, match="15200 bytes"):
+            hess_extreme_eigs(no_map, Y)
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
     def test_polarization_matches_direct_bilinear_form(self, kind):
@@ -291,8 +287,7 @@ def _spectrum_points():
     Y = FactorPoint(gt.Y_star.Y + th.theta)
     points.append(pytest.param(inst.objective, Y, id="denoising-8-2-r1"))
     # ball points whose target and tangent both come from the first normal
-    # draw of one seed; a Lanczos start drawn from that seed (0 and
-    # 0x4C414E43 were both used) lies in their common invariant subspace
+    # draw of one seed, so that [Y, Y*] is rank deficient
     for p, r, seed in [(10, 2, 0), (20, 3, 0x4C414E43)]:
         inst = make_instance("denoising", p, r, kappa_star=2.0, seed=seed)
         gt = inst.ground_truth
@@ -316,28 +311,32 @@ def _spectrum_points():
     return points
 
 
-def _forced_spectrum(obj, Y, method):
-    """The estimate of :func:`hess_extreme_eigs` on the given path; the
-    dense matrix is the reference at every size, above the caps too."""
+def _forced_spectrum(obj, Y, path):
+    """The estimate of :func:`hess_extreme_eigs` with its matrix built one
+    way at any size: ``"form"`` from one form call per pair (the reference),
+    ``"mapped"`` from ``forward`` sweeps (the handle loses its target) or
+    ``"reduced"`` by the denoising reduction."""
     with pytest.MonkeyPatch.context() as patched:
-        if method == "dense":
-            patched.setattr(landscape, "DENSE_HESSIAN_CAP", horizontal_dim(Y.p, Y.r))
-        else:
-            patched.setattr(landscape, "DENSE_HESSIAN_CAP", 0)
-            patched.setattr(landscape, "_BASIS_CAP", 0)
+        patched.setattr(landscape, "_FORM_MATRIX_CAP", horizontal_dim(Y.p, Y.r) if path == "form" else 0)
+        if path == "mapped":
+            obj = dataclasses.replace(obj, least_squares=dataclasses.replace(obj.least_squares, target=None))
         est = hess_extreme_eigs(obj, Y)
-    assert est.method == method
+    assert est.method == ("reduced" if path == "reduced" else "dense")
     return est
+
+
+def _assert_same_extremes(est, ref, rel=1e-12):
+    scale = max(abs(ref.lambda_min), abs(ref.lambda_max))
+    assert abs(est.lambda_min - ref.lambda_min) <= rel * scale
+    assert abs(est.lambda_max - ref.lambda_max) <= rel * scale
 
 
 @pytest.mark.parametrize("obj, Y", _spectrum_points())
 def test_lanczos_matches_dense(obj, Y):
-    dense = _forced_spectrum(obj, Y, "dense")
-    lanczos = _forced_spectrum(obj, Y, "lanczos")
-    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
-    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
-    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
-    assert lanczos.residual <= 1e-8 * scale
+    # named for the Lanczos path these points once exercised; the
+    # reduction or the forward sweeps now meet the form-per-pair reference
+    path = "mapped" if obj.least_squares.target is None else "reduced"
+    _assert_same_extremes(_forced_spectrum(obj, Y, path), _forced_spectrum(obj, Y, "form"))
 
 
 def _hand_written_denoising():
@@ -355,15 +354,14 @@ def _hand_written_denoising():
 
 
 def test_a_custom_handle_needs_no_rank():
+    from psdlandscape.objectives import DenoisingObjective
+
     obj, Y_star = _hand_written_denoising()
     gt = GroundTruth.from_factor(Y_star, obj)
     Y = FactorPoint(Y_star.Y + 0.1 * np.random.default_rng(908).standard_normal((7, 2)))
     dense = hess_extreme_eigs(obj, Y)
-    lanczos = _forced_spectrum(obj, Y, "lanczos")
-    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
     assert dense.method == "dense"
-    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
-    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+    _assert_same_extremes(_forced_spectrum(DenoisingObjective(Y_star).handle(), Y, "reduced"), dense)
     rec = riemannian_gd(obj, Y, GDConfig(max_iters=5000, grad_tol=1e-10), gt=gt)
     assert rec.converged and quotient_distance(rec.final, Y_star) < 1e-8
     assert rsc_rsm_estimate(obj, 2, 20, seed=909) < 1e-12
@@ -397,14 +395,16 @@ def _sized_instance(kind, p, r, seed):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, point, seed):
-    # the least p whose dimension is above the cap, plus extra; or the
-    # greatest p at or under it, minus extra
-    p = next(q for q in range(r, 10**4) if horizontal_dim(q, r) > landscape.DENSE_HESSIAN_CAP)
+    # named for the Lanczos path it once checked. Around the form cap, the
+    # path each handle takes meets the form-per-pair reference: a
+    # least-squares handle's own form, or with keep_map false the form of
+    # the same objective as a custom handle. The least p whose dimension is
+    # above the cap, plus extra; or the greatest p at or under it, minus extra
+    p = next(q for q in range(r, 10**4) if horizontal_dim(q, r) > landscape._FORM_MATRIX_CAP)
     p = p + extra if above_cap else max(r, p - 1 - extra)
     inst = _sized_instance(kind, p, r, seed)
     gt = inst.ground_truth
-    obj = inst.objective if keep_map else dataclasses.replace(inst.objective, least_squares=None)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
     if point == "ball":
         th = landscape.random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
         Y = FactorPoint(gt.Y_star.Y + th.theta)
@@ -414,11 +414,19 @@ def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, p
         # the target with its last column (orthogonal to the others) shrunk:
         # near the saddle where that column vanishes
         Y = FactorPoint(gt.Y_star.Y * np.r_[np.ones(r - 1), 0.05])
-    dense = _forced_spectrum(obj, Y, "dense")
-    lanczos = _forced_spectrum(obj, Y, "lanczos")
-    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
-    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
-    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+    obj = inst.objective
+    if keep_map:
+        ref = _forced_spectrum(obj, Y, "form")
+    else:
+        ref = hess_extreme_eigs(dataclasses.replace(obj, least_squares=None), Y)
+    est = hess_extreme_eigs(obj, Y)
+    assert est.method == ("dense" if not above_cap or kind != "denoising" else "reduced")
+    _assert_same_extremes(est, ref)
+
+
+def _lift_block(p, k):
+    """A byte budget of ``k`` lifts of size ``p x p`` per ``forward`` call."""
+    return 8 * p * p * k
 
 
 @settings(max_examples=24, deadline=None)
@@ -426,72 +434,117 @@ def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, p
     kind=st.sampled_from(["denoising", "trace_regression"]),
     r=st.integers(min_value=1, max_value=4),
     offset=st.integers(min_value=0, max_value=20),
-    point=st.sampled_from(["ball", "random"]),
+    per_block=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_forward_only_dense_extremes_agree_with_lanczos(kind, r, offset, point, seed):
-    # every p whose dimension lies between the form cap and the dense cap,
-    # where the dense matrix is F F.T from one forward sweep
-    sizes = [
-        q for q in range(r, 70)
-        if landscape._FORM_MATRIX_CAP < horizontal_dim(q, r) <= landscape.DENSE_HESSIAN_CAP
-    ]
+def test_forward_only_dense_extremes_agree_with_lanczos(kind, r, offset, per_block, seed):
+    # named for the Lanczos path it once checked. Over the form cap, the
+    # matrix assembled from forward calls on blocks of per_block lifts
+    # agrees with the one from a single block (denoising without its target)
+    sizes = [q for q in range(r, 70) if landscape._FORM_MATRIX_CAP < horizontal_dim(q, r) <= 100]
     p = sizes[offset % len(sizes)]
     inst = _sized_instance(kind, p, r, seed)
     gt = inst.ground_truth
-    rng = np.random.default_rng(seed)
-    if point == "ball":
-        th = landscape.random_ball_tangent(gt.Y_star, 0.2 * gt.sigmar_star / gt.kappa_star, rng)
-        Y = FactorPoint(gt.Y_star.Y + th.theta)
-    else:
-        Y = FactorPoint(gt.sigma1_star / np.sqrt(p) * rng.standard_normal((p, r)))
-    dense = hess_extreme_eigs(inst.objective, Y)
-    lanczos = _forced_spectrum(inst.objective, Y, "lanczos")
-    assert dense.method == "dense"
-    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
-    assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-10 * scale
-    assert abs(lanczos.lambda_max - dense.lambda_max) <= 1e-10 * scale
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
+    Y = FactorPoint(gt.sigma1_star / np.sqrt(p) * rng.standard_normal((p, r)))
+    single = _forced_spectrum(inst.objective, Y, "mapped")
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(landscape, "_LIFT_BLOCK_BYTES", _lift_block(p, per_block))
+        blocked = _forced_spectrum(inst.objective, Y, "mapped")
+    _assert_same_extremes(blocked, single)
+
+
+def _reduction_sizes(narrow):
+    """Every ``(p, r)`` with ``44 < m <= 300`` and lifts of at most 16 MiB,
+    with ``p <= 2 r`` if ``narrow`` and ``p > 2 r`` otherwise."""
+    return [
+        (p, r)
+        for r in range(1, 13)
+        for p in range(r, 400)
+        if landscape._FORM_MATRIX_CAP < horizontal_dim(p, r) <= 300
+        and 8 * horizontal_dim(p, r) * p * p <= 1 << 24
+        and (p <= 2 * r) == narrow
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    narrow=st.booleans(),
+    size=st.integers(min_value=0, max_value=10**6),
+    point=st.sampled_from(["ball", "gaussian", "fiber", "own-stream ball"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_reduced_extremes_agree_with_the_forward_sweeps(narrow, size, point, seed):
+    # the same handle with and without its target; a point drawn from the
+    # target's own stream SeedSequence([s, 0]) lies in span Y*, where
+    # [Y, Y*] is rank deficient; at p <= 2 r the handle takes the sweeps
+    sizes = _reduction_sizes(narrow)
+    p, r = sizes[size % len(sizes)]
+    inst = _sized_instance("denoising", p, r, seed)
+    gt = inst.ground_truth
+    own = point == "own-stream ball"
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0 if own else 99]))
+    Y = landscape._sample_point(point.split()[-1], gt, PARAMS, rng, landscape._r1_radius(gt, PARAMS.mu))
+    est = hess_extreme_eigs(inst.objective, Y)
+    assert est.method == ("dense" if narrow else "reduced")
+    _assert_same_extremes(est, _forced_spectrum(inst.objective, Y, "mapped"))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 0x4C414E43])
 def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
     # a ball point drawn from SeedSequence([s, 0]), the generator of
     # default_rng(s) and of the target of an instance with seed s, comes
-    # from the target's own draw; at dimension 87 its spectrum runs Lanczos,
-    # whose start must not lie in the invariant subspace of that draw
+    # from the target's own draw, so [Y, Y*] has rank r; at dimension 87
+    # the reduction must still span the whole of it
     inst = make_instance("denoising", 30, 3, kappa_star=2.0, seed=seed)
     gt = inst.ground_truth
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     Y = landscape._sample_point("ball", gt, PARAMS, rng, landscape._r1_radius(gt, PARAMS.mu))
     assert RegionLabel.R1 in classify_region(Y, gt, PARAMS)
-    assert horizontal_dim(30, 3) > landscape.DENSE_HESSIAN_CAP
+    assert np.linalg.matrix_rank(np.hstack([Y.Y, gt.Y_star.Y])) == 3
     est = hess_extreme_eigs(inst.objective, Y)
-    assert est.method == "lanczos"
-    dense = _forced_spectrum(inst.objective, Y, "dense")
-    scale = max(abs(dense.lambda_min), abs(dense.lambda_max))
-    assert abs(est.lambda_min - dense.lambda_min) <= 1e-10 * scale
-    assert abs(est.lambda_max - dense.lambda_max) <= 1e-10 * scale
+    assert est.method == "reduced"
+    _assert_same_extremes(est, _forced_spectrum(inst.objective, Y, "mapped"))
 
 
 def test_lanczos_at_the_target_of_a_large_denoising_problem():
-    # horizontal dimension 990, where the dense matrix takes seconds; at Y*
-    # the extremes are 2 sigma_r^2 and 4 sigma_1^2
-    inst = make_instance("denoising", 200, 5, kappa_star=2.0, seed=40)
+    # named for the Lanczos path that took seconds here. Horizontal
+    # dimension 9990: at Y* the extremes are 2 sigma_r^2 and 4 sigma_1^2,
+    # and the reduction reads no p x p array
+    inst = make_instance("denoising", 2000, 5, kappa_star=2.0, seed=40)
     gt = inst.ground_truth
-    est = hess_extreme_eigs(inst.objective, gt.Y_star)
-    assert est.method == "lanczos"
+    tracemalloc.start()
+    try:
+        est = hess_extreme_eigs(inst.objective, gt.Y_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.method == "reduced"
     assert est.lambda_min == pytest.approx(2.0 * gt.sigmar_star**2, rel=1e-10)
     assert est.lambda_max == pytest.approx(4.0 * gt.sigma1_star**2, rel=1e-10)
+    assert peak < 4e6
+
+
+class TestResourceLimits:
+    def test_trace_regression_above_the_basis_cap_is_refused(self, monkeypatch):
+        inst = _sized_instance("trace_regression", 30, 2, 48)
+        monkeypatch.setattr(landscape, "_BASIS_CAP", horizontal_dim(30, 2) - 1)
+        with pytest.raises(ResourceLimitError, match="basis cap"):
+            hess_extreme_eigs(inst.objective, inst.ground_truth.Y_star)
+
+    def test_custom_handle_whose_lifts_do_not_fit_is_refused(self, monkeypatch):
+        obj, Y_star = _hand_written_denoising()
+        monkeypatch.setattr(landscape, "MAX_INSTANCE_BYTES", 8 * horizontal_dim(7, 2) * 7**2 - 1)
+        with pytest.raises(ResourceLimitError, match="lifted basis matrices"):
+            hess_extreme_eigs(obj, Y_star)
 
 
 class TestWorkPerSpectrum:
     @staticmethod
-    def counted_spectrum(obj, Y, monkeypatch):
-        """The estimate with its map sweeps (the stacks passed to
-        ``images`` and to ``forward``, by name), its form calls, its Lanczos
-        steps (one factorization of the tridiagonal matrix each) and its
-        vertical projections."""
-        sweeps, forms, steps, projections = {"images": [], "forward": []}, [], [], []
+    def counted_spectrum(obj, Y):
+        """The estimate with its map sweeps (the stacks passed to ``images``
+        and to ``forward``, by name) and its form calls."""
+        sweeps, forms = {"images": [], "forward": []}, []
 
         def count(log, f):
             def counted(*args):
@@ -510,102 +563,72 @@ class TestWorkPerSpectrum:
                 forward=count(sweeps["forward"], ls.forward),
             ),
         )
-        monkeypatch.setattr(np.linalg, "eigh", count(steps, np.linalg.eigh))
-        monkeypatch.setattr(
-            landscape, "vertical_project", count(projections, landscape.vertical_project)
-        )
-        est = hess_extreme_eigs(obj, Y)
-        monkeypatch.undo()
-        return est, sweeps, len(forms), len(steps), len(projections)
+        return hess_extreme_eigs(obj, Y), sweeps, len(forms)
 
-    @pytest.mark.parametrize("kind, p, r", [("denoising", 30, 3), ("trace_regression", 40, 2)])
-    def test_one_map_sweep_per_lanczos_step(self, kind, p, r, monkeypatch):
-        inst = _sized_instance(kind, p, r, 41)
-        gt = inst.ground_truth
-        assert horizontal_dim(p, r) > landscape.DENSE_HESSIAN_CAP
-        Y = FactorPoint(gt.Y_star.Y + 0.05 * np.random.default_rng(42).standard_normal((p, r)))
-        obj = inst.objective
-        est, sweeps, forms, steps, projections = self.counted_spectrum(obj, Y, monkeypatch)
-        assert est.method == "lanczos" and steps > 0
-        assert len(sweeps["images"]) == steps and sweeps["forward"] == [] and forms == 0
-        # one projection per step and one of the start
-        assert projections == steps + 1
-        assert all(G.shape == (1, p, p) for G in sweeps["images"])
-
-    def test_handle_without_a_map_is_dense_under_the_basis_cap(self, monkeypatch):
+    def test_handle_without_a_map_is_dense_under_the_basis_cap(self):
         inst = make_instance("denoising", 30, 3, kappa_star=2.0, seed=41)
         gt = inst.ground_truth
         obj = dataclasses.replace(inst.objective, least_squares=None)
         m = horizontal_dim(30, 3)
-        assert landscape.DENSE_HESSIAN_CAP < m <= landscape._BASIS_CAP
-        est, _, forms, _, _ = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
+        assert landscape._FORM_MATRIX_CAP < m <= landscape._BASIS_CAP
+        est, _, forms = self.counted_spectrum(obj, gt.Y_star)
         assert est.method == "dense"
         assert forms == m * (m + 1) // 2
 
-    def test_handle_without_a_map_makes_pr_forms_per_step(self, monkeypatch):
-        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=41)
-        gt = inst.ground_truth
-        obj = dataclasses.replace(inst.objective, least_squares=None)
-        monkeypatch.setattr(landscape, "_BASIS_CAP", 0)
-        est, _, forms, steps, projections = self.counted_spectrum(obj, gt.Y_star, monkeypatch)
-        assert est.method == "lanczos" and steps > 0
-        assert forms == 20 * 3 * steps and projections == steps + 1
-
-    def test_lanczos_memory_follows_the_steps_taken(self, monkeypatch):
-        # dimension 1365 and p r = 1800: a (m + 1, p r) array of Lanczos
-        # vectors would take 19.7 MB; the rows held stay within a small
-        # multiple of the steps taken (about 100)
-        inst = make_instance("denoising", 60, 30, kappa_star=2.0, seed=44)
-        gt = inst.ground_truth
-        Y = FactorPoint(gt.Y_star.Y + 0.05 * np.random.default_rng(45).standard_normal((60, 30)))
-        steps = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda T: steps.append(len(T)) or eigh(T))
-        tracemalloc.start()
-        try:
-            est = hess_extreme_eigs(inst.objective, Y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert est.method == "lanczos" and steps == list(range(1, len(steps) + 1))
-        assert peak <= 4 * (len(steps) + 1) * 60 * 30 * 8
-
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
-    def test_dense_path_makes_one_form_per_pair(self, kind, monkeypatch):
+    def test_dense_path_makes_one_form_per_pair(self, kind):
         p = 44  # r = 1: the dimension is p, at the cap
-        assert p <= landscape.DENSE_HESSIAN_CAP
+        assert p <= landscape._FORM_MATRIX_CAP
         inst = _sized_instance(kind, p, 1, 43)
-        est, sweeps, forms, _, _ = self.counted_spectrum(
-            inst.objective, inst.ground_truth.Y_star, monkeypatch
-        )
+        est, sweeps, forms = self.counted_spectrum(inst.objective, inst.ground_truth.Y_star)
         assert est.method == "dense"
         assert forms == p * (p + 1) // 2 and sweeps == {"images": [], "forward": []}
 
     @staticmethod
     def over_form_cap(kind):
-        """A least-squares instance of dimension between the form cap and
-        the dense cap (57 on denoising, 59 on trace regression) and a point
-        near its target."""
+        """A least-squares instance of dimension over the form cap (57 on
+        denoising, whose handle loses its target, and 59 on trace
+        regression) and a point near its target."""
         p, r = (20, 3) if kind == "denoising" else (30, 2)
-        assert landscape._FORM_MATRIX_CAP < horizontal_dim(p, r) <= landscape.DENSE_HESSIAN_CAP
+        assert landscape._FORM_MATRIX_CAP < horizontal_dim(p, r)
         inst = _sized_instance(kind, p, r, 46)
         Y = FactorPoint(inst.ground_truth.Y_star.Y + 0.05 * np.random.default_rng(47).standard_normal((p, r)))
-        return inst, Y
+        ls = dataclasses.replace(inst.objective.least_squares, target=None)
+        return dataclasses.replace(inst.objective, least_squares=ls), Y
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
-    def test_dense_path_over_the_form_cap_makes_one_map_sweep(self, kind, monkeypatch):
-        inst, Y = self.over_form_cap(kind)
-        est, sweeps, forms, _, _ = self.counted_spectrum(inst.objective, Y, monkeypatch)
+    def test_dense_path_over_the_form_cap_makes_one_map_sweep(self, kind):
+        obj, Y = self.over_form_cap(kind)
+        est, sweeps, forms = self.counted_spectrum(obj, Y)
         assert est.method == "dense" and forms == 0 and sweeps["images"] == []
         (lifts,) = sweeps["forward"]
         np.testing.assert_array_equal(lifts, _lift(Y, horizontal_basis(Y)))
 
     @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
+    @pytest.mark.parametrize("per_block", [1, 7, 58, 59])
+    def test_blocks_of_lifts_make_one_forward_call_each(self, kind, per_block, monkeypatch):
+        obj, Y = self.over_form_cap(kind)
+        monkeypatch.setattr(landscape, "_LIFT_BLOCK_BYTES", _lift_block(Y.p, per_block))
+        est, sweeps, forms = self.counted_spectrum(obj, Y)
+        m = horizontal_dim(Y.p, Y.r)
+        assert est.method == "dense" and forms == 0 and sweeps["images"] == []
+        assert len(sweeps["forward"]) == -(-m // per_block)
+        np.testing.assert_array_equal(np.concatenate(sweeps["forward"]), _lift(Y, horizontal_basis(Y)))
+
+    def test_reduction_makes_no_form_call_and_no_map_sweep(self, monkeypatch):
+        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=46)
+        Y = FactorPoint(inst.ground_truth.Y_star.Y + 0.05 * np.random.default_rng(47).standard_normal((20, 3)))
+        grads = []
+        obj = dataclasses.replace(inst.objective, euclid_grad=lambda X: grads.append(X) or X)
+        est, sweeps, forms = self.counted_spectrum(obj, Y)
+        assert est.method == "reduced"
+        assert forms == 0 and sweeps == {"images": [], "forward": []} and grads == []
+
+    @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
     def test_dense_matrix_over_the_form_cap_is_the_form_matrix(self, kind, monkeypatch):
-        # F F.T from the one forward sweep, plus the gradient term, equals
-        # the matrix of the form over the lifts plus the gradient term
-        inst, Y = self.over_form_cap(kind)
-        obj = inst.objective
+        # F F.T from the forward sweep, plus the gradient term, equals the
+        # matrix of the form over the lifts plus the gradient term
+        obj, Y = self.over_form_cap(kind)
         factorized = []
         eigvals = landscape.sym_eigvals
         monkeypatch.setattr(
@@ -621,15 +644,16 @@ class TestWorkPerSpectrum:
 
 
 @pytest.mark.parametrize(
-    "problem",
+    "problem, method",
     [
-        {"kind": "denoising", "p": 20, "r": 3, "kappa_star": 2.0},
-        {"kind": "trace_regression", "p": 30, "r": 2, "n": 600},
+        ({"kind": "denoising", "p": 20, "r": 3, "kappa_star": 2.0}, "reduced"),
+        ({"kind": "trace_regression", "p": 30, "r": 2, "n": 600}, "dense"),
     ],
     ids=["denoising-20-3", "trace-30-2-600"],
 )
-def test_r1_spectra_at_the_scan_benchmark_sizes_are_dense(problem, monkeypatch):
-    # the two problems the benchmark scans; the ball and fiber samplers land in R1
+def test_r1_spectra_at_the_scan_benchmark_sizes_are_dense(problem, method, monkeypatch):
+    # the two problems the benchmark scans; the ball and fiber samplers land
+    # in R1. Trace regression maps its lifts in one forward call
     inst = make_instance(seed=1, **problem)
     estimates = []
     spectrum = landscape.hess_extreme_eigs
@@ -638,7 +662,7 @@ def test_r1_spectra_at_the_scan_benchmark_sizes_are_dense(problem, monkeypatch):
     )
     reports = certify_landscape(inst.objective, inst.ground_truth, PARAMS, ["ball", "fiber"], 4, seed=2)
     assert all(RegionLabel.R1 in rep.region_labels and rep.passed for rep in reports)
-    assert [est.method for est in estimates] == ["dense"] * 4
+    assert [est.method for est in estimates] == [method] * 4
 
 
 class TestEscapeDirection:

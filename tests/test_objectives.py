@@ -141,7 +141,7 @@ class TestDenoising:
 
 @pytest.mark.parametrize("p, r, evaluate", [
     (6, 2, hess_extreme_eigs),  # dense spectrum
-    (20, 3, hess_extreme_eigs),  # dense spectrum from one map sweep
+    (20, 3, hess_extreme_eigs),  # spectrum of the rank-2r reduction
     (6, 2, riemannian_grad_lift),
 ])
 def test_overflowing_evaluation_is_a_numerical_failure(p, r, evaluate):
