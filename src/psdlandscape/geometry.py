@@ -16,12 +16,13 @@ metric, which makes everything here closed-form:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputContractError, NonUniqueAlignmentError, RankCollapseError
-from .kernels import _align, check_matrix, thin_svd
+from .kernels import SvdResult, _align, _thin_svd, check_matrix
 
 __all__ = [
     "FactorPoint",
@@ -58,11 +59,22 @@ class FactorPoint:
     __slots__ = ("Y", "svd", "sigma_max", "sigma_min", "_gram")
 
     def __init__(self, Y: np.ndarray):
-        Y = check_matrix(Y, "factor").copy()
+        Y = check_matrix(Y, "factor")
         if Y.shape[0] < Y.shape[1]:
             raise InputContractError(f"factor must be tall, got shape {Y.shape}")
-        Y.setflags(write=False)
-        svd = thin_svd(Y)
+        self._set(Y.copy(), _thin_svd(Y))
+
+    @classmethod
+    def _from_svd(cls, Y: np.ndarray, svd: SvdResult) -> "FactorPoint":
+        """The point of a finite tall ``Y``, kept without a copy, from its
+        thin SVD ``svd`` (a row of a stacked
+        :func:`~psdlandscape.kernels.thin_svd`), after the
+        rank check of the constructor."""
+        point = cls.__new__(cls)
+        point._set(Y, svd)
+        return point
+
+    def _set(self, Y: np.ndarray, svd: SvdResult) -> None:
         sigma_max = float(svd.sigma[0])
         sigma_min = float(svd.sigma[-1])
         if sigma_min <= max(RANK_TOL_REL * sigma_max, RANK_TOL_FLOOR):
@@ -70,6 +82,7 @@ class FactorPoint:
                 f"factor is rank deficient: sigma_min = {sigma_min:.3e}, "
                 f"sigma_max = {sigma_max:.3e}"
             )
+        Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "svd", svd)
         object.__setattr__(self, "sigma_max", sigma_max)
@@ -99,7 +112,83 @@ class FactorPoint:
         return f"FactorPoint(p={self.p}, r={self.r}, sigma_min={self.sigma_min:.3g})"
 
 
+def _factor_points(Ys: np.ndarray) -> list:
+    """``FactorPoint(Y)`` of each ``Y`` of the ``(k, p, r)`` stack ``Ys``,
+    all from one stacked :func:`~psdlandscape.kernels.thin_svd`; in the
+    place of a point that the constructor refuses, the
+    :class:`InputContractError` it raises."""
+    if Ys.shape[-2] < Ys.shape[-1]:
+        raise InputContractError(f"factor must be tall, got shape {Ys.shape[-2:]}")
+    finite = np.isfinite(Ys).all(axis=(-2, -1))
+    svd = _thin_svd(Ys[finite]) if finite.any() else None
+    points: list = []
+    j = 0
+    for Y, ok in zip(Ys, finite):
+        try:
+            if not ok:
+                check_matrix(Y, "factor")  # raises: the factor is not finite
+            row = SvdResult(svd.U[j], svd.sigma[j], svd.V[j])
+            points.append(FactorPoint._from_svd(Y.copy(), row))
+        except InputContractError as exc:
+            points.append(exc)
+        j += bool(ok)
+    return points
+
+
+def _grams(points: list[FactorPoint]) -> np.ndarray:
+    """The ``(k, p, p)`` stack of the Gram matrices ``Y Y.T`` of ``points``.
+    Two or more not formed yet are formed in one stacked product, and each
+    point keeps its own (read-only) row."""
+    todo = [Y for Y in points if Y._gram is None]
+    if len(todo) > 1:
+        Ys = np.stack([Y.Y for Y in todo])
+        X = Ys @ Ys.swapaxes(-1, -2)
+        X.setflags(write=False)
+        for Y, row in zip(todo, X):
+            object.__setattr__(Y, "_gram", row)
+        if len(todo) == len(points):
+            return X
+    grams = [Y.gram() for Y in points]
+    return grams[0][None] if len(grams) == 1 else np.stack(grams)
+
+
 HORIZONTAL_TOL = 1e-8
+
+#: a tangent shorter than this times ``sigma_max(Y)`` is held to the
+#: horizontality tolerance of one of that length, so that a tangent that is
+#: zero up to the rounding of its base (the log map inside one fiber) passes
+HORIZONTAL_FLOOR = 1e-4
+
+#: a tolerance below this may rest on squares that underflowed
+_TINY = 2.0**-400
+
+
+def _check_horizontal(base: FactorPoint, thetas: np.ndarray) -> None:
+    """Raise :class:`InputContractError` unless ``theta`` is horizontal at
+    ``base``, for ``thetas`` one ``p x r`` matrix or a ``(k, p, r)`` stack:
+    ``||Y.T theta - theta.T Y||_F <= 1e-8 sigma_max(Y) L`` with the length
+    ``L = max(||theta||_F, 1e-4 sigma_max(Y))``.
+
+    Both sides scale alike in ``(Y, theta)``, so the test is free of scale.
+    The norms are first taken from sums of squares (``np.vdot``, which
+    returns ``inf`` on overflow and does not warn). Where a sum overflowed,
+    or the tolerance is so small that squares may have underflowed, they
+    are taken again by ``math.hypot``, which scales its arguments."""
+    M = base.Y.T @ thetas
+    D = M - M.swapaxes(-1, -2)
+    sigma = base.sigma_max
+    for theta, d in zip(thetas, D) if thetas.ndim == 3 else [(thetas, D)]:
+        asym, nrm = math.sqrt(np.vdot(d, d)), math.sqrt(np.vdot(theta, theta))
+        tol = HORIZONTAL_TOL * sigma * max(nrm, HORIZONTAL_FLOOR * sigma)
+        if not (asym < math.inf and _TINY <= tol < math.inf):
+            asym = math.hypot(*d.ravel().tolist())
+            nrm = math.hypot(*theta.ravel().tolist())
+            tol = HORIZONTAL_TOL * sigma * max(nrm, HORIZONTAL_FLOOR * sigma)
+        if not asym <= tol:
+            raise InputContractError(
+                "tangent is not horizontal: ||Y.T theta - theta.T Y||_F / "
+                f"(sigma_max(Y) ||theta||_F) = {asym / (sigma * nrm):.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,13 +204,7 @@ class HorizontalTangent:
             raise InputContractError(
                 f"tangent shape {theta.shape} does not match base {self.base.Y.shape}"
             )
-        M = self.base.Y.T @ theta
-        asym = np.linalg.norm(M - M.T)
-        scale = max(1.0, self.base.sigma_max * float(np.linalg.norm(theta)))
-        if asym > HORIZONTAL_TOL * scale:
-            raise InputContractError(
-                f"tangent is not horizontal: ||Y.T theta - theta.T Y||_F = {asym:.3e}"
-            )
+        _check_horizontal(self.base, theta)
         theta = theta.copy()
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -141,17 +224,18 @@ def vertical_project(base: FactorPoint, Z: np.ndarray) -> np.ndarray:
 
     The skew factor solves the r x r Sylvester equation
     ``(Y.T Y) Omega + Omega (Y.T Y) = Y.T Z - Z.T Y``, which is done exactly
-    through the eigendecomposition of the SPD Gram matrix ``Y.T Y``.
+    through the eigendecomposition of the SPD Gram matrix ``Y.T Y``. ``Z``
+    may be a ``(k, p, r)`` stack, projected matrix by matrix.
     """
-    Z = check_matrix(Z, "Z")
+    Z = check_matrix(Z, "Z", stack=True)
     Y = base.Y
-    if Z.shape != Y.shape:
+    if Z.shape[-2:] != Y.shape:
         raise InputContractError(f"shape mismatch: {Z.shape} vs {Y.shape}")
     # Gram eigenpairs from the cached SVD: Y.T Y = V diag(sigma^2) V.T
     V = base.svd.V
     lam = base.svd.sigma**2
     C = Y.T @ Z
-    C = C - C.T
+    C = C - C.swapaxes(-1, -2)
     Ct = V.T @ C @ V
     Omega = V @ (Ct / (lam[:, None] + lam[None, :])) @ V.T
     return Y @ Omega

@@ -42,12 +42,14 @@ class EigResult(NamedTuple):
     lam: np.ndarray
 
 
-def check_matrix(A: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a dense real matrix: 2-d, nonempty, all entries finite."""
+def check_matrix(A: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Validate a dense real matrix: 2-d, nonempty, all entries finite. With
+    ``stack``, a stack of such matrices over leading axes is accepted too."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise InputContractError(f"{name} must be a nonempty 2-d array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if (A.ndim < 2 if stack else A.ndim != 2) or A.size == 0:
+        what = "array of matrices" if stack else "2-d array"
+        raise InputContractError(f"{name} must be a nonempty {what}, got shape {A.shape}")
+    if not np.isfinite(A).all():
         raise InputContractError(f"{name} contains non-finite entries")
     return A
 
@@ -112,26 +114,35 @@ def thin_svd(A: np.ndarray) -> SvdResult:
 
     Parameters
     ----------
-    A : ndarray of shape (p1, p2)
-        Matrix to factorize; must be finite.
+    A : ndarray of shape (p1, p2) or (k, p1, p2)
+        Matrix, or stack of matrices, to factorize; must be finite. A stack
+        makes one LAPACK call per matrix, and each result equals, bit for
+        bit, that of the matrix on its own.
 
     Returns
     -------
     SvdResult
-        ``U`` (p1, k), ``sigma`` (k,) non-increasing, ``V`` (p2, k), with
-        ``k = min(p1, p2)``.
+        ``U`` (..., p1, q), ``sigma`` (..., q) non-increasing, ``V``
+        (..., p2, q), with ``q = min(p1, p2)``.
     """
-    A = check_matrix(A, "svd input")
+    return _thin_svd(check_matrix(A, "svd input", stack=True))
+
+
+def _thin_svd(A: np.ndarray) -> SvdResult:
+    """:func:`thin_svd` of a finite float array, which is not checked again.
+    The sign of each column is read at its first largest-magnitude entry,
+    over every matrix of a stack at once."""
     try:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge for shape {A.shape}") from exc
-    V = Vt.T.copy()
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+        raise NumericalFailure(f"SVD did not converge for shape {A.shape[-2:]}") from exc
+    V = Vt.swapaxes(-1, -2).copy()
+    Uk = U.reshape(-1, *U.shape[-2:])
+    q = Uk.shape[2]
+    lead = Uk[np.arange(len(Uk))[:, None], abs(Uk).argmax(axis=1), np.arange(q)]
+    sign = np.where(lead < 0, -1.0, 1.0).reshape(*U.shape[:-2], 1, q)
+    U *= sign  # exact: a product with -1 or 1
+    V *= sign
     return SvdResult(U, s, V)
 
 
@@ -186,15 +197,17 @@ def truncated_frob_norm(A: np.ndarray, r: int) -> float:
     return float(np.sqrt(np.sum(s[:r] ** 2)))
 
 
-def _align(Y1: np.ndarray, Y2: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _align(Y1: np.ndarray, Y2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orthogonal ``Q`` minimizing ``||Y2 @ Q - Y1||_F``, from the one SVD
     of the cross-Gram ``Y1.T @ Y2``: returns ``Q``, the singular values of
     the cross-Gram and whether ``Q`` is unique (the cross-Gram is
     nonsingular: its smallest singular value exceeds
     ``max(1e-10 sigma_1, 1e-300)``). A non-unique ``Q`` is the
-    deterministic one of the canonicalized SVD."""
-    QU, s, QV = thin_svd(Y1.T @ Y2)
-    return QV @ QU.T, s, bool(s[-1] > max(1e-10 * float(s[0]), 1e-300))
+    deterministic one of the canonicalized SVD. Either factor may be a
+    ``(k, p, r)`` stack; the results are then stacks over ``k``."""
+    QU, s, QV = thin_svd(Y1.swapaxes(-1, -2) @ Y2)
+    unique = s[..., -1] > np.maximum(1e-10 * s[..., 0], 1e-300)
+    return QV @ QU.swapaxes(-1, -2), s, unique
 
 
 def procrustes_align(Y1: np.ndarray, Y2: np.ndarray) -> tuple[np.ndarray, float]:

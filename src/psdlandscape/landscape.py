@@ -29,11 +29,20 @@ import numpy as np
 from .errors import (
     HypothesisViolationError,
     InputContractError,
+    LandscapeError,
     NotAFOSPError,
     NumericalFailure,
     ResourceLimitError,
 )
-from .geometry import FactorPoint, HorizontalTangent, quotient_distance, vertical_project
+from .geometry import (
+    FactorPoint,
+    HorizontalTangent,
+    _check_horizontal,
+    _factor_points,
+    _grams,
+    quotient_distance,
+    vertical_project,
+)
 from .kernels import _SCAN_POINT, _align, _check_int, _stream, sym_eigvals
 from .objectives import (
     MAX_INSTANCE_BYTES,
@@ -42,8 +51,8 @@ from .objectives import (
     _form_matrix,
     _hess_quad,
     _lift,
+    _orthonormal,
     _sym_grad,
-    random_orthonormal,
 )
 
 __all__ = [
@@ -173,50 +182,60 @@ def _margin(gt: GroundTruth, mu: float) -> float:
     return margin
 
 
-def _check_stationary(obj: ObjectiveHandle, Y: FactorPoint, fosp_tol: float) -> None:
-    """Raise :class:`NotAFOSPError` if the gradient norm ``||2 R Y||_F`` at
-    ``Y`` exceeds ``fosp_tol``."""
-    gnorm = float(np.linalg.norm(2.0 * (_sym_grad(obj, Y.gram()) @ Y.Y)))
+def _check_stationary(obj: ObjectiveHandle, Y: FactorPoint, fosp_tol: float) -> np.ndarray:
+    """The symmetrized gradient ``R`` at ``Y``; raise :class:`NotAFOSPError`
+    if the gradient norm ``||2 R Y||_F`` exceeds ``fosp_tol``."""
+    R = _sym_grad(obj, Y.gram())
+    gnorm = float(np.linalg.norm(2.0 * (R @ Y.Y)))
     if gnorm > fosp_tol:
         raise NotAFOSPError(gnorm, fosp_tol)
+    return R
 
 
 def _classify(
-    Y: FactorPoint, gt: GroundTruth, params: RegionParams
-) -> tuple[set[RegionLabel], tuple[float, float, float, float], tuple[np.ndarray, bool]]:
-    """The labels of :func:`classify_region` and what they were read from:
-    the quotient distance to the target, the norm of the exact-factorization
-    gradient, the spectral norm and the Gram norm; and the aligned difference
-    ``Y - Y* Q``, whose norm is that distance, with whether the alignment
-    ``Q`` of the target onto ``Y`` is unique."""
-    Q, _, unique = _align(Y.Y, gt.Y_star.Y)
-    aligned = Y.Y - gt.Y_star.Y @ Q
-    dist = float(np.linalg.norm(aligned))
-    d = 0.0 if dist <= 1e-12 * gt.sigmar_star else dist
-    X = Y.gram()
+    points: Sequence[FactorPoint], gt: GroundTruth, params: RegionParams
+) -> list[tuple[set[RegionLabel], tuple[float, float, float, float], tuple[np.ndarray, bool]]]:
+    """For each of ``points``, the labels of :func:`classify_region` and
+    what they were read from: the quotient distance to the target, the norm
+    of the exact-factorization gradient, the spectral norm and the Gram
+    norm; and the aligned difference ``Y - Y* Q``, whose norm is that
+    distance, with whether the alignment ``Q`` of the target onto ``Y`` is
+    unique. The alignments and Gram matrices are taken over the stack of
+    all points at once (see :func:`certify_landscape` for the memory this
+    takes); each gradient and norm is taken on its own point."""
+    Ys = np.stack([Y.Y for Y in points])
+    Q, _, unique = _align(Ys, gt.Y_star.Y)
+    aligned = Ys - gt.Y_star.Y @ Q
+    X = _grams(points)
     with np.errstate(over="ignore"):  # an overflowing norm fails its row
-        grad_norm = float(np.linalg.norm(2.0 * ((X - gt.X_star) @ Y.Y)))
-        gram_norm = float(np.linalg.norm(X))
-    spec_norm = Y.sigma_max
+        # point by point, so that no second stack of p x p arrays is formed
+        grad_norms = [float(np.linalg.norm(2.0 * ((Xi - gt.X_star) @ Yi))) for Xi, Yi in zip(X, Ys)]
+        gram_norms = [float(np.linalg.norm(Xi)) for Xi in X]
 
     r1_radius = _r1_radius(gt, params.mu)
     grad_thresh = _grad_threshold(gt, params)
     spec_cap = params.beta * gt.sigma1_star
     gram_cap = params.gamma * gt.X_star_norm
 
-    labels: set[RegionLabel] = set()
-    in_box = spec_norm <= spec_cap and gram_norm <= gram_cap
-    if d <= r1_radius:
-        labels.add(RegionLabel.R1)
-    if d > r1_radius and grad_norm <= grad_thresh and in_box:
-        labels.add(RegionLabel.R2)
-    if grad_norm > grad_thresh and in_box:
-        labels.add(RegionLabel.R3_PRIME)
-    if spec_norm > spec_cap and gram_norm <= gram_cap:
-        labels.add(RegionLabel.R3_DOUBLE_PRIME)
-    if gram_norm > gram_cap:
-        labels.add(RegionLabel.R3_TRIPLE_PRIME)
-    return labels, (dist, grad_norm, spec_norm, gram_norm), (aligned, unique)
+    out = []
+    for Y, diff, uniq, grad_norm, gram_norm in zip(points, aligned, unique, grad_norms, gram_norms):
+        dist = float(np.linalg.norm(diff))
+        d = 0.0 if dist <= 1e-12 * gt.sigmar_star else dist
+        spec_norm = Y.sigma_max
+        labels: set[RegionLabel] = set()
+        in_box = spec_norm <= spec_cap and gram_norm <= gram_cap
+        if d <= r1_radius:
+            labels.add(RegionLabel.R1)
+        if d > r1_radius and grad_norm <= grad_thresh and in_box:
+            labels.add(RegionLabel.R2)
+        if grad_norm > grad_thresh and in_box:
+            labels.add(RegionLabel.R3_PRIME)
+        if spec_norm > spec_cap and gram_norm <= gram_cap:
+            labels.add(RegionLabel.R3_DOUBLE_PRIME)
+        if gram_norm > gram_cap:
+            labels.add(RegionLabel.R3_TRIPLE_PRIME)
+        out.append((labels, (dist, grad_norm, spec_norm, gram_norm), (diff, bool(uniq))))
+    return out
 
 
 def classify_region(
@@ -231,7 +250,7 @@ def classify_region(
     Distances below ``1e-12 sigma_r(Y*)`` are treated as exact zeros so that
     fiber points classify into R1 even when ``mu = 0``.
     """
-    return _classify(Y, gt, params)[0]
+    return _classify([Y], gt, params)[0][0]
 
 
 def horizontal_dim(p: int, r: int) -> int:
@@ -249,9 +268,10 @@ _FORM_MATRIX_CAP = 44
 #: basis, and so the largest dense Hessian outside the denoising reduction
 _BASIS_CAP = 4000
 
-#: bytes of basis lifts ``C(B_k)`` that one ``forward`` call maps while a
-#: least-squares Hessian matrix is assembled
-_LIFT_BLOCK_BYTES = 32 << 20
+#: bytes of ``p x p`` matrices in one stack: the basis lifts ``C(B_k)`` that
+#: one ``forward`` call maps while a least-squares Hessian matrix is
+#: assembled, and the Gram matrices of the points a scan certifies together
+_BLOCK_BYTES = 32 << 20
 
 
 def horizontal_basis(Y: FactorPoint) -> np.ndarray:
@@ -295,9 +315,9 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
 def _mapped_gram(Y: FactorPoint, basis: np.ndarray, forward: Callable) -> np.ndarray:
     """``F F.T`` with ``F[k] = forward(C(B_k))`` over the ``(m, p, r)``
     basis ``B``: the matrix of a least-squares Hessian form over the lifts,
-    mapped in blocks of at most ``_LIFT_BLOCK_BYTES`` of lifts."""
+    mapped in blocks of at most ``_BLOCK_BYTES`` of lifts."""
     m = len(basis)
-    step = max(1, _LIFT_BLOCK_BYTES // (8 * Y.p**2))
+    step = max(1, _BLOCK_BYTES // (8 * Y.p**2))
     F = None
     for i in range(0, m, step):
         block = forward(_lift(Y, basis[i : i + step]))
@@ -340,7 +360,9 @@ def _reduced_extremes(Y: FactorPoint, target: FactorPoint) -> HessianSpectrumEst
     return HessianSpectrumEstimate(float(min(lam[-1], lo)), float(max(lam[0], hi)), "reduced")
 
 
-def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEstimate:
+def hess_extreme_eigs(
+    obj: ObjectiveHandle, Y: FactorPoint, grad: np.ndarray | None = None
+) -> HessianSpectrumEstimate:
     """Extreme eigenvalues of the Riemannian Hessian on the horizontal space.
 
     Every path takes the eigenvalues, with no eigenvectors, of a dense
@@ -369,6 +391,9 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
     below it. The blocks of ``forward`` hold at most 32 MiB of lifts each,
     so ``k`` lifts per call make ``ceil(m / k)`` calls and no ``images``
     call; the gradient term ``2 B (R B).T`` is added on every dense path.
+    A caller that holds ``R`` at ``Y`` (the symmetrized gradient of the
+    handle, as ``_sym_grad`` returns it) passes it as ``grad``, and the
+    handle's gradient is then not evaluated again.
     The form rows build all ``m`` lifts at once; they fit when their
     ``8 m p^2`` bytes are at most
     :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`.
@@ -387,7 +412,7 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
             return _reduced_extremes(Y, ls.target)
         basis = horizontal_basis(Y)
         M = _mapped_gram(Y, basis, ls.forward)
-        R = _sym_grad(obj, Y.gram())
+        R = _sym_grad(obj, Y.gram()) if grad is None else grad
     else:
         if 8 * m * p**2 > MAX_INSTANCE_BYTES:
             raise ResourceLimitError(
@@ -395,7 +420,7 @@ def hess_extreme_eigs(obj: ObjectiveHandle, Y: FactorPoint) -> HessianSpectrumEs
                 f"more than {MAX_INSTANCE_BYTES}"
             )
         X = Y.gram()
-        R = _sym_grad(obj, X)
+        R = _sym_grad(obj, X) if grad is None else grad
         basis = horizontal_basis(Y)
         M = _form_matrix(obj, X, _lift(Y, basis))
     lam = _hess_eigvals(basis, M, R)
@@ -524,16 +549,85 @@ def random_ball_tangent(
     base: FactorPoint, radius: float, rng: np.random.Generator
 ) -> HorizontalTangent:
     """Horizontal direction with norm distributed as uniform-in-ball."""
+    Z = rng.standard_normal(base.Y.shape)
+    return HorizontalTangent(_ball_tangents(base, radius, Z, rng.uniform()), base)
+
+
+def _ball_tangents(base: FactorPoint, radius: float, Z: np.ndarray, u) -> np.ndarray:
+    """The tangents of :func:`random_ball_tangent` at ``base`` from their
+    draws, not yet checked horizontal: ``Z`` is one ``p x r`` normal draw,
+    or a ``(k, p, r)`` stack of them, and ``u`` the uniform draw of each (a
+    float, or a list of ``k``). Each is the horizontal part of its ``Z``
+    scaled to the norm ``radius u^(1 / dim)``."""
     if not 0.0 <= radius < np.inf:
         raise InputContractError(f"radius must be finite and >= 0, got {radius}")
-    dim = horizontal_dim(base.p, base.r)
-    Z = rng.standard_normal(base.Y.shape)
+    power = 1.0 / horizontal_dim(base.p, base.r)
     theta = Z - vertical_project(base, Z)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:  # pragma: no cover - measure zero
-        theta, norm = base.Y, float(np.linalg.norm(base.Y))
-    scale = radius * rng.uniform() ** (1.0 / dim)
-    return HorizontalTangent(theta * (scale / norm), base)
+    scales = []
+    for t, ui in zip(theta.reshape(-1, *base.Y.shape), u if theta.ndim == 3 else [u]):
+        norm = float(np.linalg.norm(t))
+        if norm == 0.0:  # pragma: no cover - measure zero
+            t[...], norm = base.Y, float(np.linalg.norm(base.Y))
+        scales.append(radius * ui**power / norm)
+    return theta * (np.array(scales)[:, None, None] if theta.ndim == 3 else scales[0])
+
+
+def _sampled_factors(
+    name: str,
+    gt: GroundTruth,
+    params: RegionParams,
+    rngs: Sequence[np.random.Generator],
+    ball_radius: float,
+) -> np.ndarray:
+    """The ``(k, p, r)`` stack of the factors that sampler ``name`` draws, one
+    from each of ``rngs``; a Gaussian factor is its first candidate."""
+    Ys = gt.Y_star
+    if name in ("ball", "fiber"):
+        draws = [(rng.standard_normal(Ys.Y.shape), rng.uniform()) for rng in rngs]
+        Z, u = np.stack([Z for Z, _ in draws]), [u for _, u in draws]
+        theta = _ball_tangents(Ys, ball_radius, Z, u)
+        _check_horizontal(Ys, theta)
+        if name == "ball":
+            return Ys.Y + theta
+        O = _orthonormal(np.stack([rng.standard_normal((Ys.r, Ys.r)) for rng in rngs]))
+        return (Ys.Y + theta) @ O
+    if name == "scaled":
+        c = [np.sqrt(params.gamma) * (1.1 + 1.4 * rng.uniform()) for rng in rngs]
+        return np.array(c)[:, None, None] * Ys.Y
+    if name == "gaussian":
+        scale = gt.sigma1_star / np.sqrt(Ys.p)
+        return scale * np.stack([rng.standard_normal(Ys.Y.shape) for rng in rngs])
+    raise InputContractError(f"unknown sampler {name!r}")
+
+
+def _sample_points(
+    names: Sequence[str],
+    gt: GroundTruth,
+    params: RegionParams,
+    rngs: Sequence[np.random.Generator],
+    ball_radius: float,
+) -> list:
+    """Point ``i`` drawn by sampler ``names[i]`` from ``rngs[i]``, each
+    sampler's points at once and every point from one stacked SVD (see
+    :func:`~psdlandscape.geometry._factor_points`). A Gaussian candidate
+    that is not a full-rank factor is redrawn from its own stream, up to
+    100 draws in all. A point that cannot be drawn is, in its place, the
+    :class:`~psdlandscape.errors.LandscapeError` that says why; an error of
+    a whole sampler's stack is raised."""
+    Ys = np.empty((len(names), *gt.Y_star.Y.shape))
+    for name in dict.fromkeys(names):
+        idx = [i for i, n in enumerate(names) if n == name]
+        Ys[idx] = _sampled_factors(name, gt, params, [rngs[i] for i in idx], ball_radius)
+    points = _factor_points(Ys)
+    for i in [i for i, name in enumerate(names) if name == "gaussian"]:
+        for _ in range(99):  # the stack took the first of 100 draws
+            if isinstance(points[i], FactorPoint):
+                break
+            redraw = _sampled_factors("gaussian", gt, params, [rngs[i]], ball_radius)
+            (points[i],) = _factor_points(redraw)
+        if not isinstance(points[i], FactorPoint):
+            points[i] = NumericalFailure("could not draw a full-rank Gaussian factor")
+    return points
 
 
 def _sample_point(
@@ -543,27 +637,11 @@ def _sample_point(
     rng: np.random.Generator,
     ball_radius: float,
 ) -> FactorPoint:
-    Ys = gt.Y_star
-    if name == "ball":
-        theta = random_ball_tangent(Ys, ball_radius, rng)
-        return FactorPoint(Ys.Y + theta.theta)
-    if name == "fiber":
-        theta = random_ball_tangent(Ys, ball_radius, rng)
-        O = random_orthonormal(Ys.r, Ys.r, rng)
-        return FactorPoint((Ys.Y + theta.theta) @ O)
-    if name == "scaled":
-        c = np.sqrt(params.gamma) * (1.1 + 1.4 * rng.uniform())
-        return FactorPoint(c * Ys.Y)
-    if name == "gaussian":
-        scale = gt.sigma1_star / np.sqrt(Ys.p)
-        for _ in range(100):
-            cand = scale * rng.standard_normal(Ys.Y.shape)
-            try:
-                return FactorPoint(cand)
-            except InputContractError:
-                continue
-        raise NumericalFailure("could not draw a full-rank Gaussian factor")
-    raise InputContractError(f"unknown sampler {name!r}")
+    """One point of sampler ``name`` drawn from ``rng`` (see :func:`_sample_points`)."""
+    (point,) = _sample_points([name], gt, params, [rng], ball_radius)
+    if not isinstance(point, FactorPoint):
+        raise point
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +656,14 @@ def _certify_point(
     gt: GroundTruth,
     params: RegionParams,
     thresholds: ThresholdReport,
+    classified: tuple | None = None,
 ) -> RegionReport:
-    labels, (d, grad_H, spec_norm, gram_norm), escape = _classify(Y, gt, params)
+    """The row of point ``point_id`` at ``Y``, from its entry of
+    :func:`_classify` (taken here when ``classified`` is not given), the
+    handle's gradient and, in R1, its Hessian spectrum."""
+    if classified is None:
+        (classified,) = _classify([Y], gt, params)
+    labels, (d, grad_H, spec_norm, gram_norm), escape = classified
     R = _sym_grad(obj, Y.gram())
     with np.errstate(over="ignore"):  # an overflowing norm fails the row
         grad_h = float(np.linalg.norm(2.0 * (R @ Y.Y)))
@@ -592,7 +676,7 @@ def _certify_point(
     lam_max = np.nan
 
     if RegionLabel.R1 in labels:
-        est = hess_extreme_eigs(obj, Y)
+        est = hess_extreme_eigs(obj, Y, grad=R)
         lam_min, lam_max = est.lambda_min, est.lambda_max
         m_lo = lam_min - (thresholds.r1_hess_lower - tol_curv)
         m_hi = (thresholds.r1_hess_upper + tol_curv) - lam_max
@@ -676,6 +760,18 @@ def certify_landscape(
     i))``, a stream of its own (see :func:`~psdlandscape.kernels._stream`),
     so a longer scan extends a shorter one row for row, and no point reuses
     the draw of a target built from the same seed.
+
+    The points are certified in chunks whose ``p x p`` Gram matrices take at
+    most 32 MiB together (``_BLOCK_BYTES``): ``floor(2^22 / p^2)`` points,
+    and one from ``p = 2048`` on. In a chunk the draws of each sampler, the
+    factorizations, the alignments to ``[Y*]`` and the Gram matrices are
+    taken as stacks; the exact-factorization gradient, the handle's
+    gradient, the Hessian spectrum of an R1 row, the escape form of an R2
+    row and the floors stay point by point. Each row
+    equals, bit for bit, the row of its point certified on its own
+    (:func:`_certify_point` without ``classified``). A point that cannot be
+    drawn or classified keeps its error at its index: the scan raises the
+    error of its lowest-index failing point, after every earlier row.
     """
     _check_int(n_points, "n_points", 1)
     _check_int(seed, "seed", 0)
@@ -695,12 +791,53 @@ def certify_landscape(
             stacklevel=2,
         )
 
-    reports = []
-    for i in range(n_points):
-        rng = _stream(seed, _SCAN_POINT, i)
-        Y = _sample_point(samplers[i % len(samplers)], gt, params, rng, ball_radius)
-        reports.append(_certify_point(i, Y, obj, gt, params, thresholds))
-    return reports
+    names = [samplers[i % len(samplers)] for i in range(n_points)]
+
+    def chunk(ids: list[int]) -> list[RegionReport]:
+        points = _per_item(
+            lambda part: _sample_points(
+                [names[i] for i in part], gt, params,
+                [_stream(seed, _SCAN_POINT, i) for i in part], ball_radius,
+            ),
+            ids,
+        )
+        valid = [Y for Y in points if isinstance(Y, FactorPoint)]
+        classified = iter(_per_item(lambda pts: _classify(pts, gt, params), valid))
+        rows = []
+        for i, Y in zip(ids, points):
+            if not isinstance(Y, FactorPoint):
+                raise Y
+            entry = next(classified)
+            if isinstance(entry, LandscapeError):
+                raise entry
+            rows.append(_certify_point(i, Y, obj, gt, params, thresholds, entry))
+        return rows
+
+    # the Gram matrices of one chunk of points take at most _BLOCK_BYTES
+    step = max(1, _BLOCK_BYTES // (8 * gt.Y_star.p**2))
+    return [
+        row for start in range(0, n_points, step)
+        for row in chunk(list(range(start, min(start + step, n_points))))
+    ]
+
+
+def _per_item(fn: Callable[[list], list], items: list) -> list:
+    """``fn(items)``, a list with one entry per item. If that raises a
+    :class:`~psdlandscape.errors.LandscapeError`, ``fn`` is taken again on
+    each item alone, and an item that raises has its error as its entry, so
+    that a scan raises the error of its lowest-index failing point."""
+    if not items:
+        return []
+    try:
+        return fn(items)
+    except LandscapeError:
+        out = []
+        for item in items:
+            try:
+                out.extend(fn([item]))
+            except LandscapeError as exc:
+                out.append(exc)
+        return out
 
 
 def strict_convexity_fosp_check(
@@ -720,8 +857,8 @@ def strict_convexity_fosp_check(
         If the gradient norm exceeds ``fosp_tol``
         (default ``1e-8 * sigma_r(Y_hat)^3``).
     """
-    _check_stationary(obj, Y_hat, 1e-8 * Y_hat.sigma_min**3 if fosp_tol is None else fosp_tol)
-    return hess_extreme_eigs(obj, Y_hat)
+    R = _check_stationary(obj, Y_hat, 1e-8 * Y_hat.sigma_min**3 if fosp_tol is None else fosp_tol)
+    return hess_extreme_eigs(obj, Y_hat, grad=R)
 
 
 @dataclass(frozen=True)

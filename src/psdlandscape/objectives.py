@@ -465,8 +465,16 @@ def embedded_hess_quadform(
 
 def random_orthonormal(p: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Random ``p x r`` orthonormal frame (QR of a Gaussian matrix)."""
-    Q, R = np.linalg.qr(rng.standard_normal((p, r)))
-    return Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))[None, :]
+    return _orthonormal(rng.standard_normal((p, r)))
+
+
+def _orthonormal(G: np.ndarray) -> np.ndarray:
+    """The Q factor of the QR of ``G``, or of each matrix of a ``(k, p, r)``
+    stack, with each column's sign set so that the diagonal of R is
+    nonnegative."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * np.sign(np.where(d == 0, 1.0, d))[..., None, :]
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,8 @@ def riemannian_gd(
 
     for k in range(cfg.max_iters + 1):
         G = None if carried is None else 2.0 * (carried[1] @ Y.Y)
-        if G is None or np.linalg.norm(G) <= cfg.grad_tol or k == cfg.max_iters:
+        direct = G is None or np.linalg.norm(G) <= cfg.grad_tol or k == cfg.max_iters
+        if direct:
             # a run ends only on a directly evaluated iterate
             val, res, R = _evaluate(obj, Y, k, val)
             G = 2.0 * (R @ Y.Y)
@@ -223,18 +224,21 @@ def riemannian_gd(
         if track and params is None:
             rec.dists.append(quotient_distance(Y, gt.Y_star))
         elif track:
-            labels, (dist, *_), _ = _classify(Y, gt, params)
+            ((labels, (dist, *_), _),) = _classify([Y], gt, params)
             rec.dists.append(dist)
             rec.regions.append(tuple(sorted(labels, key=lambda lb: lb.value)))
         rec.perturbed.append(False)
 
         # a strict saddle is not convergence when escape is enabled; at most
-        # one spectrum, computed only when convergence or escape reads it
+        # one spectrum, computed only when convergence or escape reads it,
+        # and reading a directly evaluated gradient (a carried one differs
+        # from it in the last bits)
         small = gnorm <= cfg.grad_tol
         saddle = (
             pert is not None
             and (small or (k < cfg.max_iters and gnorm < pert.trigger_tol and cooldown == 0))
-            and hess_extreme_eigs(obj, Y).lambda_min < -pert.trigger_tol
+            and hess_extreme_eigs(obj, Y, grad=R if direct else None).lambda_min
+            < -pert.trigger_tol
         )
         if small and not saddle:
             rec.converged = True

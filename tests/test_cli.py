@@ -697,6 +697,22 @@ def test_target_whose_gradient_norms_overflow_is_one_error_line(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sigma", [1e90, 1e100])
+def test_scan_at_a_huge_scale_is_not_refused_as_malformed(tmp_path, capsys, sigma):
+    # the ball tangents' Y.T theta is near sigma^2 / 5, whose squares
+    # overflow; the horizontality check takes them in scaled units, and
+    # no numpy warning may leak (the test suite turns warnings into errors)
+    cfg = write_config(
+        tmp_path,
+        problem={"p": 8, "r": 2, "kappa_star": 1.0, "sigma_r_star": sigma, "seed": 1},
+        scan={"n_points": 8, "samplers": SAMPLERS, "seed": 1},
+    )
+    assert main(["scan", "--config", str(cfg)]) in (0, 1)
+    assert "not horizontal" not in capsys.readouterr().err
+    rows = (tmp_path / "out" / "scan_report.csv").read_text().splitlines()
+    assert len(rows) == 9
+
+
 def test_trace_document_of_the_previous_format_is_one_error_line(tmp_path):
     # written before the sensing map was drawn as upper triangles: no format
     # field, so its y would meet another operator

@@ -77,7 +77,7 @@ class TestIterativeCertificationPath:
         monkeypatch.setattr(landscape, "_FORM_MATRIX_CAP", 4)
         estimates, spectrum = [], landscape.hess_extreme_eigs
         monkeypatch.setattr(
-            landscape, "hess_extreme_eigs", lambda obj, Y: estimates.append(spectrum(obj, Y)) or estimates[-1]
+            landscape, "hess_extreme_eigs", lambda obj, Y, **kw: estimates.append(spectrum(obj, Y, **kw)) or estimates[-1]
         )
         inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=5)
         gt = inst.ground_truth

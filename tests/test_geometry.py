@@ -265,6 +265,33 @@ class TestRadii:
 
 
 class TestHorizontalTangent:
+    def test_check_is_free_of_scale(self):
+        # base and tangent scaled by 2^k: Y.T theta ranges over 2^-600..2^600,
+        # whose squares under- and overflow; no numpy warning may leak
+        rng = np.random.default_rng(21)
+        Y0 = factor(rng, 7, 3)
+        h = horizontal_project(Y0, rng.standard_normal((7, 3))).theta
+        v = vertical_project(Y0, rng.standard_normal((7, 3)))
+        for k in range(-300, 301):
+            Y = FactorPoint(np.ldexp(Y0.Y, k))
+            HorizontalTangent(np.ldexp(h, k), Y)
+            HorizontalTangent(np.ldexp(h, k - 40), Y)  # short, but horizontal
+            with pytest.raises(InputContractError, match="not horizontal"):
+                HorizontalTangent(np.ldexp(h + v, k), Y)
+            with pytest.raises(InputContractError, match="not horizontal"):
+                HorizontalTangent(np.ldexp(v, k - 30), Y)  # shorter than 1e-4 sigma_max
+
+    def test_a_stack_is_checked_tangent_by_tangent(self):
+        from psdlandscape.geometry import _check_horizontal
+
+        rng = np.random.default_rng(22)
+        Y = factor(rng, 6, 2)
+        thetas = np.stack([horizontal_project(Y, rng.standard_normal((6, 2))).theta for _ in range(4)])
+        _check_horizontal(Y, thetas)
+        thetas[2] += vertical_project(Y, rng.standard_normal((6, 2)))
+        with pytest.raises(InputContractError, match="not horizontal"):
+            _check_horizontal(Y, thetas)
+
     def test_rejects_non_horizontal(self):
         rng = np.random.default_rng(17)
         Y = factor(rng, 6, 3)

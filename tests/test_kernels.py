@@ -8,6 +8,22 @@ from psdlandscape.kernels import procrustes_align, sym_eig, sym_eigvals, thin_sv
 
 
 class TestThinSvd:
+    @pytest.mark.parametrize("tie", [[[1.0, 0], [-1.0, 0], [0, 2.0], [0, -2.0]], [[3.0], [-3.0], [1.0]]])
+    def test_stack_equals_each_matrix_bitwise_including_column_ties(self, tie):
+        # the tie's first column has two largest-magnitude entries of
+        # opposite signs; the first of them decides its sign
+        rng = np.random.default_rng(30)
+        stack = rng.standard_normal((5, *np.shape(tie)))
+        stack[2] = tie
+        U, s, V = thin_svd(stack)
+        lead = np.abs(U[2][:, 0])
+        assert np.sum(lead == lead.max()) == 2
+        for k, A in enumerate(stack):
+            one = thin_svd(A)
+            assert all(np.array_equal(a, b[k]) for a, b in zip(one, (U, s, V)))
+            for col in one.U.T:
+                assert col[np.argmax(np.abs(col))] > 0
+
     def test_identity(self):
         res = thin_svd(np.eye(2))
         np.testing.assert_allclose(res.sigma, [1.0, 1.0])

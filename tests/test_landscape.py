@@ -449,7 +449,7 @@ def test_forward_only_dense_extremes_agree_with_lanczos(kind, r, offset, per_blo
     Y = FactorPoint(gt.sigma1_star / np.sqrt(p) * rng.standard_normal((p, r)))
     single = _forced_spectrum(inst.objective, Y, "mapped")
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(landscape, "_LIFT_BLOCK_BYTES", _lift_block(p, per_block))
+        patched.setattr(landscape, "_BLOCK_BYTES", _lift_block(p, per_block))
         blocked = _forced_spectrum(inst.objective, Y, "mapped")
     _assert_same_extremes(blocked, single)
 
@@ -608,7 +608,7 @@ class TestWorkPerSpectrum:
     @pytest.mark.parametrize("per_block", [1, 7, 58, 59])
     def test_blocks_of_lifts_make_one_forward_call_each(self, kind, per_block, monkeypatch):
         obj, Y = self.over_form_cap(kind)
-        monkeypatch.setattr(landscape, "_LIFT_BLOCK_BYTES", _lift_block(Y.p, per_block))
+        monkeypatch.setattr(landscape, "_BLOCK_BYTES", _lift_block(Y.p, per_block))
         est, sweeps, forms = self.counted_spectrum(obj, Y)
         m = horizontal_dim(Y.p, Y.r)
         assert est.method == "dense" and forms == 0 and sweeps["images"] == []
@@ -658,11 +658,37 @@ def test_r1_spectra_at_the_scan_benchmark_sizes_are_dense(problem, method, monke
     estimates = []
     spectrum = landscape.hess_extreme_eigs
     monkeypatch.setattr(
-        landscape, "hess_extreme_eigs", lambda obj, Y: estimates.append(spectrum(obj, Y)) or estimates[-1]
+        landscape, "hess_extreme_eigs", lambda obj, Y, **kw: estimates.append(spectrum(obj, Y, **kw)) or estimates[-1]
     )
     reports = certify_landscape(inst.objective, inst.ground_truth, PARAMS, ["ball", "fiber"], 4, seed=2)
     assert all(RegionLabel.R1 in rep.region_labels and rep.passed for rep in reports)
     assert [est.method for est in estimates] == [method] * 4
+
+
+class TestGradientOncePerRow:
+    @pytest.mark.parametrize(
+        "problem",
+        [{"kind": "trace_regression", "p": 8, "r": 2, "n": 80}, {"kind": "trace_regression", "p": 30, "r": 2, "n": 600}],
+        ids=["form-matrix", "mapped"],
+    )
+    def test_an_r1_row_reads_the_handle_gradient_once(self, problem):
+        inst = make_instance(kappa_star=2.0, seed=3, **problem)
+        grads, grad = [], inst.objective.euclid_grad
+        obj = dataclasses.replace(inst.objective, euclid_grad=lambda X: grads.append(X) or grad(X))
+        reports = certify_landscape(obj, inst.ground_truth, PARAMS, ["ball"], 3, seed=1)
+        assert all(RegionLabel.R1 in rep.region_labels for rep in reports)
+        assert len(grads) == 3
+
+    @pytest.mark.parametrize(
+        "problem",
+        [{"kind": "trace_regression", "p": 8, "r": 2, "n": 80}, {"kind": "trace_regression", "p": 30, "r": 2, "n": 600}],
+        ids=["form-matrix", "mapped"],
+    )
+    def test_a_passed_gradient_gives_the_same_spectrum(self, problem):
+        inst = make_instance(kappa_star=2.0, seed=3, **problem)
+        obj, Y = inst.objective, FactorPoint(inst.ground_truth.Y_star.Y + 0.01)
+        R = _sym_grad(obj, Y.gram())
+        assert hess_extreme_eigs(obj, Y, grad=R) == hess_extreme_eigs(obj, Y)
 
 
 class TestEscapeDirection:
@@ -800,6 +826,7 @@ class TestCertify:
             certify_landscape(inst.objective, gt, PARAMS, ["ball", "bogus"], 1, seed=3)
 
     def test_one_distance_per_certified_point(self, monkeypatch):
+        # one alignment call takes the stack of every point of the scan
         inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=28)
         gt = inst.ground_truth
         align, calls = landscape._align, []
@@ -809,10 +836,11 @@ class TestCertify:
             return align(Y1, Y2)
 
         monkeypatch.setattr(landscape, "_align", counted_align)
-        (rep,) = certify_landscape(inst.objective, gt, PARAMS, ["ball"], 1, seed=2)
-        assert RegionLabel.R1 in rep.region_labels and rep.passed
-        assert len(calls) == 1
-        assert rep.dist_to_star == quotient_distance(FactorPoint(calls[0]), gt.Y_star)
+        reports = certify_landscape(inst.objective, gt, PARAMS, ["ball"], 3, seed=2)
+        assert all(RegionLabel.R1 in rep.region_labels and rep.passed for rep in reports)
+        assert len(calls) == 1 and calls[0].shape == (3, 20, 3)
+        for rep, Y in zip(reports, calls[0]):
+            assert rep.dist_to_star == quotient_distance(FactorPoint(Y), gt.Y_star)
 
     def test_one_cross_gram_svd_per_r2_point(self, monkeypatch):
         # the distance and the escape direction share one alignment: the
@@ -824,8 +852,8 @@ class TestCertify:
         svd, square = np.linalg.svd, []
 
         def counted_svd(A, *args, **kwargs):
-            if A.shape == (3, 3):
-                square.append(A)
+            if A.shape[-2:] == (3, 3):
+                square.extend(A.reshape(-1, 3, 3))
             return svd(A, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)

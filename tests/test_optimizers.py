@@ -348,9 +348,9 @@ class TestEvaluatedOnce:
         y0[1, 0] = 0.3
         spectrum, spectra = optimizers.hess_extreme_eigs, []
 
-        def counted_spectrum(obj, Y):
+        def counted_spectrum(obj, Y, **kw):
             spectra.append(Y)
-            return spectrum(obj, Y)
+            return spectrum(obj, Y, **kw)
 
         monkeypatch.setattr(optimizers, "hess_extreme_eigs", counted_spectrum)
         pert = PerturbationSpec(radius=0.01, trigger_tol=0.1)
