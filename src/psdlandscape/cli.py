@@ -255,7 +255,9 @@ def cmd_optimize(args) -> int:
         "final_dist_to_star": rec.dists[-1] if rec.dists else None,
     }
     try:
-        final["error_bound"] = asdict(error_bound_check(rec.final, gt, params.mu, inst.objective))
+        final["error_bound"] = asdict(
+            error_bound_check(rec.final, gt, params.mu, inst.objective, grad=rec._final_grad)
+        )
     except LandscapeError as exc:
         final["error_bound"] = None
         final["error_bound_skipped"] = str(exc)

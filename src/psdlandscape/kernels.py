@@ -146,25 +146,36 @@ def _thin_svd(A: np.ndarray) -> SvdResult:
     return SvdResult(U, s, V)
 
 
-def _sym_factorize(factorize, S: np.ndarray, asym_tol: float):
+def _sym_factorize(factorize, S: np.ndarray, asym_tol: float, stack: bool = False):
     """``factorize((S + S.T) / 2)`` of a finite square ``S`` within
-    ``asym_tol`` of symmetric (see :func:`sym_eig`)."""
-    S = check_matrix(S, "eig input")
-    if S.shape[0] != S.shape[1]:
+    ``asym_tol`` of symmetric (see :func:`sym_eig`); with ``stack``, ``S``
+    may be a stack of such matrices, each checked on its own."""
+    S = check_matrix(S, "eig input", stack=stack)
+    if S.shape[-2] != S.shape[-1]:
         raise InputContractError(f"eig input must be square, got {S.shape}")
-    # the test is scale-free: take both norms in units of a power of two
-    # near max |S|, exact in binary, so that no sum of squares overflows
-    scaled = S / 2.0 ** math.frexp(float(np.abs(S).max(initial=0.0)))[1]
-    nrm = np.linalg.norm(scaled)
-    asym = np.linalg.norm(scaled - scaled.T)
-    if asym > asym_tol * nrm:
+    # the test is scale-free: take both norms of each matrix in units of a
+    # power of two near its max |S|, exact in binary, so that no sum of
+    # squares overflows
+    exponent = np.frexp(np.abs(S).max(axis=(-2, -1), initial=0.0))[1]
+    scaled = np.ldexp(S, -exponent[..., None, None])
+
+    def norms(A: np.ndarray) -> np.ndarray:
+        # one dot product of each flattened matrix, as np.linalg.norm takes
+        # it, with no array of the squares
+        flat = A.reshape(*A.shape[:-2], 1, -1)
+        return np.sqrt(np.atleast_1d((flat @ flat.swapaxes(-1, -2))[..., 0, 0]))
+
+    nrm, asym = norms(scaled), norms(scaled - scaled.swapaxes(-1, -2))
+    bad = asym > asym_tol * nrm
+    if bad.any():
         raise InputContractError(
-            f"matrix is asymmetric beyond tolerance: ||S - S.T||_F / ||S||_F = {asym / nrm:.3e}"
+            "matrix is asymmetric beyond tolerance: ||S - S.T||_F / ||S||_F = "
+            f"{asym[bad][0] / nrm[bad][0]:.3e}"
         )
     try:
-        return factorize((S + S.T) / 2.0)
+        return factorize((S + S.swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed for shape {S.shape}") from exc
+        raise NumericalFailure(f"eigendecomposition failed for shape {S.shape[-2:]}") from exc
 
 
 def sym_eig(S: np.ndarray, asym_tol: float = 1e-10) -> EigResult:
@@ -180,8 +191,11 @@ def sym_eig(S: np.ndarray, asym_tol: float = 1e-10) -> EigResult:
 
 def sym_eigvals(S: np.ndarray, asym_tol: float = 1e-10) -> np.ndarray:
     """The eigenvalues of :func:`sym_eig`, descending, after the same checks,
-    from a factorization that computes no eigenvectors."""
-    return _sym_factorize(np.linalg.eigvalsh, S, asym_tol)[::-1].copy()
+    from a factorization that computes no eigenvectors. ``S`` may be a
+    ``(k, q, q)`` stack: each matrix is checked on its own, one call
+    factorizes them all, and row ``j`` equals, bit for bit, the
+    eigenvalues of ``S[j]`` on its own."""
+    return _sym_factorize(np.linalg.eigvalsh, S, asym_tol, stack=True)[..., ::-1].copy()
 
 
 def truncated_frob_norm(A: np.ndarray, r: int) -> float:

@@ -182,10 +182,13 @@ def _margin(gt: GroundTruth, mu: float) -> float:
     return margin
 
 
-def _check_stationary(obj: ObjectiveHandle, Y: FactorPoint, fosp_tol: float) -> np.ndarray:
-    """The symmetrized gradient ``R`` at ``Y``; raise :class:`NotAFOSPError`
-    if the gradient norm ``||2 R Y||_F`` exceeds ``fosp_tol``."""
-    R = _sym_grad(obj, Y.gram())
+def _check_stationary(
+    obj: ObjectiveHandle, Y: FactorPoint, fosp_tol: float, grad: np.ndarray | None = None
+) -> np.ndarray:
+    """The symmetrized gradient ``R`` at ``Y`` (``grad`` when given);
+    raise :class:`NotAFOSPError` if the gradient norm ``||2 R Y||_F``
+    exceeds ``fosp_tol``."""
+    R = _sym_grad(obj, Y.gram()) if grad is None else grad
     gnorm = float(np.linalg.norm(2.0 * (R @ Y.Y)))
     if gnorm > fosp_tol:
         raise NotAFOSPError(gnorm, fosp_tol)
@@ -274,10 +277,12 @@ _BASIS_CAP = 4000
 _BLOCK_BYTES = 32 << 20
 
 
-def horizontal_basis(Y: FactorPoint) -> np.ndarray:
+def horizontal_basis(Y: FactorPoint | Sequence[FactorPoint]) -> np.ndarray:
     """Orthonormal basis (Frobenius inner product) of the horizontal space,
     as a read-only ``(m, p, r)`` array of its ``m = horizontal_dim(p, r)``
-    lifts.
+    lifts; for a list of ``k`` points of one shape, the ``(k, m, p, r)``
+    stack of their bases, from stacked calls whose row ``j`` equals, bit for
+    bit, the basis of point ``j`` on its own.
 
     Written down from the SVD ``Y = U diag(sigma) V.T``: the normalized
     ``U diag(1/sigma) (E_ij + E_ji) V.T`` for ``i <= j``, then ``U_perp E``
@@ -289,56 +294,43 @@ def horizontal_basis(Y: FactorPoint) -> np.ndarray:
     ResourceLimitError
         If the dimension exceeds 4000.
     """
-    p, r = Y.p, Y.r
+    points = [Y] if isinstance(Y, FactorPoint) else Y
+    p, r = points[0].p, points[0].r
     dim = horizontal_dim(p, r)
     if dim > _BASIS_CAP:
         raise ResourceLimitError(f"horizontal dimension {dim} exceeds the basis cap {_BASIS_CAP}")
-    U, sigma, V = Y.svd
+    U, sigma, V = (np.stack(part) for part in zip(*(point.svd for point in points)))
     i, j = np.triu_indices(r)
     k = np.arange(len(i))
     # diag(1/sigma) (E_ij + E_ji) over its norm: sigma_j / hypot(sigma_i, sigma_j)
     # at (i, j), sigma_i / hypot(sigma_i, sigma_j) at (j, i), and 1 if i = j
-    norm = np.where(i == j, sigma[i], np.hypot(sigma[i], sigma[j]))
-    S = np.zeros((len(k), r, r))
-    S[k, i, j] = sigma[j] / norm
-    S[k, j, i] = sigma[i] / norm
-    U_perp = np.linalg.qr(U, mode="complete")[0][:, r:]
-    basis = np.zeros((dim, p, r))
-    basis[: len(k)] = U @ S @ V.T
+    norm = np.where(i == j, sigma[:, i], np.hypot(sigma[:, i], sigma[:, j]))
+    S = np.zeros((len(points), len(k), r, r))
+    S[:, k, i, j] = sigma[:, j] / norm
+    S[:, k, j, i] = sigma[:, i] / norm
+    U_perp = np.linalg.qr(U, mode="complete")[0][..., r:]
+    basis = np.zeros((len(points), dim, p, r))
+    basis[:, : len(k)] = U[:, None] @ S @ V[:, None].swapaxes(-1, -2)
     # element (a, b) of the second part is U_perp[:, a] in column b
     b = np.arange(r)
-    basis[len(k) :].reshape(p - r, r, p, r)[:, b, :, b] = U_perp.T
+    basis[:, len(k) :].reshape(len(points), p - r, r, p, r)[:, :, b, :, b] = U_perp.swapaxes(-1, -2)
     basis.flags.writeable = False
-    return basis
-
-
-def _mapped_gram(Y: FactorPoint, basis: np.ndarray, forward: Callable) -> np.ndarray:
-    """``F F.T`` with ``F[k] = forward(C(B_k))`` over the ``(m, p, r)``
-    basis ``B``: the matrix of a least-squares Hessian form over the lifts,
-    mapped in blocks of at most ``_BLOCK_BYTES`` of lifts."""
-    m = len(basis)
-    step = max(1, _BLOCK_BYTES // (8 * Y.p**2))
-    F = None
-    for i in range(0, m, step):
-        block = forward(_lift(Y, basis[i : i + step]))
-        if F is None:
-            F = np.empty((m, block.shape[-1]))
-        F[i : i + step] = block
-    return F @ F.T
+    return basis[0] if isinstance(Y, FactorPoint) else basis
 
 
 def _hess_eigvals(basis: np.ndarray, M: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The eigenvalues, descending, of ``M + 2 B (R B).T``, the Riemannian
     Hessian over the basis ``B`` when ``M`` is the matrix of the Euclidean
-    Hessian form over its lifts and ``R`` the symmetrized gradient."""
-    B = basis.reshape(len(basis), -1)
-    M += 2.0 * (B @ (R @ basis).reshape(len(basis), -1).T)
+    Hessian form over its lifts and ``R`` the symmetrized gradient; or of
+    each matrix of a stack, for stacks of bases, matrices and gradients."""
+    B = basis.reshape(*basis.shape[:-2], -1)
+    M += 2.0 * (B @ (R[..., None, :, :] @ basis).reshape(B.shape).swapaxes(-1, -2))
     return sym_eigvals(M, asym_tol=1e-6)
 
 
-def _reduced_extremes(Y: FactorPoint, target: FactorPoint) -> HessianSpectrumEstimate:
-    """The spectrum of the denoising objective of ``target`` at ``Y``, with
-    ``p > 2 r``, from a problem of size ``2 r``.
+def _reduced_extremes(points: list[FactorPoint], target: FactorPoint) -> list[HessianSpectrumEstimate]:
+    """The spectra of the denoising objective of ``target`` at ``points``,
+    with ``p > 2 r``, each from a problem of size ``2 r``.
 
     ``R = Y Y.T - Y* Y*.T`` has its range in ``span Q``, ``Q`` the
     ``p x 2r`` Householder factor of ``[Y, Y*]`` (orthonormal even when the
@@ -347,22 +339,97 @@ def _reduced_extremes(Y: FactorPoint, target: FactorPoint) -> HessianSpectrumEst
     Hessian is that of the same objective at ``(Q.T Y, Q.T Y*)``; those
     orthogonal to ``span Q`` form an invariant subspace on which it is
     ``theta -> 2 theta Y.T Y``, with eigenvalues ``2 sigma_j(Y)^2``.
+
+    The points go in stacks whose lifts take at most ``_BLOCK_BYTES``; a
+    stack makes one call of each step (QR, the SVDs of ``Q.T Y``, bases,
+    Gram product, ``eigvalsh``), and each point keeps its rank check.
     """
-    Q = np.linalg.qr(np.hstack([Y.Y, target.Y]))[0]
-    Yq = FactorPoint(Q.T @ Y.Y)
-    Tq = Q.T @ target.Y
-    R = Yq.gram() - Tq @ Tq.T
-    if not np.all(np.isfinite(R)):
-        raise NumericalFailure("the Euclidean gradient has non-finite entries")
-    basis = horizontal_basis(Yq)
-    lam = _hess_eigvals(basis, _mapped_gram(Yq, basis, lambda Gs: Gs.reshape(len(Gs), -1)), R)
-    lo, hi = 2.0 * Y.sigma_min**2, 2.0 * Y.sigma_max**2
-    return HessianSpectrumEstimate(float(min(lam[-1], lo)), float(max(lam[0], hi)), "reduced")
+    r = target.r
+
+    def extremes(part: list[FactorPoint]) -> list[HessianSpectrumEstimate]:
+        Ys = np.stack([Y.Y for Y in part])
+        Q = np.linalg.qr(np.concatenate([Ys, np.broadcast_to(target.Y, Ys.shape)], axis=-1))[0]
+        Qt = Q.swapaxes(-1, -2)
+        Yq, Tq = Qt @ Ys, Qt @ target.Y
+        reduced = _factor_points(Yq)
+        for point in reduced:
+            if not isinstance(point, FactorPoint):
+                raise point
+        R = _grams(reduced) - Tq @ Tq.swapaxes(-1, -2)
+        if not np.isfinite(R).all():
+            raise NumericalFailure("the Euclidean gradient has non-finite entries")
+        basis = horizontal_basis(reduced)
+        F = _lift(Yq[:, None], basis).reshape(*basis.shape[:2], -1)
+        lam = _hess_eigvals(basis, F @ F.swapaxes(-1, -2), R)
+        return [
+            HessianSpectrumEstimate(
+                float(min(l[-1], 2.0 * Y.sigma_min**2)), float(max(l[0], 2.0 * Y.sigma_max**2)), "reduced"
+            )
+            for l, Y in zip(lam, part)
+        ]
+
+    step = max(1, _BLOCK_BYTES // (8 * horizontal_dim(2 * r, r) * (2 * r) ** 2))  # one point's lifts
+    return [est for i in range(0, len(points), step) for est in extremes(points[i : i + step])]
+
+
+def _mapped_extremes(
+    obj: ObjectiveHandle, points: list[FactorPoint], grads: list
+) -> list[HessianSpectrumEstimate]:
+    """The dense spectra of a least-squares handle at ``points``, from the
+    rows ``F[a] = forward(C(B_a))`` over each point's basis, its lifts
+    mapped in blocks of at most ``_BLOCK_BYTES``. A stack's lifts and rows
+    take at most ``_BLOCK_BYTES``; the first point, which gives the length
+    of a row, is a stack of its own."""
+    p, m = points[0].p, horizontal_dim(points[0].p, points[0].r)
+    block = max(1, _BLOCK_BYTES // (8 * p**2))
+    lam: list[np.ndarray] = []
+    step = 1
+    while len(lam) < len(points):
+        part = slice(len(lam), len(lam) + step)
+        basis = horizontal_basis(points[part])
+        F = None
+        for j, Y in enumerate(points[part]):
+            for i in range(0, m, block):
+                rows = obj.least_squares.forward(_lift(Y, basis[j, i : i + block]))
+                if F is None:
+                    F = np.empty((len(basis), m, rows.shape[-1]))
+                F[j, i : i + block] = rows
+        R = np.stack([_sym_grad(obj, Y.gram()) if g is None else g for Y, g in zip(points[part], grads[part])])
+        lam.extend(_hess_eigvals(basis, F @ F.swapaxes(-1, -2), R))
+        step = max(1, _BLOCK_BYTES // (8 * m * (p**2 + F.shape[-1])))
+    return [HessianSpectrumEstimate(float(l[-1]), float(l[0]), "dense") for l in lam]
+
+
+def _form_extremes(obj: ObjectiveHandle, Y: FactorPoint, grad: np.ndarray | None) -> HessianSpectrumEstimate:
+    """The dense spectrum at ``Y`` from one form call per pair of lifts."""
+    p, m = Y.p, horizontal_dim(Y.p, Y.r)
+    if 8 * m * p**2 > MAX_INSTANCE_BYTES:
+        raise ResourceLimitError(
+            f"the {m} lifted basis matrices need {8 * m * p**2} bytes, "
+            f"more than {MAX_INSTANCE_BYTES}"
+        )
+    X = Y.gram()
+    R = _sym_grad(obj, X) if grad is None else grad
+    basis = horizontal_basis(Y)
+    lam = _hess_eigvals(basis, _form_matrix(obj, X, _lift(Y, basis)), R)
+    return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense")
+
+
+def _spectrum_path(obj: ObjectiveHandle, p: int, r: int) -> str:
+    """How :func:`hess_extreme_eigs` takes spectra at ``p x r`` points: from
+    form calls, point by point (``"form"``), by the denoising reduction
+    (``"reduced"``) or from the map's rows (``"mapped"``)."""
+    ls = obj.least_squares
+    if ls is None or horizontal_dim(p, r) <= _FORM_MATRIX_CAP:
+        return "form"
+    return "reduced" if ls.target is not None and p > 2 * r else "mapped"
 
 
 def hess_extreme_eigs(
-    obj: ObjectiveHandle, Y: FactorPoint, grad: np.ndarray | None = None
-) -> HessianSpectrumEstimate:
+    obj: ObjectiveHandle,
+    Y: FactorPoint | Sequence[FactorPoint],
+    grad: np.ndarray | Sequence[np.ndarray] | None = None,
+) -> HessianSpectrumEstimate | list[HessianSpectrumEstimate]:
     """Extreme eigenvalues of the Riemannian Hessian on the horizontal space.
 
     Every path takes the eigenvalues, with no eigenvectors, of a dense
@@ -373,14 +440,14 @@ def hess_extreme_eigs(
     built depends on the handle and on the horizontal dimension
     ``m = horizontal_dim(p, r)``:
 
-    =============  ============================  =======  ==========================================
-    handle         dimension                     method   the matrix
-    =============  ============================  =======  ==========================================
-    any            ``m <= 44``                   dense    ``m (m + 1) / 2`` form calls over ``C(B)``
-    denoising      ``m > 44`` and ``p > 2 r``    reduced  the dense matrix at ``(Q.T Y, Q.T Y*)``
-    least squares  ``44 < m <= 4000``            dense    ``F F.T``, ``F = forward(C(B))`` in blocks
-    custom         ``44 < m <= 4000``, lifts fit dense    ``m (m + 1) / 2`` form calls over ``C(B)``
-    =============  ============================  =======  ==========================================
+    =============  ============================  =======  ==========================================  ==========
+    handle         dimension                     method   the matrix                                  a list
+    =============  ============================  =======  ==========================================  ==========
+    any            ``m <= 44``                   dense    ``m (m + 1) / 2`` form calls over ``C(B)``  one by one
+    denoising      ``m > 44`` and ``p > 2 r``    reduced  the dense matrix at ``(Q.T Y, Q.T Y*)``     in stacks
+    least squares  ``44 < m <= 4000``            dense    ``F F.T``, ``F = forward(C(B))`` in blocks  in stacks
+    custom         ``44 < m <= 4000``, lifts fit dense    ``m (m + 1) / 2`` form calls over ``C(B)``  one by one
+    =============  ============================  =======  ==========================================  ==========
 
     44 is ``_FORM_MATRIX_CAP`` and 4000 is ``_BASIS_CAP``. Denoising is a
     handle whose :class:`~psdlandscape.objectives.LeastSquaresMap` carries a
@@ -398,33 +465,32 @@ def hess_extreme_eigs(
     ``8 m p^2`` bytes are at most
     :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`.
 
+    ``Y`` may be a list of points of one shape (``grad`` then ``None`` or
+    a list), for the list of their estimates, each equal bit for bit to
+    that of its point alone; the last column says how a row takes it. A
+    stack holds at most 32 MiB of lifts (and rows of ``F``), one point at
+    least, and makes one call of each step; a single point is a stack of one.
+
     Raises
     ------
     ResourceLimitError
         Outside the table: above dimension 4000 on every row but the
         reduction, and on the form rows when the lifts do not fit.
     """
-    p, r = Y.p, Y.r
-    m = horizontal_dim(p, r)
-    ls = obj.least_squares
-    if ls is not None and m > _FORM_MATRIX_CAP:
-        if ls.target is not None and p > 2 * r:
-            return _reduced_extremes(Y, ls.target)
-        basis = horizontal_basis(Y)
-        M = _mapped_gram(Y, basis, ls.forward)
-        R = _sym_grad(obj, Y.gram()) if grad is None else grad
+    single = isinstance(Y, FactorPoint)
+    if single:
+        points, grads = [Y], [grad]
     else:
-        if 8 * m * p**2 > MAX_INSTANCE_BYTES:
-            raise ResourceLimitError(
-                f"the {m} lifted basis matrices need {8 * m * p**2} bytes, "
-                f"more than {MAX_INSTANCE_BYTES}"
-            )
-        X = Y.gram()
-        R = _sym_grad(obj, X) if grad is None else grad
-        basis = horizontal_basis(Y)
-        M = _form_matrix(obj, X, _lift(Y, basis))
-    lam = _hess_eigvals(basis, M, R)
-    return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense")
+        points = list(Y)
+        grads = [None] * len(points) if grad is None else list(grad)
+    path = _spectrum_path(obj, points[0].p, points[0].r)
+    if path == "form":
+        estimates = [_form_extremes(obj, point, R) for point, R in zip(points, grads)]
+    elif path == "reduced":
+        estimates = _reduced_extremes(points, obj.least_squares.target)
+    else:
+        estimates = _mapped_extremes(obj, points, grads)
+    return estimates[0] if single else estimates
 
 
 def escape_direction(Y: FactorPoint, gt: GroundTruth) -> HorizontalTangent:
@@ -657,14 +723,18 @@ def _certify_point(
     params: RegionParams,
     thresholds: ThresholdReport,
     classified: tuple | None = None,
+    grad: np.ndarray | None = None,
+    spectrum: HessianSpectrumEstimate | LandscapeError | None = None,
 ) -> RegionReport:
     """The row of point ``point_id`` at ``Y``, from its entry of
-    :func:`_classify` (taken here when ``classified`` is not given), the
-    handle's gradient and, in R1, its Hessian spectrum."""
+    :func:`_classify`, the handle's symmetrized gradient ``grad`` and, in
+    R1, its Hessian ``spectrum``; each is taken here when it is not given.
+    A spectrum that failed is given as its error, raised where the row
+    reads it."""
     if classified is None:
         (classified,) = _classify([Y], gt, params)
     labels, (d, grad_H, spec_norm, gram_norm), escape = classified
-    R = _sym_grad(obj, Y.gram())
+    R = _sym_grad(obj, Y.gram()) if grad is None else grad
     with np.errstate(over="ignore"):  # an overflowing norm fails the row
         grad_h = float(np.linalg.norm(2.0 * (R @ Y.Y)))
 
@@ -676,7 +746,9 @@ def _certify_point(
     lam_max = np.nan
 
     if RegionLabel.R1 in labels:
-        est = hess_extreme_eigs(obj, Y, grad=R)
+        est = hess_extreme_eigs(obj, Y, grad=R) if spectrum is None else spectrum
+        if isinstance(est, LandscapeError):
+            raise est
         lam_min, lam_max = est.lambda_min, est.lambda_max
         m_lo = lam_min - (thresholds.r1_hess_lower - tol_curv)
         m_hi = (thresholds.r1_hess_upper + tol_curv) - lam_max
@@ -691,26 +763,30 @@ def _certify_point(
 
     # gradient floors in their pointwise form, corrected by the restricted
     # convexity constant and the noise at the target; with both zero these
-    # are the sharp exact-factorization floors
+    # are the sharp exact-factorization floors. The powers are numpy's, so
+    # that a floor that overflows is inf or NaN (and fails its row), not an
+    # OverflowError
     delta = thresholds.delta_used
     noise = thresholds.noise_at_target
     beta, gamma = params.beta, params.gamma
     s1, xnorm = gt.sigma1_star, gt.X_star_norm
     rr = Y.r
-    floors = {
-        RegionLabel.R3_PRIME: _grad_threshold(gt, params)
-        - 2.0 * delta * beta * (1.0 + gamma) * s1 * xnorm
-        - 2.0 * beta * s1 * noise,
-        RegionLabel.R3_DOUBLE_PRIME: 2.0 * (spec_norm**3 - spec_norm * s1**2)
-        - 2.0 * delta * (1.0 + gamma) * spec_norm * xnorm
-        - 2.0 * spec_norm * noise,
-        RegionLabel.R3_TRIPLE_PRIME: (
-            2.0 * (1.0 - 1.0 / gamma) - 2.0 * delta * (1.0 + 1.0 / gamma)
-        )
-        * gram_norm**1.5
-        / np.sqrt(rr)
-        - 2.0 * gram_norm**0.5 * noise / np.sqrt(rr),
-    }
+    spec_norm, gram_norm = np.float64(spec_norm), np.float64(gram_norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors = {
+            RegionLabel.R3_PRIME: _grad_threshold(gt, params)
+            - 2.0 * delta * beta * (1.0 + gamma) * s1 * xnorm
+            - 2.0 * beta * s1 * noise,
+            RegionLabel.R3_DOUBLE_PRIME: 2.0 * (spec_norm**3 - spec_norm * s1**2)
+            - 2.0 * delta * (1.0 + gamma) * spec_norm * xnorm
+            - 2.0 * spec_norm * noise,
+            RegionLabel.R3_TRIPLE_PRIME: (
+                2.0 * (1.0 - 1.0 / gamma) - 2.0 * delta * (1.0 + 1.0 / gamma)
+            )
+            * gram_norm**1.5
+            / np.sqrt(rr)
+            - 2.0 * gram_norm**0.5 * noise / np.sqrt(rr),
+        }
     for label, floor in floors.items():
         if label in labels:
             m = grad_h - (floor - tol_grad)
@@ -765,13 +841,13 @@ def certify_landscape(
     most 32 MiB together (``_BLOCK_BYTES``): ``floor(2^22 / p^2)`` points,
     and one from ``p = 2048`` on. In a chunk the draws of each sampler, the
     factorizations, the alignments to ``[Y*]`` and the Gram matrices are
-    taken as stacks; the exact-factorization gradient, the handle's
-    gradient, the Hessian spectrum of an R1 row, the escape form of an R2
-    row and the floors stay point by point. Each row
-    equals, bit for bit, the row of its point certified on its own
-    (:func:`_certify_point` without ``classified``). A point that cannot be
-    drawn or classified keeps its error at its index: the scan raises the
-    error of its lowest-index failing point, after every earlier row.
+    taken as stacks, and so are the R1 rows' Hessian spectra where
+    :func:`hess_extreme_eigs` takes a list in stacks; the rest stays point
+    by point. Each row equals, bit for bit, the row of its point certified
+    on its own (:func:`_certify_point` with its first six arguments). A
+    point that fails at any stage keeps its error at its index: the scan
+    raises the error of its lowest-index failing point, after every
+    earlier row.
     """
     _check_int(n_points, "n_points", 1)
     _check_int(seed, "seed", 0)
@@ -802,15 +878,30 @@ def certify_landscape(
             ids,
         )
         valid = [Y for Y in points if isinstance(Y, FactorPoint)]
-        classified = iter(_per_item(lambda pts: _classify(pts, gt, params), valid))
+        classified = _per_item(lambda pts: _classify(pts, gt, params), valid)
+        grads, spectra = [None] * len(valid), [None] * len(valid)
+        r1 = [j for j, c in enumerate(classified) if not isinstance(c, LandscapeError) and RegionLabel.R1 in c[0]]
+        path = _spectrum_path(obj, gt.Y_star.p, gt.Y_star.r)
+        if path == "mapped":  # its spectra read the handle's gradient
+            for j in r1:
+                grads[j] = _attempt(lambda: _sym_grad(obj, valid[j].gram()))
+            r1 = [j for j in r1 if not isinstance(grads[j], LandscapeError)]
+        if path != "form":
+            stacked = _per_item(
+                lambda js: hess_extreme_eigs(obj, [valid[j] for j in js], grad=[grads[j] for j in js]), r1
+            )
+            for j, est in zip(r1, stacked):
+                spectra[j] = est
         rows = []
+        entries = iter(zip(classified, grads, spectra))
         for i, Y in zip(ids, points):
             if not isinstance(Y, FactorPoint):
                 raise Y
-            entry = next(classified)
-            if isinstance(entry, LandscapeError):
-                raise entry
-            rows.append(_certify_point(i, Y, obj, gt, params, thresholds, entry))
+            entry, R, spectrum = next(entries)
+            for error in (entry, R):
+                if isinstance(error, LandscapeError):
+                    raise error
+            rows.append(_certify_point(i, Y, obj, gt, params, thresholds, entry, R, spectrum))
         return rows
 
     # the Gram matrices of one chunk of points take at most _BLOCK_BYTES
@@ -831,13 +922,15 @@ def _per_item(fn: Callable[[list], list], items: list) -> list:
     try:
         return fn(items)
     except LandscapeError:
-        out = []
-        for item in items:
-            try:
-                out.extend(fn([item]))
-            except LandscapeError as exc:
-                out.append(exc)
-        return out
+        return [_attempt(lambda: fn([item])[0]) for item in items]
+
+
+def _attempt(fn: Callable[[], object]):
+    """``fn()``, or the :class:`~psdlandscape.errors.LandscapeError` it raises."""
+    try:
+        return fn()
+    except LandscapeError as exc:
+        return exc
 
 
 def strict_convexity_fosp_check(
@@ -878,6 +971,7 @@ def error_bound_check(
     mu: float,
     obj: ObjectiveHandle,
     fosp_tol: float | None = None,
+    grad: np.ndarray | None = None,
 ) -> ErrorBoundResult:
     """Check the certified distance bound at a stationary point in R1.
 
@@ -887,13 +981,15 @@ def error_bound_check(
     and ``rhs_mid`` the tighter intermediate bound with
     ``||grad f(X*) Y*||_F`` in the numerator; both read the gradient at
     ``X*`` from ``gt``, and ``obj`` only tests that ``Y_hat`` is
-    stationary. ``holds`` compares with an absolute slack of
+    stationary; a caller that holds the symmetrized gradient at ``Y_hat``
+    (as ``_sym_grad`` returns it) passes it as ``grad``, and ``obj`` is
+    then not evaluated. ``holds`` compares with an absolute slack of
     ``1e-7 sigma_r(Y*)`` because the noiseless rhs is exactly zero while a
     numerically converged point sits at a tiny positive distance.
     """
     sr = gt.sigmar_star
     denom = _margin(gt, mu) * sr**2
-    _check_stationary(obj, Y_hat, 1e-6 * sr**3 if fosp_tol is None else fosp_tol)
+    _check_stationary(obj, Y_hat, 1e-6 * sr**3 if fosp_tol is None else fosp_tol, grad)
     lhs = quotient_distance(Y_hat, gt.Y_star)
     r1_radius = _r1_radius(gt, mu)
     if lhs > r1_radius * (1.0 + 1e-9):

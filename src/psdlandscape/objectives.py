@@ -371,10 +371,11 @@ def _sym_grad(obj: ObjectiveHandle, X: np.ndarray) -> np.ndarray:
     return R
 
 
-def _lift(Y: FactorPoint, theta: np.ndarray) -> np.ndarray:
+def _lift(Y: FactorPoint | np.ndarray, theta: np.ndarray) -> np.ndarray:
     """``C(theta) = Y theta.T + theta Y.T`` for one ``(p, r)`` array, or the
-    ``(m, p, p)`` stack of them for an ``(m, p, r)`` stack."""
-    T = Y.Y @ np.swapaxes(theta, -1, -2)
+    ``(m, p, p)`` stack of them for an ``(m, p, r)`` stack. ``Y`` is a
+    point, or an array of factors that broadcasts against ``theta``."""
+    T = (Y.Y if isinstance(Y, FactorPoint) else Y) @ np.swapaxes(theta, -1, -2)
     return T + np.swapaxes(T, -1, -2)
 
 

@@ -94,6 +94,8 @@ class TrajectoryRecord:
     converged: bool = False
     iterations: int = 0
     final: FactorPoint | None = None
+    #: the symmetrized gradient at ``final``, evaluated directly
+    _final_grad: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_csv(self) -> str:
         lines = ["iter,obj,grad_norm,dist_to_star,step,regions,perturbed_flag"]
@@ -292,6 +294,7 @@ def riemannian_gd(
 
     rec.iterations = len(rec.values) - 1
     rec.final = Y
+    rec._final_grad = R  # a run ends on a directly evaluated iterate
     return rec
 
 

@@ -227,6 +227,33 @@ class TestOptimize:
         traj = (tmp_path / "out" / "trajectory.csv").read_text()
         assert traj.startswith("iter,obj,grad_norm,dist_to_star,step,regions,perturbed_flag")
 
+    def test_the_error_bound_reads_the_final_gradient_of_the_run(self, tmp_path, monkeypatch):
+        # GD's last iterate is evaluated directly, so the error-bound check
+        # takes its gradient from the run: one forward and one adjoint sweep
+        # fewer than a check that evaluates it again, and the same report
+        from psdlandscape import cli
+        from psdlandscape.objectives import TraceRegressionObjective
+
+        sweeps = []
+        for name in ("apply_map", "adjoint"):
+            method = getattr(TraceRegressionObjective, name)
+            monkeypatch.setattr(
+                TraceRegressionObjective, name, lambda self, X, f=method: sweeps.append(X) or f(self, X)
+            )
+        problem = {"kind": "trace_regression", "p": 8, "r": 2, "n": 120, "noise_sigma": 0.0}
+        reports = []
+        for out in ("run", "evaluated"):
+            cfg = write_config(tmp_path, problem=problem, optimizer={"init": "spectral"}, output_dir=str(tmp_path / out))
+            if out == "evaluated":
+                check = cli.error_bound_check
+                monkeypatch.setattr(cli, "error_bound_check", lambda *args, grad=None, **kw: check(*args, **kw))
+            sweeps.clear()
+            assert main(["optimize", "--config", str(cfg)]) == 0
+            reports.append(((tmp_path / out / "final_report.json").read_bytes(), len(sweeps)))
+        (run, run_sweeps), (evaluated, evaluated_sweeps) = reports
+        assert json.loads(run)["error_bound"]["holds"] is True
+        assert run == evaluated and run_sweeps == evaluated_sweeps - 2
+
     def test_null_init_is_the_default_start(self, tmp_path):
         # a null init reads as absent: the gaussian start on denoising
         paths = []
@@ -711,6 +738,27 @@ def test_scan_at_a_huge_scale_is_not_refused_as_malformed(tmp_path, capsys, sigm
     assert "not horizontal" not in capsys.readouterr().err
     rows = (tmp_path / "out" / "scan_report.csv").read_text().splitlines()
     assert len(rows) == 9
+
+
+@pytest.mark.parametrize("sigma", [3e102, 1e105])
+def test_scan_whose_floors_overflow_fails_its_rows_or_is_refused(tmp_path, capsys, sigma):
+    # at 3e102 the R3 floors (sigma^3 and ||X||^1.5 terms) overflow: every
+    # row fails with margin NaN, with no traceback and no numpy warning; at
+    # 1e105 the threshold formulas already leave the range (exit 2)
+    cfg = write_config(
+        tmp_path,
+        problem={"p": 8, "r": 2, "kappa_star": 1.0, "sigma_r_star": sigma, "seed": 1},
+        scan={"n_points": 8, "samplers": SAMPLERS, "seed": 1},
+    )
+    code = main(["scan", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    if sigma == 1e105:
+        assert code == 2 and err.startswith("error: the threshold formulas leave the floating-point range")
+        return
+    assert code == 1
+    rows = (tmp_path / "out" / "scan_report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 8 and all(row.endswith(",false") for row in rows)
+    assert any(row.split(",")[8] == "nan" for row in rows)
 
 
 def test_trace_document_of_the_previous_format_is_one_error_line(tmp_path):

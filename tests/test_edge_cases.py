@@ -75,9 +75,9 @@ class TestIterativeCertificationPath:
         # named for the Lanczos path it once forced; a small form cap now
         # sends every R1 spectrum of denoising (8, 2) to the reduction
         monkeypatch.setattr(landscape, "_FORM_MATRIX_CAP", 4)
-        estimates, spectrum = [], landscape.hess_extreme_eigs
+        calls, spectrum = [], landscape.hess_extreme_eigs
         monkeypatch.setattr(
-            landscape, "hess_extreme_eigs", lambda obj, Y, **kw: estimates.append(spectrum(obj, Y, **kw)) or estimates[-1]
+            landscape, "hess_extreme_eigs", lambda obj, Y, **kw: calls.append(spectrum(obj, Y, **kw)) or calls[-1]
         )
         inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=5)
         gt = inst.ground_truth
@@ -85,6 +85,7 @@ class TestIterativeCertificationPath:
         reports = certify_landscape(inst.objective, gt, params, ["ball"], 3, seed=2)
         assert all(rep.passed for rep in reports)
         assert all(np.isfinite(rep.lambda_min) for rep in reports)
+        (estimates,) = calls  # the scan takes its reduced spectra as one list
         assert [est.method for est in estimates] == ["reduced"] * 3
 
 

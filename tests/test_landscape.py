@@ -653,15 +653,17 @@ class TestWorkPerSpectrum:
 )
 def test_r1_spectra_at_the_scan_benchmark_sizes_are_dense(problem, method, monkeypatch):
     # the two problems the benchmark scans; the ball and fiber samplers land
-    # in R1. Trace regression maps its lifts in one forward call
+    # in R1. Trace regression maps its lifts in one forward call. The scan
+    # takes the four spectra in one call, as a list
     inst = make_instance(seed=1, **problem)
-    estimates = []
+    calls = []
     spectrum = landscape.hess_extreme_eigs
     monkeypatch.setattr(
-        landscape, "hess_extreme_eigs", lambda obj, Y, **kw: estimates.append(spectrum(obj, Y, **kw)) or estimates[-1]
+        landscape, "hess_extreme_eigs", lambda obj, Y, **kw: calls.append(spectrum(obj, Y, **kw)) or calls[-1]
     )
     reports = certify_landscape(inst.objective, inst.ground_truth, PARAMS, ["ball", "fiber"], 4, seed=2)
     assert all(RegionLabel.R1 in rep.region_labels and rep.passed for rep in reports)
+    (estimates,) = calls
     assert [est.method for est in estimates] == [method] * 4
 
 

@@ -5,6 +5,7 @@ no row; and a scan raises the error of its lowest-index failing point,
 after every earlier row."""
 
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdlandscape import landscape
+from psdlandscape.cli import main
 from psdlandscape.errors import InputContractError, LandscapeError, NumericalFailure
 from psdlandscape.geometry import FactorPoint, quotient_distance
 from psdlandscape.kernels import _SCAN_POINT, _stream
@@ -24,8 +26,11 @@ from psdlandscape.landscape import (
     classify_region,
     compute_thresholds,
     hess_extreme_eigs,
+    horizontal_dim,
 )
 from psdlandscape.objectives import _sym_grad, make_instance
+
+from perfbench import checks
 
 PARAMS = RegionParams(mu=0.2, alpha=0.5, beta=1.5, gamma=1.5)
 FLOATS = ("dist_to_star", "grad_H_norm", "grad_h_norm", "lambda_min", "lambda_max", "bound_value", "margin")
@@ -237,3 +242,127 @@ def test_a_gaussian_point_without_a_full_rank_draw_fails_at_its_index(monkeypatc
     # the stack of points 1 and 3, then 99 redraws of each; row 0 came first
     assert certified == [0]
     assert stacks == [2] + [1] * 198
+
+
+# ---------------------------------------------------------------------------
+# The R1 spectra of a scan chunk, taken as stacks
+# ---------------------------------------------------------------------------
+
+#: (p, r) of horizontal dimension over the form cap (44): the denoising
+#: reduction where p > 2 r, the mapped dense path where p <= 2 r
+STACKED_SIZES = {"denoising": [(16, 3), (20, 3), (13, 4), (10, 6), (12, 6)], "trace_regression": [(16, 3), (24, 2)]}
+
+
+def own_seed_point(inst, scale):
+    """``Y* + scale G`` with ``G`` the first normal draw of the target's own
+    stream: ``G`` spans the columns of ``Y*``, so ``[Y, Y*]`` has rank ``r``."""
+    G = np.random.default_rng(np.random.SeedSequence([inst.seed, 0])).standard_normal((inst.p, inst.r))
+    return FactorPoint(inst.ground_truth.Y_star.Y + scale * G)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["denoising", "trace_regression"]),
+    size=st.integers(0, 4),
+    seed=st.integers(0, 50),
+    names=st.lists(st.sampled_from(["ball", "fiber", "gaussian", "own-seed"]), min_size=1, max_size=5),
+    stream=st.integers(0, 2**20),
+)
+def test_stacked_extremes_match_the_dense_oracle(kind, size, seed, names, stream):
+    p, r = STACKED_SIZES[kind][size % len(STACKED_SIZES[kind])]
+    assert horizontal_dim(p, r) > landscape._FORM_MATRIX_CAP
+    inst = make_instance(kind, p, r, n=12 * p if kind == "trace_regression" else 0, kappa_star=2.0, seed=seed)
+    gt = inst.ground_truth
+    radius = landscape._r1_radius(gt, PARAMS.mu)
+    points = [
+        own_seed_point(inst, 0.3 * radius / np.sqrt(p * r)) if name == "own-seed"
+        else landscape._sample_point(name, gt, PARAMS, _stream(stream, _SCAN_POINT, i), radius)
+        for i, name in enumerate(names)
+    ]
+    for Y, name in zip(points, names):
+        if name == "own-seed":
+            assert np.linalg.matrix_rank(np.hstack([Y.Y, gt.Y_star.Y])) == r
+    estimates = hess_extreme_eigs(inst.objective, points)
+    reduced = kind == "denoising" and p > 2 * r
+    sensing = None if kind == "denoising" else inst.trace_regression.sensing
+    for Y, est in zip(points, estimates, strict=True):
+        assert est.method == ("reduced" if reduced else "dense")
+        lo, hi = checks.horizontal_extremes(Y.Y, gt.X_star, sensing)
+        scale = max(abs(lo), abs(hi))
+        assert abs(est.lambda_min - lo) <= 1e-12 * scale and abs(est.lambda_max - hi) <= 1e-12 * scale
+
+
+def stacked_problem(kind):
+    """The benchmark's two scan problems: denoising (20, 3) takes its R1
+    spectra from the reduction, trace regression (30, 2, 600) from the
+    mapped dense path. Returns the instance and the bytes of one point's
+    stack entry (its lifts, and on the mapped path its rows ``F``)."""
+    if kind == "denoising":
+        inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=1)
+        return inst, 8 * horizontal_dim(6, 3) * 6**2
+    inst = make_instance("trace_regression", 30, 2, n=600, seed=1)
+    return inst, 8 * horizontal_dim(30, 2) * (30**2 + 600)
+
+
+@pytest.mark.parametrize("stack", [1, 3, "chunk"])
+@pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
+def test_stacked_spectra_equal_one_call_per_point(kind, stack, monkeypatch):
+    # six R1 points; a budget of three stack entries also cuts denoising's
+    # chunks to four points, so its stacks are 3, 1 and 2
+    inst, item_bytes = stacked_problem(kind)
+    obj, gt = inst.objective, inst.ground_truth
+    whole = certify_landscape(obj, gt, PARAMS, ["ball", "fiber"], 6, seed=2)
+    if stack != "chunk":
+        monkeypatch.setattr(landscape, "_BLOCK_BYTES", stack * item_bytes)
+    factorized, eigvals = [], landscape.sym_eigvals
+    monkeypatch.setattr(landscape, "sym_eigvals", lambda M, **kw: factorized.append(len(M)) or eigvals(M, **kw))
+    rows, points = scan_with_points(obj, gt, ["ball", "fiber"], 6, 2)
+    assert all(RegionLabel.R1 in row.region_labels for row in rows)
+    if stack == "chunk":  # the mapped path learns the length of a row F from its first point
+        assert factorized == ([6] if kind == "denoising" else [1, 5])
+    else:
+        assert sum(factorized) == 6 and max(factorized) == stack
+    for row, want in zip(rows, whole, strict=True):
+        assert_same_row(row, want)
+    monkeypatch.undo()
+    for Y, row in zip(points, rows):
+        est = hess_extreme_eigs(obj, Y)
+        assert (bits(row.lambda_min), bits(row.lambda_max)) == (bits(est.lambda_min), bits(est.lambda_max))
+
+
+def test_a_failing_spectrum_is_raised_at_its_index(tmp_path, monkeypatch, capsys):
+    # the reduced gradient of point 3 alone is made non-finite: the scan
+    # certifies rows 0-2, then raises that point's error when row 3 reads
+    # its spectrum, as a scan of one point at a time does, and the command
+    # line exits 3 with its message
+    inst, _ = stacked_problem("denoising")
+    obj, gt = inst.objective, inst.ground_truth
+    _, points = scan_with_points(obj, gt, ["ball"], 6, 5)
+    Y3 = points[3].Y
+    Yq3 = np.linalg.qr(np.hstack([Y3, gt.Y_star.Y]))[0].T @ Y3
+    grams = landscape._grams
+
+    def poisoned(pts):
+        X = grams(pts)
+        bad = [k for k, Y in enumerate(pts) if np.array_equal(Y.Y, Yq3)]
+        return np.where(np.isin(np.arange(len(X)), bad)[:, None, None], np.nan, X) if bad else X
+
+    monkeypatch.setattr(landscape, "_grams", poisoned)
+    want = sequential_error(obj, gt, ["ball"], 6, 5, landscape._r1_radius(gt, PARAMS.mu))
+    assert isinstance(want, NumericalFailure) and str(want) == "the Euclidean gradient has non-finite entries"
+    certified, certify = [], landscape._certify_point
+    monkeypatch.setattr(landscape, "_certify_point", lambda i, *args: certified.append(i) or certify(i, *args))
+    with pytest.raises(NumericalFailure) as got:
+        certify_landscape(obj, gt, PARAMS, ["ball"], 6, seed=5)
+    assert str(got.value) == str(want) and certified == [0, 1, 2, 3]
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "denoising", "p": 20, "r": 3, "kappa_star": 2.0, "seed": 1},
+        "region_params": dataclasses.asdict(PARAMS),
+        "scan": {"n_points": 6, "samplers": ["ball"], "seed": 5},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {want}\n"
