@@ -22,6 +22,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -187,7 +188,9 @@ def _check_stationary(
 ) -> np.ndarray:
     """The symmetrized gradient ``R`` at ``Y`` (``grad`` when given);
     raise :class:`NotAFOSPError` if the gradient norm ``||2 R Y||_F``
-    exceeds ``fosp_tol``."""
+    exceeds ``fosp_tol``, which must be at least 0."""
+    if not fosp_tol >= 0.0:
+        raise InputContractError(f"fosp_tol must be >= 0, got {fosp_tol}")
     R = _sym_grad(obj, Y.gram()) if grad is None else grad
     gnorm = float(np.linalg.norm(2.0 * (R @ Y.Y)))
     if gnorm > fosp_tol:
@@ -271,10 +274,19 @@ _FORM_MATRIX_CAP = 44
 #: basis, and so the largest dense Hessian outside the denoising reduction
 _BASIS_CAP = 4000
 
-#: bytes of ``p x p`` matrices in one stack: the basis lifts ``C(B_k)`` that
-#: one ``forward`` call maps while a least-squares Hessian matrix is
-#: assembled, and the Gram matrices of the points a scan certifies together
+#: bytes of one stack: the ``p x p`` lifts that one ``forward`` call maps,
+#: the bases, gradients and matrices of the Hessian spectra taken together,
+#: and the Gram matrices of the points a scan certifies together
 _BLOCK_BYTES = 32 << 20
+
+
+def _point_list(Y: FactorPoint | Sequence[FactorPoint]) -> list[FactorPoint]:
+    """``[Y]`` for one point, else the list ``Y`` of points of one shape."""
+    points = [Y] if isinstance(Y, FactorPoint) else list(Y)
+    shapes = {Z.Y.shape if isinstance(Z, FactorPoint) else None for Z in points}
+    if len(shapes) != 1 or None in shapes:
+        raise InputContractError(f"need one or more FactorPoints of one shape, got {sorted(map(str, shapes))}")
+    return points
 
 
 def horizontal_basis(Y: FactorPoint | Sequence[FactorPoint]) -> np.ndarray:
@@ -291,10 +303,12 @@ def horizontal_basis(Y: FactorPoint | Sequence[FactorPoint]) -> np.ndarray:
 
     Raises
     ------
+    InputContractError
+        If the list is empty or its points are not all of one shape.
     ResourceLimitError
         If the dimension exceeds 4000.
     """
-    points = [Y] if isinstance(Y, FactorPoint) else Y
+    points = _point_list(Y)
     p, r = points[0].p, points[0].r
     dim = horizontal_dim(p, r)
     if dim > _BASIS_CAP:
@@ -318,178 +332,136 @@ def horizontal_basis(Y: FactorPoint | Sequence[FactorPoint]) -> np.ndarray:
     return basis[0] if isinstance(Y, FactorPoint) else basis
 
 
-def _hess_eigvals(basis: np.ndarray, M: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """The eigenvalues, descending, of ``M + 2 B (R B).T``, the Riemannian
-    Hessian over the basis ``B`` when ``M`` is the matrix of the Euclidean
-    Hessian form over its lifts and ``R`` the symmetrized gradient; or of
-    each matrix of a stack, for stacks of bases, matrices and gradients."""
-    B = basis.reshape(*basis.shape[:-2], -1)
-    M += 2.0 * (B @ (R[..., None, :, :] @ basis).reshape(B.shape).swapaxes(-1, -2))
-    return sym_eigvals(M, asym_tol=1e-6)
-
-
-def _reduced_extremes(points: list[FactorPoint], target: FactorPoint) -> list[HessianSpectrumEstimate]:
-    """The spectra of the denoising objective of ``target`` at ``points``,
-    with ``p > 2 r``, each from a problem of size ``2 r``.
-
-    ``R = Y Y.T - Y* Y*.T`` has its range in ``span Q``, ``Q`` the
-    ``p x 2r`` Householder factor of ``[Y, Y*]`` (orthonormal even when the
-    block is rank deficient). Horizontal vectors whose columns lie in
-    ``span Q`` are ``Q a`` with ``a`` horizontal at ``Q.T Y``, and there the
-    Hessian is that of the same objective at ``(Q.T Y, Q.T Y*)``; those
-    orthogonal to ``span Q`` form an invariant subspace on which it is
-    ``theta -> 2 theta Y.T Y``, with eigenvalues ``2 sigma_j(Y)^2``.
-
-    The points go in stacks whose lifts take at most ``_BLOCK_BYTES``; a
-    stack makes one call of each step (QR, the SVDs of ``Q.T Y``, bases,
-    Gram product, ``eigvalsh``), and each point keeps its rank check.
-    """
-    r = target.r
-
-    def extremes(part: list[FactorPoint]) -> list[HessianSpectrumEstimate]:
-        Ys = np.stack([Y.Y for Y in part])
-        Q = np.linalg.qr(np.concatenate([Ys, np.broadcast_to(target.Y, Ys.shape)], axis=-1))[0]
-        Qt = Q.swapaxes(-1, -2)
-        Yq, Tq = Qt @ Ys, Qt @ target.Y
-        reduced = _factor_points(Yq)
-        for point in reduced:
-            if not isinstance(point, FactorPoint):
-                raise point
-        R = _grams(reduced) - Tq @ Tq.swapaxes(-1, -2)
-        if not np.isfinite(R).all():
-            raise NumericalFailure("the Euclidean gradient has non-finite entries")
-        basis = horizontal_basis(reduced)
-        F = _lift(Yq[:, None], basis).reshape(*basis.shape[:2], -1)
-        lam = _hess_eigvals(basis, F @ F.swapaxes(-1, -2), R)
-        return [
-            HessianSpectrumEstimate(
-                float(min(l[-1], 2.0 * Y.sigma_min**2)), float(max(l[0], 2.0 * Y.sigma_max**2)), "reduced"
-            )
-            for l, Y in zip(lam, part)
-        ]
-
-    step = max(1, _BLOCK_BYTES // (8 * horizontal_dim(2 * r, r) * (2 * r) ** 2))  # one point's lifts
-    return [est for i in range(0, len(points), step) for est in extremes(points[i : i + step])]
-
-
-def _mapped_extremes(
-    obj: ObjectiveHandle, points: list[FactorPoint], grads: list
-) -> list[HessianSpectrumEstimate]:
-    """The dense spectra of a least-squares handle at ``points``, from the
-    rows ``F[a] = forward(C(B_a))`` over each point's basis, its lifts
-    mapped in blocks of at most ``_BLOCK_BYTES``. A stack's lifts and rows
-    take at most ``_BLOCK_BYTES``; the first point, which gives the length
-    of a row, is a stack of its own."""
-    p, m = points[0].p, horizontal_dim(points[0].p, points[0].r)
-    block = max(1, _BLOCK_BYTES // (8 * p**2))
-    lam: list[np.ndarray] = []
-    step = 1
-    while len(lam) < len(points):
-        part = slice(len(lam), len(lam) + step)
+def _hess_extremes(
+    obj: ObjectiveHandle,
+    points: list[FactorPoint],
+    grads: list[np.ndarray | None],
+    matrix: Callable[[FactorPoint, np.ndarray], np.ndarray],
+) -> list[tuple[float, float]]:
+    """The least and greatest eigenvalues of ``M + 2 B (R B).T`` at each of
+    ``points``, with ``B`` the basis of :func:`horizontal_basis`,
+    ``M = matrix(Y, B)`` the Euclidean form's matrix over the lifts ``C(B)``
+    and ``R`` the symmetrized gradient in ``grads``, or the handle's where
+    that is ``None``. A stack of points holds their bases, gradients and
+    matrices, at most ``_BLOCK_BYTES`` and one point at least; each matrix
+    is built on its own, so what its builder holds lives only that long."""
+    p, r = points[0].p, points[0].r
+    m = horizontal_dim(p, r)
+    step = max(1, _BLOCK_BYTES // (8 * (m * (p * r + m) + p * p)))
+    extremes = []
+    for start in range(0, len(points), step):
+        part = slice(start, start + step)
         basis = horizontal_basis(points[part])
-        F = None
-        for j, Y in enumerate(points[part]):
-            for i in range(0, m, block):
-                rows = obj.least_squares.forward(_lift(Y, basis[j, i : i + block]))
-                if F is None:
-                    F = np.empty((len(basis), m, rows.shape[-1]))
-                F[j, i : i + block] = rows
-        R = np.stack([_sym_grad(obj, Y.gram()) if g is None else g for Y, g in zip(points[part], grads[part])])
-        lam.extend(_hess_eigvals(basis, F @ F.swapaxes(-1, -2), R))
-        step = max(1, _BLOCK_BYTES // (8 * m * (p**2 + F.shape[-1])))
-    return [HessianSpectrumEstimate(float(l[-1]), float(l[0]), "dense") for l in lam]
+        R = np.stack([_sym_grad(obj, Y.gram()) if G is None else G for Y, G in zip(points[part], grads[part])])
+        M = np.stack([matrix(Y, B) for Y, B in zip(points[part], basis)])
+        B = basis.reshape(*basis.shape[:2], -1)
+        M += 2.0 * (B @ (R[:, None] @ basis).reshape(B.shape).swapaxes(-1, -2))
+        extremes.extend((float(lam[-1]), float(lam[0])) for lam in sym_eigvals(M, asym_tol=1e-6))
+    return extremes
 
 
-def _form_extremes(obj: ObjectiveHandle, Y: FactorPoint, grad: np.ndarray | None) -> HessianSpectrumEstimate:
-    """The dense spectrum at ``Y`` from one form call per pair of lifts."""
-    p, m = Y.p, horizontal_dim(Y.p, Y.r)
-    if 8 * m * p**2 > MAX_INSTANCE_BYTES:
-        raise ResourceLimitError(
-            f"the {m} lifted basis matrices need {8 * m * p**2} bytes, "
-            f"more than {MAX_INSTANCE_BYTES}"
-        )
-    X = Y.gram()
-    R = _sym_grad(obj, X) if grad is None else grad
-    basis = horizontal_basis(Y)
-    lam = _hess_eigvals(basis, _form_matrix(obj, X, _lift(Y, basis)), R)
-    return HessianSpectrumEstimate(float(lam[-1]), float(lam[0]), "dense")
+def _map_matrix(forward: Callable[[np.ndarray], np.ndarray], Y: FactorPoint, basis: np.ndarray) -> np.ndarray:
+    """``F F.T`` with ``F[a] = forward(C(B_a))``, the form matrix of
+    ``0.5 ||A(X) - y||^2`` over the lifts for the map ``forward``, which
+    maps at most ``_BLOCK_BYTES`` of lifts per call."""
+    block = max(1, _BLOCK_BYTES // (8 * Y.p**2))
+    F = None
+    for i in range(0, len(basis), block):
+        rows = forward(_lift(Y, basis[i : i + block]))
+        if F is None:
+            F = np.empty((len(basis), rows.shape[-1]))
+        F[i : i + block] = rows
+    return F @ F.T
 
 
-def _spectrum_path(obj: ObjectiveHandle, p: int, r: int) -> str:
-    """How :func:`hess_extreme_eigs` takes spectra at ``p x r`` points: from
-    form calls, point by point (``"form"``), by the denoising reduction
-    (``"reduced"``) or from the map's rows (``"mapped"``)."""
-    ls = obj.least_squares
-    if ls is None or horizontal_dim(p, r) <= _FORM_MATRIX_CAP:
-        return "form"
-    return "reduced" if ls.target is not None and p > 2 * r else "mapped"
+def _form_rows(obj: ObjectiveHandle, p: int, r: int) -> bool:
+    """Whether spectra at ``p x r`` points build their matrix from form pairs."""
+    return obj.least_squares is None or horizontal_dim(p, r) <= _FORM_MATRIX_CAP
 
 
 def hess_extreme_eigs(
     obj: ObjectiveHandle,
     Y: FactorPoint | Sequence[FactorPoint],
-    grad: np.ndarray | Sequence[np.ndarray] | None = None,
+    grad: np.ndarray | Sequence[np.ndarray | None] | None = None,
 ) -> HessianSpectrumEstimate | list[HessianSpectrumEstimate]:
     """Extreme eigenvalues of the Riemannian Hessian on the horizontal space.
 
-    Every path takes the eigenvalues, with no eigenvectors, of a dense
-    matrix of the one bilinear form
-    ``b(theta1, theta2) = hess f(X)[C(theta1), C(theta2)] + 2 <R theta1, theta2>``
-    (``C(theta) = Y theta.T + theta Y.T``, ``R`` the symmetrized gradient)
-    over the basis ``B`` of :func:`horizontal_basis`. How that matrix is
-    built depends on the handle and on the horizontal dimension
-    ``m = horizontal_dim(p, r)``:
+    They are those of the dense matrix ``M + 2 B (R B).T`` over the basis
+    ``B`` of :func:`horizontal_basis`, with ``R`` the symmetrized gradient and
+    ``M`` the Euclidean Hessian form's matrix over the lifts
+    ``C(B) = Y B.T + B Y.T``, taken with no eigenvectors. Only the builder of
+    ``M`` depends on the handle and on ``m = horizontal_dim(p, r)``:
 
-    =============  ============================  =======  ==========================================  ==========
-    handle         dimension                     method   the matrix                                  a list
-    =============  ============================  =======  ==========================================  ==========
-    any            ``m <= 44``                   dense    ``m (m + 1) / 2`` form calls over ``C(B)``  one by one
-    denoising      ``m > 44`` and ``p > 2 r``    reduced  the dense matrix at ``(Q.T Y, Q.T Y*)``     in stacks
-    least squares  ``44 < m <= 4000``            dense    ``F F.T``, ``F = forward(C(B))`` in blocks  in stacks
-    custom         ``44 < m <= 4000``, lifts fit dense    ``m (m + 1) / 2`` form calls over ``C(B)``  one by one
-    =============  ============================  =======  ==========================================  ==========
+    ==================  =======  ===============================================
+    builder of ``M``    method   taken by
+    ==================  =======  ===============================================
+    form pairs          dense    every handle at ``m <= 44``; custom ones above
+    the map's rows      dense    any other least-squares handle
+    flat reduced lifts  reduced  denoising at ``m > 44`` and ``p > 2 r``
+    ==================  =======  ===============================================
 
-    44 is ``_FORM_MATRIX_CAP`` and 4000 is ``_BASIS_CAP``. Denoising is a
-    handle whose :class:`~psdlandscape.objectives.LeastSquaresMap` carries a
-    ``target``. Its reduction (:func:`_reduced_extremes`) makes one QR of
-    the ``p x 2r`` block ``[Y, Y*]``, no form call and no map sweep, and
-    joins the extremes of a matrix of dimension ``2 r^2 - r (r - 1) / 2``
-    with ``{2 sigma_j(Y)^2}``; when ``p <= 2 r`` the handle takes the row
-    below it. The blocks of ``forward`` hold at most 32 MiB of lifts each,
-    so ``k`` lifts per call make ``ceil(m / k)`` calls and no ``images``
-    call; the gradient term ``2 B (R B).T`` is added on every dense path.
-    A caller that holds ``R`` at ``Y`` (the symmetrized gradient of the
-    handle, as ``_sym_grad`` returns it) passes it as ``grad``, and the
-    handle's gradient is then not evaluated again.
-    The form rows build all ``m`` lifts at once; they fit when their
-    ``8 m p^2`` bytes are at most
-    :data:`~psdlandscape.objectives.MAX_INSTANCE_BYTES`.
+    Form pairs make ``m (m + 1) / 2`` form calls over all ``m`` lifts, whose
+    ``8 m p^2`` bytes must fit in ``MAX_INSTANCE_BYTES``. The map's rows are
+    ``F = forward(C(B))``, in blocks of 32 MiB of lifts, and ``M = F F.T``.
+    Denoising (a :class:`~psdlandscape.objectives.LeastSquaresMap` with a
+    ``target``) is reduced by one QR of ``[Y, Y*]`` to points ``Q.T Y`` of
+    dimension ``2 r^2 - r (r - 1) / 2``, whose extremes are joined with
+    ``{2 sigma_j(Y)^2}``; it makes no form call and no map sweep.
 
-    ``Y`` may be a list of points of one shape (``grad`` then ``None`` or
-    a list), for the list of their estimates, each equal bit for bit to
-    that of its point alone; the last column says how a row takes it. A
-    stack holds at most 32 MiB of lifts (and rows of ``F``), one point at
-    least, and makes one call of each step; a single point is a stack of one.
+    ``grad``, the handle's ``R`` at ``Y`` as ``_sym_grad`` returns it, spares
+    its evaluation. ``Y`` may be a list of points of one shape, ``grad`` then
+    ``None`` or one ``None`` or ``R`` per point, for the list of their
+    estimates, each equal bit for bit to that of its point alone.
 
     Raises
     ------
+    InputContractError
+        If the points are not ``p x r`` points of one shape with ``p`` the
+        handle's, or ``grad`` is not ``None`` or ``p x p`` per point.
     ResourceLimitError
-        Outside the table: above dimension 4000 on every row but the
-        reduction, and on the form rows when the lifts do not fit.
+        Above dimension 4000 on every builder but the reduction, and on form
+        pairs whose lifts do not fit.
     """
     single = isinstance(Y, FactorPoint)
-    if single:
-        points, grads = [Y], [grad]
+    points = _point_list(Y)
+    p, r = points[0].p, points[0].r
+    grads = [grad] if single else [None] * len(points) if grad is None else list(grad)
+    if p != obj.p:
+        raise InputContractError(f"the handle is on {obj.p} x {obj.p} matrices, but the points are {p} x {r}")
+    if len(grads) != len(points) or any(R is not None and np.shape(R) != (p, p) for R in grads):
+        raise InputContractError(f"grad must hold None or a {p} x {p} array for each of {len(points)} points")
+
+    ls, m, method = obj.least_squares, horizontal_dim(p, r), "dense"
+    if _form_rows(obj, p, r):
+        if 8 * m * p**2 > MAX_INSTANCE_BYTES:
+            raise ResourceLimitError(
+                f"the {m} lifted basis matrices need {8 * m * p**2} bytes, "
+                f"more than {MAX_INSTANCE_BYTES}"
+            )
+        extremes = _hess_extremes(obj, points, grads, lambda Y, B: _form_matrix(obj, Y.gram(), _lift(Y, B)))
+    elif ls.target is None or p <= 2 * r:
+        extremes = _hess_extremes(obj, points, grads, partial(_map_matrix, ls.forward))
     else:
-        points = list(Y)
-        grads = [None] * len(points) if grad is None else list(grad)
-    path = _spectrum_path(obj, points[0].p, points[0].r)
-    if path == "form":
-        estimates = [_form_extremes(obj, point, R) for point, R in zip(points, grads)]
-    elif path == "reduced":
-        estimates = _reduced_extremes(points, obj.least_squares.target)
-    else:
-        estimates = _mapped_extremes(obj, points, grads)
+        # R = Y Y.T - Y* Y*.T has its range in span Q, Q the Householder factor
+        # of [Y, Y*] (orthonormal even if that is rank deficient). The Hessian
+        # on Q a, a horizontal at Q.T Y, is that at (Q.T Y, Q.T Y*); on the
+        # invariant complement its eigenvalues are 2 sigma_j(Y)^2
+        Ys = np.stack([Z.Y for Z in points])
+        Qt = np.linalg.qr(np.concatenate([Ys, np.broadcast_to(ls.target.Y, Ys.shape)], axis=-1))[0].swapaxes(-1, -2)
+        reduced, Tq = _factor_points(Qt @ Ys), Qt @ ls.target.Y
+        for Z in reduced:
+            if not isinstance(Z, FactorPoint):
+                raise Z
+        R = _grams(reduced) - Tq @ Tq.swapaxes(-1, -2)
+        if not np.isfinite(R).all():
+            raise NumericalFailure("the Euclidean gradient has non-finite entries")
+        flat = partial(_map_matrix, lambda G: G.reshape(len(G), -1))  # the map is the flattening
+        extremes = [
+            (min(lo, 2.0 * Z.sigma_min**2), max(hi, 2.0 * Z.sigma_max**2))
+            for (lo, hi), Z in zip(_hess_extremes(obj, reduced, list(R), flat), points)
+        ]
+        method = "reduced"
+    estimates = [HessianSpectrumEstimate(lo, hi, method) for lo, hi in extremes]
     return estimates[0] if single else estimates
 
 
@@ -841,13 +813,13 @@ def certify_landscape(
     most 32 MiB together (``_BLOCK_BYTES``): ``floor(2^22 / p^2)`` points,
     and one from ``p = 2048`` on. In a chunk the draws of each sampler, the
     factorizations, the alignments to ``[Y*]`` and the Gram matrices are
-    taken as stacks, and so are the R1 rows' Hessian spectra where
-    :func:`hess_extreme_eigs` takes a list in stacks; the rest stays point
-    by point. Each row equals, bit for bit, the row of its point certified
-    on its own (:func:`_certify_point` with its first six arguments). A
-    point that fails at any stage keeps its error at its index: the scan
-    raises the error of its lowest-index failing point, after every
-    earlier row.
+    taken as stacks, and so are the R1 rows' Hessian spectra, each row's
+    gradient read once before them, but those built from form pairs (whose
+    count the benchmark's tests pin); the rest stays point by point. Each
+    row equals, bit for bit, the row of its point certified on its own
+    (:func:`_certify_point` with its first six arguments). A point that
+    fails at any stage keeps its error at its index: the scan raises the
+    error of its lowest-index failing point, after every earlier row.
     """
     _check_int(n_points, "n_points", 1)
     _check_int(seed, "seed", 0)
@@ -881,12 +853,10 @@ def certify_landscape(
         classified = _per_item(lambda pts: _classify(pts, gt, params), valid)
         grads, spectra = [None] * len(valid), [None] * len(valid)
         r1 = [j for j, c in enumerate(classified) if not isinstance(c, LandscapeError) and RegionLabel.R1 in c[0]]
-        path = _spectrum_path(obj, gt.Y_star.p, gt.Y_star.r)
-        if path == "mapped":  # its spectra read the handle's gradient
+        if not _form_rows(obj, gt.Y_star.p, gt.Y_star.r):
             for j in r1:
                 grads[j] = _attempt(lambda: _sym_grad(obj, valid[j].gram()))
             r1 = [j for j in r1 if not isinstance(grads[j], LandscapeError)]
-        if path != "form":
             stacked = _per_item(
                 lambda js: hess_extreme_eigs(obj, [valid[j] for j in js], grad=[grads[j] for j in js]), r1
             )
@@ -986,7 +956,14 @@ def error_bound_check(
     then not evaluated. ``holds`` compares with an absolute slack of
     ``1e-7 sigma_r(Y*)`` because the noiseless rhs is exactly zero while a
     numerically converged point sits at a tiny positive distance.
+
+    Raises
+    ------
+    InputContractError
+        If ``mu`` is outside ``[0, 1/3]`` or ``fosp_tol`` is below 0 or NaN.
     """
+    if not 0.0 <= mu <= 1.0 / 3.0:
+        raise InputContractError(f"mu must lie in [0, 1/3], got {mu}")
     sr = gt.sigmar_star
     denom = _margin(gt, mu) * sr**2
     _check_stationary(obj, Y_hat, 1e-6 * sr**3 if fosp_tol is None else fosp_tol, grad)

@@ -70,10 +70,10 @@ class TestSquareFactor:
         assert est.lambda_max <= 4 * Ys.sigma_max**2 + 1e-8
 
 
-class TestIterativeCertificationPath:
-    def test_small_cap_forces_iterative_r1_checks(self, monkeypatch):
-        # named for the Lanczos path it once forced; a small form cap now
-        # sends every R1 spectrum of denoising (8, 2) to the reduction
+class TestReducedCertificationPath:
+    def test_small_form_cap_sends_r1_rows_to_the_reduction(self, monkeypatch):
+        # a small form cap sends every R1 spectrum of denoising (8, 2) to
+        # the reduction
         monkeypatch.setattr(landscape, "_FORM_MATRIX_CAP", 4)
         calls, spectrum = [], landscape.hess_extreme_eigs
         monkeypatch.setattr(

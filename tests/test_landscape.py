@@ -195,10 +195,9 @@ class TestHessExtremes:
         assert est.lambda_min >= 2 * gt.sigmar_star**2 - 1e-9
         assert est.lambda_max <= 4 * gt.sigma1_star**2 + 1e-9
 
-    def test_dense_vs_iterative(self, monkeypatch):
-        # named for the Lanczos path it once compared against; the reduction
-        # stands in for it, and a handle without a map is refused wherever
-        # the 8 m p^2 bytes of lifted basis matrices (m = 19) exceed the budget
+    def test_form_matrix_matches_the_reduction_and_a_mapless_handle(self, monkeypatch):
+        # a handle without a map is refused wherever the 8 m p^2 bytes of
+        # lifted basis matrices (m = 19) exceed the budget
         inst = make_instance("denoising", 10, 2, kappa_star=2.0, seed=13)
         obj, gt = inst.objective, inst.ground_truth
         rng = np.random.default_rng(14)
@@ -332,9 +331,7 @@ def _assert_same_extremes(est, ref, rel=1e-12):
 
 
 @pytest.mark.parametrize("obj, Y", _spectrum_points())
-def test_lanczos_matches_dense(obj, Y):
-    # named for the Lanczos path these points once exercised; the
-    # reduction or the forward sweeps now meet the form-per-pair reference
+def test_reduction_and_map_rows_match_the_form_pairs(obj, Y):
     path = "mapped" if obj.least_squares.target is None else "reduced"
     _assert_same_extremes(_forced_spectrum(obj, Y, path), _forced_spectrum(obj, Y, "form"))
 
@@ -394,12 +391,12 @@ def _sized_instance(kind, p, r, seed):
     point=st.sampled_from(["ball", "random", "near-saddle"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_lanczos_and_dense_extremes_agree(kind, keep_map, r, above_cap, extra, point, seed):
-    # named for the Lanczos path it once checked. Around the form cap, the
-    # path each handle takes meets the form-per-pair reference: a
-    # least-squares handle's own form, or with keep_map false the form of
-    # the same objective as a custom handle. The least p whose dimension is
-    # above the cap, plus extra; or the greatest p at or under it, minus extra
+def test_extremes_around_the_form_cap_match_the_form_pairs(kind, keep_map, r, above_cap, extra, point, seed):
+    # around the form cap, the path each handle takes meets the
+    # form-per-pair reference: a least-squares handle's own form, or with
+    # keep_map false the form of the same objective as a custom handle. The
+    # least p whose dimension is above the cap, plus extra; or the greatest
+    # p at or under it, minus extra
     p = next(q for q in range(r, 10**4) if horizontal_dim(q, r) > landscape._FORM_MATRIX_CAP)
     p = p + extra if above_cap else max(r, p - 1 - extra)
     inst = _sized_instance(kind, p, r, seed)
@@ -437,10 +434,10 @@ def _lift_block(p, k):
     per_block=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_forward_only_dense_extremes_agree_with_lanczos(kind, r, offset, per_block, seed):
-    # named for the Lanczos path it once checked. Over the form cap, the
-    # matrix assembled from forward calls on blocks of per_block lifts
-    # agrees with the one from a single block (denoising without its target)
+def test_map_rows_from_blocks_of_lifts_match_one_block(kind, r, offset, per_block, seed):
+    # over the form cap, the matrix assembled from forward calls on blocks
+    # of per_block lifts agrees with the one from a single block (denoising
+    # without its target)
     sizes = [q for q in range(r, 70) if landscape._FORM_MATRIX_CAP < horizontal_dim(q, r) <= 100]
     p = sizes[offset % len(sizes)]
     inst = _sized_instance(kind, p, r, seed)
@@ -507,9 +504,8 @@ def test_r1_spectrum_of_a_scan_point_drawn_from_the_instance_seed(seed):
     _assert_same_extremes(est, _forced_spectrum(inst.objective, Y, "mapped"))
 
 
-def test_lanczos_at_the_target_of_a_large_denoising_problem():
-    # named for the Lanczos path that took seconds here. Horizontal
-    # dimension 9990: at Y* the extremes are 2 sigma_r^2 and 4 sigma_1^2,
+def test_reduction_at_the_target_of_a_large_denoising_problem():
+    # horizontal dimension 9990: at Y* the extremes are 2 sigma_r^2 and 4 sigma_1^2,
     # and the reduction reads no p x p array
     inst = make_instance("denoising", 2000, 5, kappa_star=2.0, seed=40)
     gt = inst.ground_truth
@@ -929,3 +925,14 @@ class TestFospCheck:
         # the gradient of the negated objective never vanishes off zero
         with pytest.raises(NotAFOSPError):
             strict_convexity_fosp_check(negated, Y)
+
+    @pytest.mark.parametrize("fosp_tol", [np.nan, -1.0])
+    def test_nan_or_negative_tolerance_is_refused(self, fosp_tol):
+        # at a NaN tolerance a point with gradient norm 19 would pass as
+        # stationary, since no norm compares greater than NaN
+        inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=29)
+        gt = inst.ground_truth
+        Y = FactorPoint(gt.Y_star.Y + 0.3 * np.random.default_rng(30).standard_normal((8, 2)))
+        with pytest.raises(InputContractError, match="fosp_tol must be >= 0") as refused:
+            strict_convexity_fosp_check(inst.objective, Y, fosp_tol=fosp_tol)
+        assert type(refused.value) is InputContractError

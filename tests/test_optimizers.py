@@ -565,6 +565,25 @@ class TestErrorBound:
         with pytest.raises(HypothesisViolationError):
             error_bound_check(gt.Y_star, gt, 1.0 / 3.0, inst.objective)
 
+    @pytest.mark.parametrize(
+        "mu, fosp_tol, message",
+        [
+            (-1.0, None, "mu must lie in"),
+            (5.0, None, "mu must lie in"),
+            (PARAMS.mu, np.nan, "fosp_tol must be >= 0"),
+            (PARAMS.mu, -1.0, "fosp_tol must be >= 0"),
+        ],
+        ids=["mu-negative", "mu-above-a-third", "fosp-tol-nan", "fosp-tol-negative"],
+    )
+    def test_out_of_range_mu_and_fosp_tol_are_refused(self, mu, fosp_tol, message):
+        # the range of mu is that of RegionParams; a NaN tolerance would
+        # pass any point as stationary
+        inst = make_instance("denoising", 6, 2, kappa_star=2.0, seed=1)
+        gt = inst.ground_truth
+        with pytest.raises(InputContractError, match=message) as refused:
+            error_bound_check(gt.Y_star, gt, mu, inst.objective, fosp_tol=fosp_tol)
+        assert type(refused.value) is InputContractError
+
     def test_rejects_non_stationary(self):
         inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=23)
         gt = inst.ground_truth

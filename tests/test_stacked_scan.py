@@ -26,9 +26,10 @@ from psdlandscape.landscape import (
     classify_region,
     compute_thresholds,
     hess_extreme_eigs,
+    horizontal_basis,
     horizontal_dim,
 )
-from psdlandscape.objectives import _sym_grad, make_instance
+from psdlandscape.objectives import ObjectiveHandle, _sym_grad, make_instance
 
 from perfbench import checks
 
@@ -292,25 +293,41 @@ def test_stacked_extremes_match_the_dense_oracle(kind, size, seed, names, stream
         assert abs(est.lambda_min - lo) <= 1e-12 * scale and abs(est.lambda_max - hi) <= 1e-12 * scale
 
 
+def stack_entry_bytes(q, r):
+    """The bytes of one ``q x r`` point's stack entry: its basis, its
+    gradient and its Hessian matrix."""
+    m = horizontal_dim(q, r)
+    return 8 * (m * (q * r + m) + q * q)
+
+
 def stacked_problem(kind):
     """The benchmark's two scan problems: denoising (20, 3) takes its R1
-    spectra from the reduction, trace regression (30, 2, 600) from the
-    mapped dense path. Returns the instance and the bytes of one point's
-    stack entry (its lifts, and on the mapped path its rows ``F``)."""
+    spectra from the reduction, at 6 x 3 points, trace regression
+    (30, 2, 600) from the map's rows. Returns the instance and the bytes of
+    one point's stack entry."""
     if kind == "denoising":
         inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=1)
-        return inst, 8 * horizontal_dim(6, 3) * 6**2
+        return inst, stack_entry_bytes(6, 3)
     inst = make_instance("trace_regression", 30, 2, n=600, seed=1)
-    return inst, 8 * horizontal_dim(30, 2) * (30**2 + 600)
+    return inst, stack_entry_bytes(30, 2)
+
+
+def lift_by_lift(obj):
+    """``obj`` with a ``forward`` that maps each lift on its own, so that
+    its rows keep their bits however ``_BLOCK_BYTES`` cuts the lifts into
+    blocks (a matrix product over a block rounds by the block's size)."""
+    ls = obj.least_squares
+    forward = lambda Gs: np.stack([ls.forward(G) for G in Gs])  # noqa: E731
+    return dataclasses.replace(obj, least_squares=dataclasses.replace(ls, forward=forward))
 
 
 @pytest.mark.parametrize("stack", [1, 3, "chunk"])
 @pytest.mark.parametrize("kind", ["denoising", "trace_regression"])
 def test_stacked_spectra_equal_one_call_per_point(kind, stack, monkeypatch):
     # six R1 points; a budget of three stack entries also cuts denoising's
-    # chunks to four points, so its stacks are 3, 1 and 2
+    # chunks to three points (a 20 x 20 Gram matrix takes 3200 bytes)
     inst, item_bytes = stacked_problem(kind)
-    obj, gt = inst.objective, inst.ground_truth
+    obj, gt = lift_by_lift(inst.objective), inst.ground_truth
     whole = certify_landscape(obj, gt, PARAMS, ["ball", "fiber"], 6, seed=2)
     if stack != "chunk":
         monkeypatch.setattr(landscape, "_BLOCK_BYTES", stack * item_bytes)
@@ -318,8 +335,8 @@ def test_stacked_spectra_equal_one_call_per_point(kind, stack, monkeypatch):
     monkeypatch.setattr(landscape, "sym_eigvals", lambda M, **kw: factorized.append(len(M)) or eigvals(M, **kw))
     rows, points = scan_with_points(obj, gt, ["ball", "fiber"], 6, 2)
     assert all(RegionLabel.R1 in row.region_labels for row in rows)
-    if stack == "chunk":  # the mapped path learns the length of a row F from its first point
-        assert factorized == ([6] if kind == "denoising" else [1, 5])
+    if stack == "chunk":
+        assert factorized == [6]
     else:
         assert sum(factorized) == 6 and max(factorized) == stack
     for row, want in zip(rows, whole, strict=True):
@@ -328,6 +345,74 @@ def test_stacked_spectra_equal_one_call_per_point(kind, stack, monkeypatch):
     for Y, row in zip(points, rows):
         est = hess_extreme_eigs(obj, Y)
         assert (bits(row.lambda_min), bits(row.lambda_max)) == (bits(est.lambda_min), bits(est.lambda_max))
+
+
+def builder_problem(builder):
+    """A handle whose spectra take ``builder``'s matrix, eight points (seven
+    near its target, one far from it), and the shape ``(q, r)`` of the
+    points the spectra are taken at: form pairs at denoising (6, 2); the map's rows
+    at trace regression (30, 2, 600); the reduction at denoising (20, 3),
+    whose reduced points are 6 x 3; and a custom handle (the denoising
+    objective written by hand, no map) at (30, 3), m = 87."""
+    kind, p, r, n = {
+        "form": ("denoising", 6, 2, 0),
+        "mapped": ("trace_regression", 30, 2, 600),
+        "reduced": ("denoising", 20, 3, 0),
+        "custom": ("denoising", 30, 3, 0),
+    }[builder]
+    inst = make_instance(kind, p, r, n=n, kappa_star=2.0, seed=1)
+    obj, Y_star = inst.objective, inst.ground_truth.Y_star.Y
+    if builder == "custom":
+        X_star = inst.ground_truth.X_star
+        obj = ObjectiveHandle(
+            lambda X: 0.5 * float(np.linalg.norm(X - X_star) ** 2),
+            lambda X: X - X_star,
+            lambda X, G1, G2: float(np.vdot(G1, G2)),
+            p,
+        )
+    rng = np.random.default_rng(3)
+    points = [FactorPoint(Y_star + scale * rng.standard_normal((p, r))) for scale in [0.05] * 7 + [3.0]]
+    return obj, points, (2 * r if builder == "reduced" else p, r)
+
+
+@pytest.mark.parametrize("stack", [1, 3, "whole"])
+@pytest.mark.parametrize("builder", ["form", "mapped", "reduced", "custom"])
+def test_a_list_call_equals_each_point_alone(builder, stack, monkeypatch):
+    obj, points, (q, r) = builder_problem(builder)
+    if stack != "whole":
+        monkeypatch.setattr(landscape, "_BLOCK_BYTES", stack * stack_entry_bytes(q, r))
+    factorized, eigvals = [], landscape.sym_eigvals
+    monkeypatch.setattr(landscape, "sym_eigvals", lambda M, **kw: factorized.append(len(M)) or eigvals(M, **kw))
+    grads = [None if k % 2 else _sym_grad(obj, Y.gram()) for k, Y in enumerate(points)]
+    estimates = hess_extreme_eigs(obj, points, grad=grads)
+    stack = len(points) if stack == "whole" else stack
+    assert factorized == [stack] * (8 // stack) + [8 % stack] * (8 % stack > 0)
+    for Y, est in zip(points, estimates, strict=True):
+        alone = hess_extreme_eigs(obj, Y)
+        assert est.method == alone.method == ("reduced" if builder == "reduced" else "dense")
+        assert (bits(est.lambda_min), bits(est.lambda_max)) == (bits(alone.lambda_min), bits(alone.lambda_max))
+
+
+BAD_LISTS = {
+    "fewer-gradients": lambda obj, Y, R: hess_extreme_eigs(obj, [Y, Y, Y], grad=[R]),
+    "empty": lambda obj, Y, R: hess_extreme_eigs(obj, []),
+    "empty-basis": lambda obj, Y, R: horizontal_basis([]),
+    "mixed-shapes": lambda obj, Y, R: hess_extreme_eigs(obj, [Y, FactorPoint(Y.Y[:, 1:])]),
+    "mixed-shape-basis": lambda obj, Y, R: horizontal_basis([Y, FactorPoint(Y.Y[:, 1:])]),
+    "not-a-point": lambda obj, Y, R: hess_extreme_eigs(obj, [Y, Y.Y]),
+    "other-p": lambda obj, Y, R: hess_extreme_eigs(obj, FactorPoint(np.vstack([Y.Y, Y.Y[:1] + 1.0]))),
+    "gradient-shape": lambda obj, Y, R: hess_extreme_eigs(obj, Y, grad=R[:-1]),
+    "gradient-list-for-one-point": lambda obj, Y, R: hess_extreme_eigs(obj, Y, grad=[R]),
+    "gradient-shape-in-a-list": lambda obj, Y, R: hess_extreme_eigs(obj, [Y, Y], grad=[R, R[:, :-1]]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LISTS))
+@pytest.mark.parametrize("builder", ["form", "mapped", "reduced", "custom"])
+def test_bad_point_and_gradient_lists_are_refused(builder, case):
+    obj, (Y, *_), _ = builder_problem(builder)
+    with pytest.raises(InputContractError):
+        BAD_LISTS[case](obj, Y, _sym_grad(obj, Y.gram()))
 
 
 def test_a_failing_spectrum_is_raised_at_its_index(tmp_path, monkeypatch, capsys):
