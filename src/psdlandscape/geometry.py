@@ -77,11 +77,7 @@ class FactorPoint:
     def _set(self, Y: np.ndarray, svd: SvdResult) -> None:
         sigma_max = float(svd.sigma[0])
         sigma_min = float(svd.sigma[-1])
-        if sigma_min <= max(RANK_TOL_REL * sigma_max, RANK_TOL_FLOOR):
-            raise InputContractError(
-                f"factor is rank deficient: sigma_min = {sigma_min:.3e}, "
-                f"sigma_max = {sigma_max:.3e}"
-            )
+        _check_rank(sigma_max, sigma_min)
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "svd", svd)
@@ -112,6 +108,17 @@ class FactorPoint:
         return f"FactorPoint(p={self.p}, r={self.r}, sigma_min={self.sigma_min:.3g})"
 
 
+def _check_rank(sigma_max: float, sigma_min: float) -> None:
+    """Raise :class:`InputContractError` unless a factor of extreme singular
+    values ``sigma_max`` and ``sigma_min`` is effectively full column rank
+    (see :class:`FactorPoint`)."""
+    if sigma_min <= max(RANK_TOL_REL * sigma_max, RANK_TOL_FLOOR):
+        raise InputContractError(
+            f"factor is rank deficient: sigma_min = {sigma_min:.3e}, "
+            f"sigma_max = {sigma_max:.3e}"
+        )
+
+
 def _factor_points(Ys: np.ndarray) -> list:
     """``FactorPoint(Y)`` of each ``Y`` of the ``(k, p, r)`` stack ``Ys``,
     all from one stacked :func:`~psdlandscape.kernels.thin_svd`; in the
@@ -133,23 +140,6 @@ def _factor_points(Ys: np.ndarray) -> list:
             points.append(exc)
         j += bool(ok)
     return points
-
-
-def _grams(points: list[FactorPoint]) -> np.ndarray:
-    """The ``(k, p, p)`` stack of the Gram matrices ``Y Y.T`` of ``points``.
-    Two or more not formed yet are formed in one stacked product, and each
-    point keeps its own (read-only) row."""
-    todo = [Y for Y in points if Y._gram is None]
-    if len(todo) > 1:
-        Ys = np.stack([Y.Y for Y in todo])
-        X = Ys @ Ys.swapaxes(-1, -2)
-        X.setflags(write=False)
-        for Y, row in zip(todo, X):
-            object.__setattr__(Y, "_gram", row)
-        if len(todo) == len(points):
-            return X
-    grams = [Y.gram() for Y in points]
-    return grams[0][None] if len(grams) == 1 else np.stack(grams)
 
 
 HORIZONTAL_TOL = 1e-8

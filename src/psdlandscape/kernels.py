@@ -146,6 +146,33 @@ def _thin_svd(A: np.ndarray) -> SvdResult:
     return SvdResult(U, s, V)
 
 
+def _scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` in units of ``2^e``, ``e`` the exponent of the largest ``|entry|``
+    of each matrix of the stack ``A``, and the exponents ``e``. Scaling by a
+    power of two is exact in binary, and sums of squares taken in these units
+    do not overflow."""
+    exponent = np.frexp(np.abs(A).max(axis=(-2, -1), initial=0.0))[1]
+    return np.ldexp(A, -exponent[..., None, None]), exponent
+
+
+def _dot_norms(A: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of the stack ``A``, from one dot
+    product of each flattened matrix, as ``np.linalg.norm`` takes it, with no
+    array of the squares."""
+    flat = A.reshape(*A.shape[:-2], 1, -1)
+    return np.sqrt(np.atleast_1d((flat @ flat.swapaxes(-1, -2))[..., 0, 0]))
+
+
+def _frob_norms(A: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of the stack ``A``, taken in the units
+    of :func:`_scaled`: equal, bit for bit, to ``np.linalg.norm`` of the matrix
+    wherever no square over- or underflows in either unit, and finite wherever
+    the norm is. An overflowing norm is ``inf``, with numpy's
+    overflow warning unless the caller ignores it."""
+    scaled, exponent = _scaled(A)
+    return np.ldexp(_dot_norms(scaled), exponent)
+
+
 def _sym_factorize(factorize, S: np.ndarray, asym_tol: float, stack: bool = False):
     """``factorize((S + S.T) / 2)`` of a finite square ``S`` within
     ``asym_tol`` of symmetric (see :func:`sym_eig`); with ``stack``, ``S``
@@ -153,19 +180,10 @@ def _sym_factorize(factorize, S: np.ndarray, asym_tol: float, stack: bool = Fals
     S = check_matrix(S, "eig input", stack=stack)
     if S.shape[-2] != S.shape[-1]:
         raise InputContractError(f"eig input must be square, got {S.shape}")
-    # the test is scale-free: take both norms of each matrix in units of a
-    # power of two near its max |S|, exact in binary, so that no sum of
-    # squares overflows
-    exponent = np.frexp(np.abs(S).max(axis=(-2, -1), initial=0.0))[1]
-    scaled = np.ldexp(S, -exponent[..., None, None])
-
-    def norms(A: np.ndarray) -> np.ndarray:
-        # one dot product of each flattened matrix, as np.linalg.norm takes
-        # it, with no array of the squares
-        flat = A.reshape(*A.shape[:-2], 1, -1)
-        return np.sqrt(np.atleast_1d((flat @ flat.swapaxes(-1, -2))[..., 0, 0]))
-
-    nrm, asym = norms(scaled), norms(scaled - scaled.swapaxes(-1, -2))
+    # the test is scale-free: both norms of each matrix are taken in the
+    # unit of S, so that no sum of squares overflows
+    scaled = _scaled(S)[0]
+    nrm, asym = _dot_norms(scaled), _dot_norms(scaled - scaled.swapaxes(-1, -2))
     bad = asym > asym_tol * nrm
     if bad.any():
         raise InputContractError(

@@ -18,12 +18,11 @@ and checks every applicable bound, reporting margins per point.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,12 +38,23 @@ from .geometry import (
     FactorPoint,
     HorizontalTangent,
     _check_horizontal,
+    _check_rank,
     _factor_points,
-    _grams,
     quotient_distance,
     vertical_project,
 )
-from .kernels import _SCAN_POINT, _align, _check_int, _stream, sym_eigvals
+from .kernels import (
+    _SCAN_POINT,
+    SvdResult,
+    _align,
+    _check_int,
+    _frob_norms,
+    _scaled,
+    _stream,
+    _thin_svd,
+    check_matrix,
+    sym_eigvals,
+)
 from .objectives import (
     MAX_INSTANCE_BYTES,
     GroundTruth,
@@ -198,50 +208,75 @@ def _check_stationary(
     return R
 
 
-def _classify(
-    points: Sequence[FactorPoint], gt: GroundTruth, params: RegionParams
-) -> list[tuple[set[RegionLabel], tuple[float, float, float, float], tuple[np.ndarray, bool]]]:
-    """For each of ``points``, the labels of :func:`classify_region` and
-    what they were read from: the quotient distance to the target, the norm
-    of the exact-factorization gradient, the spectral norm and the Gram
-    norm; and the aligned difference ``Y - Y* Q``, whose norm is that
-    distance, with whether the alignment ``Q`` of the target onto ``Y`` is
-    unique. The alignments and Gram matrices are taken over the stack of
-    all points at once (see :func:`certify_landscape` for the memory this
-    takes); each gradient and norm is taken on its own point."""
-    Ys = np.stack([Y.Y for Y in points])
-    Q, _, unique = _align(Ys, gt.Y_star.Y)
-    aligned = Ys - gt.Y_star.Y @ Q
-    X = _grams(points)
-    with np.errstate(over="ignore"):  # an overflowing norm fails its row
-        # point by point, so that no second stack of p x p arrays is formed
-        grad_norms = [float(np.linalg.norm(2.0 * ((Xi - gt.X_star) @ Yi))) for Xi, Yi in zip(X, Ys)]
-        gram_norms = [float(np.linalg.norm(Xi)) for Xi in X]
+class _Classes(NamedTuple):
+    """The labels of :func:`classify_region` at each point of a stack of
+    ``k``, as the ``(k, 5)`` mask ``member`` over :class:`RegionLabel` in its
+    order, and what they were read from: the quotient distance to the
+    target, the norm of the exact-factorization gradient, the spectral norm
+    and the Gram norm; and the aligned difference ``Y - Y* Q``, whose norm is
+    that distance, with whether the alignment ``Q`` of the target onto ``Y``
+    is unique."""
 
+    member: np.ndarray
+    dist: np.ndarray
+    grad_norm: np.ndarray
+    spec_norm: np.ndarray
+    gram_norm: np.ndarray
+    aligned: np.ndarray
+    unique: np.ndarray
+
+    def labels(self) -> list[tuple[RegionLabel, ...]]:
+        """The labels of each point, in the order of their values."""
+        return [_LABEL_SETS[code] for code in (self.member @ (1 << np.arange(5))).tolist()]
+
+
+#: the labels of each of the 32 masks over :class:`RegionLabel`, by the
+#: mask's bits, ``R1`` the lowest
+_LABEL_SETS = [tuple(label for b, label in enumerate(RegionLabel) if code >> b & 1) for code in range(32)]
+
+
+def _factor_grads(Ys: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``R Y = Y (Y.T Y) - T (T.T Y)`` for each factor ``Y`` of the stack
+    ``Ys``, with ``R = Y Y.T - T T.T`` the gradient of ``0.5 ||Y Y.T - T
+    T.T||_F^2``, in ``p x r`` arrays only."""
+    return Ys @ (Ys.swapaxes(-1, -2) @ Ys) - T @ (T.T @ Ys)
+
+
+def _classify(points: Sequence[FactorPoint], gt: GroundTruth, params: RegionParams) -> _Classes:
+    """The labels of :func:`classify_region` at each of ``points`` and what
+    they were read from (see :class:`_Classes`), over the stack of all
+    points at once and with no ``p x p`` array: the exact-factorization
+    gradient is ``2 R Y`` in the factor form of :func:`_factor_grads` and
+    ``||Y Y.T||_F = ||Y.T Y||_F``. Every norm is taken in units of a power
+    of two near the largest entry of its array
+    (:func:`~psdlandscape.kernels._frob_norms`), so a norm is finite
+    wherever its value is, and one that overflows fails its row."""
+    Ys, T = np.stack([Y.Y for Y in points]), gt.Y_star.Y
+    Q, _, unique = _align(Ys, T)
+    aligned = Ys - T @ Q
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = _frob_norms(aligned)
+        grad_norm = 2.0 * _frob_norms(_factor_grads(Ys, T))
+        gram_norm = _frob_norms(Ys.swapaxes(-1, -2) @ Ys)
+    spec_norm = np.array([Y.sigma_max for Y in points])
+
+    d = np.where(dist <= 1e-12 * gt.sigmar_star, 0.0, dist)
     r1_radius = _r1_radius(gt, params.mu)
     grad_thresh = _grad_threshold(gt, params)
     spec_cap = params.beta * gt.sigma1_star
     gram_cap = params.gamma * gt.X_star_norm
-
-    out = []
-    for Y, diff, uniq, grad_norm, gram_norm in zip(points, aligned, unique, grad_norms, gram_norms):
-        dist = float(np.linalg.norm(diff))
-        d = 0.0 if dist <= 1e-12 * gt.sigmar_star else dist
-        spec_norm = Y.sigma_max
-        labels: set[RegionLabel] = set()
-        in_box = spec_norm <= spec_cap and gram_norm <= gram_cap
-        if d <= r1_radius:
-            labels.add(RegionLabel.R1)
-        if d > r1_radius and grad_norm <= grad_thresh and in_box:
-            labels.add(RegionLabel.R2)
-        if grad_norm > grad_thresh and in_box:
-            labels.add(RegionLabel.R3_PRIME)
-        if spec_norm > spec_cap and gram_norm <= gram_cap:
-            labels.add(RegionLabel.R3_DOUBLE_PRIME)
-        if gram_norm > gram_cap:
-            labels.add(RegionLabel.R3_TRIPLE_PRIME)
-        out.append((labels, (dist, grad_norm, spec_norm, gram_norm), (diff, bool(uniq))))
-    return out
+    in_box = (spec_norm <= spec_cap) & (gram_norm <= gram_cap)
+    member = np.stack(
+        [
+            d <= r1_radius,
+            (d > r1_radius) & (grad_norm <= grad_thresh) & in_box,
+            (grad_norm > grad_thresh) & in_box,
+            (spec_norm > spec_cap) & (gram_norm <= gram_cap),
+            gram_norm > gram_cap,
+        ],
+        axis=-1,
+    )
+    return _Classes(member, dist, grad_norm, spec_norm, gram_norm, aligned, unique)
 
 
 def classify_region(
@@ -256,7 +291,7 @@ def classify_region(
     Distances below ``1e-12 sigma_r(Y*)`` are treated as exact zeros so that
     fiber points classify into R1 even when ``mu = 0``.
     """
-    return _classify([Y], gt, params)[0][0]
+    return set(_classify([Y], gt, params).labels()[0])
 
 
 def horizontal_dim(p: int, r: int) -> int:
@@ -289,6 +324,16 @@ def _point_list(Y: FactorPoint | Sequence[FactorPoint]) -> list[FactorPoint]:
     return points
 
 
+@lru_cache(maxsize=64)
+def _pairs(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``i <= j`` of ``range(r)``, row by row, and their count's range."""
+    i, j = np.triu_indices(r)
+    pairs = (i, j, np.arange(len(i)))
+    for a in pairs:
+        a.flags.writeable = False  # shared by every caller of the cache
+    return pairs
+
+
 def horizontal_basis(Y: FactorPoint | Sequence[FactorPoint]) -> np.ndarray:
     """Orthonormal basis (Frobenius inner product) of the horizontal space,
     as a read-only ``(m, p, r)`` array of its ``m = horizontal_dim(p, r)``
@@ -309,55 +354,79 @@ def horizontal_basis(Y: FactorPoint | Sequence[FactorPoint]) -> np.ndarray:
         If the dimension exceeds 4000.
     """
     points = _point_list(Y)
-    p, r = points[0].p, points[0].r
+    basis = _bases(*(_stack_of(part) for part in zip(*(point.svd for point in points))))
+    basis.flags.writeable = False
+    return basis if isinstance(Y, FactorPoint) else basis.reshape(len(points), *basis.shape[-3:])
+
+
+def _stack_of(values: Sequence[np.ndarray]) -> np.ndarray:
+    """The stack of ``values``, one per point; a lone point's value as it
+    is, with no leading axis, so that a lone point pays for no stack."""
+    return values[0] if len(values) == 1 else np.stack(values)
+
+
+def _bases(U: np.ndarray, sigma: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The bases of :func:`horizontal_basis` from the thin SVDs ``U diag(sigma)
+    V.T`` of points of one shape, with any leading axes; a stack's rows equal,
+    bit for bit, those of each point's SVD on its own."""
+    *lead, p, r = U.shape
     dim = horizontal_dim(p, r)
     if dim > _BASIS_CAP:
         raise ResourceLimitError(f"horizontal dimension {dim} exceeds the basis cap {_BASIS_CAP}")
-    U, sigma, V = (np.stack(part) for part in zip(*(point.svd for point in points)))
-    i, j = np.triu_indices(r)
-    k = np.arange(len(i))
+    i, j, k = _pairs(r)
     # diag(1/sigma) (E_ij + E_ji) over its norm: sigma_j / hypot(sigma_i, sigma_j)
     # at (i, j), sigma_i / hypot(sigma_i, sigma_j) at (j, i), and 1 if i = j
-    norm = np.where(i == j, sigma[:, i], np.hypot(sigma[:, i], sigma[:, j]))
-    S = np.zeros((len(points), len(k), r, r))
-    S[:, k, i, j] = sigma[:, j] / norm
-    S[:, k, j, i] = sigma[:, i] / norm
+    norm = np.where(i == j, sigma[..., i], np.hypot(sigma[..., i], sigma[..., j]))
+    S = np.zeros((*lead, len(k), r, r))
+    S[..., k, i, j] = sigma[..., j] / norm
+    S[..., k, j, i] = sigma[..., i] / norm
     U_perp = np.linalg.qr(U, mode="complete")[0][..., r:]
-    basis = np.zeros((len(points), dim, p, r))
-    basis[:, : len(k)] = U[:, None] @ S @ V[:, None].swapaxes(-1, -2)
+    basis = np.zeros((*lead, dim, p, r))
+    basis[..., : len(k), :, :] = U[..., None, :, :] @ S @ V[..., None, :, :].swapaxes(-1, -2)
     # element (a, b) of the second part is U_perp[:, a] in column b
     b = np.arange(r)
-    basis[:, len(k) :].reshape(len(points), p - r, r, p, r)[:, :, b, :, b] = U_perp.swapaxes(-1, -2)
-    basis.flags.writeable = False
-    return basis[0] if isinstance(Y, FactorPoint) else basis
+    basis[..., len(k) :, :, :].reshape(*lead, p - r, r, p, r)[..., b, :, b] = U_perp.swapaxes(-1, -2)
+    return basis
 
 
 def _hess_extremes(
-    obj: ObjectiveHandle,
-    points: list[FactorPoint],
-    grads: list[np.ndarray | None],
-    matrix: Callable[[FactorPoint, np.ndarray], np.ndarray],
+    svd: SvdResult,
+    gradients: Callable[[int | slice], np.ndarray],
+    matrices: Callable[[int | slice, np.ndarray], np.ndarray],
+    lifted: int = 0,
 ) -> list[tuple[float, float]]:
     """The least and greatest eigenvalues of ``M + 2 B (R B).T`` at each of
-    ``points``, with ``B`` the basis of :func:`horizontal_basis`,
-    ``M = matrix(Y, B)`` the Euclidean form's matrix over the lifts ``C(B)``
-    and ``R`` the symmetrized gradient in ``grads``, or the handle's where
-    that is ``None``. A stack of points holds their bases, gradients and
-    matrices, at most ``_BLOCK_BYTES`` and one point at least; each matrix
-    is built on its own, so what its builder holds lives only that long."""
-    p, r = points[0].p, points[0].r
+    ``k`` factors of shape ``p x r``, with ``B`` the basis of
+    :func:`horizontal_basis` from their stacked thin SVDs ``svd`` (``svd.U``
+    of shape ``(k, p, r)``), ``R = gradients(part)`` the symmetrized gradient and ``M =
+    matrices(part, B)`` the Euclidean form's matrix over the lifts ``C(B)``,
+    for each ``part`` of the factors: a slice, or the index of a lone
+    factor, whose arrays then have no leading axis, so that it pays for no
+    stack. A part holds its bases, gradients and matrices, and the
+    ``lifted`` entries per factor that ``matrices`` holds at once, at most
+    ``_BLOCK_BYTES`` and one factor at least."""
+    k, p, r = svd.U.shape
     m = horizontal_dim(p, r)
-    step = max(1, _BLOCK_BYTES // (8 * (m * (p * r + m) + p * p)))
+    step = max(1, _BLOCK_BYTES // (8 * (m * (p * r + m) + p * p + lifted)))
     extremes = []
-    for start in range(0, len(points), step):
-        part = slice(start, start + step)
-        basis = horizontal_basis(points[part])
-        R = np.stack([_sym_grad(obj, Y.gram()) if G is None else G for Y, G in zip(points[part], grads[part])])
-        M = np.stack([matrix(Y, B) for Y, B in zip(points[part], basis)])
-        B = basis.reshape(*basis.shape[:2], -1)
-        M += 2.0 * (B @ (R[:, None] @ basis).reshape(B.shape).swapaxes(-1, -2))
-        extremes.extend((float(lam[-1]), float(lam[0])) for lam in sym_eigvals(M, asym_tol=1e-6))
+    for start in range(0, k, step):
+        part = start if min(step, k - start) == 1 else slice(start, start + step)
+        basis = _bases(svd.U[part], svd.sigma[part], svd.V[part])
+        R = gradients(part)
+        M = matrices(part, basis)
+        B = basis.reshape(*basis.shape[:-2], -1)
+        M += 2.0 * (B @ (R[..., None, :, :] @ basis).reshape(B.shape).swapaxes(-1, -2))
+        lam = sym_eigvals(M, asym_tol=1e-6)
+        extremes.extend(zip(lam[..., -1].ravel().tolist(), lam[..., 0].ravel().tolist()))
     return extremes
+
+
+def _flat_matrices(Ys: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """``F F.T`` with ``F`` the flattened lifts ``C(B)`` of each factor of
+    ``Ys`` over its basis ``B``, the form matrices of ``0.5 ||X - T||_F^2``,
+    in one product."""
+    F = _lift(Ys[..., None, :, :], bases).reshape(*bases.shape[:-2], -1)
+    return F @ F.swapaxes(-1, -2)
 
 
 def _map_matrix(forward: Callable[[np.ndarray], np.ndarray], Y: FactorPoint, basis: np.ndarray) -> np.ndarray:
@@ -374,9 +443,13 @@ def _map_matrix(forward: Callable[[np.ndarray], np.ndarray], Y: FactorPoint, bas
     return F @ F.T
 
 
-def _form_rows(obj: ObjectiveHandle, p: int, r: int) -> bool:
-    """Whether spectra at ``p x r`` points build their matrix from form pairs."""
-    return obj.least_squares is None or horizontal_dim(p, r) <= _FORM_MATRIX_CAP
+def _builder(obj: ObjectiveHandle, p: int, r: int) -> str:
+    """The builder of the Hessian matrix of spectra at ``p x r`` points (see
+    :func:`hess_extreme_eigs`): ``"form"``, ``"mapped"`` or ``"reduced"``."""
+    ls = obj.least_squares
+    if ls is None or horizontal_dim(p, r) <= _FORM_MATRIX_CAP:
+        return "form"
+    return "mapped" if ls.target is None or p <= 2 * r else "reduced"
 
 
 def hess_extreme_eigs(
@@ -431,36 +504,54 @@ def hess_extreme_eigs(
     if len(grads) != len(points) or any(R is not None and np.shape(R) != (p, p) for R in grads):
         raise InputContractError(f"grad must hold None or a {p} x {p} array for each of {len(points)} points")
 
-    ls, m, method = obj.least_squares, horizontal_dim(p, r), "dense"
-    if _form_rows(obj, p, r):
-        if 8 * m * p**2 > MAX_INSTANCE_BYTES:
+    ls, m, builder = obj.least_squares, horizontal_dim(p, r), _builder(obj, p, r)
+    if builder != "reduced":
+        if builder == "form" and 8 * m * p**2 > MAX_INSTANCE_BYTES:
             raise ResourceLimitError(
                 f"the {m} lifted basis matrices need {8 * m * p**2} bytes, "
                 f"more than {MAX_INSTANCE_BYTES}"
             )
-        extremes = _hess_extremes(obj, points, grads, lambda Y, B: _form_matrix(obj, Y.gram(), _lift(Y, B)))
-    elif ls.target is None or p <= 2 * r:
-        extremes = _hess_extremes(obj, points, grads, partial(_map_matrix, ls.forward))
+
+        def indices(part: int | slice) -> list[int]:
+            picked = range(len(points))[part]
+            return [picked] if isinstance(picked, int) else list(picked)
+
+        def gradients(part: int | slice) -> np.ndarray:
+            given = [(points[j], grads[j]) for j in indices(part)]
+            return _stack_of([_sym_grad(obj, Y.gram()) if G is None else G for Y, G in given])
+
+        def matrices(part: int | slice, bases: np.ndarray) -> np.ndarray:
+            # each point's matrix on its own, so that its lifts and the rows
+            # of the map live only while it is built
+            if builder == "form":
+                build = lambda Y, B: _form_matrix(obj, Y.gram(), _lift(Y, B))  # noqa: E731
+            else:
+                build = lambda Y, B: _map_matrix(ls.forward, Y, B)  # noqa: E731
+            return _stack_of([build(points[j], B) for j, B in zip(indices(part), bases.reshape(-1, m, p, r))])
+
+        svd = SvdResult(*(np.stack(a) for a in zip(*(Z.svd for Z in points))))
+        extremes = _hess_extremes(svd, gradients, matrices)
     else:
         # R = Y Y.T - Y* Y*.T has its range in span Q, Q the Householder factor
         # of [Y, Y*] (orthonormal even if that is rank deficient). The Hessian
         # on Q a, a horizontal at Q.T Y, is that at (Q.T Y, Q.T Y*); on the
         # invariant complement its eigenvalues are 2 sigma_j(Y)^2
-        Ys = np.stack([Z.Y for Z in points])
+        Ys, q = _stack_of([Z.Y for Z in points]), 2 * r
         Qt = np.linalg.qr(np.concatenate([Ys, np.broadcast_to(ls.target.Y, Ys.shape)], axis=-1))[0].swapaxes(-1, -2)
-        reduced, Tq = _factor_points(Qt @ Ys), Qt @ ls.target.Y
-        for Z in reduced:
-            if not isinstance(Z, FactorPoint):
-                raise Z
-        R = _grams(reduced) - Tq @ Tq.swapaxes(-1, -2)
+        Yq = check_matrix((Qt @ Ys).reshape(-1, q, r), "factor", stack=True)
+        Tq = (Qt @ ls.target.Y).reshape(Yq.shape)
+        svd = _thin_svd(Yq)
+        for sigma_max, sigma_min in svd.sigma[:, [0, -1]].tolist():
+            _check_rank(sigma_max, sigma_min)
+        R = Yq @ Yq.swapaxes(-1, -2) - Tq @ Tq.swapaxes(-1, -2)
         if not np.isfinite(R).all():
             raise NumericalFailure("the Euclidean gradient has non-finite entries")
-        flat = partial(_map_matrix, lambda G: G.reshape(len(G), -1))  # the map is the flattening
+        flat = lambda part, bases: _flat_matrices(Yq[part], bases)  # noqa: E731
+        reduced = _hess_extremes(svd, R.__getitem__, flat, horizontal_dim(q, r) * q * q)
         extremes = [
-            (min(lo, 2.0 * Z.sigma_min**2), max(hi, 2.0 * Z.sigma_max**2))
-            for (lo, hi), Z in zip(_hess_extremes(obj, reduced, list(R), flat), points)
+            (min(lo, 2.0 * Z.sigma_min**2), max(hi, 2.0 * Z.sigma_max**2)) for (lo, hi), Z in zip(reduced, points)
         ]
-        method = "reduced"
+    method = "reduced" if builder == "reduced" else "dense"
     estimates = [HessianSpectrumEstimate(lo, hi, method) for lo, hi in extremes]
     return estimates[0] if single else estimates
 
@@ -694,98 +785,190 @@ def _certify_point(
     gt: GroundTruth,
     params: RegionParams,
     thresholds: ThresholdReport,
-    classified: tuple | None = None,
-    grad: np.ndarray | None = None,
-    spectrum: HessianSpectrumEstimate | LandscapeError | None = None,
 ) -> RegionReport:
-    """The row of point ``point_id`` at ``Y``, from its entry of
-    :func:`_classify`, the handle's symmetrized gradient ``grad`` and, in
-    R1, its Hessian ``spectrum``; each is taken here when it is not given.
-    A spectrum that failed is given as its error, raised where the row
-    reads it."""
-    if classified is None:
-        (classified,) = _classify([Y], gt, params)
-    labels, (d, grad_H, spec_norm, gram_norm), escape = classified
-    R = _sym_grad(obj, Y.gram()) if grad is None else grad
-    with np.errstate(over="ignore"):  # an overflowing norm fails the row
-        grad_h = float(np.linalg.norm(2.0 * (R @ Y.Y)))
+    """The row of point ``point_id`` at ``Y``: :func:`_certify_rows` of the
+    one point, whose error it raises."""
+    (row,) = _certify_rows([point_id], [Y], obj, gt, params, thresholds)
+    if isinstance(row, LandscapeError):
+        raise row
+    return row
+
+
+def _escape_curvature(
+    obj: ObjectiveHandle, Y: FactorPoint, R: np.ndarray, aligned: np.ndarray, unique: bool
+) -> float:
+    """The Riemannian Hessian form along the escape direction ``aligned`` at
+    ``Y`` over its squared norm, both taken with the direction in units of a
+    power of two near its largest entry. The form is quadratic in the
+    direction and the scaling is exact, so the ratio keeps its bits and is
+    finite wherever it is in range."""
+    theta = _scaled(_escape_tangent(Y, aligned, unique).theta)[0]
+    return _hess_quad(obj, Y, R, theta) / float(np.linalg.norm(theta)) ** 2
+
+
+def _row_floors(
+    gt: GroundTruth, params: RegionParams, thresholds: ThresholdReport, spec_norm: np.ndarray, gram_norm: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The gradient floors of R3' (one for every row), R3'' and R3''' at
+    rows of spectral norms ``spec_norm`` and Gram norms ``gram_norm``, in
+    their pointwise form, corrected by the restricted convexity constant
+    and the noise at the target; with both zero these are the sharp
+    exact-factorization floors. The powers are numpy's scalar ones, which a
+    vectorized power does not round alike, so that a floor that overflows
+    is inf or NaN (and fails its row), not an ``OverflowError``."""
+    delta, noise = thresholds.delta_used, thresholds.noise_at_target
+    beta, gamma = params.beta, params.gamma
+    s1, xnorm, root_r = gt.sigma1_star, gt.X_star_norm, np.sqrt(gt.Y_star.r)
+    cube = np.array([s**3 for s in spec_norm])
+    gram_root, gram_pow = (np.array([g**e for g in gram_norm]) for e in (0.5, 1.5))
+    return (
+        _grad_threshold(gt, params)
+        - 2.0 * delta * beta * (1.0 + gamma) * s1 * xnorm
+        - 2.0 * beta * s1 * noise,
+        2.0 * (cube - spec_norm * s1**2)
+        - 2.0 * delta * (1.0 + gamma) * spec_norm * xnorm
+        - 2.0 * spec_norm * noise,
+        (2.0 * (1.0 - 1.0 / gamma) - 2.0 * delta * (1.0 + 1.0 / gamma)) * gram_pow / root_r
+        - 2.0 * gram_root * noise / root_r,
+    )
+
+
+def _worst_checks(applies: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """The column of each row's worst check: the first of least margin among
+    the columns where ``applies`` holds, as ``min`` over them in order finds
+    it (a later check replaces the one found only if its margin compares
+    smaller, so a NaN margin is found only when it comes first); -1 where
+    no check applies."""
+    at, worst = np.arange(len(margins)), np.full(len(margins), -1)
+    for col in range(margins.shape[1]):
+        worst[applies[:, col] & ((worst < 0) | (margins[:, col] < margins[at, worst]))] = col
+    return worst
+
+
+def _certify_rows(
+    ids: Sequence[int],
+    points: Sequence[FactorPoint],
+    obj: ObjectiveHandle,
+    gt: GroundTruth,
+    params: RegionParams,
+    thresholds: ThresholdReport,
+) -> list:
+    """The row of each of ``points`` as the point of its id in ``ids``, or
+    the :class:`~psdlandscape.errors.LandscapeError` at which it stopped:
+    its classification, the handle's gradient, its R1 spectrum or its R2
+    escape form. Row ``j`` equals, bit for bit, that of ``points[j]``
+    certified on its own.
+
+    The points are classified as one stack (:func:`_classify`). On a handle
+    whose map has a ``target`` (denoising) the handle's gradient norm
+    ``||2 R Y||_F`` is the factor form of :func:`_factor_grads` on that
+    target, and a ``p x p`` ``R`` is formed only where a row reads it: the
+    R1 spectra that the reduction does not take and the escape form of an
+    R2 row. Any other handle gives each point its symmetrized gradient
+    ``R``, read once. The R1 spectra are one stacked
+    :func:`hess_extreme_eigs` call, but those built from form pairs are one
+    call per point (the benchmark's tests pin their count). The distances,
+    gradient norms, floors, margins and pass flags are arrays over the rows.
+    """
+    rows: list = [None] * len(points)
+    if not points:
+        return rows
+    try:
+        classes, live = _classify(points, gt, params), list(range(len(points)))
+    except LandscapeError:
+        rows = [_attempt(lambda: _classify([Y], gt, params)) for Y in points]
+        live = [j for j, c in enumerate(rows) if not isinstance(c, LandscapeError)]
+        if not live:
+            return rows
+        classes = _Classes(*map(np.concatenate, zip(*(rows[j] for j in live))))
+        for j in live:
+            rows[j] = None
+    pts = [points[j] for j in live]
+    n, (p, r) = len(pts), pts[0].Y.shape
+
+    def kept(i: int, outcome):
+        """``outcome`` of row ``i``, or ``None`` once an error stops the row."""
+        if isinstance(outcome, LandscapeError):
+            rows[live[i]] = outcome
+            return None
+        return outcome
+
+    def running(rows_of: Iterable[int]) -> list[int]:
+        return [i for i in rows_of if rows[live[i]] is None]
+
+    in_r1, in_r2 = classes.member[:, 0], classes.member[:, 1]
+    builder = _builder(obj, p, r)
+    target = None if obj.least_squares is None else obj.least_squares.target
+    needs = np.ones(n, bool) if target is None else in_r2 | (in_r1 & (builder != "reduced"))
+    grads = [kept(i, _attempt(lambda: _sym_grad(obj, pts[i].gram()))) if needs[i] else None for i in range(n)]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm fails its row
+        if target is None:
+            grad_h, ok = np.full(n, np.nan), running(range(n))
+            if ok:
+                grad_h[ok] = 2.0 * _frob_norms(np.stack([grads[i] @ pts[i].Y for i in ok]))
+        elif target.Y is gt.Y_star.Y:
+            grad_h = classes.grad_norm
+        else:
+            grad_h = 2.0 * _frob_norms(_factor_grads(np.stack([Y.Y for Y in pts]), target.Y))
+
+    spectra = np.full((n, 2), np.nan)
+    r1 = running(np.flatnonzero(in_r1))
+    if builder == "form":
+        estimates = [_attempt(lambda: hess_extreme_eigs(obj, pts[i], grad=grads[i])) for i in r1]
+    else:
+        estimates = _per_item(
+            lambda part: hess_extreme_eigs(obj, [pts[i] for i in part], grad=[grads[i] for i in part]), r1
+        )
+    for i, est in zip(r1, estimates):
+        if kept(i, est) is not None:
+            spectra[i] = est.lambda_min, est.lambda_max
+
+    curvature = np.full(n, np.nan)
+    for i in running(np.flatnonzero(in_r2)):
+        quad = kept(i, _attempt(
+            lambda: _escape_curvature(obj, pts[i], grads[i], classes.aligned[i], classes.unique[i])
+        ))
+        curvature[i] = np.nan if quad is None else quad
 
     tol_curv = 1e-8 * gt.sigmar_star**2
     tol_grad = 1e-8 * gt.sigmar_star**3
-
-    checks: list[tuple[float, float, bool]] = []  # (bound, margin, ok)
-    lam_min = np.nan
-    lam_max = np.nan
-
-    if RegionLabel.R1 in labels:
-        est = hess_extreme_eigs(obj, Y, grad=R) if spectrum is None else spectrum
-        if isinstance(est, LandscapeError):
-            raise est
-        lam_min, lam_max = est.lambda_min, est.lambda_max
-        m_lo = lam_min - (thresholds.r1_hess_lower - tol_curv)
-        m_hi = (thresholds.r1_hess_upper + tol_curv) - lam_max
-        checks.append((thresholds.r1_hess_lower, m_lo, m_lo >= 0.0))
-        checks.append((thresholds.r1_hess_upper, m_hi, m_hi >= 0.0))
-
-    if RegionLabel.R2 in labels:
-        theta = _escape_tangent(Y, *escape)
-        quad = _hess_quad(obj, Y, R, theta.theta) / theta.norm**2
-        m = (thresholds.r2_curvature_upper + tol_curv) - quad
-        checks.append((thresholds.r2_curvature_upper, m, m >= 0.0))
-
-    # gradient floors in their pointwise form, corrected by the restricted
-    # convexity constant and the noise at the target; with both zero these
-    # are the sharp exact-factorization floors. The powers are numpy's, so
-    # that a floor that overflows is inf or NaN (and fails its row), not an
-    # OverflowError
-    delta = thresholds.delta_used
-    noise = thresholds.noise_at_target
-    beta, gamma = params.beta, params.gamma
-    s1, xnorm = gt.sigma1_star, gt.X_star_norm
-    rr = Y.r
-    spec_norm, gram_norm = np.float64(spec_norm), np.float64(gram_norm)
+    lower, upper, r2_upper = thresholds.r1_hess_lower, thresholds.r1_hess_upper, thresholds.r2_curvature_upper
+    # the checks of a row, in this order, are those of its labels
+    applies = classes.member[:, [0, 0, 1, 2, 3, 4]]
+    bounds, margins = np.empty((n, 6)), np.empty((n, 6))
     with np.errstate(over="ignore", invalid="ignore"):
-        floors = {
-            RegionLabel.R3_PRIME: _grad_threshold(gt, params)
-            - 2.0 * delta * beta * (1.0 + gamma) * s1 * xnorm
-            - 2.0 * beta * s1 * noise,
-            RegionLabel.R3_DOUBLE_PRIME: 2.0 * (spec_norm**3 - spec_norm * s1**2)
-            - 2.0 * delta * (1.0 + gamma) * spec_norm * xnorm
-            - 2.0 * spec_norm * noise,
-            RegionLabel.R3_TRIPLE_PRIME: (
-                2.0 * (1.0 - 1.0 / gamma) - 2.0 * delta * (1.0 + 1.0 / gamma)
-            )
-            * gram_norm**1.5
-            / np.sqrt(rr)
-            - 2.0 * gram_norm**0.5 * noise / np.sqrt(rr),
-        }
-    for label, floor in floors.items():
-        if label in labels:
-            m = grad_h - (floor - tol_grad)
-            checks.append((floor, m, m >= 0.0))
-
-    if not checks:  # pragma: no cover - labels are never empty
-        raise NumericalFailure("point received no region label")
-
-    worst = min(range(len(checks)), key=lambda i: checks[i][1])
-    bound_value, margin, _ = checks[worst]
-    passed = all(ok for _, _, ok in checks)
-    spectrum = (lam_min, lam_max) if RegionLabel.R1 in labels else ()
-    if not all(map(math.isfinite, (d, grad_H, grad_h, bound_value, *spectrum))):
-        # a quantity that overflowed certifies nothing
-        margin, passed = np.nan, False
-    return RegionReport(
-        point_id=point_id,
-        region_labels=tuple(sorted(labels, key=lambda lb: lb.value)),
-        dist_to_star=float(d),
-        grad_H_norm=grad_H,
-        grad_h_norm=float(grad_h),
-        lambda_min=float(lam_min),
-        lambda_max=float(lam_max),
-        bound_value=float(bound_value),
-        margin=float(margin),
-        passed=bool(passed),
+        bounds[:, :3] = lower, upper, r2_upper
+        bounds[:, 3], bounds[:, 4], bounds[:, 5] = _row_floors(
+            gt, params, thresholds, classes.spec_norm, classes.gram_norm
+        )
+        margins[:, 0] = spectra[:, 0] - (lower - tol_curv)
+        margins[:, 1] = (upper + tol_curv) - spectra[:, 1]
+        margins[:, 2] = (r2_upper + tol_curv) - curvature
+        margins[:, 3:] = grad_h[:, None] - (bounds[:, 3:] - tol_grad)
+    at, worst = np.arange(n), _worst_checks(applies, margins)
+    bound_value, margin = bounds[at, worst], margins[at, worst]
+    passed = (~applies | (margins >= 0.0)).all(axis=1)
+    finite = (
+        np.isfinite(classes.dist) & np.isfinite(classes.grad_norm) & np.isfinite(grad_h)
+        & np.isfinite(bound_value) & (~in_r1 | np.isfinite(spectra).all(axis=1))
     )
+    # a quantity that overflowed certifies nothing
+    margin, passed = np.where(finite, margin, np.nan), passed & finite
+
+    reports = zip(
+        classes.labels(), classes.dist.tolist(), classes.grad_norm.tolist(), grad_h.tolist(),
+        spectra.tolist(), bound_value.tolist(), margin.tolist(), passed.tolist(), worst.tolist(),
+    )
+    for i, (labels, dist, grad_H, grad_h_i, (lam_min, lam_max), bound, slack, ok, check) in enumerate(reports):
+        j = live[i]
+        if rows[j] is not None:
+            continue
+        if check < 0:  # pragma: no cover - labels are never empty
+            rows[j] = NumericalFailure("point received no region label")
+            continue
+        rows[j] = RegionReport(ids[j], labels, dist, grad_H, grad_h_i, lam_min, lam_max, bound, slack, ok)
+    return rows
 
 
 def certify_landscape(
@@ -809,15 +992,16 @@ def certify_landscape(
     so a longer scan extends a shorter one row for row, and no point reuses
     the draw of a target built from the same seed.
 
-    The points are certified in chunks whose ``p x p`` Gram matrices take at
-    most 32 MiB together (``_BLOCK_BYTES``): ``floor(2^22 / p^2)`` points,
-    and one from ``p = 2048`` on. In a chunk the draws of each sampler, the
-    factorizations, the alignments to ``[Y*]`` and the Gram matrices are
-    taken as stacks, and so are the R1 rows' Hessian spectra, each row's
-    gradient read once before them, but those built from form pairs (whose
-    count the benchmark's tests pin); the rest stays point by point. Each
-    row equals, bit for bit, the row of its point certified on its own
-    (:func:`_certify_point` with its first six arguments). A point that
+    The points are certified in chunks whose widest stack takes at most
+    32 MiB (``_BLOCK_BYTES``): ``p x r`` factors where the R1 spectra take
+    the denoising reduction, so ``floor(2^22 / (p r))`` points, else each
+    point's ``p x p`` gradient, so ``floor(2^22 / p^2)`` points and one from
+    ``p = 2048`` on. A chunk draws each sampler's points as one stack and
+    builds its rows as one stack (:func:`_certify_rows`): one factorization,
+    alignment and classification per stack, the R1 rows' Hessian spectra
+    stacked too, and every norm and margin an array over the rows. Each row
+    equals, bit for bit, the row of its point certified on its own
+    (:func:`_certify_point`, the same builder on one point). A point that
     fails at any stage keeps its error at its index: the scan raises the
     error of its lowest-index failing point, after every earlier row.
     """
@@ -849,37 +1033,26 @@ def certify_landscape(
             ),
             ids,
         )
-        valid = [Y for Y in points if isinstance(Y, FactorPoint)]
-        classified = _per_item(lambda pts: _classify(pts, gt, params), valid)
-        grads, spectra = [None] * len(valid), [None] * len(valid)
-        r1 = [j for j, c in enumerate(classified) if not isinstance(c, LandscapeError) and RegionLabel.R1 in c[0]]
-        if not _form_rows(obj, gt.Y_star.p, gt.Y_star.r):
-            for j in r1:
-                grads[j] = _attempt(lambda: _sym_grad(obj, valid[j].gram()))
-            r1 = [j for j in r1 if not isinstance(grads[j], LandscapeError)]
-            stacked = _per_item(
-                lambda js: hess_extreme_eigs(obj, [valid[j] for j in js], grad=[grads[j] for j in js]), r1
-            )
-            for j, est in zip(r1, stacked):
-                spectra[j] = est
-        rows = []
-        entries = iter(zip(classified, grads, spectra))
-        for i, Y in zip(ids, points):
-            if not isinstance(Y, FactorPoint):
-                raise Y
-            entry, R, spectrum = next(entries)
-            for error in (entry, R):
-                if isinstance(error, LandscapeError):
-                    raise error
-            rows.append(_certify_point(i, Y, obj, gt, params, thresholds, entry, R, spectrum))
+        # the points after one that could not be drawn make no row
+        drawn = next((k for k, Y in enumerate(points) if not isinstance(Y, FactorPoint)), len(points))
+        rows = _certify_rows(ids[:drawn], points[:drawn], obj, gt, params, thresholds)
+        for row in rows + points[drawn : drawn + 1]:
+            if isinstance(row, LandscapeError):
+                raise row
         return rows
 
-    # the Gram matrices of one chunk of points take at most _BLOCK_BYTES
-    step = max(1, _BLOCK_BYTES // (8 * gt.Y_star.p**2))
+    step = max(1, _BLOCK_BYTES // _point_bytes(obj, gt.Y_star.p, gt.Y_star.r))
     return [
         row for start in range(0, n_points, step)
         for row in chunk(list(range(start, min(start + step, n_points))))
     ]
+
+
+def _point_bytes(obj: ObjectiveHandle, p: int, r: int) -> int:
+    """Bytes per point of the widest stack a scan chunk forms: a ``p x r``
+    factor where the R1 spectra take the denoising reduction, else the
+    handle's ``p x p`` gradient, which the rows or their spectra read."""
+    return 8 * p * (r if _builder(obj, p, r) == "reduced" else p)
 
 
 def _per_item(fn: Callable[[list], list], items: list) -> list:
@@ -1005,20 +1178,10 @@ def reports_to_csv(reports: Iterable[RegionReport]) -> str:
     for rep in reports:
         labels = ";".join(lb.value for lb in rep.region_labels)
         status = "true" if rep.passed else "false"
+        # each float as _fmt writes it
         lines.append(
-            ",".join(
-                [
-                    str(rep.point_id),
-                    labels,
-                    _fmt(rep.dist_to_star),
-                    _fmt(rep.grad_H_norm),
-                    _fmt(rep.grad_h_norm),
-                    _fmt(rep.lambda_min),
-                    _fmt(rep.lambda_max),
-                    _fmt(rep.bound_value),
-                    _fmt(rep.margin),
-                    status,
-                ]
-            )
+            f"{rep.point_id},{labels},{float(rep.dist_to_star):.17g},{float(rep.grad_H_norm):.17g},"
+            f"{float(rep.grad_h_norm):.17g},{float(rep.lambda_min):.17g},{float(rep.lambda_max):.17g},"
+            f"{float(rep.bound_value):.17g},{float(rep.margin):.17g},{status}"
         )
     return "\n".join(lines) + "\n"

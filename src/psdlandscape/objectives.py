@@ -323,16 +323,25 @@ class GroundTruth:
     def from_factor(cls, Y_star: FactorPoint, obj: ObjectiveHandle) -> "GroundTruth":
         """The target of ``obj`` at ``Y_star``, from one evaluation of
         ``grad f(X*)``: ``grad_at_star_trunc`` is ``||(grad f(X*))_max(r)||_F``
-        and ``grad_at_star_along_factor`` is ``||grad f(X*) Y*||_F``."""
+        and ``grad_at_star_along_factor`` is ``||grad f(X*) Y*||_F``. Both are
+        0 with no evaluation when the handle's map has ``Y_star`` as its
+        ``target`` (denoising at its own target)."""
         X_star = Y_star.gram()
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = obj.euclid_grad(X_star)
-        if not np.all(np.isfinite(G)):
-            raise InputContractError("the gradient at X* has non-finite entries")
+        target = None if obj.least_squares is None else obj.least_squares.target
+        if target is not None and np.array_equal(target.Y, Y_star.Y):
+            # the gradient X* - Y* Y*.T of denoising at its own target is
+            # structurally zero, so no p x p array of it is formed
+            noise = along = 0.0
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = obj.euclid_grad(X_star)
+            if not np.all(np.isfinite(G)):
+                raise InputContractError("the gradient at X* has non-finite entries")
+            with np.errstate(over="ignore"):
+                # the gradient at X* is exactly zero on a noiseless instance
+                noise = truncated_frob_norm(G, Y_star.r) if G.any() else 0.0
+                along = float(np.linalg.norm(G @ Y_star.Y))
         with np.errstate(over="ignore"):
-            # the gradient at X* is exactly zero on a noiseless instance
-            noise = truncated_frob_norm(G, Y_star.r) if G.any() else 0.0
-            along = float(np.linalg.norm(G @ Y_star.Y))
             xnorm = float(np.linalg.norm(X_star))
         if not (math.isfinite(noise) and math.isfinite(along)):
             raise InputContractError("the norms of the gradient at X* overflow")

@@ -226,9 +226,9 @@ def riemannian_gd(
         if track and params is None:
             rec.dists.append(quotient_distance(Y, gt.Y_star))
         elif track:
-            ((labels, (dist, *_), _),) = _classify([Y], gt, params)
-            rec.dists.append(dist)
-            rec.regions.append(tuple(sorted(labels, key=lambda lb: lb.value)))
+            classes = _classify([Y], gt, params)
+            rec.dists.append(float(classes.dist[0]))
+            rec.regions.append(classes.labels()[0])
         rec.perturbed.append(False)
 
         # a strict saddle is not convergence when escape is enabled; at most

@@ -84,11 +84,11 @@ def test_scan_agrees_with_the_checker(tmp_path, data):
     samplers = order[: data.draw(st.integers(1, len(SAMPLERS)))]
     n_points = data.draw(st.integers(1, 8))
     seed = data.draw(st.integers(0, 2**16))
-    points, certify = [], landscape._certify_point
+    points, certify = [], landscape._certify_rows
     scan = {"n_points": n_points, "samplers": samplers, "seed": seed}
     with pytest.MonkeyPatch.context() as patched:  # the certified points, for the spectra
         patched.setattr(
-            landscape, "_certify_point", lambda i, Y, *args: points.append(Y) or certify(i, Y, *args)
+            landscape, "_certify_rows", lambda ids, pts, *args: points.extend(pts) or certify(ids, pts, *args)
         )
         code, out = _run(tmp_path, "scan", {"problem": problem, "region_params": params, "scan": scan})
     assert code in (0, 1)

@@ -807,9 +807,9 @@ class TestCertify:
         # in span(Y*) to 1.0000 of its norm
         inst = make_instance("denoising", 20, 3, kappa_star=2.0, seed=5)
         gt = inst.ground_truth
-        points, certify = [], landscape._certify_point
+        points, certify = [], landscape._certify_rows
         monkeypatch.setattr(
-            landscape, "_certify_point", lambda i, Y, *args: points.append(Y) or certify(i, Y, *args)
+            landscape, "_certify_rows", lambda ids, pts, *args: points.extend(pts) or certify(ids, pts, *args)
         )
         certify_landscape(inst.objective, gt, PARAMS, ["ball"], 1, seed=5)
         (Y,) = points

@@ -315,9 +315,9 @@ class TestEvaluatedOnce:
         assert built == []
 
     def test_gram_formed_once_per_iterate(self, monkeypatch):
-        # the direct evaluation and the region labels of the last tracked
-        # iterate read the one Gram its point keeps; trial values come from
-        # the carried residual and read none
+        # the direct evaluation of the last tracked iterate reads the one
+        # Gram its point keeps; its region labels are taken in factor form
+        # and trial values from the carried residual, and neither reads it
         inst = make_instance("denoising", 8, 2, kappa_star=2.0, seed=17)
         gt = inst.ground_truth
         gram, grams = FactorPoint.gram, {}
@@ -331,7 +331,7 @@ class TestEvaluatedOnce:
         Y0 = FactorPoint(np.random.default_rng(18).standard_normal((8, 2)))
         rec = riemannian_gd(inst.objective, Y0, GDConfig(max_iters=10, grad_tol=1e-14), gt=gt, params=PARAMS)
         assert rec.iterations == 10
-        assert len(grams[id(rec.final)][1]) == 2
+        assert len(grams[id(rec.final)][1]) == 1
         for _, formed in grams.values():
             assert all(X is formed[0] for X in formed)
         assert not rec.final.gram().flags.writeable
